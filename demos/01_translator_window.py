@@ -10,7 +10,7 @@ sidelobe envelopes and writes the full profile to translator_profile.csv.
 
 import numpy as np
 
-from emlink import spherical_hankel_paper, legendre_sequence, truncation_order, tukey_window
+from emlink import translator_series, truncation_order
 
 k = 2 * np.pi
 aperture = 10.0      # wavelengths
@@ -20,13 +20,9 @@ L = truncation_order(k, aperture)
 print(f"aperture {aperture:g} wavelengths, distance {distance:g} -> series order L = {L}")
 
 theta = np.linspace(0.0, np.pi, 1441)
-ls = np.arange(L + 1)
-coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, k * distance)
-p_table = legendre_sequence(L, np.cos(theta))
-
-plain = np.abs(coef @ p_table)
+plain = np.abs(translator_series(L, k * distance, np.cos(theta), False))
 plain /= plain.max()
-tapered = np.abs((coef * tukey_window(L)) @ p_table)
+tapered = np.abs(translator_series(L, k * distance, np.cos(theta), True))
 tapered /= tapered.max()
 
 print("\nsidelobe envelope (max |alpha| per 15-degree band, normalized):")

@@ -23,7 +23,6 @@ from .capacity import (
 from .channel import (
     FREE_SPACE_IMPEDANCE,
     KernelMatrix,
-    kernel_h_point,
     kernel_matrix,
     propagate_current,
     reference_field,
@@ -43,17 +42,15 @@ from .geometry import (
 )
 from .greens import (
     TranslatorTable,
-    dgf_full,
-    dgf_transverse,
     expansion_error_sweep,
     sgf_exact,
     sgf_planewave,
+    translator_series,
     translator_table,
     tukey_window,
 )
 from .modes import (
     BasisIndexTable,
-    GalerkinMatrix,
     ModeSet,
     ModesResult,
     assemble_galerkin,

@@ -77,12 +77,16 @@ def waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> PowerAllocation:
     raise ValueError("water-filling found no feasible active set")
 
 
-def capacity_waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> float:
-    """Optimal capacity sum log2(1 + beta_n P_n / sigma^2) under water-filling."""
-    alloc = waterfill(betas, p_t, sigma2)
-    betas = np.asarray(betas, dtype=float)
+def _rate(betas: np.ndarray, alloc: PowerAllocation, sigma2: float) -> float:
+    """sum log2(1 + beta_n P_n / sigma^2) over the channels that carry power."""
     active = alloc.powers > 0
     return float(np.sum(np.log2(1.0 + betas[active] * alloc.powers[active] / sigma2)))
+
+
+def capacity_waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> float:
+    """Optimal capacity sum log2(1 + beta_n P_n / sigma^2) under water-filling."""
+    betas = np.asarray(betas, dtype=float)
+    return _rate(betas, waterfill(betas, p_t, sigma2), sigma2)
 
 
 def capacity_equal(beta_avg: float, n: int, p_t: float, sigma2: float) -> float:
@@ -210,8 +214,7 @@ def capacity_vs_snr(
     for snr in snrs:
         sigma2 = p_t * 10.0 ** (-float(snr) / 10.0)
         alloc = waterfill(betas, p_t, sigma2)
-        active = alloc.powers > 0
-        c_wf = float(np.sum(np.log2(1.0 + betas[active] * alloc.powers[active] / sigma2)))
+        c_wf = _rate(betas, alloc, sigma2)
         c_eq = capacity_equal(beta_avg, n_plateau, p_t, sigma2)
         points.append(
             CapacityPoint(float(snr), sigma2, c_wf, c_eq, alloc.active_count, alloc)

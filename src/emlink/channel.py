@@ -9,23 +9,26 @@ The single-polarization kernel is
 with omega*mu = k * eta for unit wavelength.  Dense kernel matrices are built
 through the aggregation/translation/disaggregation factorization, which is
 algebraically identical to entrywise evaluation but runs as three matrix
-products.
+products.  The plane-wave factors and the weighted translator are built here
+once for every caller, greens.sgf_planewave included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BudgetError
 from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid
-from .greens import TranslatorTable
+
+if TYPE_CHECKING:
+    from .greens import TranslatorTable
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
     "KernelMatrix",
-    "kernel_h_point",
     "kernel_matrix",
     "propagate_current",
     "reference_field",
@@ -41,16 +44,20 @@ def _omega_mu(k: float) -> float:
     return k * FREE_SPACE_IMPEDANCE
 
 
-def kernel_h_point(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: TranslatorTable) -> complex:
-    """Channel kernel H(r, s) at a single point pair."""
+def _kernel_scale(k: float) -> float:
+    return -k * _omega_mu(k) / (16.0 * np.pi**2)
+
+
+def _plane_waves(offsets: np.ndarray, grid: DirectionGrid, k: float) -> np.ndarray:
+    """Plane-wave factors e^{-jk khat.offset}, shape (n_offsets, n_dir)."""
+    return np.exp(-1j * k * (offsets @ grid.directions.T))
+
+
+def _translator_weights(grid: DirectionGrid, table: TranslatorTable) -> np.ndarray:
+    """Quadrature weight times translator value, one per direction sample."""
     if len(table.values) != len(grid.weights):
         raise ValueError("translator table does not match the direction grid")
-    k = geometry.k
-    r_qs = geometry.transmitter.center - np.asarray(s, float)
-    r_rp = np.asarray(r, float) - geometry.receiver.center
-    phase = np.exp(-1j * k * (grid.directions @ (r_qs + r_rp)))
-    acc = np.sum(grid.weights * phase * table.values)
-    return complex(-k * _omega_mu(k) / (16.0 * np.pi**2) * acc)
+    return grid.weights * table.values
 
 
 @dataclass(frozen=True)
@@ -66,16 +73,6 @@ class KernelMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-
-def _aggregation(points: np.ndarray, center: np.ndarray, grid: DirectionGrid, k: float) -> np.ndarray:
-    """Plane-wave factors e^{-jk khat.(center - point)}, shape (n_dir, n_pts)."""
-    return np.exp(-1j * k * (grid.directions @ (center[:, None] - points.T)))
-
-
-def _disaggregation(points: np.ndarray, center: np.ndarray, grid: DirectionGrid, k: float) -> np.ndarray:
-    """Plane-wave factors e^{-jk khat.(point - center)}, shape (n_pts, n_dir)."""
-    return np.exp(-1j * k * ((points - center) @ grid.directions.T))
 
 
 def _check_budget(*sizes: int, budget: int) -> None:
@@ -96,9 +93,8 @@ def kernel_matrix(
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> KernelMatrix:
     """Assemble H over the two surface grids via the diagonal factorization."""
-    if len(table.values) != len(grid.weights):
-        raise ValueError("translator table does not match the direction grid")
-    n_dir = len(grid.weights)
+    w_alpha = _translator_weights(grid, table)
+    n_dir = len(w_alpha)
     _check_budget(
         len(rcv.points) * len(src.points),
         n_dir * len(src.points),
@@ -106,10 +102,9 @@ def kernel_matrix(
         budget=entry_budget,
     )
     k = geometry.k
-    A = _aggregation(src.points, geometry.transmitter.center, grid, k)
-    B = _disaggregation(rcv.points, geometry.receiver.center, grid, k)
-    scale = -k * _omega_mu(k) / (16.0 * np.pi**2)
-    entries = scale * ((B * (grid.weights * table.values)) @ A)
+    A = _plane_waves(geometry.transmitter.center - src.points, grid, k)
+    B = _plane_waves(rcv.points - geometry.receiver.center, grid, k)
+    entries = _kernel_scale(k) * ((B * w_alpha) @ A.T)
     return KernelMatrix(entries, src, rcv, grid, table)
 
 
@@ -129,14 +124,11 @@ def propagate_current(
     current = np.asarray(current)
     if current.shape != (len(src.points),):
         raise ValueError("current must be sampled on the source grid")
-    if len(table.values) != len(grid.weights):
-        raise ValueError("translator table does not match the direction grid")
+    w_alpha = _translator_weights(grid, table)
     k = geometry.k
-    far = _aggregation(src.points, geometry.transmitter.center, grid, k) @ (src.weights * current)
-    far *= table.values
-    B = _disaggregation(rcv.points, geometry.receiver.center, grid, k)
-    scale = -k * _omega_mu(k) / (16.0 * np.pi**2)
-    return scale * (B @ (grid.weights * far))
+    far = (src.weights * current) @ _plane_waves(geometry.transmitter.center - src.points, grid, k)
+    B = _plane_waves(rcv.points - geometry.receiver.center, grid, k)
+    return _kernel_scale(k) * (B @ (w_alpha * far))
 
 
 def reference_field(current: np.ndarray, src: SurfaceGrid, rcv: SurfaceGrid, k: float) -> np.ndarray:

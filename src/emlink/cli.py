@@ -27,7 +27,6 @@ from . import greens, modes
 from .config import ExperimentConfig, load_config
 from .errors import BudgetError, ConfigError
 from .geometry import truncation_order
-from .specfun import legendre_sequence, spherical_hankel_paper
 
 _FMT = "%.12e"
 
@@ -49,12 +48,8 @@ def _write_csv(path: Path, header: str, rows) -> Path:
 def _translator_profile(cfg: ExperimentConfig, theta_deg: np.ndarray, windowed: bool) -> np.ndarray:
     """|alpha| over the angle to the link axis, normalized to its own peak."""
     L = truncation_order(cfg.k, cfg.check_aperture)
-    ls = np.arange(L + 1)
-    coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, cfg.k * cfg.check_distance)
-    if windowed and L >= 2:
-        coef = coef * greens.tukey_window(L)
-    values = coef @ legendre_sequence(L, np.cos(np.radians(theta_deg)))
-    mag = np.abs(values)
+    cos_theta = np.cos(np.radians(theta_deg))
+    mag = np.abs(greens.translator_series(L, cfg.k * cfg.check_distance, cos_theta, windowed))
     return mag / mag.max()
 
 
@@ -94,20 +89,7 @@ def cmd_sgf_error(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    geometry = cfg.link_geometry()
-    result = modes.solve_modes(
-        geometry,
-        theta_e=np.radians(cfg.theta_e_deg),
-        L=cfg.truncation(),
-        t=cfg.basis_order,
-        n_surface=cfg.surface_points,
-        windowed=cfg.windowed,
-        n_theta=cfg.n_theta or None,
-        n_phi=cfg.n_phi or None,
-        power_w=cfg.power_w,
-        keep=cfg.modes_keep or None,
-        entry_budget=cfg.entry_budget,
-    )
+    result = cfg.solve()
     ms = result.modes
     written = []
 

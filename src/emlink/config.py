@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import LinkGeometry, rect_aperture, truncation_order
+from .modes import ModesResult, solve_modes
 
 __all__ = ["ExperimentConfig", "PRESETS", "load_config"]
 
@@ -102,6 +103,22 @@ class ExperimentConfig:
             return self.l_override
         D = max(self.tx_side_x, self.tx_side_y, self.rx_side_x, self.rx_side_y)
         return truncation_order(self.k, D)
+
+    def solve(self) -> ModesResult:
+        """Run the eigenmode pipeline on the main link with this configuration."""
+        return solve_modes(
+            self.link_geometry(),
+            theta_e=np.radians(self.theta_e_deg),
+            L=self.truncation(),
+            t=self.basis_order,
+            n_surface=self.surface_points,
+            windowed=self.windowed,
+            n_theta=self.n_theta or None,
+            n_phi=self.n_phi or None,
+            power_w=self.power_w,
+            keep=self.modes_keep or None,
+            entry_budget=self.entry_budget,
+        )
 
     def validate(self) -> "ExperimentConfig":
         if self.wavelength != 1.0:

@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _plane_waves, _translator_weights
 from .geometry import DirectionGrid, LinkGeometry, cap_direction_grid, default_cap_densities, truncation_order
 from .specfun import legendre_sequence, spherical_hankel_paper
 
 __all__ = [
     "TranslatorTable",
     "sgf_exact",
-    "dgf_full",
-    "dgf_transverse",
     "tukey_window",
+    "translator_series",
     "translator_table",
     "sgf_planewave",
     "expansion_error_sweep",
@@ -39,40 +39,6 @@ def sgf_exact(r, s, k: float) -> complex:
     if R == 0.0:
         raise ValueError("source and field points coincide")
     return np.exp(-1j * k * R) / (4.0 * np.pi * R)
-
-
-def dgf_full(r, s, k: float) -> np.ndarray:
-    """Full dyadic Green's function including the reactive 1/kR and 1/(kR)^2 terms.
-
-    Kept as a validation oracle; the channel kernel itself is scalar.
-    """
-    r = np.asarray(r, float)
-    s = np.asarray(s, float)
-    Rv = r - s
-    R = float(np.linalg.norm(Rv))
-    if R == 0.0:
-        raise ValueError("source and field points coincide")
-    rr = np.outer(Rv, Rv) / (R * R)
-    eye = np.eye(3)
-    kR = k * R
-    bracket = (
-        (eye - rr)
-        - (1j / kR) * (eye - 3.0 * rr)
-        - (1.0 / (kR * kR)) * (eye - 3.0 * rr)
-    )
-    return bracket * sgf_exact(r, s, k)
-
-
-def dgf_transverse(r, s, k: float) -> np.ndarray:
-    """Far-field (transverse) dyadic: (I - khat khat) g(r, s) with khat = Rhat."""
-    r = np.asarray(r, float)
-    s = np.asarray(s, float)
-    Rv = r - s
-    R = float(np.linalg.norm(Rv))
-    if R == 0.0:
-        raise ValueError("source and field points coincide")
-    rr = np.outer(Rv, Rv) / (R * R)
-    return (np.eye(3) - rr) * sgf_exact(r, s, k)
 
 
 def tukey_window(L: int) -> np.ndarray:
@@ -98,42 +64,43 @@ class TranslatorTable:
     axis: np.ndarray     # rhat_pq
 
 
+def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.ndarray:
+    """alpha = sum_l (-j)^l (2l+1) h_l(k r_pq) P_l(cos gamma) [w_l] at each cos gamma.
+
+    h_l is the j - i*y Hankel convention; OverflowError propagates from the
+    Neumann recurrence when L is pushed far beyond k*r_pq.  The Tukey taper
+    w_l applies when windowed and L >= 2.
+    """
+    if L < 0:
+        raise ValueError("L must be non-negative")
+    ls = np.arange(L + 1)
+    coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, k_rpq)
+    if windowed and L >= 2:
+        coef = coef * tukey_window(L)
+    return coef @ legendre_sequence(L, cos_gamma)
+
+
 def translator_table(
     grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool
 ) -> TranslatorTable:
-    """Tabulate alpha = sum_l (-j)^l (2l+1) h_l(k r_pq) P_l(khat . rhat_pq) [w_l].
-
-    h_l is the j - i*y Hankel convention; OverflowError propagates from the
-    Neumann recurrence when L is pushed far beyond k*r_pq.
-    """
+    """Tabulate the translator series at khat . rhat_pq for every direction sample."""
     r_pq = np.asarray(r_pq, dtype=float)
     rpq = float(np.linalg.norm(r_pq))
     if rpq <= 0:
         raise ValueError("translation vector must be non-zero")
-    if L < 0:
-        raise ValueError("L must be non-negative")
     axis = r_pq / rpq
-    ls = np.arange(L + 1)
-    coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, k * rpq)
-    if windowed and L >= 2:
-        coef = coef * tukey_window(L)
     cosg = np.clip(grid.directions @ axis, -1.0, 1.0)
-    values = coef @ legendre_sequence(L, cosg)
+    values = translator_series(L, k * rpq, cosg, windowed)
     return TranslatorTable(values, int(L), bool(windowed), k * rpq, axis)
-
-
-def _planewave_sum(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: TranslatorTable) -> complex:
-    if len(table.values) != len(grid.weights):
-        raise ValueError("translator table does not match the direction grid")
-    r_qs = geometry.transmitter.center - np.asarray(s, float)
-    r_rp = np.asarray(r, float) - geometry.receiver.center
-    phase = np.exp(-1j * geometry.k * (grid.directions @ (r_qs + r_rp)))
-    return complex(np.sum(grid.weights * phase * table.values))
 
 
 def sgf_planewave(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: TranslatorTable) -> complex:
     """Scalar Green's function reconstructed from the plane-wave expansion."""
-    return (-1j * geometry.k / (16.0 * np.pi**2)) * _planewave_sum(r, s, geometry, grid, table)
+    r_qs = geometry.transmitter.center - np.asarray(s, float)
+    r_rp = np.asarray(r, float) - geometry.receiver.center
+    w_alpha = _translator_weights(grid, table)
+    phase = _plane_waves((r_qs + r_rp)[None, :], grid, geometry.k)[0]
+    return complex(-1j * geometry.k / (16.0 * np.pi**2) * (phase @ w_alpha))
 
 
 def expansion_error_sweep(

@@ -35,7 +35,6 @@ from .specfun import legendre_sequence
 
 __all__ = [
     "BasisIndexTable",
-    "GalerkinMatrix",
     "ModeSet",
     "basis_order_table",
     "basis_eval",
@@ -103,31 +102,24 @@ def basis_eval(aperture: Aperture, table: BasisIndexTable, grid: SurfaceGrid) ->
     return out
 
 
-@dataclass(frozen=True)
-class GalerkinMatrix:
-    """Hermitian PSD projection of the power-transfer kernel onto the basis."""
-
-    matrix: np.ndarray
-
-
-def assemble_galerkin(kernel: KernelMatrix, basis_src: np.ndarray) -> GalerkinMatrix:
-    """B = (H W_src E)^H W_rcv (H W_src E) over the kernel's grids."""
+def assemble_galerkin(kernel: KernelMatrix, basis_src: np.ndarray) -> np.ndarray:
+    """Hermitian PSD B = (H W_src E)^H W_rcv (H W_src E) over the kernel's grids."""
     if basis_src.shape[0] != kernel.shape[1]:
         raise ValueError("basis samples do not match the kernel's source grid")
     w_src = kernel.src_grid.weights
     w_rcv = kernel.rcv_grid.weights
     radiated = kernel.entries @ (w_src[:, None] * basis_src)
-    return GalerkinMatrix(radiated.conj().T @ (w_rcv[:, None] * radiated))
+    return radiated.conj().T @ (w_rcv[:, None] * radiated)
 
 
-def hermitian_eig(B: GalerkinMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending real eigenvalues and gauge-fixed orthonormal eigenvectors.
 
     Raises if the input is not Hermitian to 1e-8 relative; each eigenvector is
     rotated so its largest-magnitude entry is real positive, which makes the
     decomposition reproducible run to run.
     """
-    M = B.matrix if isinstance(B, GalerkinMatrix) else np.asarray(B)
+    M = np.asarray(B)
     scale = np.max(np.abs(M))
     if scale == 0:
         n = M.shape[0]
@@ -361,11 +353,22 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     basis = basis_order_table(int(doc["basis_order"]))
     shape = (doc["coefficients"]["modes"], doc["coefficients"]["basis"])
     flat = np.asarray(doc["coefficients"]["re_im"], dtype=float)
+    if len(flat) != 2 * shape[0] * shape[1]:
+        raise ValueError(f"re_im holds {len(flat)} values, not 2 * modes * basis")
     coeff = (flat[0::2] + 1j * flat[1::2]).reshape(shape)
     if shape[1] != len(basis):
         raise ValueError("coefficient width does not match the basis order")
+    eigenvalues = np.asarray(doc["eigenvalues"], dtype=float)
+    if len(eigenvalues) != shape[0]:
+        raise ValueError(f"{len(eigenvalues)} eigenvalues for {shape[0]} coefficient rows")
+    if not np.all(np.isfinite(eigenvalues)):
+        raise ValueError("eigenvalues must be finite")
+    if np.any(eigenvalues < 0):
+        raise ValueError("eigenvalues must be non-negative")
+    if np.any(np.diff(eigenvalues) > 0):
+        raise ValueError("eigenvalues must be sorted descending")
     return ModeSet(
-        eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
+        eigenvalues=eigenvalues,
         coefficients=coeff,
         scale=float(doc["normalization_scale"]),
         power_w=float(doc["power_w"]),

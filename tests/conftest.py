@@ -1,26 +1,14 @@
 import time
 
-import numpy as np
 import pytest
 
-from emlink import PRESETS, solve_modes
+from emlink import PRESETS
 
 
 def _run_preset(name):
     cfg = PRESETS[name]
-    geometry = cfg.link_geometry()
     start = time.monotonic()
-    result = solve_modes(
-        geometry,
-        theta_e=np.radians(cfg.theta_e_deg),
-        L=cfg.truncation(),
-        t=cfg.basis_order,
-        n_surface=cfg.surface_points,
-        windowed=cfg.windowed,
-        power_w=cfg.power_w,
-        keep=cfg.modes_keep or None,
-        entry_budget=cfg.entry_budget,
-    )
+    result = cfg.solve()
     return result, time.monotonic() - start, cfg
 
 

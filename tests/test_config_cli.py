@@ -271,3 +271,50 @@ class TestCliCommands:
             ]
         )
         assert code == 1
+
+
+def _nan_sixth(doc):
+    doc["eigenvalues"][5] = float("nan")
+
+
+def _first_sixty(doc):
+    doc["eigenvalues"] = doc["eigenvalues"][:60]
+
+
+def _reversed(doc):
+    doc["eigenvalues"] = doc["eigenvalues"][::-1]
+
+
+def _negative_last(doc):
+    doc["eigenvalues"][-1] = -1e-3 * doc["eigenvalues"][0]
+
+
+def _short_re_im(doc):
+    doc["coefficients"]["re_im"] = doc["coefficients"]["re_im"][:-2]
+
+
+@pytest.fixture(scope="module")
+def ci_mode_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ci-modes")
+    assert run_cli(["--preset", "ci", "--out", str(out), "modes"]) == 0
+    doc = json.loads((out / "modeset.json").read_text())
+    assert doc["coefficients"]["modes"] == len(doc["eigenvalues"]) == 120
+    return doc
+
+
+class TestMalformedModeSet:
+    @pytest.mark.parametrize(
+        "rewrite",
+        [_nan_sixth, _first_sixty, _reversed, _negative_last, _short_re_im],
+        ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
+             "negative-eigenvalue", "short-re-im"],
+    )
+    def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
+        doc = json.loads(json.dumps(ci_mode_doc))
+        rewrite(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run_cli(["--preset", "ci", "--out", str(out), "capacity", "--modes-file", str(path)])
+        assert code == 1
+        assert list(out.iterdir()) == []

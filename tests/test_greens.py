@@ -8,11 +8,10 @@ from emlink.geometry import (
     truncation_order,
 )
 from emlink.greens import (
-    dgf_full,
-    dgf_transverse,
     expansion_error_sweep,
     sgf_exact,
     sgf_planewave,
+    translator_series,
     translator_table,
     tukey_window,
 )
@@ -52,38 +51,6 @@ class TestScalarGreens:
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
             sgf_exact((1, 1, 1), (1, 1, 1), K)
-
-
-class TestDyadicGreens:
-    def test_transpose_reciprocity(self):
-        r, s = np.array([3.0, -1.0, 2.0]), np.array([0.2, 0.4, -0.3])
-        forward = dgf_full(r, s, K)
-        backward = dgf_full(s, r, K)
-        assert np.max(np.abs(forward - backward.T)) < 1e-12
-
-    def test_transversality(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            r, s = rng.normal(size=3) + 5, rng.normal(size=3)
-            Rhat = (r - s) / np.linalg.norm(r - s)
-            assert np.max(np.abs(dgf_transverse(r, s, K) @ Rhat)) < 1e-12
-
-    def test_axial_entry_vanishes(self):
-        g = dgf_transverse((0, 0, 7.0), (0, 0, 0), K)
-        assert abs(g[2, 2]) < 1e-15
-
-    def test_far_field_degeneration(self):
-        # bracket terms decay like 1/kR; at kR = 50 the difference is bounded by 3/kR
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            s = rng.normal(size=3)
-            r = s + (50.0 / K) * direction
-            full = dgf_full(r, s, K)
-            trans = dgf_transverse(r, s, K)
-            rel = np.linalg.norm(full - trans) / np.linalg.norm(trans)
-            assert rel <= 3.0 / 50.0
 
 
 class TestTukeyWindow:
@@ -129,20 +96,15 @@ class TestTranslator:
     def test_windowed_decays_below_unwindowed_envelope(self):
         # past the taper onset the windowed profile sits well under the
         # unwindowed sidelobe envelope (binned to step over oscillation nulls)
-        from emlink.specfun import legendre_sequence, spherical_hankel_paper
-
         L = truncation_order(K, 10.0)
         theta = np.radians(np.linspace(0, 180, 721))
-        ls = np.arange(L + 1)
-        coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, K * 20.0)
-        table = legendre_sequence(L, np.cos(theta))
 
-        def profile(coefficients):
-            vals = np.abs(coefficients @ table)
+        def profile(windowed):
+            vals = np.abs(translator_series(L, K * 20.0, np.cos(theta), windowed))
             return vals / vals.max()
 
-        unw = profile(coef)
-        win = profile(coef * tukey_window(L))
+        unw = profile(False)
+        win = profile(True)
         deg = np.degrees(theta)
         for lo in range(45, 180, 5):
             sel = (deg >= lo) & (deg < lo + 5)
