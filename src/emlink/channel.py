@@ -6,11 +6,18 @@ The single-polarization kernel is
               * alpha(khat) * e^{-jk khat.r_rp}
             = -j omega mu * G_planewave(r, s),
 
-with omega*mu = k * eta for unit wavelength.  Dense kernel matrices are built
-through the aggregation/translation/disaggregation factorization, which is
-algebraically identical to entrywise evaluation but runs as three matrix
-products.  The plane-wave factors and the weighted translator are built here
-once for every caller, greens.sgf_planewave included.
+with omega*mu = k * eta for unit wavelength.  Kernel matrices and fields are
+built through the aggregation/translation/disaggregation factorization, which
+is algebraically identical to entrywise evaluation.
+
+Both surface grids are tensor products on z-normal planes, so every
+plane-wave factor splits exactly into an x part and a y part:
+e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The complex exponentials are the
+per-axis factors alone, n1 * n_dir per axis, all from `_plane_waves`.
+`propagate_current` applies them matrix-free; `kernel_matrix` forms the
+(points x directions) factors as outer products of them for its one GEMM.
+The weighted translator is built here too, for every caller,
+greens.sgf_planewave included.
 """
 
 from __future__ import annotations
@@ -51,6 +58,26 @@ def _kernel_scale(k: float) -> float:
 def _plane_waves(offsets: np.ndarray, grid: DirectionGrid, k: float) -> np.ndarray:
     """Plane-wave factors e^{-jk khat.offset}, shape (n_offsets, n_dir)."""
     return np.exp(-1j * k * (offsets @ grid.directions.T))
+
+
+def _axis_waves(
+    surface: SurfaceGrid, origin: np.ndarray, sign: float, grid: DirectionGrid, k: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis factors of e^{-jk khat.(sign * (point - origin))} on a tensor grid.
+
+    Returns X (n_x, n_dir) and Y (n_y, n_dir) with the factor at point
+    (nodes_x[i], nodes_y[j]) equal to X[i] * Y[j]; X carries the constant z phase.
+    """
+    nx, ny = len(surface.nodes_x), len(surface.nodes_y)
+    dz = surface.aperture.center[2] - origin[2]
+    x_offsets = np.stack([surface.nodes_x - origin[0], np.zeros(nx), np.full(nx, dz)], axis=1)
+    y_offsets = np.stack([np.zeros(ny), surface.nodes_y - origin[1], np.zeros(ny)], axis=1)
+    return _plane_waves(sign * x_offsets, grid, k), _plane_waves(sign * y_offsets, grid, k)
+
+
+def _outer_waves(x_waves: np.ndarray, y_waves: np.ndarray) -> np.ndarray:
+    """(n_x * n_y, n_dir) factors from per-axis ones, in the grid's point order."""
+    return (x_waves[:, None, :] * y_waves[None, :, :]).reshape(-1, x_waves.shape[1])
 
 
 def _translator_weights(grid: DirectionGrid, table: TranslatorTable) -> np.ndarray:
@@ -102,9 +129,11 @@ def kernel_matrix(
         budget=entry_budget,
     )
     k = geometry.k
-    A = _plane_waves(geometry.transmitter.center - src.points, grid, k)
-    B = _plane_waves(rcv.points - geometry.receiver.center, grid, k)
-    entries = _kernel_scale(k) * ((B * w_alpha) @ A.T)
+    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid, k)
+    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid, k)
+    A = _outer_waves(ax, ay)
+    B_w = _outer_waves(bx, by * w_alpha)
+    entries = _kernel_scale(k) * (B_w @ A.T)
     return KernelMatrix(entries, src, rcv, grid, table)
 
 
@@ -119,16 +148,22 @@ def propagate_current(
     """Radiate a sampled current through aggregate / translate / disaggregate.
 
     Returns the field at the receiver grid points; equals
-    kernel_matrix @ (weights * current) up to roundoff.
+    kernel_matrix @ (weights * current) up to roundoff.  Matrix-free: with
+    J[i, j] the weighted current at (nodes_x[i], nodes_y[j]) and X, Y the
+    source-side axis factors, the far field is sum_j Y[j] * (J^T X)[j]; with
+    X', Y' the receiver-side ones, the field is (X' * w alpha * far) @ Y'^T.
     """
     current = np.asarray(current)
     if current.shape != (len(src.points),):
         raise ValueError("current must be sampled on the source grid")
     w_alpha = _translator_weights(grid, table)
     k = geometry.k
-    far = (src.weights * current) @ _plane_waves(geometry.transmitter.center - src.points, grid, k)
-    B = _plane_waves(rcv.points - geometry.receiver.center, grid, k)
-    return _kernel_scale(k) * (B @ (w_alpha * far))
+    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid, k)
+    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid, k)
+    weighted = (src.weights * current).reshape(len(ax), len(ay))
+    far = np.einsum("jd,jd->d", ay, weighted.T @ ax)
+    field = (bx * (w_alpha * far)) @ by.T
+    return _kernel_scale(k) * field.ravel()
 
 
 def reference_field(current: np.ndarray, src: SurfaceGrid, rcv: SurfaceGrid, k: float) -> np.ndarray:

@@ -54,11 +54,18 @@ def rect_aperture(center, side_x: float, side_y: float) -> Aperture:
 
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Quadrature points and area weights on an aperture."""
+    """Quadrature points and area weights on an aperture.
+
+    The points are the tensor product of `nodes_x` and `nodes_y` at the
+    aperture's z, in row-major order: point i * len(nodes_y) + j sits at
+    (nodes_x[i], nodes_y[j]).
+    """
 
     points: np.ndarray   # (n, 3)
     weights: np.ndarray  # (n,), sums to the aperture area
     aperture: Aperture
+    nodes_x: np.ndarray  # (n_x,)
+    nodes_y: np.ndarray  # (n_y,)
 
 
 def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
@@ -80,7 +87,7 @@ def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
     X, Y = np.meshgrid(x, y, indexing="ij")
     points = np.stack([X.ravel(), Y.ravel(), np.full(n1 * n1, cz)], axis=1)
     weights = np.outer(wx, wy).ravel()
-    return SurfaceGrid(points, weights, aperture)
+    return SurfaceGrid(points, weights, aperture, x, y)
 
 
 @dataclass(frozen=True)

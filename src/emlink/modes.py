@@ -316,12 +316,12 @@ def mode_set_to_dict(modes: ModeSet, surface_points: int | None = None) -> dict:
         "format": MODESET_FORMAT,
         "wavenumber": geom.k,
         "transmitter": {
-            "center": [float(v) for v in geom.transmitter.center],
+            "center": geom.transmitter.center.tolist(),
             "side_x": geom.transmitter.side_x,
             "side_y": geom.transmitter.side_y,
         },
         "receiver": {
-            "center": [float(v) for v in geom.receiver.center],
+            "center": geom.receiver.center.tolist(),
             "side_x": geom.receiver.side_x,
             "side_y": geom.receiver.side_y,
         },
@@ -331,11 +331,11 @@ def mode_set_to_dict(modes: ModeSet, surface_points: int | None = None) -> dict:
         "impedance_ohm": modes.impedance_ohm,
         "normalization_scale": modes.scale,
         "clamped_count": modes.clamped_count,
-        "eigenvalues": [float(v) for v in modes.eigenvalues],
+        "eigenvalues": modes.eigenvalues.tolist(),
         "coefficients": {
             "modes": int(coeff.shape[0]),
             "basis": int(coeff.shape[1]),
-            "re_im": [float(v) for v in re_im],
+            "re_im": re_im.tolist(),
         },
     }
 
@@ -359,6 +359,8 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     if shape[1] != len(basis):
         raise ValueError("coefficient width does not match the basis order")
     eigenvalues = np.asarray(doc["eigenvalues"], dtype=float)
+    if len(eigenvalues) == 0:
+        raise ValueError("a mode set needs at least one eigenvalue")
     if len(eigenvalues) != shape[0]:
         raise ValueError(f"{len(eigenvalues)} eigenvalues for {shape[0]} coefficient rows")
     if not np.all(np.isfinite(eigenvalues)):
@@ -367,6 +369,8 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         raise ValueError("eigenvalues must be non-negative")
     if np.any(np.diff(eigenvalues) > 0):
         raise ValueError("eigenvalues must be sorted descending")
+    if eigenvalues[0] == 0:
+        raise ValueError("eigenvalues are all zero")
     return ModeSet(
         eigenvalues=eigenvalues,
         coefficients=coeff,

@@ -293,6 +293,16 @@ def _short_re_im(doc):
     doc["coefficients"]["re_im"] = doc["coefficients"]["re_im"][:-2]
 
 
+def _empty_spectrum(doc):
+    doc["eigenvalues"] = []
+    doc["coefficients"]["modes"] = 0
+    doc["coefficients"]["re_im"] = []
+
+
+def _zero_spectrum(doc):
+    doc["eigenvalues"] = [0.0] * len(doc["eigenvalues"])
+
+
 @pytest.fixture(scope="module")
 def ci_mode_doc(tmp_path_factory):
     out = tmp_path_factory.mktemp("ci-modes")
@@ -305,9 +315,10 @@ def ci_mode_doc(tmp_path_factory):
 class TestMalformedModeSet:
     @pytest.mark.parametrize(
         "rewrite",
-        [_nan_sixth, _first_sixty, _reversed, _negative_last, _short_re_im],
+        [_nan_sixth, _first_sixty, _reversed, _negative_last, _short_re_im,
+         _empty_spectrum, _zero_spectrum],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
-             "negative-eigenvalue", "short-re-im"],
+             "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum"],
     )
     def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
         doc = json.loads(json.dumps(ci_mode_doc))

@@ -58,6 +58,10 @@ class TestTensorGrid:
         assert np.all(np.abs(grid.points[:, 1] + 2.0) < 2.0)
         assert np.all(grid.points[:, 2] == 3.0)
         assert np.sum(grid.weights) == pytest.approx(8.0, rel=1e-10)
+        # points are the row-major tensor product of the recorded axis nodes
+        X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
+        assert np.array_equal(grid.points[:, 0], X.ravel())
+        assert np.array_equal(grid.points[:, 1], Y.ravel())
 
     def test_polynomial_exactness(self):
         # per-axis degree up to 2*ceil(sqrt(n)) - 1 integrates exactly
