@@ -12,6 +12,7 @@ import numpy as np
 from emlink import (
     LinkGeometry,
     cap_direction_grid,
+    default_cap_densities,
     expansion_error_sweep,
     rect_aperture,
     sgf_exact,
@@ -30,11 +31,11 @@ s = (-5.0, 1.0, 1.0)    # a point near the transmitter
 r = (-3.5, 5.0, 20.0)   # a point on the receiver plane
 
 L = truncation_order(k, 10.0)
-grid = cap_direction_grid(geo.axis, np.pi, L + 1, 2 * L)
-table = translator_table(grid, k, geo.r_pq, L, windowed=False)
+grid = cap_direction_grid(geo.axis, np.pi, *default_cap_densities(L, np.pi))
+alpha = translator_table(grid, k, geo.r_pq, L, windowed=False)  # one value per direction
 
 exact = sgf_exact(r, s, k)
-recon = sgf_planewave(r, s, geo, grid, table)
+recon = sgf_planewave(r, s, geo, grid, alpha)
 print(f"exact  G = {exact:.10e}")
 print(f"plane  G = {recon:.10e}")
 print(f"full-sphere relative error: {abs(recon - exact) / abs(exact):.2e}\n")

@@ -38,9 +38,9 @@ print(f"geometric DoF {n_geo:.2f} -> plateau count {n_plateau}")
 print(f"spectrum fit: plateau avg {fit.plateau_avg:.3f}, "
       f"decay rate c = {fit.decay_rate:.3f} per mode, R^2 = {fit.r_squared:.3f}\n")
 
-curve = capacity_vs_snr(betas, 1.0, range(0, 31, 3), n_plateau)
+points = capacity_vs_snr(betas, 1.0, range(0, 31, 3), n_plateau)
 print(f"{'SNR dB':>6} {'C_waterfill':>12} {'C_equal':>10} {'active':>7}")
-for p in curve:
+for p in points:
     print(f"{p.snr_db:>6.0f} {p.c_waterfill_bits:>12.3f} {p.c_equal_bits:>10.3f} "
           f"{p.active_channels:>7d}")
 

@@ -8,7 +8,6 @@ power-transfer kernel.
 """
 
 from .capacity import (
-    CapacityCurve,
     CapacityPoint,
     PowerAllocation,
     SpectrumFit,
@@ -22,7 +21,6 @@ from .capacity import (
 )
 from .channel import (
     FREE_SPACE_IMPEDANCE,
-    KernelMatrix,
     kernel_matrix,
     propagate_current,
     reference_field,
@@ -41,7 +39,6 @@ from .geometry import (
     truncation_order,
 )
 from .greens import (
-    TranslatorTable,
     expansion_error_sweep,
     sgf_exact,
     sgf_planewave,

@@ -15,7 +15,6 @@ __all__ = [
     "PowerAllocation",
     "SpectrumFit",
     "CapacityPoint",
-    "CapacityCurve",
     "dof_geometric",
     "effective_dof",
     "waterfill",
@@ -181,23 +180,12 @@ class CapacityPoint:
     allocation: PowerAllocation
 
 
-@dataclass(frozen=True)
-class CapacityCurve:
-    points: tuple[CapacityPoint, ...]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
 def capacity_vs_snr(
     betas: np.ndarray,
     p_t: float,
     snr_db_list,
     n_plateau: int,
-) -> CapacityCurve:
+) -> tuple[CapacityPoint, ...]:
     """Water-filling and flat-plateau capacities across SNR points.
 
     sigma^2 = P_t * 10^(-SNR/10); betas should be normalized (beta_1 = 1) so
@@ -219,4 +207,4 @@ def capacity_vs_snr(
         points.append(
             CapacityPoint(float(snr), sigma2, c_wf, c_eq, alloc.active_count, alloc)
         )
-    return CapacityCurve(tuple(points))
+    return tuple(points)

@@ -22,20 +22,13 @@ greens.sgf_planewave included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import BudgetError
 from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid
 
-if TYPE_CHECKING:
-    from .greens import TranslatorTable
-
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
-    "KernelMatrix",
     "kernel_matrix",
     "propagate_current",
     "reference_field",
@@ -80,26 +73,11 @@ def _outer_waves(x_waves: np.ndarray, y_waves: np.ndarray) -> np.ndarray:
     return (x_waves[:, None, :] * y_waves[None, :, :]).reshape(-1, x_waves.shape[1])
 
 
-def _translator_weights(grid: DirectionGrid, table: TranslatorTable) -> np.ndarray:
+def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
     """Quadrature weight times translator value, one per direction sample."""
-    if len(table.values) != len(grid.weights):
+    if len(table) != len(grid.weights):
         raise ValueError("translator table does not match the direction grid")
-    return grid.weights * table.values
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Dense H sampled on (receiver points) x (source points)."""
-
-    entries: np.ndarray       # (n_rcv, n_src) complex
-    src_grid: SurfaceGrid
-    rcv_grid: SurfaceGrid
-    direction_grid: DirectionGrid
-    table: TranslatorTable
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+    return grid.weights * table
 
 
 def _check_budget(*sizes: int, budget: int) -> None:
@@ -116,10 +94,10 @@ def kernel_matrix(
     rcv: SurfaceGrid,
     geometry: LinkGeometry,
     grid: DirectionGrid,
-    table: TranslatorTable,
+    table: np.ndarray,
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
-) -> KernelMatrix:
-    """Assemble H over the two surface grids via the diagonal factorization."""
+) -> np.ndarray:
+    """H over (receiver points) x (source points) via the diagonal factorization."""
     w_alpha = _translator_weights(grid, table)
     n_dir = len(w_alpha)
     _check_budget(
@@ -133,8 +111,7 @@ def kernel_matrix(
     bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid, k)
     A = _outer_waves(ax, ay)
     B_w = _outer_waves(bx, by * w_alpha)
-    entries = _kernel_scale(k) * (B_w @ A.T)
-    return KernelMatrix(entries, src, rcv, grid, table)
+    return _kernel_scale(k) * (B_w @ A.T)
 
 
 def propagate_current(
@@ -143,7 +120,7 @@ def propagate_current(
     rcv: SurfaceGrid,
     geometry: LinkGeometry,
     grid: DirectionGrid,
-    table: TranslatorTable,
+    table: np.ndarray,
 ) -> np.ndarray:
     """Radiate a sampled current through aggregate / translate / disaggregate.
 

@@ -121,8 +121,6 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
     for index in cfg.mode_map_indices:
         n = index - 1
-        if not 0 <= n < len(ms):
-            raise ConfigError(f"mode_map_indices entry {index} is out of range")
         phi = modes.mode_current_field(ms, n)
         pts = ms.src_grid.points
         written.append(

@@ -69,8 +69,6 @@ class ExperimentConfig:
     windowed: bool = True
     basis_order: int = 36
     surface_points: int = 512
-    n_theta: int = 0               # 0 means: automatic density
-    n_phi: int = 0
     power_w: float = 1.0
     snr_db: tuple[float, ...] = tuple(float(v) for v in range(31))
     mode_map_indices: tuple[int, ...] = (1, 3, 5)
@@ -113,8 +111,6 @@ class ExperimentConfig:
             t=self.basis_order,
             n_surface=self.surface_points,
             windowed=self.windowed,
-            n_theta=self.n_theta or None,
-            n_phi=self.n_phi or None,
             power_w=self.power_w,
             keep=self.modes_keep or None,
             entry_budget=self.entry_budget,
@@ -133,8 +129,13 @@ class ExperimentConfig:
             raise ConfigError("basis_order must be non-negative")
         if self.surface_points < 1:
             raise ConfigError("surface_points must be >= 1")
-        if min(self.n_theta, self.n_phi, self.l_override, self.modes_keep) < 0:
+        if min(self.l_override, self.modes_keep) < 0:
             raise ConfigError("counts must be non-negative")
+        basis_size = (self.basis_order + 1) * (self.basis_order + 2) // 2
+        n_modes = min(self.modes_keep, basis_size) if self.modes_keep else basis_size
+        for index in self.mode_map_indices:
+            if not 1 <= index <= n_modes:
+                raise ConfigError(f"mode_map_indices entry {index} is outside [1, {n_modes}]")
         if not self.snr_db:
             raise ConfigError("snr_db must list at least one value")
         if not self.sweep_theta_deg:
@@ -166,8 +167,6 @@ _PARSERS = {
     "windowed": _parse_bool,
     "basis_order": int,
     "surface_points": int,
-    "n_theta": int,
-    "n_phi": int,
     "power_w": float,
     "snr_db": _parse_number_list,
     "mode_map_indices": _parse_int_list,

@@ -14,8 +14,6 @@ sidelobes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import _plane_waves, _translator_weights
@@ -23,7 +21,6 @@ from .geometry import DirectionGrid, LinkGeometry, cap_direction_grid, default_c
 from .specfun import legendre_sequence, spherical_hankel_paper
 
 __all__ = [
-    "TranslatorTable",
     "sgf_exact",
     "tukey_window",
     "translator_series",
@@ -53,17 +50,6 @@ def tukey_window(L: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class TranslatorTable:
-    """Translator values alpha(khat . rhat_pq), one per direction sample."""
-
-    values: np.ndarray   # (n,) complex
-    L: int
-    windowed: bool
-    k_rpq: float         # series argument k * |r_pq|
-    axis: np.ndarray     # rhat_pq
-
-
 def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.ndarray:
     """alpha = sum_l (-j)^l (2l+1) h_l(k r_pq) P_l(cos gamma) [w_l] at each cos gamma.
 
@@ -80,21 +66,17 @@ def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.nda
     return coef @ legendre_sequence(L, cos_gamma)
 
 
-def translator_table(
-    grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool
-) -> TranslatorTable:
-    """Tabulate the translator series at khat . rhat_pq for every direction sample."""
+def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool) -> np.ndarray:
+    """Translator alpha(khat . rhat_pq) at every direction sample, shape (n_dir,) complex."""
     r_pq = np.asarray(r_pq, dtype=float)
     rpq = float(np.linalg.norm(r_pq))
     if rpq <= 0:
         raise ValueError("translation vector must be non-zero")
-    axis = r_pq / rpq
-    cosg = np.clip(grid.directions @ axis, -1.0, 1.0)
-    values = translator_series(L, k * rpq, cosg, windowed)
-    return TranslatorTable(values, int(L), bool(windowed), k * rpq, axis)
+    cosg = np.clip(grid.directions @ (r_pq / rpq), -1.0, 1.0)
+    return translator_series(L, k * rpq, cosg, windowed)
 
 
-def sgf_planewave(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: TranslatorTable) -> complex:
+def sgf_planewave(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray) -> complex:
     """Scalar Green's function reconstructed from the plane-wave expansion."""
     r_qs = geometry.transmitter.center - np.asarray(s, float)
     r_rp = np.asarray(r, float) - geometry.receiver.center
@@ -109,27 +91,21 @@ def expansion_error_sweep(
     r,
     theta_list,
     windowed: bool,
-    L: int | None = None,
-    n_theta: int | None = None,
-    n_phi: int | None = None,
 ) -> list[tuple[float, float]]:
     """Relative reconstruction error |G_a - G| / |G| versus cap half-angle.
 
     G_a integrates the expansion over a cap of half-angle theta_e around the
-    link axis; G is the exact scalar Green's function.  L defaults to the
-    truncation rule applied to the largest aperture side.
+    link axis; G is the exact scalar Green's function.  L is the truncation
+    rule applied to the largest aperture side.
     """
-    if L is None:
-        D = max(
-            geometry.transmitter.side_x,
-            geometry.transmitter.side_y,
-            geometry.receiver.side_x,
-            geometry.receiver.side_y,
-        )
-        L = truncation_order(geometry.k, D)
-    nt_def, np_def = default_cap_densities(L, np.pi)
-    nt = n_theta if n_theta is not None else nt_def
-    nph = n_phi if n_phi is not None else np_def
+    D = max(
+        geometry.transmitter.side_x,
+        geometry.transmitter.side_y,
+        geometry.receiver.side_x,
+        geometry.receiver.side_y,
+    )
+    L = truncation_order(geometry.k, D)
+    nt, nph = default_cap_densities(L, np.pi)
     exact = sgf_exact(r, s, geometry.k)
     out = []
     for theta_e in theta_list:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import FREE_SPACE_IMPEDANCE, KernelMatrix, kernel_matrix
+from .channel import FREE_SPACE_IMPEDANCE, kernel_matrix
 from .geometry import (
     Aperture,
     LinkGeometry,
@@ -102,14 +102,20 @@ def basis_eval(aperture: Aperture, table: BasisIndexTable, grid: SurfaceGrid) ->
     return out
 
 
-def assemble_galerkin(kernel: KernelMatrix, basis_src: np.ndarray) -> np.ndarray:
-    """Hermitian PSD B = (H W_src E)^H W_rcv (H W_src E) over the kernel's grids."""
-    if basis_src.shape[0] != kernel.shape[1]:
-        raise ValueError("basis samples do not match the kernel's source grid")
-    w_src = kernel.src_grid.weights
-    w_rcv = kernel.rcv_grid.weights
-    radiated = kernel.entries @ (w_src[:, None] * basis_src)
-    return radiated.conj().T @ (w_rcv[:, None] * radiated)
+def _check_kernel(H: np.ndarray, src: SurfaceGrid, rcv: SurfaceGrid) -> None:
+    if H.shape != (len(rcv.points), len(src.points)):
+        raise ValueError(f"kernel of shape {H.shape} does not match the receiver x source grids")
+
+
+def assemble_galerkin(
+    H: np.ndarray, basis_src: np.ndarray, src: SurfaceGrid, rcv: SurfaceGrid
+) -> np.ndarray:
+    """Hermitian PSD B = (H W_src E)^H W_rcv (H W_src E) over the given grids."""
+    _check_kernel(H, src, rcv)
+    if basis_src.shape[0] != len(src.points):
+        raise ValueError("basis samples do not match the source grid")
+    radiated = H @ (src.weights[:, None] * basis_src)
+    return radiated.conj().T @ (rcv.weights[:, None] * radiated)
 
 
 def hermitian_eig(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +216,7 @@ class ModesResult:
     """Everything the mode pipeline produced, kernel included."""
 
     modes: ModeSet
-    kernel: KernelMatrix
+    kernel: np.ndarray   # H, (n_rcv, n_src) complex
 
 
 def solve_modes(
@@ -220,25 +226,20 @@ def solve_modes(
     t: int,
     n_surface: int,
     windowed: bool = True,
-    n_theta: int | None = None,
-    n_phi: int | None = None,
     power_w: float = 1.0,
     impedance_ohm: float = FREE_SPACE_IMPEDANCE,
     keep: int | None = None,
     entry_budget: int = 10**7,
 ) -> ModesResult:
     """End-to-end pipeline: grids, translator, kernel, Galerkin matrix, modes."""
-    nt_def, np_def = default_cap_densities(L, theta_e)
-    nt = n_theta if n_theta else nt_def
-    nph = n_phi if n_phi else np_def
-    dir_grid = cap_direction_grid(geometry.axis, theta_e, nt, nph)
+    dir_grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(dir_grid, geometry.k, geometry.r_pq, L, windowed)
     src = tensor_grid(geometry.transmitter, n_surface)
     rcv = tensor_grid(geometry.receiver, n_surface)
     kernel = kernel_matrix(src, rcv, geometry, dir_grid, table, entry_budget)
     basis = basis_order_table(t)
     E = basis_eval(geometry.transmitter, basis, src)
-    galerkin = assemble_galerkin(kernel, E)
+    galerkin = assemble_galerkin(kernel, E, src, rcv)
     vals, vecs = hermitian_eig(galerkin)
     modes = build_mode_set(
         vals, vecs, basis, geometry, src, rcv, power_w, impedance_ohm, keep
@@ -255,18 +256,19 @@ def mode_current_field(modes: ModeSet, n: int, grid: SurfaceGrid | None = None) 
     return modes.scale * (E @ modes.coefficients[n])
 
 
-def received_field(modes: ModeSet, n: int, kernel: KernelMatrix) -> np.ndarray:
-    """Field psi_n radiated by mode current n onto the kernel's receiver grid."""
-    phi = mode_current_field(modes, n, kernel.src_grid)
-    return kernel.entries @ (kernel.src_grid.weights * phi)
+def received_field(modes: ModeSet, n: int, H: np.ndarray) -> np.ndarray:
+    """Field psi_n radiated by mode current n onto the stored receiver grid."""
+    _check_kernel(H, modes.src_grid, modes.rcv_grid)
+    phi = mode_current_field(modes, n)
+    return H @ (modes.src_grid.weights * phi)
 
 
-def combiner_field(modes: ModeSet, n: int, kernel: KernelMatrix) -> np.ndarray:
+def combiner_field(modes: ModeSet, n: int, H: np.ndarray) -> np.ndarray:
     """Unit-power receive basis chi_n = psi_n / sqrt(beta_n)."""
     beta = modes.eigenvalues[n]
     if beta < _NULL_MODE_REL * modes.eigenvalues[0]:
         raise ValueError(f"mode {n} is numerically null; combiner undefined")
-    return received_field(modes, n, kernel) / np.sqrt(beta)
+    return received_field(modes, n, H) / np.sqrt(beta)
 
 
 def _exact_gram_grid(modes: ModeSet) -> SurfaceGrid:
@@ -289,7 +291,7 @@ def gram_currents(modes: ModeSet, count: int) -> np.ndarray:
     return (phi.T * grid.weights) @ np.conj(phi)
 
 
-def gram_fields(modes: ModeSet, count: int, kernel: KernelMatrix) -> np.ndarray:
+def gram_fields(modes: ModeSet, count: int, H: np.ndarray) -> np.ndarray:
     """Gram matrix of the first `count` received fields over the receiver.
 
     Diagonal tracks beta_n * (P_t/eta); off-diagonals measure biorthogonality
@@ -297,10 +299,11 @@ def gram_fields(modes: ModeSet, count: int, kernel: KernelMatrix) -> np.ndarray:
     """
     if count > len(modes):
         raise ValueError("count exceeds the number of stored modes")
-    E = basis_eval(modes.geometry.transmitter, modes.basis, kernel.src_grid)
+    _check_kernel(H, modes.src_grid, modes.rcv_grid)
+    E = basis_eval(modes.geometry.transmitter, modes.basis, modes.src_grid)
     phi = modes.scale * (E @ modes.coefficients[:count].T)
-    psi = kernel.entries @ (kernel.src_grid.weights[:, None] * phi)
-    return (psi.T * kernel.rcv_grid.weights) @ np.conj(psi)
+    psi = H @ (modes.src_grid.weights[:, None] * phi)
+    return (psi.T * modes.rcv_grid.weights) @ np.conj(psi)
 
 
 def mode_set_to_dict(modes: ModeSet, surface_points: int | None = None) -> dict:
@@ -355,6 +358,8 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     flat = np.asarray(doc["coefficients"]["re_im"], dtype=float)
     if len(flat) != 2 * shape[0] * shape[1]:
         raise ValueError(f"re_im holds {len(flat)} values, not 2 * modes * basis")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("coefficients must be finite")
     coeff = (flat[0::2] + 1j * flat[1::2]).reshape(shape)
     if shape[1] != len(basis):
         raise ValueError("coefficient width does not match the basis order")

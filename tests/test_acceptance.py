@@ -17,6 +17,7 @@ from emlink import (
     cap_direction_grid,
     capacity_vs_snr,
     capacity_waterfill,
+    default_cap_densities,
     dof_geometric,
     expansion_error_sweep,
     gauss_legendre_rule,
@@ -300,26 +301,28 @@ def test_criterion_8_property_suite(paper_run, tmp_path):
 
     # translator depends on directions only through the axis dot product
     result, _, cfg = paper_run
-    kernel = result.kernel
     geo = result.modes.geometry
     grid = cap_direction_grid(geo.axis, np.radians(cfg.theta_e_deg), 6, 48)
     tbl = translator_table(grid, K, geo.r_pq, 40, windowed=False)
-    rows = tbl.values.reshape(6, 48)
+    rows = tbl.reshape(6, 48)
     sym = np.max(np.abs(rows - rows[:, :1])) / np.max(np.abs(rows))
     clauses.append(("translator direction symmetry", sym < 1e-12, f"spread {sym:.1e}"))
 
-    # FMM against direct quadrature
-    src, rcv = kernel.src_grid, kernel.rcv_grid
+    # FMM against direct quadrature, on the pipeline's own cap and translator
+    src, rcv = result.modes.src_grid, result.modes.rcv_grid
+    L = cfg.truncation()
+    theta_e = np.radians(cfg.theta_e_deg)
+    cap_grid = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(L, theta_e))
+    cap_table = translator_table(cap_grid, K, geo.r_pq, L, cfg.windowed)
     E = basis_eval(geo.transmitter, basis_order_table(1), src)
     rng = np.random.default_rng(77)
     coeffs = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
     currents = coeffs @ E.T
     worst_cap = 0.0
     for current in currents:
-        fmm = propagate_current(current, src, rcv, geo, kernel.direction_grid, kernel.table)
+        fmm = propagate_current(current, src, rcv, geo, cap_grid, cap_table)
         direct = reference_field(current, src, rcv, K)
         worst_cap = max(worst_cap, np.linalg.norm(fmm - direct) / np.linalg.norm(direct))
-    L = cfg.truncation()
     full_grid = cap_direction_grid(geo.axis, np.pi, L + 1, 2 * L)
     full_table = translator_table(full_grid, K, geo.r_pq, L, windowed=False)
     worst_full = 0.0
@@ -340,8 +343,8 @@ def test_criterion_8_property_suite(paper_run, tmp_path):
 
     L_sc = truncation_order(K, 5.0)
     sc = solve_modes(geo_sc, theta_e=np.radians(60), L=L_sc, t=36, n_surface=37 * 37)
-    E36 = basis_eval(geo_sc.transmitter, basis_order_table(36), sc.kernel.src_grid)
-    B36 = assemble_galerkin(sc.kernel, E36)
+    E36 = basis_eval(geo_sc.transmitter, basis_order_table(36), sc.modes.src_grid)
+    B36 = assemble_galerkin(sc.kernel, E36, sc.modes.src_grid, sc.modes.rcv_grid)
     n20 = len(basis_order_table(20))
     v36, _ = hermitian_eig(B36)
     v20, _ = hermitian_eig(B36[:n20, :n20])

@@ -247,8 +247,8 @@ class TestCapacityCurve:
     def test_sigma2_follows_snr(self):
         betas = self.example_spectrum()
         curve = capacity_vs_snr(betas, 1.0, [0, 10], n_plateau=2)
-        assert curve.points[0].sigma2_w == pytest.approx(1.0)
-        assert curve.points[1].sigma2_w == pytest.approx(0.1)
+        assert curve[0].sigma2_w == pytest.approx(1.0)
+        assert curve[1].sigma2_w == pytest.approx(0.1)
 
     def test_empty_snr_rejected(self):
         with pytest.raises(ValueError):

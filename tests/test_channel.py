@@ -86,18 +86,18 @@ class TestKernelMatrix:
         for i in range(len(rcv.points)):
             for j in range(len(src.points)):
                 direct = h_point(rcv.points[i], src.points[j], geo, grid, table)
-                assert km.entries[i, j] == pytest.approx(direct, rel=1e-12)
+                assert km[i, j] == pytest.approx(direct, rel=1e-12)
 
     def test_spot_checks_at_paper_scale(self, paper_setup):
         geo, grid, table, src, rcv = paper_setup
         km = kernel_matrix(src, rcv, geo, grid, table)
-        assert np.all(np.isfinite(km.entries))
+        assert np.all(np.isfinite(km))
         rng = np.random.default_rng(1)
         for _ in range(50):
             i = int(rng.integers(len(rcv.points)))
             j = int(rng.integers(len(src.points)))
             direct = h_point(rcv.points[i], src.points[j], geo, grid, table)
-            assert abs(km.entries[i, j] - direct) / abs(direct) < 1e-12
+            assert abs(km[i, j] - direct) / abs(direct) < 1e-12
 
     def test_role_swap_is_not_symmetric(self, paper_setup):
         # H(r, s) carries r through the receiver-side factor only; swapping
@@ -105,7 +105,7 @@ class TestKernelMatrix:
         geo, grid, table, *_ = paper_setup
         src = tensor_grid(geo.transmitter, 4)
         rcv = tensor_grid(geo.receiver, 4)
-        km = kernel_matrix(src, rcv, geo, grid, table).entries
+        km = kernel_matrix(src, rcv, geo, grid, table)
         swapped = np.empty_like(km)
         for i in range(len(rcv.points)):
             for j in range(len(src.points)):
@@ -133,7 +133,7 @@ class TestPropagator:
         current = np.zeros(len(src.points), dtype=complex)
         current[j] = 1.0
         field = propagate_current(current, src, rcv, geo, grid, table)
-        expected = km.entries[:, j] * src.weights[j]
+        expected = km[:, j] * src.weights[j]
         assert np.max(np.abs(field - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_linearity_and_scaling(self, paper_setup):
@@ -155,7 +155,7 @@ class TestPropagator:
         rng = np.random.default_rng(2)
         current = rng.normal(size=len(src.points)) + 1j * rng.normal(size=len(src.points))
         via_stages = propagate_current(current, src, rcv, geo, grid, table)
-        via_matrix = km.entries @ (src.weights * current)
+        via_matrix = km @ (src.weights * current)
         rel = np.linalg.norm(via_stages - via_matrix) / np.linalg.norm(via_matrix)
         assert rel < 1e-10
 
@@ -165,7 +165,7 @@ def _dense_kernel(src, rcv, geo, grid, table):
     dirs = grid.directions
     A = np.exp(-1j * K * ((geo.transmitter.center - src.points) @ dirs.T))
     B = np.exp(-1j * K * ((rcv.points - geo.receiver.center) @ dirs.T))
-    w_alpha = grid.weights * table.values
+    w_alpha = grid.weights * table
     return -K * OMEGA_MU / (16 * np.pi**2) * ((B * w_alpha) @ A.T)
 
 
@@ -189,7 +189,7 @@ class TestSeparableFactors:
         src = tensor_grid(geo.transmitter, 25)
         rcv = tensor_grid(geo.receiver, 16)
         dense = _dense_kernel(src, rcv, geo, grid, table)
-        entries = kernel_matrix(src, rcv, geo, grid, table).entries
+        entries = kernel_matrix(src, rcv, geo, grid, table)
         assert np.max(np.abs(entries - dense)) < 1e-13 * np.max(np.abs(dense))
 
         rng = np.random.default_rng(11)

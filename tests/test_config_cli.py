@@ -97,6 +97,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="--set"):
             load_config("paper", overrides=["basis_order"])
 
+    def test_mode_map_indices_bounded_by_kept_modes(self):
+        # the paper preset keeps 120 of its 703 modes; modes_keep=0 keeps all
+        assert load_config("paper", overrides=["mode_map_indices=1,120"]).mode_map_indices == (1, 120)
+        with pytest.raises(ConfigError, match="mode_map_indices"):
+            load_config("paper", overrides=["mode_map_indices=121"])
+        cfg = load_config("paper", overrides=["modes_keep=0", "mode_map_indices=703"])
+        assert cfg.mode_map_indices == (703,)
+        with pytest.raises(ConfigError, match="mode_map_indices"):
+            load_config("paper", overrides=["modes_keep=0", "mode_map_indices=704"])
+
 
 def run_cli(args):
     return main(args)
@@ -259,18 +269,23 @@ class TestCliCommands:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_mode_map_index_out_of_range(self, tmp_path):
-        code = run_cli(
-            [
-                "--preset",
-                "ci",
-                "--out",
-                str(tmp_path),
-                "--set",
-                "mode_map_indices=9999",
-                "modes",
-            ]
-        )
-        assert code == 1
+        # rejected when the config loads, before anything is solved or written
+        for index in (9999, 0):
+            out = tmp_path / f"o{index}"
+            out.mkdir()
+            code = run_cli(
+                [
+                    "--preset",
+                    "ci",
+                    "--out",
+                    str(out),
+                    "--set",
+                    f"mode_map_indices={index}",
+                    "modes",
+                ]
+            )
+            assert code == 1
+            assert list(out.iterdir()) == []
 
 
 def _nan_sixth(doc):
@@ -291,6 +306,10 @@ def _negative_last(doc):
 
 def _short_re_im(doc):
     doc["coefficients"]["re_im"] = doc["coefficients"]["re_im"][:-2]
+
+
+def _nan_coefficient(doc):
+    doc["coefficients"]["re_im"][7] = float("nan")
 
 
 def _empty_spectrum(doc):
@@ -316,9 +335,10 @@ class TestMalformedModeSet:
     @pytest.mark.parametrize(
         "rewrite",
         [_nan_sixth, _first_sixty, _reversed, _negative_last, _short_re_im,
-         _empty_spectrum, _zero_spectrum],
+         _empty_spectrum, _zero_spectrum, _nan_coefficient],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
-             "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum"],
+             "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum",
+             "nan-coefficient"],
     )
     def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
         doc = json.loads(json.dumps(ci_mode_doc))

