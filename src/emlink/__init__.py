@@ -3,8 +3,8 @@
 The channel between two finite apertures is modeled with the plane-wave
 (addition-theorem) expansion of the free-space Green's function, windowed to
 its finite angular bandwidth; optimal transmit currents, receive combiners,
-and water-filling capacity follow from a Galerkin eigen-decomposition of the
-power-transfer kernel.
+and water-filling capacity follow from the singular system of the channel
+restricted to a Legendre basis of transmitter currents.
 """
 
 from .capacity import (
@@ -50,16 +50,15 @@ from .modes import (
     BasisIndexTable,
     ModeSet,
     ModesResult,
-    assemble_galerkin,
     basis_eval,
     basis_order_table,
     build_mode_set,
     combiner_field,
     gram_currents,
     gram_fields,
-    hermitian_eig,
     load_mode_set,
     mode_current_field,
+    radiated_basis,
     received_field,
     save_mode_set,
     solve_modes,

@@ -14,8 +14,9 @@ Both surface grids are tensor products on z-normal planes, so every
 plane-wave factor splits exactly into an x part and a y part:
 e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The complex exponentials are the
 per-axis factors alone, n1 * n_dir per axis, all from `_plane_waves`.
-`propagate_current` applies them matrix-free; `kernel_matrix` forms the
-(points x directions) factors as outer products of them for its one GEMM.
+`propagate_current` applies them matrix-free; `_receiver_sum`, the one dense
+sweep (H here, the radiated basis in `modes`), forms (points x directions)
+factors as their outer products, one block of directions at a time.
 The weighted translator is built here too, for every caller,
 greens.sgf_planewave included.
 """
@@ -37,6 +38,9 @@ __all__ = [
 FREE_SPACE_IMPEDANCE = 376.730  # ohms
 
 DEFAULT_ENTRY_BUDGET = 10**7
+
+# directions per block of the dense sweep in `_receiver_sum`
+_BLOCK = 1024
 
 
 def _omega_mu(k: float) -> float:
@@ -80,13 +84,37 @@ def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
     return grid.weights * table
 
 
-def _check_budget(*sizes: int, budget: int) -> None:
-    worst = max(sizes)
-    if worst > budget:
+def _receiver_sum(
+    source_rows,
+    n_cols: int,
+    rcv: SurfaceGrid,
+    geometry: LinkGeometry,
+    grid: DirectionGrid,
+    table: np.ndarray,
+    entry_budget: int,
+) -> np.ndarray:
+    """Kernel scale times sum_d e^{-jk khat_d.(r - p)} w_d alpha_d S[d, :] over blocks of directions.
+
+    `source_rows(sl)` gives the source-side rows S[sl, :], (n_blk, n_cols), for
+    the directions in slice sl.  Only one block of them and of the receiver
+    factors exists at a time; the budget bounds the result and one block.
+    """
+    w_alpha = _translator_weights(grid, table)
+    n_dir, n_rcv = len(w_alpha), len(rcv.points)
+    block = min(_BLOCK, n_dir)
+    worst = max(n_rcv * n_cols, block * n_cols, block * n_rcv)
+    if worst > entry_budget:
         raise BudgetError(
-            f"assembly needs {worst} complex entries, above the budget {budget}; "
+            f"assembly needs {worst} complex entries, above the budget {entry_budget}; "
             "reduce grid sizes or raise entry_budget"
         )
+    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid, geometry.k)
+    by = by * w_alpha
+    out = np.zeros((n_rcv, n_cols), dtype=complex)
+    for start in range(0, n_dir, block):
+        sl = slice(start, start + block)
+        out += _outer_waves(bx[:, sl], by[:, sl]) @ source_rows(sl)
+    return _kernel_scale(geometry.k) * out
 
 
 def kernel_matrix(
@@ -98,20 +126,9 @@ def kernel_matrix(
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> np.ndarray:
     """H over (receiver points) x (source points) via the diagonal factorization."""
-    w_alpha = _translator_weights(grid, table)
-    n_dir = len(w_alpha)
-    _check_budget(
-        len(rcv.points) * len(src.points),
-        n_dir * len(src.points),
-        n_dir * len(rcv.points),
-        budget=entry_budget,
-    )
-    k = geometry.k
-    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid, k)
-    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid, k)
-    A = _outer_waves(ax, ay)
-    B_w = _outer_waves(bx, by * w_alpha)
-    return _kernel_scale(k) * (B_w @ A.T)
+    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid, geometry.k)
+    return _receiver_sum(lambda sl: _outer_waves(ax[:, sl], ay[:, sl]).T, len(src.points),
+                         rcv, geometry, grid, table, entry_budget)
 
 
 def propagate_current(

@@ -110,7 +110,7 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
     count = min(40, len(ms))
     gram_c = modes.gram_currents(ms, count)
-    gram_f = modes.gram_fields(ms, count, result.kernel)
+    gram_f = modes.gram_fields(ms, count, result.radiated)
     for name, gram in (("gram_currents.csv", gram_c), ("gram_fields.csv", gram_f)):
         rows = [
             (i + 1, j + 1, abs(gram[i, j]))
@@ -130,7 +130,7 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
                 zip(pts[:, 0], pts[:, 1], np.abs(phi), np.angle(phi)),
             )
         )
-        psi = modes.received_field(ms, n, result.kernel)
+        psi = modes.received_field(ms, n, result.radiated)
         rpts = ms.rcv_grid.points
         written.append(
             _write_csv(

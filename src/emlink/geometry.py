@@ -58,14 +58,16 @@ class SurfaceGrid:
 
     The points are the tensor product of `nodes_x` and `nodes_y` at the
     aperture's z, in row-major order: point i * len(nodes_y) + j sits at
-    (nodes_x[i], nodes_y[j]).
+    (nodes_x[i], nodes_y[j]) with weight weights_x[i] * weights_y[j].
     """
 
-    points: np.ndarray   # (n, 3)
-    weights: np.ndarray  # (n,), sums to the aperture area
+    points: np.ndarray     # (n, 3)
+    weights: np.ndarray    # (n,), sums to the aperture area
     aperture: Aperture
-    nodes_x: np.ndarray  # (n_x,)
-    nodes_y: np.ndarray  # (n_y,)
+    nodes_x: np.ndarray    # (n_x,)
+    nodes_y: np.ndarray    # (n_y,)
+    weights_x: np.ndarray  # (n_x,), sums to side_x
+    weights_y: np.ndarray  # (n_y,), sums to side_y
 
 
 def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
@@ -87,7 +89,7 @@ def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
     X, Y = np.meshgrid(x, y, indexing="ij")
     points = np.stack([X.ravel(), Y.ravel(), np.full(n1 * n1, cz)], axis=1)
     weights = np.outer(wx, wy).ravel()
-    return SurfaceGrid(points, weights, aperture, x, y)
+    return SurfaceGrid(points, weights, aperture, x, y, wx, wy)
 
 
 @dataclass(frozen=True)

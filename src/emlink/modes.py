@@ -1,15 +1,12 @@
-"""Galerkin solution of the maximal-power-transfer eigenproblem.
+"""Maximal-power-transfer modes: the singular system of the radiated basis.
 
-The mode currents phi_n on the transmitter solve the Fredholm problem
-beta phi = integral M(s, s') phi(s') ds' with M(s, s') = integral over the
-receiver of H(r, s) conj(H(r, s')) dr.  Projecting onto an orthonormal 2-D
-Legendre basis {e_i} reduces it to the Hermitian eigenproblem beta a = B a
-with b_ij = <e_i, M e_j>.  B is assembled as the quadrature sandwich
-
-    B = (H W_src E)^H W_rcv (H W_src E),
-
-which is the same discretization as nested quadrature of b_ij but costs three
-matrix products, and is Hermitian PSD by construction.
+The mode currents phi_n solve beta phi = M phi, with M(s, s') the receiver
+integral of H(r, s) conj(H(r, s')).  In an orthonormal 2-D Legendre basis E
+this is beta a = R^H W_rcv R a, where R = H W_src E holds the fields the
+basis currents radiate onto the receiver grid.  Neither H nor R^H W_rcv R is
+formed: R is a blocked sum of separable per-axis patterns (`radiated_basis`),
+and one SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and
+the coefficient rows conj(V^H) (Miller, Appl. Opt. 39, 2000).
 """
 
 from __future__ import annotations
@@ -20,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import FREE_SPACE_IMPEDANCE, kernel_matrix
+from .channel import DEFAULT_ENTRY_BUDGET, FREE_SPACE_IMPEDANCE, _axis_waves, _receiver_sum
 from .geometry import (
     Aperture,
+    DirectionGrid,
     LinkGeometry,
     SurfaceGrid,
     cap_direction_grid,
@@ -38,8 +36,7 @@ __all__ = [
     "ModeSet",
     "basis_order_table",
     "basis_eval",
-    "assemble_galerkin",
-    "hermitian_eig",
+    "radiated_basis",
     "build_mode_set",
     "solve_modes",
     "mode_current_field",
@@ -57,6 +54,9 @@ MODESET_FORMAT = "emlink.modeset/1"
 
 # combiners are undefined for numerically null modes
 _NULL_MODE_REL = 1e-12
+
+# entries this close to a row's largest magnitude tie for the gauge pivot
+_PIVOT_TIE_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,74 +78,73 @@ def basis_order_table(t: int) -> BasisIndexTable:
     return BasisIndexTable(orders, t)
 
 
+def _axis_legendre(aperture: Aperture, t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Px[i, m] = sqrt((2m+1)/Lx) P_m(2x_i/Lx) at the aperture-local nodes_x, and Py likewise.
+
+    Basis entry (m, n) at grid point (x_i, y_j) is Px[i, m] * Py[j, n].
+    """
+    a = grid.aperture
+    if not np.allclose(a.center, aperture.center) or (a.side_x, a.side_y) != (aperture.side_x, aperture.side_y):
+        raise ValueError("grid was not built on this aperture")
+
+    def axis(nodes: np.ndarray, center: float, side: float) -> np.ndarray:
+        norms = np.sqrt((2 * np.arange(t + 1) + 1.0) / side)
+        return legendre_sequence(t, 2.0 * (nodes - center) / side).T * norms
+
+    cx, cy, _ = aperture.center
+    return axis(grid.nodes_x, cx, aperture.side_x), axis(grid.nodes_y, cy, aperture.side_y)
+
+
 def basis_eval(aperture: Aperture, table: BasisIndexTable, grid: SurfaceGrid) -> np.ndarray:
     """Sample the orthonormal 2-D Legendre basis on a surface grid.
 
     Column i holds sqrt((2m+1)(2n+1)/(Lx Ly)) P_m(2x/Lx) P_n(2y/Ly) for
     table entry i = (m, n), with (x, y) aperture-local coordinates.
     """
-    if grid.aperture is not aperture and not (
-        np.allclose(grid.aperture.center, aperture.center)
-        and grid.aperture.side_x == aperture.side_x
-        and grid.aperture.side_y == aperture.side_y
-    ):
-        raise ValueError("grid was not built on this aperture")
-    t = table.max_total_order
-    lx, ly = aperture.side_x, aperture.side_y
-    xloc = 2.0 * (grid.points[:, 0] - aperture.center[0]) / lx
-    yloc = 2.0 * (grid.points[:, 1] - aperture.center[1]) / ly
-    px = legendre_sequence(t, np.clip(xloc, -1.0, 1.0))
-    py = legendre_sequence(t, np.clip(yloc, -1.0, 1.0))
-    out = np.empty((len(grid.points), len(table)))
-    for i, (m, n) in enumerate(table.orders):
-        out[:, i] = np.sqrt((2 * m + 1) * (2 * n + 1) / (lx * ly)) * px[m] * py[n]
-    return out
+    px, py = _axis_legendre(aperture, table.max_total_order, grid)
+    m, n = np.array(table.orders).T
+    return (px[:, None, m] * py[None, :, n]).reshape(len(grid.points), len(table))
 
 
-def _check_kernel(H: np.ndarray, src: SurfaceGrid, rcv: SurfaceGrid) -> None:
-    if H.shape != (len(rcv.points), len(src.points)):
-        raise ValueError(f"kernel of shape {H.shape} does not match the receiver x source grids")
-
-
-def assemble_galerkin(
-    H: np.ndarray, basis_src: np.ndarray, src: SurfaceGrid, rcv: SurfaceGrid
+def radiated_basis(
+    basis: BasisIndexTable,
+    src: SurfaceGrid,
+    rcv: SurfaceGrid,
+    geometry: LinkGeometry,
+    grid: DirectionGrid,
+    table: np.ndarray,
+    entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> np.ndarray:
-    """Hermitian PSD B = (H W_src E)^H W_rcv (H W_src E) over the given grids."""
-    _check_kernel(H, src, rcv)
-    if basis_src.shape[0] != len(src.points):
-        raise ValueError("basis samples do not match the source grid")
-    radiated = H @ (src.weights[:, None] * basis_src)
-    return radiated.conj().T @ (rcv.weights[:, None] * radiated)
+    """R = H W_src E, (n_rcv, n_basis): the basis currents' fields on the receiver grid.
 
-
-def hermitian_eig(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending real eigenvalues and gauge-fixed orthonormal eigenvectors.
-
-    Raises if the input is not Hermitian to 1e-8 relative; each eigenvector is
-    rotated so its largest-magnitude entry is real positive, which makes the
-    decomposition reproducible run to run.
+    Basis current (m, n) is separable, so its plane-wave pattern is
+    fx[d, m] * fy[d, n] with fx = X^T (w_x Px) and fy = Y^T (w_y Py); H is not formed.
     """
-    M = np.asarray(B)
-    scale = np.max(np.abs(M))
-    if scale == 0:
-        n = M.shape[0]
-        return np.zeros(n), np.eye(n, dtype=complex)
-    if np.max(np.abs(M - M.conj().T)) > 1e-8 * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
-    vals = vals[::-1]
-    vecs = np.ascontiguousarray(vecs[:, ::-1]).astype(complex)
-    for i in range(vecs.shape[1]):
-        pivot = int(np.argmax(np.abs(vecs[:, i])))
-        ref = vecs[pivot, i]
-        if ref != 0:
-            vecs[:, i] *= np.conj(ref) / abs(ref)
-    top = max(vals[0], 0.0)
-    if top > 0:
-        resid = np.max(np.abs(M @ vecs - vecs * vals))
-        if resid > 1e-8 * top:
-            raise ValueError(f"eigen residual {resid:.3e} exceeds 1e-8 * beta_1")
-    return vals, vecs
+    px, py = _axis_legendre(geometry.transmitter, basis.max_total_order, src)
+    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid, geometry.k)
+    fx = ax.T @ (src.weights_x[:, None] * px)
+    fy = ay.T @ (src.weights_y[:, None] * py)
+    m, n = np.array(basis.orders).T
+    return _receiver_sum(lambda sl: fx[sl][:, m] * fy[sl][:, n], len(basis),
+                         rcv, geometry, grid, table, entry_budget)
+
+
+def _check_radiated(R: np.ndarray, modes: ModeSet) -> None:
+    expected = (len(modes.rcv_grid.points), len(modes.basis))
+    if R.shape != expected:
+        raise ValueError(f"radiated basis of shape {R.shape} does not match the mode set's {expected}")
+
+
+def _fix_gauge(rows: np.ndarray) -> np.ndarray:
+    """Rotate each row so its pivot entry is real positive.
+
+    The pivot is the lowest index whose magnitude ties with the row's largest,
+    so symmetric ties (mirror orders on a square link) are not left to roundoff.
+    """
+    mag = np.abs(rows)
+    pivot = np.argmax(mag >= (1.0 - _PIVOT_TIE_REL) * mag.max(axis=1, keepdims=True), axis=1)
+    ref = rows[np.arange(len(rows)), pivot]
+    return rows * (np.conj(ref) / np.abs(ref))[:, None]
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class ModeSet:
     radiated power of each mode current is P_t.
     """
 
-    eigenvalues: np.ndarray        # (modes,) descending, clamped at 0
+    eigenvalues: np.ndarray        # (modes,) descending, non-negative
     coefficients: np.ndarray       # (modes, basis) complex, orthonormal rows
     scale: float                   # sqrt(P_t / eta)
     power_w: float
@@ -166,7 +165,7 @@ class ModeSet:
     geometry: LinkGeometry
     src_grid: SurfaceGrid
     rcv_grid: SurfaceGrid
-    clamped_count: int = 0
+    clamped_count: int = 0         # always 0; kept for emlink.modeset/1
 
     @property
     def normalized(self) -> np.ndarray:
@@ -180,7 +179,7 @@ class ModeSet:
 
 def build_mode_set(
     eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
+    coefficients: np.ndarray,
     basis: BasisIndexTable,
     geometry: LinkGeometry,
     src_grid: SurfaceGrid,
@@ -189,17 +188,11 @@ def build_mode_set(
     impedance_ohm: float = FREE_SPACE_IMPEDANCE,
     keep: int | None = None,
 ) -> ModeSet:
-    """Package an eigendecomposition, clamping negative roundoff eigenvalues."""
-    vals = np.asarray(eigenvalues, dtype=float).copy()
-    clamped = int(np.sum(vals < 0))
-    vals[vals < 0] = 0.0
-    coeff = eigenvectors.T.copy()
-    if keep is not None and keep > 0:
-        vals = vals[:keep]
-        coeff = coeff[:keep]
+    """Package eigenvalues and their (modes, basis) coefficient rows, keeping the first `keep`."""
+    kept = slice(keep) if keep is not None and keep > 0 else slice(None)
     return ModeSet(
-        eigenvalues=vals,
-        coefficients=coeff,
+        eigenvalues=np.asarray(eigenvalues, dtype=float)[kept],
+        coefficients=np.asarray(coefficients)[kept],
         scale=float(np.sqrt(power_w / impedance_ohm)),
         power_w=float(power_w),
         impedance_ohm=float(impedance_ohm),
@@ -207,16 +200,15 @@ def build_mode_set(
         geometry=geometry,
         src_grid=src_grid,
         rcv_grid=rcv_grid,
-        clamped_count=clamped,
     )
 
 
 @dataclass(frozen=True)
 class ModesResult:
-    """Everything the mode pipeline produced, kernel included."""
+    """Everything the mode pipeline produced, radiated basis included."""
 
     modes: ModeSet
-    kernel: np.ndarray   # H, (n_rcv, n_src) complex
+    radiated: np.ndarray   # R = H W_src E, (n_rcv, n_basis) complex
 
 
 def solve_modes(
@@ -229,22 +221,25 @@ def solve_modes(
     power_w: float = 1.0,
     impedance_ohm: float = FREE_SPACE_IMPEDANCE,
     keep: int | None = None,
-    entry_budget: int = 10**7,
+    entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> ModesResult:
-    """End-to-end pipeline: grids, translator, kernel, Galerkin matrix, modes."""
+    """End-to-end pipeline: grids, translator, radiated basis, one SVD, modes.
+
+    Beyond the rank min(n_rcv, n_basis), V^H completes the basis with beta = 0.
+    """
     dir_grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(dir_grid, geometry.k, geometry.r_pq, L, windowed)
     src = tensor_grid(geometry.transmitter, n_surface)
     rcv = tensor_grid(geometry.receiver, n_surface)
-    kernel = kernel_matrix(src, rcv, geometry, dir_grid, table, entry_budget)
     basis = basis_order_table(t)
-    E = basis_eval(geometry.transmitter, basis, src)
-    galerkin = assemble_galerkin(kernel, E, src, rcv)
-    vals, vecs = hermitian_eig(galerkin)
+    radiated = radiated_basis(basis, src, rcv, geometry, dir_grid, table, entry_budget)
+    weighted = np.sqrt(rcv.weights)[:, None] * radiated
+    _, sigma, vh = np.linalg.svd(weighted, full_matrices=len(rcv.points) < len(basis))
+    betas = np.pad(sigma**2, (0, len(basis) - len(sigma)))
     modes = build_mode_set(
-        vals, vecs, basis, geometry, src, rcv, power_w, impedance_ohm, keep
+        betas, _fix_gauge(vh.conj()), basis, geometry, src, rcv, power_w, impedance_ohm, keep
     )
-    return ModesResult(modes, kernel)
+    return ModesResult(modes, radiated)
 
 
 def mode_current_field(modes: ModeSet, n: int, grid: SurfaceGrid | None = None) -> np.ndarray:
@@ -256,19 +251,20 @@ def mode_current_field(modes: ModeSet, n: int, grid: SurfaceGrid | None = None) 
     return modes.scale * (E @ modes.coefficients[n])
 
 
-def received_field(modes: ModeSet, n: int, H: np.ndarray) -> np.ndarray:
-    """Field psi_n radiated by mode current n onto the stored receiver grid."""
-    _check_kernel(H, modes.src_grid, modes.rcv_grid)
-    phi = mode_current_field(modes, n)
-    return H @ (modes.src_grid.weights * phi)
+def received_field(modes: ModeSet, n: int, R: np.ndarray) -> np.ndarray:
+    """Field psi_n of mode current n on the stored receiver grid; R is ModesResult.radiated."""
+    if not 0 <= n < len(modes):
+        raise IndexError("mode index out of range")
+    _check_radiated(R, modes)
+    return modes.scale * (R @ modes.coefficients[n])
 
 
-def combiner_field(modes: ModeSet, n: int, H: np.ndarray) -> np.ndarray:
+def combiner_field(modes: ModeSet, n: int, R: np.ndarray) -> np.ndarray:
     """Unit-power receive basis chi_n = psi_n / sqrt(beta_n)."""
     beta = modes.eigenvalues[n]
     if beta < _NULL_MODE_REL * modes.eigenvalues[0]:
         raise ValueError(f"mode {n} is numerically null; combiner undefined")
-    return received_field(modes, n, H) / np.sqrt(beta)
+    return received_field(modes, n, R) / np.sqrt(beta)
 
 
 def _exact_gram_grid(modes: ModeSet) -> SurfaceGrid:
@@ -291,7 +287,7 @@ def gram_currents(modes: ModeSet, count: int) -> np.ndarray:
     return (phi.T * grid.weights) @ np.conj(phi)
 
 
-def gram_fields(modes: ModeSet, count: int, H: np.ndarray) -> np.ndarray:
+def gram_fields(modes: ModeSet, count: int, R: np.ndarray) -> np.ndarray:
     """Gram matrix of the first `count` received fields over the receiver.
 
     Diagonal tracks beta_n * (P_t/eta); off-diagonals measure biorthogonality
@@ -299,10 +295,8 @@ def gram_fields(modes: ModeSet, count: int, H: np.ndarray) -> np.ndarray:
     """
     if count > len(modes):
         raise ValueError("count exceeds the number of stored modes")
-    _check_kernel(H, modes.src_grid, modes.rcv_grid)
-    E = basis_eval(modes.geometry.transmitter, modes.basis, modes.src_grid)
-    phi = modes.scale * (E @ modes.coefficients[:count].T)
-    psi = H @ (modes.src_grid.weights[:, None] * phi)
+    _check_radiated(R, modes)
+    psi = modes.scale * (R @ modes.coefficients[:count].T)
     return (psi.T * modes.rcv_grid.weights) @ np.conj(psi)
 
 
@@ -360,6 +354,9 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         raise ValueError(f"re_im holds {len(flat)} values, not 2 * modes * basis")
     if not np.all(np.isfinite(flat)):
         raise ValueError("coefficients must be finite")
+    for key in ("power_w", "impedance_ohm", "normalization_scale"):
+        if not 0 < float(doc[key]) < np.inf:
+            raise ValueError(f"{key} must be finite and positive")
     coeff = (flat[0::2] + 1j * flat[1::2]).reshape(shape)
     if shape[1] != len(basis):
         raise ValueError("coefficient width does not match the basis order")

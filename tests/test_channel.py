@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from emlink.channel import (
+    _BLOCK,
     FREE_SPACE_IMPEDANCE,
     kernel_matrix,
     propagate_current,
@@ -16,7 +17,7 @@ from emlink.geometry import (
     truncation_order,
 )
 from emlink.greens import sgf_exact, sgf_planewave, translator_table
-from emlink.modes import basis_eval, basis_order_table
+from emlink.modes import basis_eval, basis_order_table, radiated_basis
 
 K = 2 * np.pi
 OMEGA_MU = K * FREE_SPACE_IMPEDANCE
@@ -173,24 +174,33 @@ class TestSeparableFactors:
     """Per-axis plane-wave factors reproduce the dense (points x directions) ones."""
 
     @pytest.mark.parametrize(
-        "tx_center, rx_center",
+        "tx_center, rx_center, n_theta",
         [
-            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0)),
-            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0)),
-            ((0.0, 0.0, 0.0), (3.0, -2.0, 12.0)),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0), 12),
+            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 12),
+            ((0.0, 0.0, 0.0), (3.0, -2.0, 12.0), 12),
+            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 107),
         ],
-        ids=["on-axis", "offset-centres", "tilted-axis"],
+        ids=["on-axis", "offset-centres", "tilted-axis", "several-blocks"],
     )
-    def test_matches_dense_exponentials(self, tx_center, rx_center):
+    def test_matches_dense_exponentials(self, tx_center, rx_center, n_theta):
         geo = LinkGeometry(rect_aperture(tx_center, 3.0, 5.0), rect_aperture(rx_center, 2.0, 4.0), K)
         L = truncation_order(K, geo.transmitter.half_diagonal + geo.receiver.half_diagonal)
-        grid = cap_direction_grid(geo.axis, np.radians(60), 12, 24)
+        grid = cap_direction_grid(geo.axis, np.radians(60), n_theta, 24)
+        if n_theta > 12:
+            # more than two blocks of directions, the last one partial
+            assert len(grid.weights) > 2 * _BLOCK and len(grid.weights) % _BLOCK
         table = translator_table(grid, K, geo.r_pq, L, windowed=True)
         src = tensor_grid(geo.transmitter, 25)
         rcv = tensor_grid(geo.receiver, 16)
         dense = _dense_kernel(src, rcv, geo, grid, table)
         entries = kernel_matrix(src, rcv, geo, grid, table)
         assert np.max(np.abs(entries - dense)) < 1e-13 * np.max(np.abs(dense))
+
+        basis = basis_order_table(3)
+        radiated = dense @ (src.weights[:, None] * basis_eval(geo.transmitter, basis, src))
+        got = radiated_basis(basis, src, rcv, geo, grid, table)
+        assert np.max(np.abs(got - radiated)) < 1e-13 * np.max(np.abs(radiated))
 
         rng = np.random.default_rng(11)
         current = rng.normal(size=len(src.points)) + 1j * rng.normal(size=len(src.points))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,8 +112,19 @@ class TestValidation:
             load_config("paper", overrides=["modes_keep=0", "mode_map_indices=704"])
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run_cli(args):
     return main(args)
+
+
+def _read_mode_set(path):
+    """(eigenvalues, coefficient rows) of a modeset.json document."""
+    doc = json.loads(path.read_text())
+    flat = np.array(doc["coefficients"]["re_im"])
+    shape = (doc["coefficients"]["modes"], doc["coefficients"]["basis"])
+    return np.array(doc["eigenvalues"]), (flat[0::2] + 1j * flat[1::2]).reshape(shape)
 
 
 class TestCliCommands:
@@ -268,6 +283,33 @@ class TestCliCommands:
         ):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_modes_reproducible_across_blas_threads(self, tmp_path):
+        # the BLAS thread count changes roundoff only: the spectrum, every
+        # well-separated mode (gauge included) and every degenerate
+        # cluster's projector agree
+        sets = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "emlink.cli", "--preset", "ci", "--out", str(out), "modes"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            sets.append(_read_mode_set(out / "modeset.json"))
+        (b1, a1), (b2, a2) = sets
+        top = b1[0]
+        assert np.max(np.abs(b1 - b2)) <= 1e-14 * top
+        strong = int(np.sum(b1 >= 1e-8 * top))
+        breaks = np.flatnonzero(np.diff(b1[:strong]) < -1e-12 * top) + 1
+        for cluster in np.split(np.arange(strong), breaks):
+            if len(cluster) == 1:
+                assert np.max(np.abs(a1[cluster] - a2[cluster])) <= 1e-9, cluster
+            else:
+                p1 = a1[cluster].T @ a1[cluster].conj()
+                p2 = a2[cluster].T @ a2[cluster].conj()
+                assert np.max(np.abs(p1 - p2)) <= 1e-7, cluster
+
     def test_mode_map_index_out_of_range(self, tmp_path):
         # rejected when the config loads, before anything is solved or written
         for index in (9999, 0):
@@ -322,6 +364,18 @@ def _zero_spectrum(doc):
     doc["eigenvalues"] = [0.0] * len(doc["eigenvalues"])
 
 
+def _negative_power(doc):
+    doc["power_w"] = -1.0
+
+
+def _nan_scale(doc):
+    doc["normalization_scale"] = float("nan")
+
+
+def _infinite_impedance(doc):
+    doc["impedance_ohm"] = float("inf")
+
+
 @pytest.fixture(scope="module")
 def ci_mode_doc(tmp_path_factory):
     out = tmp_path_factory.mktemp("ci-modes")
@@ -335,10 +389,11 @@ class TestMalformedModeSet:
     @pytest.mark.parametrize(
         "rewrite",
         [_nan_sixth, _first_sixty, _reversed, _negative_last, _short_re_im,
-         _empty_spectrum, _zero_spectrum, _nan_coefficient],
+         _empty_spectrum, _zero_spectrum, _nan_coefficient, _negative_power, _nan_scale,
+         _infinite_impedance],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
              "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum",
-             "nan-coefficient"],
+             "nan-coefficient", "negative-power", "nan-scale", "infinite-impedance"],
     )
     def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
         doc = json.loads(json.dumps(ci_mode_doc))

@@ -3,22 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from emlink.channel import FREE_SPACE_IMPEDANCE, kernel_matrix
+from emlink.channel import FREE_SPACE_IMPEDANCE, kernel_matrix, propagate_current
 from emlink.geometry import LinkGeometry, cap_direction_grid, rect_aperture, tensor_grid
 from emlink.greens import translator_table
 from emlink.modes import (
-    assemble_galerkin,
+    _PIVOT_TIE_REL,
+    _fix_gauge,
     basis_eval,
     basis_order_table,
     build_mode_set,
     combiner_field,
     gram_currents,
     gram_fields,
-    hermitian_eig,
     load_mode_set,
     mode_current_field,
     mode_set_from_dict,
     mode_set_to_dict,
+    radiated_basis,
     received_field,
     save_mode_set,
 )
@@ -78,7 +79,7 @@ class TestBasisEval:
 
 @pytest.fixture(scope="module")
 def small_pipeline():
-    """A deliberately small link for cheap kernel-level checks."""
+    """A deliberately small link for cheap channel-level checks."""
     geo = LinkGeometry(
         rect_aperture((0, 0, 0), 2.0, 2.0),
         rect_aperture((0, 0, 6.0), 1.6, 1.6),
@@ -89,72 +90,81 @@ def small_pipeline():
     table = translator_table(grid, K, geo.r_pq, L, windowed=True)
     src = tensor_grid(geo.transmitter, 64)
     rcv = tensor_grid(geo.receiver, 64)
-    kernel = kernel_matrix(src, rcv, geo, grid, table)
-    return geo, kernel, src, rcv
+    return geo, grid, table, src, rcv
 
 
-class TestAssembleGalerkin:
-    def test_zero_kernel_gives_zero_matrix(self, small_pipeline):
-        geo, kernel, src, rcv = small_pipeline
-        E = basis_eval(geo.transmitter, basis_order_table(2), src)
-        B = assemble_galerkin(np.zeros_like(kernel), E, src, rcv)
-        assert np.max(np.abs(B)) == 0.0
+def _pivots(rows):
+    """Lowest index per row whose magnitude ties with the row's largest."""
+    mag = np.abs(rows)
+    return np.argmax(mag >= (1 - _PIVOT_TIE_REL) * mag.max(axis=1, keepdims=True), axis=1)
+
+
+class TestRadiatedBasis:
+    def test_matches_kernel_route(self, small_pipeline):
+        geo, grid, table, src, rcv = small_pipeline
+        basis = basis_order_table(6)
+        E = basis_eval(geo.transmitter, basis, src)
+        expected = kernel_matrix(src, rcv, geo, grid, table) @ (src.weights[:, None] * E)
+        R = radiated_basis(basis, src, rcv, geo, grid, table)
+        assert R.shape == (len(rcv.points), len(basis))
+        assert np.max(np.abs(R - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_zero_translator_gives_zero_basis(self, small_pipeline):
+        geo, grid, table, src, rcv = small_pipeline
+        R = radiated_basis(basis_order_table(2), src, rcv, geo, grid, np.zeros_like(table))
+        assert np.max(np.abs(R)) == 0.0
 
     def test_scalar_case_is_uniform_current_power(self, small_pipeline):
-        # with one constant unit-norm basis function, B reduces to the
-        # received power of that current, computed here by direct quadrature
-        geo, kernel, src, rcv = small_pipeline
-        E = basis_eval(geo.transmitter, basis_order_table(0), src)
-        B = assemble_galerkin(kernel, E, src, rcv)
-        psi = kernel @ (src.weights * E[:, 0])
+        # with one constant unit-norm basis function, R^H W_rcv R reduces to
+        # the received power of that current, radiated here matrix-free
+        geo, grid, table, src, rcv = small_pipeline
+        basis = basis_order_table(0)
+        R = radiated_basis(basis, src, rcv, geo, grid, table)
+        B = R.conj().T @ (rcv.weights[:, None] * R)
+        E = basis_eval(geo.transmitter, basis, src)
+        psi = propagate_current(E[:, 0], src, rcv, geo, grid, table)
         oracle = np.sum(rcv.weights * np.abs(psi) ** 2)
-        assert B[0, 0] == pytest.approx(oracle, rel=1e-12)
-        assert abs(B[0, 0].imag) < 1e-12 * abs(B[0, 0])
-
-    def test_hermitian_and_psd(self, small_pipeline):
-        geo, kernel, src, rcv = small_pipeline
-        E = basis_eval(geo.transmitter, basis_order_table(6), src)
-        B = assemble_galerkin(kernel, E, src, rcv)
-        assert np.max(np.abs(B - B.conj().T)) < 1e-10 * np.max(np.abs(B))
-        eigvals = np.linalg.eigvalsh(0.5 * (B + B.conj().T))
-        assert eigvals.min() >= -1e-8 * eigvals.max()
+        assert B[0, 0].real == pytest.approx(oracle, rel=1e-12)
 
 
-class TestHermitianEig:
-    def test_identity(self):
-        vals, vecs = hermitian_eig(np.eye(4))
-        assert vals == pytest.approx(np.ones(4))
-        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) < 1e-12
-
-    def test_diagonal_ordering_and_gauge(self):
-        vals, vecs = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-        assert vals == pytest.approx([3.0, 2.0, 1.0])
-        expected = np.zeros((3, 3))
-        expected[0, 0] = expected[2, 1] = expected[1, 2] = 1.0
-        assert np.max(np.abs(vecs - expected)) < 1e-12
-
-    def test_gauge_makes_largest_entry_real_positive(self):
-        rng = np.random.default_rng(8)
-        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        H = A @ A.conj().T
-        _, vecs = hermitian_eig(H)
-        for i in range(6):
-            pivot = np.argmax(np.abs(vecs[:, i]))
-            assert vecs[pivot, i].imag == pytest.approx(0.0, abs=1e-14)
-            assert vecs[pivot, i].real > 0
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_residual_bound(self, ci_run):
+class TestSingularModes:
+    def test_matches_galerkin_eigh(self, ci_run):
+        # an eigh of the Galerkin matrix B = R^H W_rcv R, formed here only
         result, _, _ = ci_run
-        ms = result.modes
-        E = basis_eval(ms.geometry.transmitter, ms.basis, ms.src_grid)
-        B = assemble_galerkin(result.kernel, E, ms.src_grid, ms.rcv_grid)
-        vals, vecs = hermitian_eig(B)
-        resid = np.max(np.abs(B @ vecs - vecs * vals))
-        assert resid <= 1e-8 * vals[0]
+        ms, R = result.modes, result.radiated
+        B = R.conj().T @ (ms.rcv_grid.weights[:, None] * R)
+        vals = np.linalg.eigvalsh(B)[::-1]
+        top = ms.eigenvalues[0]
+        assert np.max(np.abs(vals - ms.eigenvalues)) <= 1e-13 * top
+        a = ms.coefficients.T
+        resid = np.max(np.abs(B @ a - a * ms.eigenvalues))
+        assert resid <= 1e-8 * top
+
+    def test_orthonormal_rows_descending(self, ci_run):
+        ms = ci_run[0].modes
+        a = ms.coefficients
+        assert np.max(np.abs(a @ a.conj().T - np.eye(len(a)))) < 1e-12
+        assert np.all(np.diff(ms.eigenvalues) <= 0)
+
+    def test_no_eigenvalue_clamped(self, ci_run, paper_run):
+        for result, _, _ in (ci_run, paper_run):
+            assert result.modes.clamped_count == 0
+            assert np.all(result.modes.eigenvalues >= 0)
+
+    def test_gauge_pivot_real_positive(self, ci_run):
+        # mirror orders (m, n) and (n, m) tie in magnitude on the square ci
+        # link; the pivot is the lowest tied index, so the gauge is fixed
+        rows = ci_run[0].modes.coefficients[:40]
+        ref = rows[np.arange(len(rows)), _pivots(rows)]
+        assert np.all(np.abs(ref.imag) <= 1e-14)
+        assert np.all(ref.real > 0)
+
+    def test_gauge_tie_takes_lowest_index(self):
+        # entries 0 and 2 tie up to roundoff; entry 2 is the larger by 1e-15
+        row = np.array([[0.6j, 0.1, -0.6 * (1 + 1e-15), 0.3]])
+        fixed = _fix_gauge(row)
+        assert fixed[0, 0] == pytest.approx(0.6, abs=1e-16)
+        assert np.abs(fixed[0]) == pytest.approx(np.abs(row[0]), abs=1e-16)
 
 
 class TestModeSet:
@@ -170,18 +180,6 @@ class TestModeSet:
                                  geo, src, rcv, power_w=1.0)
         assert ms_watt.scale == pytest.approx(0.0515258, rel=1e-4)
 
-    def test_negative_eigenvalues_clamped(self):
-        src = tensor_grid(rect_aperture((0, 0, 0), 1, 1), 4)
-        rcv = tensor_grid(rect_aperture((0, 0, 9), 1, 1), 4)
-        geo = LinkGeometry(src.aperture, rcv.aperture, K)
-        ms = build_mode_set(
-            np.array([2.0, 1.0, -1e-12]), np.eye(3, dtype=complex),
-            basis_order_table(1), geo, src, rcv,
-        )
-        assert ms.clamped_count == 1
-        assert ms.eigenvalues[2] == 0.0
-        assert ms.normalized[0] == 1.0
-
     def test_mode_current_power(self, ci_run):
         # eta * integral |phi_n|^2 = P_t for every mode
         result, _, cfg = ci_run
@@ -194,7 +192,7 @@ class TestModeSet:
         result, _, cfg = ci_run
         ms = result.modes
         for n in range(4):
-            psi = received_field(ms, n, result.kernel)
+            psi = received_field(ms, n, result.radiated)
             power = np.sum(ms.rcv_grid.weights * np.abs(psi) ** 2)
             expected = ms.eigenvalues[n] * cfg.power_w / FREE_SPACE_IMPEDANCE
             assert power == pytest.approx(expected, rel=0.02)
@@ -203,33 +201,37 @@ class TestModeSet:
         result, _, cfg = ci_run
         ms = result.modes
         for n in range(4):
-            chi = combiner_field(ms, n, result.kernel)
+            chi = combiner_field(ms, n, result.radiated)
             power = np.sum(ms.rcv_grid.weights * np.abs(chi) ** 2)
             assert power == pytest.approx(cfg.power_w / FREE_SPACE_IMPEDANCE, rel=0.02)
 
     def test_combiner_rejects_null_mode(self, small_pipeline):
-        geo, kernel, src, rcv = small_pipeline
+        geo, grid, table, src, rcv = small_pipeline
+        basis = basis_order_table(1)
         ms = build_mode_set(
             np.array([1.0, 0.0, 0.0]), np.eye(3, dtype=complex),
-            basis_order_table(1), geo, src, rcv,
+            basis, geo, src, rcv,
         )
+        R = radiated_basis(basis, src, rcv, geo, grid, table)
+        assert combiner_field(ms, 0, R).shape == (len(rcv.points),)
         with pytest.raises(ValueError):
-            combiner_field(ms, 1, kernel)
+            combiner_field(ms, 1, R)
 
     def test_kernel_shape_checked(self, ci_run, small_pipeline):
-        # a kernel from another link does not fit the mode set's stored grids
+        # a radiated basis from another link or basis order does not fit the
+        # mode set's receiver grid and basis
         result, _, _ = ci_run
         ms = result.modes
-        _, other, _, rcv = small_pipeline
-        with pytest.raises(ValueError):
-            received_field(ms, 0, other)
-        with pytest.raises(ValueError):
-            combiner_field(ms, 0, other)
-        with pytest.raises(ValueError):
-            gram_fields(ms, 2, other)
-        E = basis_eval(ms.geometry.transmitter, basis_order_table(1), ms.src_grid)
-        with pytest.raises(ValueError):
-            assemble_galerkin(result.kernel, E, ms.src_grid, rcv)
+        geo, grid, table, src, rcv = small_pipeline
+        other_link = radiated_basis(ms.basis, src, rcv, geo, grid, table)
+        other_basis = result.radiated[:, :-1]
+        for other in (other_link, other_basis):
+            with pytest.raises(ValueError):
+                received_field(ms, 0, other)
+            with pytest.raises(ValueError):
+                combiner_field(ms, 0, other)
+            with pytest.raises(ValueError):
+                gram_fields(ms, 2, other)
 
     def test_mode_index_range(self, ci_run):
         result, _, _ = ci_run
@@ -240,8 +242,8 @@ class TestModeSet:
         # Rayleigh quotient of any trial current cannot beat beta_1
         result, _, _ = ci_run
         ms = result.modes
-        E = basis_eval(ms.geometry.transmitter, basis_order_table(0), ms.src_grid)
-        scalar = assemble_galerkin(result.kernel, E, ms.src_grid, ms.rcv_grid)[0, 0].real
+        # column 0 of R is the field of the constant unit-norm basis current
+        scalar = np.sum(ms.rcv_grid.weights * np.abs(result.radiated[:, 0]) ** 2)
         assert scalar <= result.modes.eigenvalues[0] * (1 + 1e-12)
 
 
@@ -264,7 +266,7 @@ class TestGramMatrices:
         result, _, cfg = ci_run
         ms = result.modes
         count = min(40, len(ms))
-        gram = gram_fields(ms, count, result.kernel)
+        gram = gram_fields(ms, count, result.radiated)
         scale = cfg.power_w / FREE_SPACE_IMPEDANCE
         diag = np.diag(gram).real
         expected = ms.eigenvalues[:count] * scale
@@ -302,6 +304,15 @@ class TestSerialization:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             mode_set_from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize("key", ["power_w", "impedance_ohm", "normalization_scale"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_bad_physical_field(self, ci_run, key, value):
+        doc = mode_set_to_dict(ci_run[0].modes)
+        assert mode_set_from_dict(doc).power_w == doc["power_w"]
+        doc[key] = value
+        with pytest.raises(ValueError, match=key):
+            mode_set_from_dict(doc)
 
     def test_validates_against_schema(self, tmp_path, ci_run):
         jsonschema = pytest.importorskip("jsonschema")
