@@ -127,15 +127,21 @@ class ExperimentConfig:
             raise ConfigError("theta_e_deg must lie in (0, 180]")
         if self.basis_order < 0:
             raise ConfigError("basis_order must be non-negative")
-        if self.surface_points < 1:
-            raise ConfigError("surface_points must be >= 1")
+        n1 = int(np.ceil(np.sqrt(max(self.surface_points, 0))))
+        if n1 < 2:
+            raise ConfigError("surface_points must give at least 2 grid nodes per axis (>= 2)")
         if min(self.l_override, self.modes_keep) < 0:
             raise ConfigError("counts must be non-negative")
         basis_size = (self.basis_order + 1) * (self.basis_order + 2) // 2
         n_modes = min(self.modes_keep, basis_size) if self.modes_keep else basis_size
+        # beyond the n1^2 receiver points the modes have beta = 0 by construction
+        n_mapped = min(n_modes, n1 * n1)
         for index in self.mode_map_indices:
-            if not 1 <= index <= n_modes:
-                raise ConfigError(f"mode_map_indices entry {index} is outside [1, {n_modes}]")
+            if not 1 <= index <= n_mapped:
+                raise ConfigError(
+                    f"mode_map_indices entry {index} is outside [1, {n_mapped}] "
+                    f"({n_modes} modes kept, {n1 * n1} receiver grid points)"
+                )
         if not self.snr_db:
             raise ConfigError("snr_db must list at least one value")
         if not self.sweep_theta_deg:

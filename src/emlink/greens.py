@@ -95,8 +95,9 @@ def expansion_error_sweep(
     """Relative reconstruction error |G_a - G| / |G| versus cap half-angle.
 
     G_a integrates the expansion over a cap of half-angle theta_e around the
-    link axis; G is the exact scalar Green's function.  L is the truncation
-    rule applied to the largest aperture side.
+    link axis, on that cap's default_cap_densities grid; G is the exact scalar
+    Green's function.  L is the truncation rule applied to the largest
+    aperture side.
     """
     D = max(
         geometry.transmitter.side_x,
@@ -105,12 +106,12 @@ def expansion_error_sweep(
         geometry.receiver.side_y,
     )
     L = truncation_order(geometry.k, D)
-    nt, nph = default_cap_densities(L, np.pi)
     exact = sgf_exact(r, s, geometry.k)
     out = []
     for theta_e in theta_list:
-        grid = cap_direction_grid(geometry.axis, float(theta_e), nt, nph)
+        theta_e = float(theta_e)
+        grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
         table = translator_table(grid, geometry.k, geometry.r_pq, L, windowed)
         approx = sgf_planewave(r, s, geometry, grid, table)
-        out.append((float(theta_e), abs(approx - exact) / abs(exact)))
+        out.append((theta_e, abs(approx - exact) / abs(exact)))
     return out

@@ -12,6 +12,7 @@ from emlink.errors import BudgetError
 from emlink.geometry import (
     LinkGeometry,
     cap_direction_grid,
+    default_cap_densities,
     rect_aperture,
     tensor_grid,
     truncation_order,
@@ -207,6 +208,61 @@ class TestSeparableFactors:
         field = propagate_current(current, src, rcv, geo, grid, table)
         expected = entries @ (src.weights * current)
         assert np.linalg.norm(field - expected) < 1e-13 * np.linalg.norm(expected)
+
+
+def _rule_and_oversampled(geo, L, theta_e, windowed=True):
+    """(grid, table) at default_cap_densities and at 1.4x its density on both axes."""
+    densities = default_cap_densities(L, theta_e)
+    out = []
+    for n_theta, n_phi in (densities, [int(np.ceil(1.4 * n)) for n in densities]):
+        grid = cap_direction_grid(geo.axis, theta_e, n_theta, n_phi)
+        out.append((grid, translator_table(grid, K, geo.r_pq, L, windowed)))
+    return out
+
+
+def _ci_link(rx_center):
+    return LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture(rx_center, 3.2, 3.2), K)
+
+
+class TestDirectionBudget:
+    """The band-limit densities agree with a 1.4x oversampled grid to 1e-12 of the largest entry."""
+
+    @pytest.mark.parametrize(
+        "rx_center, deg",
+        [((0, 0, 10.2), 30), ((0, 0, 10.2), 60), ((0, 0, 10.2), 90), ((2.4, -1.6, 9.6), 60)],
+        ids=["ci-30", "ci-60", "ci-90", "ci-off-axis-60"],
+    )
+    def test_ci_kernel(self, rx_center, deg):
+        geo = _ci_link(rx_center)
+        src = tensor_grid(geo.transmitter, 144)
+        rcv = tensor_grid(geo.receiver, 144)
+        rule, over = _rule_and_oversampled(geo, 34, np.radians(deg))
+        H = kernel_matrix(src, rcv, geo, *rule)
+        ref = kernel_matrix(src, rcv, geo, *over)
+        assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rx_center", [(0, 0, 25.5), (6, -4, 24)], ids=["paper", "paper-off-axis"])
+    def test_paper_corner_source(self, rx_center):
+        # a point source at the corner node: the kernel column that spans the
+        # widest lateral separation, i.e. the highest phi bandwidth
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 10.0, 10.0), rect_aperture(rx_center, 8.0, 8.0), K)
+        src = tensor_grid(geo.transmitter, 512)
+        rcv = tensor_grid(geo.receiver, 512)
+        current = np.zeros(len(src.points), dtype=complex)
+        current[0] = 1.0 / src.weights[0]
+        rule, over = _rule_and_oversampled(geo, 93, np.radians(60))
+        field = propagate_current(current, src, rcv, geo, *rule)
+        ref = propagate_current(current, src, rcv, geo, *over)
+        assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("windowed", [False, True], ids=["unwindowed", "windowed"])
+    def test_full_sphere_green_function(self, windowed):
+        # the theta_e = pi grid of demo 02 and the sgf-error sweep, at their points
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 10.0, 10.0), rect_aperture((0, 0, 20.0), 10.0, 10.0), K)
+        s, r = (-5.0, 1.0, 1.0), (-3.5, 5.0, 20.0)
+        rule, over = _rule_and_oversampled(geo, truncation_order(K, 10.0), np.pi, windowed)
+        g = sgf_planewave(r, s, geo, *rule)
+        assert abs(g - sgf_planewave(r, s, geo, *over)) <= 1e-12 * abs(g)
 
 
 class TestReferenceOracle:

@@ -102,14 +102,32 @@ class TestValidation:
             load_config("paper", overrides=["basis_order"])
 
     def test_mode_map_indices_bounded_by_kept_modes(self):
-        # the paper preset keeps 120 of its 703 modes; modes_keep=0 keeps all
+        # the paper preset keeps 120 of its 703 modes; modes_keep=0 keeps all,
+        # and 29 x 29 receiver points leave all 703 above the grid bound
         assert load_config("paper", overrides=["mode_map_indices=1,120"]).mode_map_indices == (1, 120)
         with pytest.raises(ConfigError, match="mode_map_indices"):
             load_config("paper", overrides=["mode_map_indices=121"])
-        cfg = load_config("paper", overrides=["modes_keep=0", "mode_map_indices=703"])
+        fine = ["modes_keep=0", "surface_points=841"]
+        cfg = load_config("paper", overrides=fine + ["mode_map_indices=703"])
         assert cfg.mode_map_indices == (703,)
         with pytest.raises(ConfigError, match="mode_map_indices"):
-            load_config("paper", overrides=["modes_keep=0", "mode_map_indices=704"])
+            load_config("paper", overrides=fine + ["mode_map_indices=704"])
+
+    def test_mode_map_indices_bounded_by_receiver_points(self):
+        # R has one row per receiver point, so modes past n1^2 have beta = 0
+        cfg = load_config("paper", overrides=["modes_keep=0", "mode_map_indices=529"])
+        assert cfg.mode_map_indices == (529,)
+        with pytest.raises(ConfigError, match="mode_map_indices"):
+            load_config("paper", overrides=["modes_keep=0", "mode_map_indices=530"])
+        assert load_config("ci", overrides=["surface_points=4", "mode_map_indices=1,4"]).surface_points == 4
+        with pytest.raises(ConfigError, match="mode_map_indices"):
+            load_config("ci", overrides=["surface_points=4"])
+
+    def test_surface_grid_needs_two_nodes_per_axis(self):
+        with pytest.raises(ConfigError, match="surface_points"):
+            load_config("ci", overrides=["surface_points=1", "mode_map_indices=1"])
+        cfg = load_config("ci", overrides=["surface_points=2", "mode_map_indices=1"])
+        assert cfg.surface_points == 2
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -328,6 +346,14 @@ class TestCliCommands:
             )
             assert code == 1
             assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("points", [1, 4], ids=["one-node", "maps-past-grid"])
+    def test_degenerate_surface_grid_writes_nothing(self, tmp_path, points):
+        # one point per aperture keeps a single nonzero beta; with 2 x 2
+        # points the default map of mode 5 would show a null mode
+        code = run_cli(["--preset", "ci", "--out", str(tmp_path), "--set", f"surface_points={points}", "modes"])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def _nan_sixth(doc):

@@ -4,10 +4,12 @@ import pytest
 from emlink.geometry import (
     LinkGeometry,
     cap_direction_grid,
+    default_cap_densities,
     rect_aperture,
     tensor_grid,
     truncation_order,
 )
+from emlink.specfun import legendre_sequence
 
 K = 2 * np.pi
 
@@ -125,6 +127,41 @@ class TestCapGrid:
             cap_direction_grid((0, 0, 1), 0.0, 8, 8)
         with pytest.raises(ValueError):
             cap_direction_grid((0, 0, 1), 3.5, 8, 8)
+
+
+class TestDefaultCapDensities:
+    """The band-limit rule for the cap grid; its accuracy is pinned in test_channel."""
+
+    THETAS = np.radians(np.linspace(1.0, 180.0, 180))
+
+    def test_presets(self):
+        assert default_cap_densities(93, np.radians(60)) == (62, 105)
+        assert default_cap_densities(34, np.radians(60)) == (28, 54)
+
+    def test_floors(self):
+        for L in (0, 1, 4, 93):
+            n_theta, n_phi = default_cap_densities(L, np.radians(0.5))
+            assert n_theta == 8 and n_phi >= 8
+
+    def test_theta_nodes_capped_at_full_sphere_rule(self):
+        for L in range(7, 200):
+            assert max(default_cap_densities(L, t)[0] for t in self.THETAS) == L + 1
+
+    def test_no_decrease_in_order_or_angle(self):
+        table = np.array([[default_cap_densities(L, t) for t in self.THETAS] for L in range(0, 200)])
+        assert np.all(np.diff(table, axis=0) >= 0)
+        assert np.all(np.diff(table, axis=1) >= 0)
+
+    @pytest.mark.parametrize("L", [34, 75, 93])
+    def test_pi_covers_full_sphere(self, L):
+        # the Gauss rule in cos(theta) integrates every P_l, l <= 2L + 1, over
+        # the sphere, and phi keeps the whole lateral bandwidth L
+        n_theta, n_phi = default_cap_densities(L, np.pi)
+        assert (n_theta, n_phi) == (L + 1, default_cap_densities(L, np.pi / 2)[1])
+        grid = cap_direction_grid((0, 0, 1), np.pi, n_theta, n_phi)
+        moments = legendre_sequence(2 * L + 1, grid.directions[:, 2]) @ grid.weights
+        assert moments[0] == pytest.approx(4 * np.pi, rel=1e-13)
+        assert np.max(np.abs(moments[1:])) < 1e-12
 
 
 class TestTruncationOrder:
