@@ -18,7 +18,8 @@ per-axis factors alone, n1 * n_dir per axis, all from `_plane_waves`.
 sweep (H here, the radiated basis in `modes`), forms (points x directions)
 factors as their outer products, one block of directions at a time.
 The weighted translator is built here too, for every caller,
-greens.sgf_planewave included.
+greens.sgf_planewave included, and so is its fold by the lateral mirrors a
+link shares with its grid (`_mirror_fold`), which the mode solve sums over.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetError
-from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid
+from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid, _mirror_partner, _mirrored_nodes
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
@@ -52,13 +53,13 @@ def _kernel_scale(k: float) -> float:
     return -k * _omega_mu(k) / (16.0 * np.pi**2)
 
 
-def _plane_waves(offsets: np.ndarray, grid: DirectionGrid, k: float) -> np.ndarray:
+def _plane_waves(offsets: np.ndarray, directions: np.ndarray, k: float) -> np.ndarray:
     """Plane-wave factors e^{-jk khat.offset}, shape (n_offsets, n_dir)."""
-    return np.exp(-1j * k * (offsets @ grid.directions.T))
+    return np.exp(-1j * k * (offsets @ directions.T))
 
 
 def _axis_waves(
-    surface: SurfaceGrid, origin: np.ndarray, sign: float, grid: DirectionGrid, k: float
+    surface: SurfaceGrid, origin: np.ndarray, sign: float, directions: np.ndarray, k: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis factors of e^{-jk khat.(sign * (point - origin))} on a tensor grid.
 
@@ -69,7 +70,7 @@ def _axis_waves(
     dz = surface.aperture.center[2] - origin[2]
     x_offsets = np.stack([surface.nodes_x - origin[0], np.zeros(nx), np.full(nx, dz)], axis=1)
     y_offsets = np.stack([np.zeros(ny), surface.nodes_y - origin[1], np.zeros(ny)], axis=1)
-    return _plane_waves(sign * x_offsets, grid, k), _plane_waves(sign * y_offsets, grid, k)
+    return _plane_waves(sign * x_offsets, directions, k), _plane_waves(sign * y_offsets, directions, k)
 
 
 def _outer_waves(x_waves: np.ndarray, y_waves: np.ndarray) -> np.ndarray:
@@ -84,37 +85,70 @@ def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
     return grid.weights * table
 
 
+def _mirror_fold(
+    src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray
+) -> tuple[tuple[bool, bool], np.ndarray, np.ndarray]:
+    """The lateral mirrors a link shares with its direction grid, and the grid folded by them.
+
+    Axis a (0 for x, 1 for y) is mirrored when the link axis lies in the
+    plane normal to it (r_pq[a] = 0), both node grids are symmetric about
+    their aperture centers, the direction grid maps onto itself under
+    k_a -> -k_a, and w alpha agrees at each direction and its image to 1e-12
+    of its largest value.  Returns the two flags, one direction per orbit of
+    the mirrored axes (the lowest index: phi in [0, pi/2] on a cap about z
+    mirrored in both) and the sum of w alpha over each orbit.
+    """
+    w_alpha = _translator_weights(grid, table)
+    tol = 1e-12 * np.max(np.abs(w_alpha), initial=0.0)
+    label = np.arange(len(w_alpha))
+    mirrored = []
+    for axis in (0, 1):
+        link = (geometry.r_pq[axis] == 0.0 and _mirrored_nodes(src, geometry.transmitter.center, axis)
+                and _mirrored_nodes(rcv, geometry.receiver.center, axis))
+        partner = _mirror_partner(grid, axis) if link else None
+        ok = partner is not None and bool(np.max(np.abs(w_alpha[partner] - w_alpha), initial=0.0) <= tol)
+        if ok:
+            label = np.minimum(label, label[partner])
+        mirrored.append(ok)
+    reps, orbit = np.unique(label, return_inverse=True)
+    folded = np.bincount(orbit, w_alpha.real) + 1j * np.bincount(orbit, w_alpha.imag)
+    return (mirrored[0], mirrored[1]), grid.directions[reps], folded
+
+
+def _check_budget(entries: int, entry_budget: int) -> None:
+    if entries > entry_budget:
+        raise BudgetError(
+            f"assembly needs {entries} complex entries, above the budget {entry_budget}; "
+            "reduce grid sizes or raise entry_budget"
+        )
+
+
 def _receiver_sum(
     source_rows,
     n_cols: int,
-    rcv: SurfaceGrid,
-    geometry: LinkGeometry,
-    grid: DirectionGrid,
-    table: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
+    w_alpha: np.ndarray,
+    k: float,
     entry_budget: int,
 ) -> np.ndarray:
-    """Kernel scale times sum_d e^{-jk khat_d.(r - p)} w_d alpha_d S[d, :] over blocks of directions.
+    """Kernel scale times sum_d (bx[:, d] outer by[:, d]) w_alpha[d] S[d, :] over blocks of directions.
 
+    bx (n_x, n_dir) and by (n_y, n_dir) are receiver-side per-axis factors
+    (or combinations of them); result row i * n_y + j pairs bx[i] with by[j].
     `source_rows(sl)` gives the source-side rows S[sl, :], (n_blk, n_cols), for
     the directions in slice sl.  Only one block of them and of the receiver
     factors exists at a time; the budget bounds the result and one block.
     """
-    w_alpha = _translator_weights(grid, table)
-    n_dir, n_rcv = len(w_alpha), len(rcv.points)
+    n_dir, n_rcv = len(w_alpha), len(bx) * len(by)
     block = min(_BLOCK, n_dir)
-    worst = max(n_rcv * n_cols, block * n_cols, block * n_rcv)
-    if worst > entry_budget:
-        raise BudgetError(
-            f"assembly needs {worst} complex entries, above the budget {entry_budget}; "
-            "reduce grid sizes or raise entry_budget"
-        )
-    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid, geometry.k)
+    _check_budget(max(n_rcv * n_cols, block * n_cols, block * n_rcv), entry_budget)
     by = by * w_alpha
     out = np.zeros((n_rcv, n_cols), dtype=complex)
     for start in range(0, n_dir, block):
         sl = slice(start, start + block)
         out += _outer_waves(bx[:, sl], by[:, sl]) @ source_rows(sl)
-    return _kernel_scale(geometry.k) * out
+    return _kernel_scale(k) * out
 
 
 def kernel_matrix(
@@ -126,9 +160,12 @@ def kernel_matrix(
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> np.ndarray:
     """H over (receiver points) x (source points) via the diagonal factorization."""
-    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid, geometry.k)
+    w_alpha = _translator_weights(grid, table)
+    k = geometry.k
+    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid.directions, k)
+    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid.directions, k)
     return _receiver_sum(lambda sl: _outer_waves(ax[:, sl], ay[:, sl]).T, len(src.points),
-                         rcv, geometry, grid, table, entry_budget)
+                         bx, by, w_alpha, k, entry_budget)
 
 
 def propagate_current(
@@ -152,8 +189,8 @@ def propagate_current(
         raise ValueError("current must be sampled on the source grid")
     w_alpha = _translator_weights(grid, table)
     k = geometry.k
-    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid, k)
-    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid, k)
+    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid.directions, k)
+    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid.directions, k)
     weighted = (src.weights * current).reshape(len(ax), len(ay))
     far = np.einsum("jd,jd->d", ay, weighted.T @ ax)
     field = (bx * (w_alpha * far)) @ by.T

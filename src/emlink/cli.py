@@ -10,14 +10,19 @@ capacity     water-filling / flat-plateau capacity curve from a mode-set file
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
 All files are deterministic for a fixed configuration: fixed float format,
-fixed ordering, no timestamps.
+fixed ordering, no timestamps.  A command writes into a temporary directory
+beside --out and moves its files into --out only when it succeeds, so a
+failed run leaves --out as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -225,19 +230,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    staging = None
     try:
         cfg = load_config(args.preset, args.config, args.overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.resolve().name}.", dir=out_dir.resolve().parent))
         if args.command == "translator":
-            written = cmd_translator(cfg, out_dir)
+            written = cmd_translator(cfg, staging)
         elif args.command == "sgf-error":
-            written = cmd_sgf_error(cfg, out_dir)
+            written = cmd_sgf_error(cfg, staging)
         elif args.command == "modes":
-            written = cmd_modes(cfg, out_dir)
+            written = cmd_modes(cfg, staging)
         else:
             modes_file = Path(args.modes_file) if args.modes_file else out_dir / "modeset.json"
-            written = cmd_capacity(cfg, out_dir, modes_file)
+            written = cmd_capacity(cfg, staging, modes_file)
+        for path in written:
+            os.replace(path, out_dir / path.name)
+        written = [out_dir / path.name for path in written]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -250,6 +260,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # numerical/runtime problems map to exit code 2
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     for path in written:
         print(path)
     return 0

@@ -169,16 +169,50 @@ def default_cap_densities(L: int, theta_e: float) -> tuple[int, int]:
     converge.  So, with y = L theta_e / 2,
 
         n_theta = min(L + 1, ceil(y + 3 y^(1/3)) + 2)
-        n_phi   = ceil(L sin(min(theta_e, pi/2))) + 24,
+        n_phi   = ceil(L sin(min(theta_e, pi/2))) + 24, rounded up to even,
 
     with n_theta at least 8.  The L + 1 cap is the full-sphere rule, which
     theta_e = pi reaches.  The margins were measured: on both presets the
     kernel agrees with a 1.4x oversampled grid to ~1e-13 of its largest entry.
+    An even n_phi makes a cap about z closed under both lateral mirrors
+    k_x -> -k_x and k_y -> -k_y, which a coaxial link's mode solve folds by.
     """
     y = 0.5 * L * theta_e
     n_theta = min(L + 1, int(np.ceil(y + 3.0 * y ** (1.0 / 3.0))) + 2)
     n_phi = int(np.ceil(L * np.sin(min(theta_e, 0.5 * np.pi)))) + 24
-    return max(8, n_theta), n_phi
+    return max(8, n_theta), n_phi + n_phi % 2
+
+
+# directions are paired under a mirror on this lattice, then checked to 1e-12
+_MIRROR_KEY_SCALE = 2.0**20
+
+
+def _mirror_partner(grid: DirectionGrid, axis: int) -> np.ndarray | None:
+    """Index of each direction's image under k[axis] -> -k[axis], or None if the grid is not closed under it."""
+    keys = np.rint(grid.directions * _MIRROR_KEY_SCALE).astype(np.int64)
+    images = keys.copy()
+    images[:, axis] *= -1
+    own, mirrored = np.lexsort(keys.T), np.lexsort(images.T)
+    if not np.array_equal(keys[own], images[mirrored]):
+        return None
+    partner = np.empty(len(keys), dtype=int)
+    partner[mirrored] = own
+    image = grid.directions.copy()
+    image[:, axis] *= -1
+    if np.max(np.abs(grid.directions[partner] - image), initial=0.0) > 1e-12:
+        return None
+    return partner
+
+
+def _mirrored_nodes(surface: SurfaceGrid, origin: np.ndarray, axis: int) -> bool:
+    """The grid's nodes and weights along `axis` are symmetric about origin[axis]."""
+    nodes, weights = ((surface.nodes_x, surface.weights_x), (surface.nodes_y, surface.weights_y))[axis]
+    local = nodes - origin[axis]
+    scale = np.max(np.abs(local), initial=0.0)
+    return bool(
+        np.allclose(local, -local[::-1], rtol=0.0, atol=1e-13 * scale)
+        and np.allclose(weights, weights[::-1], rtol=1e-13, atol=0.0)
+    )
 
 
 def truncation_order(k: float, D: float) -> int:

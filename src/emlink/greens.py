@@ -81,7 +81,7 @@ def sgf_planewave(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: np.n
     r_qs = geometry.transmitter.center - np.asarray(s, float)
     r_rp = np.asarray(r, float) - geometry.receiver.center
     w_alpha = _translator_weights(grid, table)
-    phase = _plane_waves((r_qs + r_rp)[None, :], grid, geometry.k)[0]
+    phase = _plane_waves((r_qs + r_rp)[None, :], grid.directions, geometry.k)[0]
     return complex(-1j * geometry.k / (16.0 * np.pi**2) * (phase @ w_alpha))
 
 

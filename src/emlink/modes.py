@@ -5,19 +5,42 @@ integral of H(r, s) conj(H(r, s')).  In an orthonormal 2-D Legendre basis E
 this is beta a = R^H W_rcv R a, where R = H W_src E holds the fields the
 basis currents radiate onto the receiver grid.  Neither H nor R^H W_rcv R is
 formed: R is a blocked sum of separable per-axis patterns (`radiated_basis`),
-and one SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and
+and the SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and
 the coefficient rows conj(V^H) (Miller, Appl. Opt. 39, 2000).
+
+Mirror symmetry splits that SVD (Knorr, IEEE TAP 21, 1973).  When the link
+and its direction grid are symmetric under x -> -x (a coaxial link on a cap
+grid with even n_phi; the check is made, not assumed), the even and odd
+combinations of mirrored receiver nodes only see basis orders m of the same
+parity, and likewise for y and n.  So Q W_rcv^(1/2) R, with Q the orthogonal
+change to those combinations, is block-diagonal in up to four classes ee,
+eo, oe, oo, each with its own SVD; the paper link's 529 x 703 problem
+becomes blocks of 144 x 190, 132 x 171, 132 x 171 and 121 x 171.  Inside a
+block the summand is even under both mirrors of khat, so the direction sum
+runs over one direction per orbit (phi in [0, pi/2]) weighted by the orbit's
+w alpha, a quarter of the grid.  A symmetry the link lacks leaves its axis in
+one class, unfolded; a general link is the one-class case.  The merged
+spectrum is sorted descending, and betas that tie to 1e-12 beta_1 take their
+rows in class order, which pins the exact eo/oe pairs of a square link.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import DEFAULT_ENTRY_BUDGET, FREE_SPACE_IMPEDANCE, _axis_waves, _receiver_sum
+from .channel import (
+    DEFAULT_ENTRY_BUDGET,
+    FREE_SPACE_IMPEDANCE,
+    _axis_waves,
+    _check_budget,
+    _mirror_fold,
+    _receiver_sum,
+)
 from .geometry import (
     Aperture,
     DirectionGrid,
@@ -57,6 +80,9 @@ _NULL_MODE_REL = 1e-12
 
 # entries this close to a row's largest magnitude tie for the gauge pivot
 _PIVOT_TIE_REL = 1e-8
+
+# betas this close (relative to beta_1) tie, and their modes go in class order
+_BETA_TIE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,6 +132,72 @@ def basis_eval(aperture: Aperture, table: BasisIndexTable, grid: SurfaceGrid) ->
     return (px[:, None, m] * py[None, :, n]).reshape(len(grid.points), len(table))
 
 
+def _parity_combinations(n: int, mirrored: bool) -> tuple[np.ndarray, list[tuple[slice, int | None]]]:
+    """Orthogonal Q (n, n) over one axis's receiver nodes, and its row classes.
+
+    On a mirrored axis the first ceil(n/2) rows of Q are the even
+    combinations (b_i + b_{n-1-i}) / sqrt(2) of mirrored nodes and the middle
+    node, the rest the odd ones (b_i - b_{n-1-i}) / sqrt(2); each class pairs
+    with the Legendre orders of its parity.  Otherwise Q = I and one class
+    (parity None) takes every order.
+    """
+    if not mirrored:
+        return np.eye(n), [(slice(0, n), None)]
+    half, even = n // 2, n - n // 2
+    i = np.arange(half)
+    q = np.zeros((n, n))
+    q[i, i] = q[i, n - 1 - i] = q[even + i, i] = np.sqrt(0.5)
+    q[even + i, n - 1 - i] = -np.sqrt(0.5)
+    if n % 2:
+        q[half, half] = 1.0
+    return q, [(slice(0, even), 0), (slice(even, n), 1)]
+
+
+def _of_parity(orders: np.ndarray, parity: int | None) -> np.ndarray:
+    return np.ones(len(orders), dtype=bool) if parity is None else orders % 2 == parity
+
+
+def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
+    """Parity blocks of (Qx (x) Qy) R, with Q from `_parity_combinations` per receiver axis.
+
+    Returns qx, qy and the nonempty blocks (rows_x, rows_y, cols, R_block) in
+    class order ee, eo, oe, oo (x parity first); the rows of a block are the
+    rows_x x rows_y combinations, its columns the basis entries `cols`.
+    """
+    _check_budget(len(rcv.points) * len(basis), entry_budget)
+    mirrored, directions, w_alpha = _mirror_fold(src, rcv, geometry, grid, table)
+    k = geometry.k
+    px, py = _axis_legendre(geometry.transmitter, basis.max_total_order, src)
+    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, directions, k)
+    fx = ax.T @ (src.weights_x[:, None] * px)
+    fy = ay.T @ (src.weights_y[:, None] * py)
+    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, directions, k)
+    qx, classes_x = _parity_combinations(len(bx), mirrored[0])
+    qy, classes_y = _parity_combinations(len(by), mirrored[1])
+    bx, by = qx @ bx, qy @ by
+    m, n = np.array(basis.orders).T
+    blocks = []
+    for (rows_x, p), (rows_y, q) in itertools.product(classes_x, classes_y):
+        cols = np.flatnonzero(_of_parity(m, p) & _of_parity(n, q))
+        if len(cols) == 0:
+            continue
+        mc, nc = m[cols], n[cols]
+        block = _receiver_sum(lambda sl: fx[sl][:, mc] * fy[sl][:, nc], len(cols),
+                              bx[rows_x], by[rows_y], w_alpha, k, entry_budget)
+        blocks.append((rows_x, rows_y, cols, block))
+    return qx, qy, blocks
+
+
+def _unfold(qx: np.ndarray, qy: np.ndarray, blocks, n_basis: int) -> np.ndarray:
+    """R = (Qx (x) Qy)^T times the block-diagonal parity matrix, (n_rcv, n_basis)."""
+    nx, ny = len(qx), len(qy)
+    parity = np.zeros((nx, ny, n_basis), dtype=complex)
+    for rows_x, rows_y, cols, block in blocks:
+        parity[rows_x, rows_y, cols] = block.reshape(rows_x.stop - rows_x.start, rows_y.stop - rows_y.start, len(cols))
+    half = (qx.T @ parity.reshape(nx, -1)).reshape(nx, ny, n_basis)
+    return (qy.T @ half).reshape(nx * ny, n_basis)
+
+
 def radiated_basis(
     basis: BasisIndexTable,
     src: SurfaceGrid,
@@ -118,15 +210,11 @@ def radiated_basis(
     """R = H W_src E, (n_rcv, n_basis): the basis currents' fields on the receiver grid.
 
     Basis current (m, n) is separable, so its plane-wave pattern is
-    fx[d, m] * fy[d, n] with fx = X^T (w_x Px) and fy = Y^T (w_y Py); H is not formed.
+    fx[d, m] * fy[d, n] with fx = X^T (w_x Px) and fy = Y^T (w_y Py); H is not
+    formed.  On a mirror-symmetric link R is summed in parity blocks over
+    the folded direction grid and rebuilt (see the module docstring).
     """
-    px, py = _axis_legendre(geometry.transmitter, basis.max_total_order, src)
-    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid, geometry.k)
-    fx = ax.T @ (src.weights_x[:, None] * px)
-    fy = ay.T @ (src.weights_y[:, None] * py)
-    m, n = np.array(basis.orders).T
-    return _receiver_sum(lambda sl: fx[sl][:, m] * fy[sl][:, n], len(basis),
-                         rcv, geometry, grid, table, entry_budget)
+    return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), len(basis))
 
 
 def _check_radiated(R: np.ndarray, modes: ModeSet) -> None:
@@ -223,23 +311,46 @@ def solve_modes(
     keep: int | None = None,
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> ModesResult:
-    """End-to-end pipeline: grids, translator, radiated basis, one SVD, modes.
+    """End-to-end pipeline: grids, translator, radiated basis, one SVD per parity block, modes.
 
-    Beyond the rank min(n_rcv, n_basis), V^H completes the basis with beta = 0.
+    Beyond a block's rank, its V^H completes the block's orders with beta = 0.
     """
     dir_grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(dir_grid, geometry.k, geometry.r_pq, L, windowed)
     src = tensor_grid(geometry.transmitter, n_surface)
     rcv = tensor_grid(geometry.receiver, n_surface)
     basis = basis_order_table(t)
-    radiated = radiated_basis(basis, src, rcv, geometry, dir_grid, table, entry_budget)
-    weighted = np.sqrt(rcv.weights)[:, None] * radiated
-    _, sigma, vh = np.linalg.svd(weighted, full_matrices=len(rcv.points) < len(basis))
-    betas = np.pad(sigma**2, (0, len(basis) - len(sigma)))
+    qx, qy, blocks = _radiated_blocks(basis, src, rcv, geometry, dir_grid, table, entry_budget)
+    # Q is orthogonal and pairs nodes of equal weight, so Q W_rcv Q^T is diagonal
+    wx, wy = qx**2 @ rcv.weights_x, qy**2 @ rcv.weights_y
+    betas, coefficient_rows, classes = [], [], []
+    for cls, (rows_x, rows_y, cols, block) in enumerate(blocks):
+        weighted = np.sqrt(np.outer(wx[rows_x], wy[rows_y]).ravel())[:, None] * block
+        _, sigma, vh = np.linalg.svd(weighted, full_matrices=len(weighted) < len(cols))
+        coefficients = np.zeros((len(cols), len(basis)), dtype=complex)
+        coefficients[:, cols] = vh.conj()
+        betas.append(np.pad(sigma**2, (0, len(cols) - len(sigma))))
+        coefficient_rows.append(coefficients)
+        classes.append(np.full(len(cols), cls))
+    betas, order = _merge_spectra(np.concatenate(betas), np.concatenate(classes))
     modes = build_mode_set(
-        betas, _fix_gauge(vh.conj()), basis, geometry, src, rcv, power_w, impedance_ohm, keep
+        betas, _fix_gauge(np.concatenate(coefficient_rows)[order]), basis, geometry, src, rcv,
+        power_w, impedance_ohm, keep,
     )
-    return ModesResult(modes, radiated)
+    return ModesResult(modes, _unfold(qx, qy, blocks, len(basis)))
+
+
+def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Betas sorted descending, and the row order that goes with them.
+
+    Inside a run of betas that agree to _BETA_TIE_REL * beta_1 the rows go in
+    class order, so the exact pairs of a square link (one mode in each of eo
+    and oe) come out the same whatever the roundoff.  The betas stay sorted.
+    """
+    order = np.argsort(-betas, kind="stable")
+    betas = betas[order]
+    run = np.concatenate(([0], np.cumsum(np.diff(betas) < -_BETA_TIE_REL * betas[0])))
+    return betas, order[np.lexsort((classes[order], run))]
 
 
 def mode_current_field(modes: ModeSet, n: int, grid: SurfaceGrid | None = None) -> np.ndarray:
@@ -337,30 +448,52 @@ def mode_set_to_dict(modes: ModeSet, surface_points: int | None = None) -> dict:
     }
 
 
+_JSON_KINDS = {"object": dict, "array": list, "number": (int, float)}
+
+
+def _member(obj: dict, key: str, kind: str, default=None):
+    """obj[key] (or the default when absent), checked to be a JSON `kind`: object, array or number."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"{key!r} must be a JSON {kind}")
+    return value
+
+
 def mode_set_from_dict(doc: dict) -> ModeSet:
-    """Rebuild a ModeSet (grids included) from its JSON document."""
+    """Rebuild a ModeSet (grids included) from its JSON document; ValueError if it is malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError("a mode set must be a JSON object")
     if doc.get("format") != MODESET_FORMAT:
         raise ValueError(f"unsupported mode-set format {doc.get('format')!r}")
-    tx = rect_aperture(doc["transmitter"]["center"], doc["transmitter"]["side_x"], doc["transmitter"]["side_y"])
-    rx = rect_aperture(doc["receiver"]["center"], doc["receiver"]["side_x"], doc["receiver"]["side_y"])
-    geometry = LinkGeometry(tx, rx, float(doc["wavenumber"]))
-    n_pts = int(doc["surface_points"])
+    apertures = []
+    for key in ("transmitter", "receiver"):
+        side = _member(doc, key, "object")
+        center = np.asarray(_member(side, "center", "array"), dtype=float)
+        if center.shape != (3,):
+            raise ValueError(f"{key} center must hold three numbers")
+        apertures.append(rect_aperture(center, _member(side, "side_x", "number"), _member(side, "side_y", "number")))
+    tx, rx = apertures
+    geometry = LinkGeometry(tx, rx, float(_member(doc, "wavenumber", "number")))
+    n_pts = int(_member(doc, "surface_points", "number"))
     src = tensor_grid(tx, n_pts)
     rcv = tensor_grid(rx, n_pts)
-    basis = basis_order_table(int(doc["basis_order"]))
-    shape = (doc["coefficients"]["modes"], doc["coefficients"]["basis"])
-    flat = np.asarray(doc["coefficients"]["re_im"], dtype=float)
-    if len(flat) != 2 * shape[0] * shape[1]:
-        raise ValueError(f"re_im holds {len(flat)} values, not 2 * modes * basis")
+    basis = basis_order_table(int(_member(doc, "basis_order", "number")))
+    block = _member(doc, "coefficients", "object")
+    shape = (int(_member(block, "modes", "number")), int(_member(block, "basis", "number")))
+    flat = np.asarray(_member(block, "re_im", "array"), dtype=float)
+    if flat.shape != (2 * shape[0] * shape[1],):
+        raise ValueError(f"re_im holds {flat.size} values, not 2 * modes * basis")
     if not np.all(np.isfinite(flat)):
         raise ValueError("coefficients must be finite")
     for key in ("power_w", "impedance_ohm", "normalization_scale"):
-        if not 0 < float(doc[key]) < np.inf:
+        if not 0 < float(_member(doc, key, "number")) < np.inf:
             raise ValueError(f"{key} must be finite and positive")
     coeff = (flat[0::2] + 1j * flat[1::2]).reshape(shape)
     if shape[1] != len(basis):
         raise ValueError("coefficient width does not match the basis order")
-    eigenvalues = np.asarray(doc["eigenvalues"], dtype=float)
+    eigenvalues = np.asarray(_member(doc, "eigenvalues", "array"), dtype=float)
+    if eigenvalues.ndim != 1:
+        raise ValueError("eigenvalues must be a flat list of numbers")
     if len(eigenvalues) == 0:
         raise ValueError("a mode set needs at least one eigenvalue")
     if len(eigenvalues) != shape[0]:
@@ -383,7 +516,7 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         geometry=geometry,
         src_grid=src,
         rcv_grid=rcv,
-        clamped_count=int(doc.get("clamped_count", 0)),
+        clamped_count=int(_member(doc, "clamped_count", "number", 0)),
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 from emlink.channel import (
     _BLOCK,
     FREE_SPACE_IMPEDANCE,
+    _mirror_fold,
     kernel_matrix,
     propagate_current,
     reference_field,
@@ -175,19 +176,21 @@ class TestSeparableFactors:
     """Per-axis plane-wave factors reproduce the dense (points x directions) ones."""
 
     @pytest.mark.parametrize(
-        "tx_center, rx_center, n_theta",
+        "tx_center, rx_center, n_theta, n_phi, mirrors",
         [
-            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0), 12),
-            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 12),
-            ((0.0, 0.0, 0.0), (3.0, -2.0, 12.0), 12),
-            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 107),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0), 12, 24, (True, True)),
+            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 12, 24, (False, False)),
+            ((0.0, 0.0, 0.0), (3.0, -2.0, 12.0), 12, 24, (False, False)),
+            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 107, 24, (False, False)),
+            ((0.0, 0.0, 0.0), (3.0, 0.0, 12.0), 12, 24, (False, True)),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0), 12, 25, (False, True)),
         ],
-        ids=["on-axis", "offset-centres", "tilted-axis", "several-blocks"],
+        ids=["on-axis", "offset-centres", "tilted-axis", "several-blocks", "x-offset", "odd-phi"],
     )
-    def test_matches_dense_exponentials(self, tx_center, rx_center, n_theta):
+    def test_matches_dense_exponentials(self, tx_center, rx_center, n_theta, n_phi, mirrors):
         geo = LinkGeometry(rect_aperture(tx_center, 3.0, 5.0), rect_aperture(rx_center, 2.0, 4.0), K)
         L = truncation_order(K, geo.transmitter.half_diagonal + geo.receiver.half_diagonal)
-        grid = cap_direction_grid(geo.axis, np.radians(60), n_theta, 24)
+        grid = cap_direction_grid(geo.axis, np.radians(60), n_theta, n_phi)
         if n_theta > 12:
             # more than two blocks of directions, the last one partial
             assert len(grid.weights) > 2 * _BLOCK and len(grid.weights) % _BLOCK
@@ -197,6 +200,12 @@ class TestSeparableFactors:
         dense = _dense_kernel(src, rcv, geo, grid, table)
         entries = kernel_matrix(src, rcv, geo, grid, table)
         assert np.max(np.abs(entries - dense)) < 1e-13 * np.max(np.abs(dense))
+
+        # the parity classes radiated_basis splits into (4, 2 or 1), and the
+        # folded sweep: one direction per orbit of the mirrors
+        found, directions, _ = _mirror_fold(src, rcv, geo, grid, table)
+        assert found == mirrors
+        assert len(directions) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[sum(mirrors)]
 
         basis = basis_order_table(3)
         radiated = dense @ (src.weights[:, None] * basis_eval(geo.transmitter, basis, src))

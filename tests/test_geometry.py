@@ -3,6 +3,7 @@ import pytest
 
 from emlink.geometry import (
     LinkGeometry,
+    _mirror_partner,
     cap_direction_grid,
     default_cap_densities,
     rect_aperture,
@@ -135,7 +136,7 @@ class TestDefaultCapDensities:
     THETAS = np.radians(np.linspace(1.0, 180.0, 180))
 
     def test_presets(self):
-        assert default_cap_densities(93, np.radians(60)) == (62, 105)
+        assert default_cap_densities(93, np.radians(60)) == (62, 106)
         assert default_cap_densities(34, np.radians(60)) == (28, 54)
 
     def test_floors(self):
@@ -151,6 +152,24 @@ class TestDefaultCapDensities:
         table = np.array([[default_cap_densities(L, t) for t in self.THETAS] for L in range(0, 200)])
         assert np.all(np.diff(table, axis=0) >= 0)
         assert np.all(np.diff(table, axis=1) >= 0)
+
+    def test_grids_about_z_are_mirror_symmetric(self):
+        # closure under k_x -> -k_x and k_y -> -k_y depends on n_phi alone
+        # (the rings sit at phi = 2 pi i / n_phi), so one grid per n_phi covers
+        # every rule grid about z
+        n_phis = {default_cap_densities(L, t)[1] for L in range(200) for t in self.THETAS}
+        for n_phi in sorted(n_phis):
+            grid = cap_direction_grid((0, 0, 1), np.pi / 3, 3, n_phi)
+            for axis in (0, 1):
+                partner = _mirror_partner(grid, axis)
+                assert partner is not None, (n_phi, axis)
+                image = grid.directions * np.where(np.arange(3) == axis, -1.0, 1.0)
+                assert np.max(np.abs(grid.directions[partner] - image)) < 1e-14
+
+    def test_mirror_partner_rejects_odd_phi_count(self):
+        grid = cap_direction_grid((0, 0, 1), np.pi / 3, 3, 25)
+        assert _mirror_partner(grid, 0) is None
+        assert _mirror_partner(grid, 1) is not None
 
     @pytest.mark.parametrize("L", [34, 75, 93])
     def test_pi_covers_full_sphere(self, L):

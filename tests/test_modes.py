@@ -9,6 +9,7 @@ from emlink.greens import translator_table
 from emlink.modes import (
     _PIVOT_TIE_REL,
     _fix_gauge,
+    _merge_spectra,
     basis_eval,
     basis_order_table,
     build_mode_set,
@@ -22,6 +23,7 @@ from emlink.modes import (
     radiated_basis,
     received_field,
     save_mode_set,
+    solve_modes,
 )
 
 K = 2 * np.pi
@@ -159,12 +161,47 @@ class TestSingularModes:
         assert np.all(np.abs(ref.imag) <= 1e-14)
         assert np.all(ref.real > 0)
 
+    @pytest.mark.parametrize("roundoff", [1e-15, -1e-15])
+    def test_beta_tie_goes_in_class_order(self, roundoff):
+        # an exact pair split over the eo (1) and oe (2) classes comes out eo
+        # first, whichever of its betas roundoff made the larger; the betas
+        # stay sorted
+        betas = np.array([1.0, 0.5 + roundoff, 0.5, 0.2])
+        merged, order = _merge_spectra(betas, np.array([0, 2, 1, 0]))
+        assert list(order) == [0, 2, 1, 3]
+        assert np.all(np.diff(merged) <= 0)
+        assert merged == pytest.approx(np.sort(betas)[::-1], abs=0)
+
     def test_gauge_tie_takes_lowest_index(self):
         # entries 0 and 2 tie up to roundoff; entry 2 is the larger by 1e-15
         row = np.array([[0.6j, 0.1, -0.6 * (1 + 1e-15), 0.3]])
         fixed = _fix_gauge(row)
         assert fixed[0, 0] == pytest.approx(0.6, abs=1e-16)
         assert np.abs(fixed[0]) == pytest.approx(np.abs(row[0]), abs=1e-16)
+
+
+def _ci_scale_betas(tx_center, rx_center):
+    geo = LinkGeometry(rect_aperture(tx_center, 4.0, 4.0), rect_aperture(rx_center, 3.2, 3.2), K)
+    return solve_modes(geo, np.radians(60), 34, 14, 144).modes.eigenvalues
+
+
+class TestLinkSymmetry:
+    """Mirror images and lateral translations of a ci-scale link keep its spectrum."""
+
+    OFFSET = (0.9, -0.6, 10.2)
+
+    @pytest.mark.parametrize("mirror", [(-1, 1, 1), (1, -1, 1)], ids=["x", "y"])
+    def test_mirrored_receiver_offset(self, mirror):
+        betas = _ci_scale_betas((0, 0, 0), self.OFFSET)
+        image = _ci_scale_betas((0, 0, 0), np.multiply(self.OFFSET, mirror))
+        assert np.max(np.abs(image - betas)) <= 1e-12 * betas[0]
+
+    @pytest.mark.parametrize("rx_center", [(0, 0, 10.2), OFFSET], ids=["coaxial", "offset"])
+    def test_lateral_translation(self, rx_center):
+        shift = np.array([1.3, -0.7, 0.0])
+        betas = _ci_scale_betas((0, 0, 0), rx_center)
+        moved = _ci_scale_betas(shift, np.add(rx_center, shift))
+        assert np.max(np.abs(moved - betas)) <= 1e-12 * betas[0]
 
 
 class TestModeSet:
