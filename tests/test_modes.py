@@ -161,6 +161,20 @@ class TestSingularModes:
         assert np.all(np.abs(ref.imag) <= 1e-14)
         assert np.all(ref.real > 0)
 
+    @pytest.mark.parametrize("n_surface", [1, 4], ids=["one-node", "two-nodes"])
+    def test_parity_blocks_without_odd_rows(self, n_surface):
+        # one receiver node per axis leaves the odd classes without rows, so
+        # their orders get beta = 0; the rebuilt R still matches eigh of R^H W R
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
+        result = solve_modes(geo, np.radians(60), 34, 3, n_surface)
+        ms, R = result.modes, result.radiated
+        assert R.shape == (n_surface, 10)
+        B = R.conj().T @ (ms.rcv_grid.weights[:, None] * R)
+        vals = np.linalg.eigvalsh(B)[::-1]
+        assert np.max(np.abs(vals - ms.eigenvalues)) <= 1e-13 * ms.eigenvalues[0]
+        assert np.count_nonzero(ms.eigenvalues) == n_surface
+        assert np.max(np.abs(ms.coefficients @ ms.coefficients.conj().T - np.eye(10))) < 1e-12
+
     @pytest.mark.parametrize("roundoff", [1e-15, -1e-15])
     def test_beta_tie_goes_in_class_order(self, roundoff):
         # an exact pair split over the eo (1) and oe (2) classes comes out eo
