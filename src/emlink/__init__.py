@@ -47,12 +47,10 @@ from .greens import (
     tukey_window,
 )
 from .modes import (
-    BasisIndexTable,
     ModeSet,
     ModesResult,
     basis_eval,
     basis_order_table,
-    build_mode_set,
     combiner_field,
     gram_currents,
     gram_fields,

@@ -147,11 +147,9 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     return written
 
 
-def _plateau_count(cfg: ExperimentConfig, ms: modes.ModeSet) -> int:
+def _plateau_count(ms: modes.ModeSet) -> int:
     geom = ms.geometry
-    n_geo = cap.dof_geometric(
-        geom.transmitter.area, geom.receiver.area, geom.distance, cfg.wavelength
-    )
+    n_geo = cap.dof_geometric(geom.transmitter.area, geom.receiver.area, geom.distance, 1.0)
     return min(max(1, int(np.floor(n_geo))), len(ms.eigenvalues))
 
 
@@ -163,7 +161,7 @@ def cmd_capacity(cfg: ExperimentConfig, out_dir: Path, modes_file: Path) -> list
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"invalid mode-set file {modes_file}: {exc}") from exc
     betas = ms.normalized
-    n_plateau = _plateau_count(cfg, ms)
+    n_plateau = _plateau_count(ms)
     curve = cap.capacity_vs_snr(betas, cfg.power_w, cfg.snr_db, n_plateau)
     written = [
         _write_csv(

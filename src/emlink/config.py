@@ -7,6 +7,7 @@ where a list of numbers is expected.  Unknown keys are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -57,8 +58,6 @@ def _parse_bool(text: str) -> bool:
 class ExperimentConfig:
     """Validated experiment description; lengths in wavelengths (lambda = 1)."""
 
-    preset: str = "paper"
-    wavelength: float = 1.0
     tx_side_x: float = 10.0
     tx_side_y: float = 10.0
     rx_side_x: float = 8.0
@@ -83,7 +82,7 @@ class ExperimentConfig:
 
     @property
     def k(self) -> float:
-        return 2.0 * np.pi / self.wavelength
+        return 2.0 * np.pi
 
     def link_geometry(self) -> LinkGeometry:
         tx = rect_aperture((0.0, 0.0, 0.0), self.tx_side_x, self.tx_side_y)
@@ -117,8 +116,11 @@ class ExperimentConfig:
         )
 
     def validate(self) -> "ExperimentConfig":
-        if self.wavelength != 1.0:
-            raise ConfigError("wavelength is fixed at 1.0 (all lengths in wavelengths)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name} must be finite")
         for name in ("tx_side_x", "tx_side_y", "rx_side_x", "rx_side_y",
                      "distance", "power_w", "check_aperture", "check_distance"):
             if getattr(self, name) <= 0:
@@ -161,8 +163,6 @@ class ExperimentConfig:
 
 
 _PARSERS = {
-    "preset": str,
-    "wavelength": float,
     "tx_side_x": float,
     "tx_side_y": float,
     "rx_side_x": float,
@@ -189,9 +189,8 @@ _PARSERS = {
 assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
 
 PRESETS: dict[str, ExperimentConfig] = {
-    "paper": ExperimentConfig(preset="paper", l_override=93),
+    "paper": ExperimentConfig(l_override=93),
     "ci": ExperimentConfig(
-        preset="ci",
         tx_side_x=4.0,
         tx_side_y=4.0,
         rx_side_x=3.2,
@@ -213,14 +212,12 @@ def _apply_pairs(cfg: ExperimentConfig, pairs, origin: str) -> ExperimentConfig:
     updates = {}
     for lineno, key, value in pairs:
         where = f"{origin}:{lineno}" if lineno else origin
-        if key == "preset":
-            raise ConfigError(f"{where}: preset can only be chosen up front")
         parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"{where}: unknown key {key!r}")
         try:
             updates[key] = parser(value)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
     return replace(cfg, **updates)
 

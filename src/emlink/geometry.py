@@ -1,12 +1,13 @@
 """Apertures, surface quadrature grids, spherical-cap direction grids.
 
-All lengths are in wavelengths (lambda = 1, k = 2*pi) unless a caller chooses
-otherwise; nothing below depends on that convention except through k.
+All lengths are in wavelengths (lambda = 1, k = 2*pi), the convention the
+configuration fixes; nothing below depends on it except through k.  Apertures
+are axis-aligned rectangles facing +z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,6 @@ class Aperture:
     center: np.ndarray
     side_x: float
     side_y: float
-    normal: np.ndarray = field(default_factory=lambda: _Z_AXIS.copy())
 
     @property
     def area(self) -> float:
@@ -79,8 +79,6 @@ def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
     """
     if n_total < 1:
         raise ValueError("n_total must be >= 1")
-    if not np.allclose(aperture.normal, _Z_AXIS, atol=1e-12):
-        raise ValueError("only +z-normal planar apertures are supported")
     n1 = int(np.ceil(np.sqrt(n_total)))
     rule = gauss_legendre_rule(n1)
     cx, cy, cz = aperture.center

@@ -22,6 +22,10 @@ w alpha, a quarter of the grid.  A symmetry the link lacks leaves its axis in
 one class, unfolded; a general link is the one-class case.  The merged
 spectrum is sorted descending, and betas that tie to 1e-12 beta_1 take their
 rows in class order, which pins the exact eo/oe pairs of a square link.
+
+A ModeSet keeps only independent values: its basis is the (m, n) order table
+of `basis_order_table`, and its current scale sqrt(P_t / eta) follows from the
+transmit power and the free-space impedance, which the loader checks.
 """
 
 from __future__ import annotations
@@ -55,12 +59,10 @@ from .greens import translator_table
 from .specfun import legendre_sequence
 
 __all__ = [
-    "BasisIndexTable",
     "ModeSet",
     "basis_order_table",
     "basis_eval",
     "radiated_basis",
-    "build_mode_set",
     "solve_modes",
     "mode_current_field",
     "received_field",
@@ -85,23 +87,14 @@ _PIVOT_TIE_REL = 1e-8
 _BETA_TIE_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class BasisIndexTable:
-    """Ordered (m, n) Legendre order pairs, grouped by total order m + n."""
+def basis_order_table(t: int) -> np.ndarray:
+    """(t+1)(t+2)/2 rows of Legendre orders (m, n): total order j = m + n ascending, x-order m ascending.
 
-    orders: tuple[tuple[int, int], ...]
-    max_total_order: int
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
-
-def basis_order_table(t: int) -> BasisIndexTable:
-    """(t+1)(t+2)/2 order pairs: total order j ascending, x-order m ascending."""
+    The table always holds (t, 0), so t = table.max().
+    """
     if t < 0:
         raise ValueError("max total order must be non-negative")
-    orders = tuple((m, j - m) for j in range(t + 1) for m in range(j + 1))
-    return BasisIndexTable(orders, t)
+    return np.array([(m, j - m) for j in range(t + 1) for m in range(j + 1)], dtype=int)
 
 
 def _axis_legendre(aperture: Aperture, t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -121,14 +114,14 @@ def _axis_legendre(aperture: Aperture, t: int, grid: SurfaceGrid) -> tuple[np.nd
     return axis(grid.nodes_x, cx, aperture.side_x), axis(grid.nodes_y, cy, aperture.side_y)
 
 
-def basis_eval(aperture: Aperture, table: BasisIndexTable, grid: SurfaceGrid) -> np.ndarray:
+def basis_eval(aperture: Aperture, table: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Sample the orthonormal 2-D Legendre basis on a surface grid.
 
     Column i holds sqrt((2m+1)(2n+1)/(Lx Ly)) P_m(2x/Lx) P_n(2y/Ly) for
     table entry i = (m, n), with (x, y) aperture-local coordinates.
     """
-    px, py = _axis_legendre(aperture, table.max_total_order, grid)
-    m, n = np.array(table.orders).T
+    px, py = _axis_legendre(aperture, int(table.max()), grid)
+    m, n = table.T
     return (px[:, None, m] * py[None, :, n]).reshape(len(grid.points), len(table))
 
 
@@ -167,7 +160,7 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     _check_budget(len(rcv.points) * len(basis), entry_budget)
     mirrored, directions, w_alpha = _mirror_fold(src, rcv, geometry, grid, table)
     k = geometry.k
-    px, py = _axis_legendre(geometry.transmitter, basis.max_total_order, src)
+    px, py = _axis_legendre(geometry.transmitter, int(basis.max()), src)
     ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, directions, k)
     fx = ax.T @ (src.weights_x[:, None] * px)
     fy = ay.T @ (src.weights_y[:, None] * py)
@@ -175,7 +168,7 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     qx, classes_x = _parity_combinations(len(bx), mirrored[0])
     qy, classes_y = _parity_combinations(len(by), mirrored[1])
     bx, by = qx @ bx, qy @ by
-    m, n = np.array(basis.orders).T
+    m, n = basis.T
     blocks = []
     for (rows_x, p), (rows_y, q) in itertools.product(classes_x, classes_y):
         cols = np.flatnonzero(_of_parity(m, p) & _of_parity(n, q))
@@ -199,7 +192,7 @@ def _unfold(qx: np.ndarray, qy: np.ndarray, blocks, n_basis: int) -> np.ndarray:
 
 
 def radiated_basis(
-    basis: BasisIndexTable,
+    basis: np.ndarray,
     src: SurfaceGrid,
     rcv: SurfaceGrid,
     geometry: LinkGeometry,
@@ -239,21 +232,24 @@ def _fix_gauge(rows: np.ndarray) -> np.ndarray:
 class ModeSet:
     """Eigenvalues and basis coefficients of the transfer-maximizing currents.
 
-    `coefficients[n]` expands mode current n in the Legendre basis; currents
-    carry the physical normalization scale sqrt(P_t / eta) so that the
-    radiated power of each mode current is P_t.
+    `coefficients[n]` expands mode current n in the Legendre basis whose (m, n)
+    orders are the rows of `basis`; currents carry the physical normalization
+    `scale` = sqrt(P_t / eta), so that the radiated power of each mode current is P_t.
     """
 
     eigenvalues: np.ndarray        # (modes,) descending, non-negative
     coefficients: np.ndarray       # (modes, basis) complex, orthonormal rows
-    scale: float                   # sqrt(P_t / eta)
     power_w: float
     impedance_ohm: float
-    basis: BasisIndexTable
+    basis: np.ndarray              # (basis, 2) int, from basis_order_table
     geometry: LinkGeometry
     src_grid: SurfaceGrid
     rcv_grid: SurfaceGrid
     clamped_count: int = 0         # always 0; kept for emlink.modeset/1
+
+    @property
+    def scale(self) -> float:
+        return float(np.sqrt(self.power_w / self.impedance_ohm))
 
     @property
     def normalized(self) -> np.ndarray:
@@ -263,32 +259,6 @@ class ModeSet:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-
-def build_mode_set(
-    eigenvalues: np.ndarray,
-    coefficients: np.ndarray,
-    basis: BasisIndexTable,
-    geometry: LinkGeometry,
-    src_grid: SurfaceGrid,
-    rcv_grid: SurfaceGrid,
-    power_w: float = 1.0,
-    impedance_ohm: float = FREE_SPACE_IMPEDANCE,
-    keep: int | None = None,
-) -> ModeSet:
-    """Package eigenvalues and their (modes, basis) coefficient rows, keeping the first `keep`."""
-    kept = slice(keep) if keep is not None and keep > 0 else slice(None)
-    return ModeSet(
-        eigenvalues=np.asarray(eigenvalues, dtype=float)[kept],
-        coefficients=np.asarray(coefficients)[kept],
-        scale=float(np.sqrt(power_w / impedance_ohm)),
-        power_w=float(power_w),
-        impedance_ohm=float(impedance_ohm),
-        basis=basis,
-        geometry=geometry,
-        src_grid=src_grid,
-        rcv_grid=rcv_grid,
-    )
 
 
 @dataclass(frozen=True)
@@ -307,13 +277,13 @@ def solve_modes(
     n_surface: int,
     windowed: bool = True,
     power_w: float = 1.0,
-    impedance_ohm: float = FREE_SPACE_IMPEDANCE,
     keep: int | None = None,
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> ModesResult:
     """End-to-end pipeline: grids, translator, radiated basis, one SVD per parity block, modes.
 
     Beyond a block's rank, its V^H completes the block's orders with beta = 0.
+    The first `keep` modes are kept (all when `keep` is None or <= 0).
     """
     dir_grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(dir_grid, geometry.k, geometry.r_pq, L, windowed)
@@ -333,9 +303,10 @@ def solve_modes(
         coefficient_rows.append(coefficients)
         classes.append(np.full(len(cols), cls))
     betas, order = _merge_spectra(np.concatenate(betas), np.concatenate(classes))
-    modes = build_mode_set(
-        betas, _fix_gauge(np.concatenate(coefficient_rows)[order]), basis, geometry, src, rcv,
-        power_w, impedance_ohm, keep,
+    kept = slice(keep) if keep is not None and keep > 0 else slice(None)
+    modes = ModeSet(
+        betas[kept], _fix_gauge(np.concatenate(coefficient_rows)[order][kept]),
+        float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, src, rcv,
     )
     return ModesResult(modes, _unfold(qx, qy, blocks, len(basis)))
 
@@ -380,7 +351,7 @@ def combiner_field(modes: ModeSet, n: int, R: np.ndarray) -> np.ndarray:
 
 def _exact_gram_grid(modes: ModeSet) -> SurfaceGrid:
     # products of two order-t polynomials need t+1 Gauss points per axis
-    n1 = modes.basis.max_total_order + 1
+    n1 = int(modes.basis.max()) + 1
     return tensor_grid(modes.geometry.transmitter, n1 * n1)
 
 
@@ -434,7 +405,7 @@ def mode_set_to_dict(modes: ModeSet, surface_points: int | None = None) -> dict:
             "side_y": geom.receiver.side_y,
         },
         "surface_points": int(surface_points),
-        "basis_order": modes.basis.max_total_order,
+        "basis_order": int(modes.basis.max()),
         "power_w": modes.power_w,
         "impedance_ohm": modes.impedance_ohm,
         "normalization_scale": modes.scale,
@@ -452,10 +423,12 @@ _JSON_KINDS = {"object": dict, "array": list, "number": (int, float)}
 
 
 def _member(obj: dict, key: str, kind: str, default=None):
-    """obj[key] (or the default when absent), checked to be a JSON `kind`: object, array or number."""
+    """obj[key] (or the default when absent), checked to be a JSON `kind`: object, array or finite number."""
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
         raise ValueError(f"{key!r} must be a JSON {kind}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{key!r} must be finite")
     return value
 
 
@@ -469,28 +442,34 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     for key in ("transmitter", "receiver"):
         side = _member(doc, key, "object")
         center = np.asarray(_member(side, "center", "array"), dtype=float)
-        if center.shape != (3,):
-            raise ValueError(f"{key} center must hold three numbers")
+        if center.shape != (3,) or not np.all(np.isfinite(center)):
+            raise ValueError(f"{key} center must hold three finite numbers")
         apertures.append(rect_aperture(center, _member(side, "side_x", "number"), _member(side, "side_y", "number")))
     tx, rx = apertures
     geometry = LinkGeometry(tx, rx, float(_member(doc, "wavenumber", "number")))
     n_pts = int(_member(doc, "surface_points", "number"))
     src = tensor_grid(tx, n_pts)
     rcv = tensor_grid(rx, n_pts)
-    basis = basis_order_table(int(_member(doc, "basis_order", "number")))
+    t = int(_member(doc, "basis_order", "number"))
     block = _member(doc, "coefficients", "object")
     shape = (int(_member(block, "modes", "number")), int(_member(block, "basis", "number")))
+    # checked before the table is built, whose size grows as t^2
+    if shape[1] != (t + 1) * (t + 2) // 2:
+        raise ValueError("coefficient width does not match the basis order")
+    basis = basis_order_table(t)
     flat = np.asarray(_member(block, "re_im", "array"), dtype=float)
     if flat.shape != (2 * shape[0] * shape[1],):
         raise ValueError(f"re_im holds {flat.size} values, not 2 * modes * basis")
     if not np.all(np.isfinite(flat)):
         raise ValueError("coefficients must be finite")
     for key in ("power_w", "impedance_ohm", "normalization_scale"):
-        if not 0 < float(_member(doc, key, "number")) < np.inf:
+        if not float(_member(doc, key, "number")) > 0:
             raise ValueError(f"{key} must be finite and positive")
+    power_w, impedance_ohm = float(doc["power_w"]), float(doc["impedance_ohm"])
+    scale = float(np.sqrt(power_w / impedance_ohm))
+    if abs(float(doc["normalization_scale"]) - scale) > 1e-12 * scale:
+        raise ValueError(f"normalization_scale must equal sqrt(power_w / impedance_ohm) = {scale!r}")
     coeff = (flat[0::2] + 1j * flat[1::2]).reshape(shape)
-    if shape[1] != len(basis):
-        raise ValueError("coefficient width does not match the basis order")
     eigenvalues = np.asarray(_member(doc, "eigenvalues", "array"), dtype=float)
     if eigenvalues.ndim != 1:
         raise ValueError("eigenvalues must be a flat list of numbers")
@@ -509,9 +488,8 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     return ModeSet(
         eigenvalues=eigenvalues,
         coefficients=coeff,
-        scale=float(doc["normalization_scale"]),
-        power_w=float(doc["power_w"]),
-        impedance_ohm=float(doc["impedance_ohm"]),
+        power_w=power_w,
+        impedance_ohm=impedance_ohm,
         basis=basis,
         geometry=geometry,
         src_grid=src,

@@ -33,12 +33,11 @@ _RESCALE_LIMIT = 1e250
 class QuadratureRule:
     """Nodes and weights of an n-point Gauss-Legendre rule on [-1, 1].
 
-    Exact for polynomials of degree <= 2*order - 1.
+    Exact for polynomials of degree <= 2n - 1.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def map_to(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Affinely map the rule to the interval [a, b]."""
@@ -96,7 +95,7 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError("rule order must be >= 1")
     if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0), 1)
+        return QuadratureRule(np.zeros(1), np.full(1, 2.0))
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
     for _ in range(100):
@@ -111,7 +110,7 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
     order = np.argsort(x)
-    return QuadratureRule(x[order], w[order], n)
+    return QuadratureRule(x[order], w[order])
 
 
 def spherical_bessel_j(l_max: int, x: float) -> np.ndarray:

@@ -85,6 +85,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="wavelength"):
             load_config("paper", overrides=["wavelength=2"])
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [("check_field=0,inf,8", "check_field"), ("snr_db=0,nan", "snr_db"),
+         ("snr_db=0:inf:1", "snr_db"), ("mode_map_indices=inf", "mode_map_indices")],
+    )
+    def test_non_finite_values(self, override, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config("ci", overrides=[override])
+
     def test_theta_range(self):
         with pytest.raises(ConfigError):
             load_config("paper", overrides=["theta_e_deg=190"])
@@ -259,7 +268,7 @@ class TestCliCommands:
             "basis_order": 0,
             "power_w": 1.0,
             "impedance_ohm": 376.730,
-            "normalization_scale": 0.0515,
+            "normalization_scale": float(np.sqrt(1.0 / 376.730)),
             "clamped_count": 0,
             "eigenvalues": [float(b) for b in betas],
             "coefficients": {"modes": 40, "basis": 1, "re_im": [0.0] * 80},
@@ -423,6 +432,43 @@ def _infinite_impedance(doc):
     doc["impedance_ohm"] = float("inf")
 
 
+def _unit_scale(doc):
+    doc["normalization_scale"] = 1.0
+
+
+def _infinite_surface_points(doc):
+    doc["surface_points"] = float("inf")
+
+
+def _infinite_basis_order(doc):
+    doc["basis_order"] = float("inf")
+
+
+def _huge_basis_order(doc):
+    # the width check must reject this before ~5e17 order pairs are built
+    doc["basis_order"] = 10**9
+
+
+def _infinite_mode_count(doc):
+    doc["coefficients"]["modes"] = float("inf")
+
+
+def _nan_wavenumber(doc):
+    doc["wavenumber"] = float("nan")
+
+
+def _infinite_wavenumber(doc):
+    doc["wavenumber"] = float("inf")
+
+
+def _nan_transmitter_side(doc):
+    doc["transmitter"]["side_x"] = float("nan")
+
+
+def _nan_receiver_center(doc):
+    doc["receiver"]["center"][1] = float("nan")
+
+
 def _top_level_list(doc):
     return [doc]
 
@@ -449,11 +495,17 @@ class TestMalformedModeSet:
         "rewrite",
         [_nan_sixth, _first_sixty, _reversed, _negative_last, _short_re_im,
          _empty_spectrum, _zero_spectrum, _nan_coefficient, _negative_power, _nan_scale,
-         _infinite_impedance, _top_level_list, _transmitter_list, _null_eigenvalues],
+         _infinite_impedance, _top_level_list, _transmitter_list, _null_eigenvalues,
+         _unit_scale, _infinite_surface_points, _infinite_basis_order, _huge_basis_order,
+         _infinite_mode_count, _nan_wavenumber, _infinite_wavenumber, _nan_transmitter_side,
+         _nan_receiver_center],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
              "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum",
              "nan-coefficient", "negative-power", "nan-scale", "infinite-impedance",
-             "top-level-list", "transmitter-list", "null-eigenvalues"],
+             "top-level-list", "transmitter-list", "null-eigenvalues",
+             "unit-scale", "infinite-surface-points", "infinite-basis-order",
+             "huge-basis-order", "infinite-mode-count", "nan-wavenumber",
+             "infinite-wavenumber", "nan-transmitter-side", "nan-receiver-center"],
     )
     def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
         doc = json.loads(json.dumps(ci_mode_doc))
@@ -464,3 +516,20 @@ class TestMalformedModeSet:
         code = run_cli(["--preset", "ci", "--out", str(out), "capacity", "--modes-file", str(path)])
         assert code == 1
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [("modes", "power_w=inf"), ("modes", "power_w=nan"), ("sgf-error", "check_distance=nan"),
+     ("sgf-error", "check_src=nan,0,0"), ("modes", "distance=inf"), ("modes", "tx_side_x=nan"),
+     ("capacity", "snr_db=nan")],
+)
+def test_non_finite_config_leaves_out_as_it_was(tmp_path, ci_mode_doc, command, override):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "modeset.json").write_text(json.dumps(ci_mode_doc))
+    code = run_cli(["--preset", "ci", "--out", str(out), "--set", override, command])
+    assert code == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["o"]
+    assert [p.name for p in out.iterdir()] == ["modeset.json"]
+    assert json.loads((out / "modeset.json").read_text()) == ci_mode_doc
