@@ -32,9 +32,8 @@ print(f"solving: 4.0 x 4.0 -> 3.2 x 3.2 apertures at 10.2 wavelengths, "
       f"theta_e = 60 deg, L = {L}, basis order 14")
 result = solve_modes(geo, theta_e=np.radians(60.0), L=L, t=14, n_surface=144)
 ms = result.modes
-R = result.radiated  # fields of the basis currents on the receiver grid
 
-n_geo = dof_geometric(geo.transmitter.area, geo.receiver.area, geo.distance, 1.0)
+n_geo = dof_geometric(geo.transmitter.area, geo.receiver.area, geo.distance)
 bn = ms.normalized
 with np.errstate(divide="ignore"):
     db = 10 * np.log10(bn)
@@ -46,7 +45,7 @@ for i in range(0, 12, 4):
 
 count = 12
 gc = gram_currents(ms, count)
-gf = gram_fields(ms, count, R)
+gf = gram_fields(result, count)
 unit = ms.power_w / FREE_SPACE_IMPEDANCE
 off_c = np.max(np.abs(gc - np.diag(np.diag(gc)))) / np.max(np.abs(np.diag(gc)))
 off_f = np.max(np.abs(gf - np.diag(np.diag(gf)))) / np.max(np.abs(np.diag(gf)))

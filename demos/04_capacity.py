@@ -30,7 +30,7 @@ result = solve_modes(
     geo, theta_e=np.radians(60.0), L=truncation_order(k, 4.0), t=14, n_surface=144
 )
 betas = result.modes.normalized
-n_geo = dof_geometric(geo.transmitter.area, geo.receiver.area, geo.distance, 1.0)
+n_geo = dof_geometric(geo.transmitter.area, geo.receiver.area, geo.distance)
 n_plateau = max(1, int(np.floor(n_geo)))
 
 fit = spectrum_fit(betas, n_plateau, tail_floor_rel=1e-6)

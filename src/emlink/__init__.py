@@ -21,7 +21,6 @@ from .capacity import (
 )
 from .channel import (
     FREE_SPACE_IMPEDANCE,
-    kernel_matrix,
     propagate_current,
     reference_field,
 )

@@ -25,11 +25,11 @@ __all__ = [
 ]
 
 
-def dof_geometric(area_t: float, area_r: float, d: float, lam: float) -> float:
-    """Geometric spatial degrees of freedom A_t * A_r / (lambda^2 d^2)."""
-    if min(area_t, area_r, d, lam) <= 0:
-        raise ValueError("areas, distance, and wavelength must be positive")
-    return area_t * area_r / (lam * lam * d * d)
+def dof_geometric(area_t: float, area_r: float, d: float) -> float:
+    """Geometric spatial degrees of freedom A_t * A_r / (lambda^2 d^2), lengths in wavelengths."""
+    if min(area_t, area_r, d) <= 0:
+        raise ValueError("areas and distance must be positive")
+    return area_t * area_r / (d * d)
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,16 @@ The single-polarization kernel is
               * alpha(khat) * e^{-jk khat.r_rp}
             = -j omega mu * G_planewave(r, s),
 
-with omega*mu = k * eta for unit wavelength.  Kernel matrices and fields are
-built through the aggregation/translation/disaggregation factorization, which
-is algebraically identical to entrywise evaluation.
+with omega*mu = k * eta for unit wavelength.  Fields are radiated through
+the aggregation/translation/disaggregation factorization, which is
+algebraically identical to entrywise evaluation; H itself is never formed.
 
 Both surface grids are tensor products on z-normal planes, so every
 plane-wave factor splits exactly into an x part and a y part:
 e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The complex exponentials are the
 per-axis factors alone, n1 * n_dir per axis, all from `_plane_waves`.
-`propagate_current` applies them matrix-free; `_receiver_sum`, the one dense
-sweep (H here, the radiated basis in `modes`), forms (points x directions)
-factors as their outer products, one block of directions at a time.
+`propagate_current` applies them matrix-free; the one dense sweep, the
+radiated basis in `modes`, builds on the same per-axis factors.
 The weighted translator is built here too, for every caller,
 greens.sgf_planewave included, and so is its fold by the lateral mirrors a
 link shares with its grid (`_mirror_fold`), which the mode solve sums over.
@@ -26,22 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError
 from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid, _mirror_partner, _mirrored_nodes
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
-    "kernel_matrix",
     "propagate_current",
     "reference_field",
 ]
 
 FREE_SPACE_IMPEDANCE = 376.730  # ohms
-
-DEFAULT_ENTRY_BUDGET = 10**7
-
-# directions per block of the dense sweep in `_receiver_sum`
-_BLOCK = 1024
 
 
 def _omega_mu(k: float) -> float:
@@ -71,11 +63,6 @@ def _axis_waves(
     x_offsets = np.stack([surface.nodes_x - origin[0], np.zeros(nx), np.full(nx, dz)], axis=1)
     y_offsets = np.stack([np.zeros(ny), surface.nodes_y - origin[1], np.zeros(ny)], axis=1)
     return _plane_waves(sign * x_offsets, directions, k), _plane_waves(sign * y_offsets, directions, k)
-
-
-def _outer_waves(x_waves: np.ndarray, y_waves: np.ndarray) -> np.ndarray:
-    """(n_x * n_y, n_dir) factors from per-axis ones, in the grid's point order."""
-    return (x_waves[:, None, :] * y_waves[None, :, :]).reshape(-1, x_waves.shape[1])
 
 
 def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
@@ -115,59 +102,6 @@ def _mirror_fold(
     return (mirrored[0], mirrored[1]), grid.directions[reps], folded
 
 
-def _check_budget(entries: int, entry_budget: int) -> None:
-    if entries > entry_budget:
-        raise BudgetError(
-            f"assembly needs {entries} complex entries, above the budget {entry_budget}; "
-            "reduce grid sizes or raise entry_budget"
-        )
-
-
-def _receiver_sum(
-    source_rows,
-    n_cols: int,
-    bx: np.ndarray,
-    by: np.ndarray,
-    w_alpha: np.ndarray,
-    k: float,
-    entry_budget: int,
-) -> np.ndarray:
-    """Kernel scale times sum_d (bx[:, d] outer by[:, d]) w_alpha[d] S[d, :] over blocks of directions.
-
-    bx (n_x, n_dir) and by (n_y, n_dir) are receiver-side per-axis factors
-    (or combinations of them); result row i * n_y + j pairs bx[i] with by[j].
-    `source_rows(sl)` gives the source-side rows S[sl, :], (n_blk, n_cols), for
-    the directions in slice sl.  Only one block of them and of the receiver
-    factors exists at a time; the budget bounds the result and one block.
-    """
-    n_dir, n_rcv = len(w_alpha), len(bx) * len(by)
-    block = min(_BLOCK, n_dir)
-    _check_budget(max(n_rcv * n_cols, block * n_cols, block * n_rcv), entry_budget)
-    by = by * w_alpha
-    out = np.zeros((n_rcv, n_cols), dtype=complex)
-    for start in range(0, n_dir, block):
-        sl = slice(start, start + block)
-        out += _outer_waves(bx[:, sl], by[:, sl]) @ source_rows(sl)
-    return _kernel_scale(k) * out
-
-
-def kernel_matrix(
-    src: SurfaceGrid,
-    rcv: SurfaceGrid,
-    geometry: LinkGeometry,
-    grid: DirectionGrid,
-    table: np.ndarray,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
-) -> np.ndarray:
-    """H over (receiver points) x (source points) via the diagonal factorization."""
-    w_alpha = _translator_weights(grid, table)
-    k = geometry.k
-    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid.directions, k)
-    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid.directions, k)
-    return _receiver_sum(lambda sl: _outer_waves(ax[:, sl], ay[:, sl]).T, len(src.points),
-                         bx, by, w_alpha, k, entry_budget)
-
-
 def propagate_current(
     current: np.ndarray,
     src: SurfaceGrid,
@@ -178,11 +112,11 @@ def propagate_current(
 ) -> np.ndarray:
     """Radiate a sampled current through aggregate / translate / disaggregate.
 
-    Returns the field at the receiver grid points; equals
-    kernel_matrix @ (weights * current) up to roundoff.  Matrix-free: with
-    J[i, j] the weighted current at (nodes_x[i], nodes_y[j]) and X, Y the
-    source-side axis factors, the far field is sum_j Y[j] * (J^T X)[j]; with
-    X', Y' the receiver-side ones, the field is (X' * w alpha * far) @ Y'^T.
+    Returns the field at the receiver grid points, H @ (weights * current)
+    up to roundoff.  Matrix-free: with J[i, j] the weighted current at
+    (nodes_x[i], nodes_y[j]) and X, Y the source-side axis factors, the far
+    field is sum_j Y[j] * (J^T X)[j]; with X', Y' the receiver-side ones, the
+    field is (X' * w alpha * far) @ Y'^T.
     """
     current = np.asarray(current)
     if current.shape != (len(src.points),):

@@ -99,7 +99,7 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     written = []
 
     json_path = out_dir / "modeset.json"
-    modes.save_mode_set(ms, json_path, surface_points=cfg.surface_points)
+    modes.save_mode_set(ms, json_path)
     written.append(json_path)
 
     bn = ms.normalized
@@ -115,7 +115,7 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
     count = min(40, len(ms))
     gram_c = modes.gram_currents(ms, count)
-    gram_f = modes.gram_fields(ms, count, result.radiated)
+    gram_f = modes.gram_fields(result, count)
     for name, gram in (("gram_currents.csv", gram_c), ("gram_fields.csv", gram_f)):
         rows = [
             (i + 1, j + 1, abs(gram[i, j]))
@@ -135,7 +135,7 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
                 zip(pts[:, 0], pts[:, 1], np.abs(phi), np.angle(phi)),
             )
         )
-        psi = modes.received_field(ms, n, result.radiated)
+        psi = modes.received_field(result, n)
         rpts = ms.rcv_grid.points
         written.append(
             _write_csv(
@@ -149,7 +149,7 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 def _plateau_count(ms: modes.ModeSet) -> int:
     geom = ms.geometry
-    n_geo = cap.dof_geometric(geom.transmitter.area, geom.receiver.area, geom.distance, 1.0)
+    n_geo = cap.dof_geometric(geom.transmitter.area, geom.receiver.area, geom.distance)
     return min(max(1, int(np.floor(n_geo))), len(ms.eigenvalues))
 
 

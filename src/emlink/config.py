@@ -162,31 +162,17 @@ class ExperimentConfig:
         return self
 
 
-_PARSERS = {
-    "tx_side_x": float,
-    "tx_side_y": float,
-    "rx_side_x": float,
-    "rx_side_y": float,
-    "distance": float,
-    "theta_e_deg": float,
-    "l_override": int,
-    "windowed": _parse_bool,
-    "basis_order": int,
-    "surface_points": int,
-    "power_w": float,
-    "snr_db": _parse_number_list,
-    "mode_map_indices": _parse_int_list,
-    "sweep_theta_deg": _parse_number_list,
-    "check_aperture": float,
-    "check_distance": float,
-    "check_src": _parse_vector,
-    "check_field": _parse_vector,
-    "modes_keep": int,
-    "fit_floor_rel": float,
-    "entry_budget": int,
+# one parser per field annotation (the annotations are strings here)
+_TYPE_PARSERS = {
+    "float": float,
+    "int": int,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_number_list,
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[float, float, float]": _parse_vector,
 }
 
-assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 PRESETS: dict[str, ExperimentConfig] = {
     "paper": ExperimentConfig(l_override=93),

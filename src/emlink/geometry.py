@@ -92,19 +92,13 @@ def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
 
 @dataclass(frozen=True)
 class DirectionGrid:
-    """Unit wavevector samples on a spherical cap around `axis`.
+    """Unit wavevector samples on a spherical cap (see `cap_direction_grid`).
 
-    Weights are solid-angle measure; they sum to 2*pi*(1 - cos(theta_e)).
+    Weights are solid-angle measure; they sum to the cap's 2*pi*(1 - cos(theta_e)).
     """
 
     directions: np.ndarray  # (n, 3) unit vectors
     weights: np.ndarray     # (n,) steradians
-    axis: np.ndarray        # unit vector, cap center
-    theta_e: float          # half-angle, radians
-
-    @property
-    def solid_angle(self) -> float:
-        return 2.0 * np.pi * (1.0 - np.cos(self.theta_e))
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
@@ -153,7 +147,7 @@ def cap_direction_grid(axis, theta_e: float, n_theta: int, n_phi: int) -> Direct
     )
     weights = np.repeat(wu * (2.0 * np.pi / n_phi), n_phi)
     rot = _rotation_to(axis)
-    return DirectionGrid(directions @ rot.T, weights, axis, float(theta_e))
+    return DirectionGrid(directions @ rot.T, weights)
 
 
 def default_cap_densities(L: int, theta_e: float) -> tuple[int, int]:

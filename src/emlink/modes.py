@@ -4,9 +4,11 @@ The mode currents phi_n solve beta phi = M phi, with M(s, s') the receiver
 integral of H(r, s) conj(H(r, s')).  In an orthonormal 2-D Legendre basis E
 this is beta a = R^H W_rcv R a, where R = H W_src E holds the fields the
 basis currents radiate onto the receiver grid.  Neither H nor R^H W_rcv R is
-formed: R is a blocked sum of separable per-axis patterns (`radiated_basis`),
-and the SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and
-the coefficient rows conj(V^H) (Miller, Appl. Opt. 39, 2000).
+formed: R is a sum of separable per-axis patterns over 1024 directions at a
+time (`radiated_basis`, the package's one dense plane-wave sweep), and the
+SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and the
+coefficient rows conj(V^H) (Miller, Appl. Opt. 39, 2000).  The entry budget
+bounds R and the n_basis x n_basis coefficient rows before anything is built.
 
 Mirror symmetry splits that SVD (Knorr, IEEE TAP 21, 1973).  When the link
 and its direction grid are symmetric under x -> -x (a coaxial link on a cap
@@ -24,8 +26,11 @@ spectrum is sorted descending, and betas that tie to 1e-12 beta_1 take their
 rows in class order, which pins the exact eo/oe pairs of a square link.
 
 A ModeSet keeps only independent values: its basis is the (m, n) order table
-of `basis_order_table`, and its current scale sqrt(P_t / eta) follows from the
-transmit power and the free-space impedance, which the loader checks.
+of `basis_order_table`, its grids follow from the apertures and the requested
+`surface_points`, and its current scale sqrt(P_t / eta) follows from the
+transmit power and the free-space impedance, which the loader checks.  A
+ModesResult pairs R with the mode set it was solved with, so the field
+functions take the result and cannot be handed an R of another link.
 """
 
 from __future__ import annotations
@@ -33,20 +38,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    DEFAULT_ENTRY_BUDGET,
-    FREE_SPACE_IMPEDANCE,
-    _axis_waves,
-    _check_budget,
-    _mirror_fold,
-    _receiver_sum,
-)
+from .channel import FREE_SPACE_IMPEDANCE, _axis_waves, _kernel_scale, _mirror_fold
+from .errors import BudgetError
 from .geometry import (
-    Aperture,
     DirectionGrid,
     LinkGeometry,
     SurfaceGrid,
@@ -77,6 +76,11 @@ __all__ = [
 
 MODESET_FORMAT = "emlink.modeset/1"
 
+DEFAULT_ENTRY_BUDGET = 10**7
+
+# directions per block of the dense sweep in `_radiated_blocks`
+_BLOCK = 1024
+
 # combiners are undefined for numerically null modes
 _NULL_MODE_REL = 1e-12
 
@@ -97,14 +101,13 @@ def basis_order_table(t: int) -> np.ndarray:
     return np.array([(m, j - m) for j in range(t + 1) for m in range(j + 1)], dtype=int)
 
 
-def _axis_legendre(aperture: Aperture, t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
+def _axis_legendre(t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
     """Px[i, m] = sqrt((2m+1)/Lx) P_m(2x_i/Lx) at the aperture-local nodes_x, and Py likewise.
 
-    Basis entry (m, n) at grid point (x_i, y_j) is Px[i, m] * Py[j, n].
+    Basis entry (m, n) at grid point (x_i, y_j) is Px[i, m] * Py[j, n], on the
+    aperture the grid was built on.
     """
-    a = grid.aperture
-    if not np.allclose(a.center, aperture.center) or (a.side_x, a.side_y) != (aperture.side_x, aperture.side_y):
-        raise ValueError("grid was not built on this aperture")
+    aperture = grid.aperture
 
     def axis(nodes: np.ndarray, center: float, side: float) -> np.ndarray:
         norms = np.sqrt((2 * np.arange(t + 1) + 1.0) / side)
@@ -114,13 +117,13 @@ def _axis_legendre(aperture: Aperture, t: int, grid: SurfaceGrid) -> tuple[np.nd
     return axis(grid.nodes_x, cx, aperture.side_x), axis(grid.nodes_y, cy, aperture.side_y)
 
 
-def basis_eval(aperture: Aperture, table: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+def basis_eval(table: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Sample the orthonormal 2-D Legendre basis on a surface grid.
 
     Column i holds sqrt((2m+1)(2n+1)/(Lx Ly)) P_m(2x/Lx) P_n(2y/Ly) for
-    table entry i = (m, n), with (x, y) aperture-local coordinates.
+    table entry i = (m, n), with (x, y) local coordinates on the grid's aperture.
     """
-    px, py = _axis_legendre(aperture, int(table.max()), grid)
+    px, py = _axis_legendre(int(table.max()), grid)
     m, n = table.T
     return (px[:, None, m] * py[None, :, n]).reshape(len(grid.points), len(table))
 
@@ -150,24 +153,37 @@ def _of_parity(orders: np.ndarray, parity: int | None) -> np.ndarray:
     return np.ones(len(orders), dtype=bool) if parity is None else orders % 2 == parity
 
 
+def _check_budget(entries: int, entry_budget: int) -> None:
+    if entries > entry_budget:
+        raise BudgetError(
+            f"assembly needs {entries} complex entries, above the budget {entry_budget}; "
+            "reduce grid sizes or raise entry_budget"
+        )
+
+
 def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     """Parity blocks of (Qx (x) Qy) R, with Q from `_parity_combinations` per receiver axis.
 
     Returns qx, qy and the nonempty blocks (rows_x, rows_y, cols, R_block) in
     class order ee, eo, oe, oo (x parity first); the rows of a block are the
-    rows_x x rows_y combinations, its columns the basis entries `cols`.
+    rows_x x rows_y combinations, its columns the basis entries `cols`.  A
+    block sums its (rows x directions) plane-wave factors, the outer products
+    of the per-axis ones with w alpha on the y side, against the basis
+    patterns, _BLOCK directions at a time; the budget bounds R, each block
+    and one block of factors.
     """
     _check_budget(len(rcv.points) * len(basis), entry_budget)
     mirrored, directions, w_alpha = _mirror_fold(src, rcv, geometry, grid, table)
     k = geometry.k
-    px, py = _axis_legendre(geometry.transmitter, int(basis.max()), src)
+    px, py = _axis_legendre(int(basis.max()), src)
     ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, directions, k)
     fx = ax.T @ (src.weights_x[:, None] * px)
     fy = ay.T @ (src.weights_y[:, None] * py)
     bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, directions, k)
     qx, classes_x = _parity_combinations(len(bx), mirrored[0])
     qy, classes_y = _parity_combinations(len(by), mirrored[1])
-    bx, by = qx @ bx, qy @ by
+    bx, by = qx @ bx, (qy @ by) * w_alpha
+    step = min(_BLOCK, len(w_alpha))
     m, n = basis.T
     blocks = []
     for (rows_x, p), (rows_y, q) in itertools.product(classes_x, classes_y):
@@ -175,9 +191,15 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
         if len(cols) == 0:
             continue
         mc, nc = m[cols], n[cols]
-        block = _receiver_sum(lambda sl: fx[sl][:, mc] * fy[sl][:, nc], len(cols),
-                              bx[rows_x], by[rows_y], w_alpha, k, entry_budget)
-        blocks.append((rows_x, rows_y, cols, block))
+        cx, cy = bx[rows_x], by[rows_y]
+        n_rows = len(cx) * len(cy)
+        _check_budget(max(n_rows * len(cols), step * len(cols), step * n_rows), entry_budget)
+        block = np.zeros((n_rows, len(cols)), dtype=complex)
+        for start in range(0, len(w_alpha), step):
+            sl = slice(start, start + step)
+            waves = cx[:, None, sl] * cy[None, :, sl]
+            block += waves.reshape(n_rows, waves.shape[2]) @ (fx[sl][:, mc] * fy[sl][:, nc])
+        blocks.append((rows_x, rows_y, cols, _kernel_scale(k) * block))
     return qx, qy, blocks
 
 
@@ -210,12 +232,6 @@ def radiated_basis(
     return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), len(basis))
 
 
-def _check_radiated(R: np.ndarray, modes: ModeSet) -> None:
-    expected = (len(modes.rcv_grid.points), len(modes.basis))
-    if R.shape != expected:
-        raise ValueError(f"radiated basis of shape {R.shape} does not match the mode set's {expected}")
-
-
 def _fix_gauge(rows: np.ndarray) -> np.ndarray:
     """Rotate each row so its pivot entry is real positive.
 
@@ -235,6 +251,8 @@ class ModeSet:
     `coefficients[n]` expands mode current n in the Legendre basis whose (m, n)
     orders are the rows of `basis`; currents carry the physical normalization
     `scale` = sqrt(P_t / eta), so that the radiated power of each mode current is P_t.
+    The grids are `tensor_grid(aperture, surface_points)` on each end, built
+    when first read.
     """
 
     eigenvalues: np.ndarray        # (modes,) descending, non-negative
@@ -243,9 +261,16 @@ class ModeSet:
     impedance_ohm: float
     basis: np.ndarray              # (basis, 2) int, from basis_order_table
     geometry: LinkGeometry
-    src_grid: SurfaceGrid
-    rcv_grid: SurfaceGrid
+    surface_points: int            # requested points per aperture
     clamped_count: int = 0         # always 0; kept for emlink.modeset/1
+
+    @cached_property
+    def src_grid(self) -> SurfaceGrid:
+        return tensor_grid(self.geometry.transmitter, self.surface_points)
+
+    @cached_property
+    def rcv_grid(self) -> SurfaceGrid:
+        return tensor_grid(self.geometry.receiver, self.surface_points)
 
     @property
     def scale(self) -> float:
@@ -263,10 +288,15 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class ModesResult:
-    """Everything the mode pipeline produced, radiated basis included."""
+    """A mode set and the radiated basis it was solved from."""
 
     modes: ModeSet
     radiated: np.ndarray   # R = H W_src E, (n_rcv, n_basis) complex
+
+    def __post_init__(self):
+        expected = (len(self.modes.rcv_grid.points), len(self.modes.basis))
+        if self.radiated.shape != expected:
+            raise ValueError(f"radiated basis of shape {self.radiated.shape} does not match the mode set's {expected}")
 
 
 def solve_modes(
@@ -283,8 +313,12 @@ def solve_modes(
     """End-to-end pipeline: grids, translator, radiated basis, one SVD per parity block, modes.
 
     Beyond a block's rank, its V^H completes the block's orders with beta = 0.
-    The first `keep` modes are kept (all when `keep` is None or <= 0).
+    The first `keep` modes are kept (all when `keep` is None or <= 0).  The
+    budget bounds R and the coefficient rows, n_rcv x n_basis and
+    n_basis x n_basis, and is checked before anything is built.
     """
+    n1, n_basis = int(np.ceil(np.sqrt(max(n_surface, 1)))), (t + 1) * (t + 2) // 2
+    _check_budget(max(n1 * n1, n_basis) * n_basis, entry_budget)
     dir_grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(dir_grid, geometry.k, geometry.r_pq, L, windowed)
     src = tensor_grid(geometry.transmitter, n_surface)
@@ -306,8 +340,10 @@ def solve_modes(
     kept = slice(keep) if keep is not None and keep > 0 else slice(None)
     modes = ModeSet(
         betas[kept], _fix_gauge(np.concatenate(coefficient_rows)[order][kept]),
-        float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, src, rcv,
+        float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface,
     )
+    # src and rcv are what the cached grid properties would build again
+    vars(modes).update(src_grid=src, rcv_grid=rcv)
     return ModesResult(modes, _unfold(qx, qy, blocks, len(basis)))
 
 
@@ -324,29 +360,27 @@ def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, 
     return betas, order[np.lexsort((classes[order], run))]
 
 
-def mode_current_field(modes: ModeSet, n: int, grid: SurfaceGrid | None = None) -> np.ndarray:
-    """Mode current phi_n sampled on a transmitter grid (default: the stored one)."""
+def mode_current_field(modes: ModeSet, n: int) -> np.ndarray:
+    """Mode current phi_n sampled on the mode set's transmitter grid."""
     if not 0 <= n < len(modes):
         raise IndexError("mode index out of range")
-    grid = grid if grid is not None else modes.src_grid
-    E = basis_eval(modes.geometry.transmitter, modes.basis, grid)
-    return modes.scale * (E @ modes.coefficients[n])
+    return modes.scale * (basis_eval(modes.basis, modes.src_grid) @ modes.coefficients[n])
 
 
-def received_field(modes: ModeSet, n: int, R: np.ndarray) -> np.ndarray:
-    """Field psi_n of mode current n on the stored receiver grid; R is ModesResult.radiated."""
+def received_field(result: ModesResult, n: int) -> np.ndarray:
+    """Field psi_n of mode current n on the mode set's receiver grid."""
+    modes = result.modes
     if not 0 <= n < len(modes):
         raise IndexError("mode index out of range")
-    _check_radiated(R, modes)
-    return modes.scale * (R @ modes.coefficients[n])
+    return modes.scale * (result.radiated @ modes.coefficients[n])
 
 
-def combiner_field(modes: ModeSet, n: int, R: np.ndarray) -> np.ndarray:
+def combiner_field(result: ModesResult, n: int) -> np.ndarray:
     """Unit-power receive basis chi_n = psi_n / sqrt(beta_n)."""
-    beta = modes.eigenvalues[n]
-    if beta < _NULL_MODE_REL * modes.eigenvalues[0]:
+    beta = result.modes.eigenvalues[n]
+    if beta < _NULL_MODE_REL * result.modes.eigenvalues[0]:
         raise ValueError(f"mode {n} is numerically null; combiner undefined")
-    return received_field(modes, n, R) / np.sqrt(beta)
+    return received_field(result, n) / np.sqrt(beta)
 
 
 def _exact_gram_grid(modes: ModeSet) -> SurfaceGrid:
@@ -364,33 +398,30 @@ def gram_currents(modes: ModeSet, count: int) -> np.ndarray:
     if count > len(modes):
         raise ValueError("count exceeds the number of stored modes")
     grid = _exact_gram_grid(modes)
-    E = basis_eval(modes.geometry.transmitter, modes.basis, grid)
-    phi = modes.scale * (E @ modes.coefficients[:count].T)
+    phi = modes.scale * (basis_eval(modes.basis, grid) @ modes.coefficients[:count].T)
     return (phi.T * grid.weights) @ np.conj(phi)
 
 
-def gram_fields(modes: ModeSet, count: int, R: np.ndarray) -> np.ndarray:
+def gram_fields(result: ModesResult, count: int) -> np.ndarray:
     """Gram matrix of the first `count` received fields over the receiver.
 
     Diagonal tracks beta_n * (P_t/eta); off-diagonals measure biorthogonality
     leakage of the discretization.
     """
+    modes = result.modes
     if count > len(modes):
         raise ValueError("count exceeds the number of stored modes")
-    _check_radiated(R, modes)
-    psi = modes.scale * (R @ modes.coefficients[:count].T)
+    psi = modes.scale * (result.radiated @ modes.coefficients[:count].T)
     return (psi.T * modes.rcv_grid.weights) @ np.conj(psi)
 
 
-def mode_set_to_dict(modes: ModeSet, surface_points: int | None = None) -> dict:
+def mode_set_to_dict(modes: ModeSet) -> dict:
     """JSON-ready document; see docs/modeset.schema.json for the contract."""
     coeff = modes.coefficients
     re_im = np.empty(coeff.size * 2)
     re_im[0::2] = coeff.real.ravel()
     re_im[1::2] = coeff.imag.ravel()
     geom = modes.geometry
-    if surface_points is None:
-        surface_points = len(modes.src_grid.points)
     return {
         "format": MODESET_FORMAT,
         "wavenumber": geom.k,
@@ -404,7 +435,7 @@ def mode_set_to_dict(modes: ModeSet, surface_points: int | None = None) -> dict:
             "side_x": geom.receiver.side_x,
             "side_y": geom.receiver.side_y,
         },
-        "surface_points": int(surface_points),
+        "surface_points": int(modes.surface_points),
         "basis_order": int(modes.basis.max()),
         "power_w": modes.power_w,
         "impedance_ohm": modes.impedance_ohm,
@@ -433,7 +464,7 @@ def _member(obj: dict, key: str, kind: str, default=None):
 
 
 def mode_set_from_dict(doc: dict) -> ModeSet:
-    """Rebuild a ModeSet (grids included) from its JSON document; ValueError if it is malformed."""
+    """Rebuild a ModeSet from its JSON document; ValueError if it is malformed.  No grid is built."""
     if not isinstance(doc, dict):
         raise ValueError("a mode set must be a JSON object")
     if doc.get("format") != MODESET_FORMAT:
@@ -448,8 +479,8 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     tx, rx = apertures
     geometry = LinkGeometry(tx, rx, float(_member(doc, "wavenumber", "number")))
     n_pts = int(_member(doc, "surface_points", "number"))
-    src = tensor_grid(tx, n_pts)
-    rcv = tensor_grid(rx, n_pts)
+    if n_pts < 1:
+        raise ValueError("surface_points must be >= 1")
     t = int(_member(doc, "basis_order", "number"))
     block = _member(doc, "coefficients", "object")
     shape = (int(_member(block, "modes", "number")), int(_member(block, "basis", "number")))
@@ -492,14 +523,13 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         impedance_ohm=impedance_ohm,
         basis=basis,
         geometry=geometry,
-        src_grid=src,
-        rcv_grid=rcv,
+        surface_points=n_pts,
         clamped_count=int(_member(doc, "clamped_count", "number", 0)),
     )
 
 
-def save_mode_set(modes: ModeSet, path, surface_points: int | None = None) -> None:
-    doc = mode_set_to_dict(modes, surface_points)
+def save_mode_set(modes: ModeSet, path) -> None:
+    doc = mode_set_to_dict(modes)
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 

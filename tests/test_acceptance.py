@@ -122,7 +122,7 @@ def test_criterion_2_finite_angular_bandwidth():
 
 
 def test_criterion_3_geometric_dof():
-    value = dof_geometric(100.0, 64.0, 25.5, 1.0)
+    value = dof_geometric(100.0, 64.0, 25.5)
     _report(
         "3 (geometric DoF)",
         [("N = 9.84 +/- 0.01", abs(value - 9.84) <= 0.01, f"{value:.4f}")],
@@ -134,13 +134,13 @@ def test_criterion_4_eigenvalue_spectrum(paper_run, ci_run):
     bn = result.modes.normalized
     with np.errstate(divide="ignore"):
         count = int(np.sum(10 * np.log10(bn) >= -3.0))
-    n_plateau = int(np.floor(dof_geometric(100.0, 64.0, 25.5, 1.0)))
+    n_plateau = int(np.floor(dof_geometric(100.0, 64.0, 25.5)))
     fit = spectrum_fit(bn, n_plateau, tail_floor_rel=cfg.fit_floor_rel)
 
     ci_result, ci_seconds, ci_cfg = ci_run
     ci_bn = ci_result.modes.normalized
     geo = ci_result.modes.geometry
-    ci_n = dof_geometric(geo.transmitter.area, geo.receiver.area, geo.distance, 1.0)
+    ci_n = dof_geometric(geo.transmitter.area, geo.receiver.area, geo.distance)
     with np.errstate(divide="ignore"):
         ci_count = int(np.sum(10 * np.log10(ci_bn) >= -3.0))
     ci_fit = spectrum_fit(ci_bn, max(1, int(np.floor(ci_n))), tail_floor_rel=ci_cfg.fit_floor_rel)
@@ -171,7 +171,7 @@ def test_criterion_5_orthogonality(paper_run):
     off_c = np.abs(gram_c - np.diag(np.diag(gram_c)))
     current_ok = np.max(off_c) <= 1e-3 * np.max(diag_c)
 
-    gram_f = gram_fields(ms, count, result.radiated)
+    gram_f = gram_fields(result, count)
     scale = cfg.power_w / FREE_SPACE_IMPEDANCE
     expected = ms.eigenvalues[:count] * scale
     diag_f = np.diag(gram_f).real
@@ -248,7 +248,7 @@ def test_criterion_7_capacity_regimes(paper_run):
     # absolute axis, not within 5% relative at low SNR.
     result, _, cfg = paper_run
     bn = result.modes.normalized
-    n_plateau = int(np.floor(dof_geometric(100.0, 64.0, 25.5, 1.0)))
+    n_plateau = int(np.floor(dof_geometric(100.0, 64.0, 25.5)))
     curve = capacity_vs_snr(bn, cfg.power_w, cfg.snr_db, n_plateau)
     margins = [(p.snr_db, (p.c_waterfill_bits - p.c_equal_bits) / p.c_waterfill_bits) for p in curve]
     worst_margin = min(m for _, m in margins)
@@ -314,7 +314,7 @@ def test_criterion_8_property_suite(paper_run, tmp_path):
     theta_e = np.radians(cfg.theta_e_deg)
     cap_grid = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(L, theta_e))
     cap_table = translator_table(cap_grid, K, geo.r_pq, L, cfg.windowed)
-    E = basis_eval(geo.transmitter, basis_order_table(1), src)
+    E = basis_eval(basis_order_table(1), src)
     rng = np.random.default_rng(77)
     coeffs = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
     currents = coeffs @ E.T

@@ -46,19 +46,19 @@ def exhaustive_three_channel(betas, p_t, sigma2, steps=50):
 
 class TestDofGeometric:
     def test_paper_value(self):
-        assert dof_geometric(100.0, 64.0, 25.5, 1.0) == pytest.approx(9.842, abs=0.01)
+        assert dof_geometric(100.0, 64.0, 25.5) == pytest.approx(9.842, abs=0.01)
 
     def test_unit_case(self):
-        assert dof_geometric(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
+        assert dof_geometric(1.0, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_inverse_square_distance(self):
-        near = dof_geometric(4.0, 3.0, 10.0, 1.0)
-        far = dof_geometric(4.0, 3.0, 20.0, 1.0)
+        near = dof_geometric(4.0, 3.0, 10.0)
+        far = dof_geometric(4.0, 3.0, 20.0)
         assert near == pytest.approx(4 * far, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            dof_geometric(1.0, 1.0, 0.0, 1.0)
+            dof_geometric(1.0, 1.0, 0.0)
 
 
 class TestWaterfill:

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from emlink.channel import (
-    _BLOCK,
-    FREE_SPACE_IMPEDANCE,
-    _mirror_fold,
-    kernel_matrix,
-    propagate_current,
-    reference_field,
-)
+from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current, reference_field
 from emlink.errors import BudgetError
 from emlink.geometry import (
     LinkGeometry,
@@ -19,7 +12,7 @@ from emlink.geometry import (
     truncation_order,
 )
 from emlink.greens import sgf_exact, sgf_planewave, translator_table
-from emlink.modes import basis_eval, basis_order_table, radiated_basis
+from emlink.modes import _BLOCK, basis_eval, basis_order_table, radiated_basis
 
 K = 2 * np.pi
 OMEGA_MU = K * FREE_SPACE_IMPEDANCE
@@ -28,6 +21,27 @@ OMEGA_MU = K * FREE_SPACE_IMPEDANCE
 def h_point(r, s, geo, grid, table):
     """Pointwise kernel reference H(r, s) = -j omega mu G_planewave(r, s)."""
     return -1j * OMEGA_MU * sgf_planewave(r, s, geo, grid, table)
+
+
+def _dense_kernel(src, rcv, geo, grid, table):
+    """H from one dense exponential per (surface point, direction) pair, 2048 directions at a time."""
+    H = np.zeros((len(rcv.points), len(src.points)), dtype=complex)
+    for start in range(0, len(grid.weights), 2048):
+        dirs = grid.directions[start:start + 2048]
+        A = np.exp(-1j * K * ((geo.transmitter.center - src.points) @ dirs.T))
+        B = np.exp(-1j * K * ((rcv.points - geo.receiver.center) @ dirs.T))
+        H += (B * (grid.weights * table)[start:start + 2048]) @ A.T
+    return -K * OMEGA_MU / (16 * np.pi**2) * H
+
+
+def _kernel_columns(cols, src, rcv, geo, grid, table):
+    """Columns `cols` of H, as the fields of unit point sources through propagate_current."""
+    out = []
+    for j in cols:
+        current = np.zeros(len(src.points), dtype=complex)
+        current[j] = 1.0 / src.weights[j]
+        out.append(propagate_current(current, src, rcv, geo, grid, table))
+    return np.stack(out, axis=1)
 
 
 def paper_link(distance=25.5):
@@ -81,26 +95,29 @@ class TestKernelPoint:
 
 
 class TestKernelMatrix:
+    """H, column by column through propagate_current, against the pointwise kernel."""
+
     def test_two_by_two_matches_pointwise(self, paper_setup):
         geo, grid, table, *_ = paper_setup
         src = tensor_grid(geo.transmitter, 4)
         rcv = tensor_grid(geo.receiver, 4)
-        km = kernel_matrix(src, rcv, geo, grid, table)
+        km = _kernel_columns(range(len(src.points)), src, rcv, geo, grid, table)
         for i in range(len(rcv.points)):
             for j in range(len(src.points)):
                 direct = h_point(rcv.points[i], src.points[j], geo, grid, table)
                 assert km[i, j] == pytest.approx(direct, rel=1e-12)
 
     def test_spot_checks_at_paper_scale(self, paper_setup):
+        # 10 random columns, 5 random rows in each
         geo, grid, table, src, rcv = paper_setup
-        km = kernel_matrix(src, rcv, geo, grid, table)
-        assert np.all(np.isfinite(km))
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            i = int(rng.integers(len(rcv.points)))
-            j = int(rng.integers(len(src.points)))
-            direct = h_point(rcv.points[i], src.points[j], geo, grid, table)
-            assert abs(km[i, j] - direct) / abs(direct) < 1e-12
+        cols = rng.choice(len(src.points), 10, replace=False)
+        km = _kernel_columns(cols, src, rcv, geo, grid, table)
+        assert np.all(np.isfinite(km))
+        for c, j in enumerate(cols):
+            for i in rng.choice(len(rcv.points), 5, replace=False):
+                direct = h_point(rcv.points[i], src.points[j], geo, grid, table)
+                assert abs(km[i, c] - direct) / abs(direct) < 1e-12
 
     def test_role_swap_is_not_symmetric(self, paper_setup):
         # H(r, s) carries r through the receiver-side factor only; swapping
@@ -108,7 +125,7 @@ class TestKernelMatrix:
         geo, grid, table, *_ = paper_setup
         src = tensor_grid(geo.transmitter, 4)
         rcv = tensor_grid(geo.receiver, 4)
-        km = kernel_matrix(src, rcv, geo, grid, table)
+        km = _kernel_columns(range(len(src.points)), src, rcv, geo, grid, table)
         swapped = np.empty_like(km)
         for i in range(len(rcv.points)):
             for j in range(len(src.points)):
@@ -116,9 +133,10 @@ class TestKernelMatrix:
         assert np.max(np.abs(km - swapped.conj())) > 1e-3 * np.max(np.abs(km))
 
     def test_budget_guard(self, paper_setup):
+        # the one dense sweep, the radiated basis, is budgeted
         geo, grid, table, src, rcv = paper_setup
         with pytest.raises(BudgetError):
-            kernel_matrix(src, rcv, geo, grid, table, entry_budget=1000)
+            radiated_basis(basis_order_table(2), src, rcv, geo, grid, table, entry_budget=1000)
 
 
 class TestPropagator:
@@ -131,7 +149,7 @@ class TestPropagator:
         geo, grid, table, *_ = paper_setup
         src = tensor_grid(geo.transmitter, 16)
         rcv = tensor_grid(geo.receiver, 16)
-        km = kernel_matrix(src, rcv, geo, grid, table)
+        km = _dense_kernel(src, rcv, geo, grid, table)
         j = 5
         current = np.zeros(len(src.points), dtype=complex)
         current[j] = 1.0
@@ -154,7 +172,7 @@ class TestPropagator:
 
     def test_matches_kernel_matrix_route(self, paper_setup):
         geo, grid, table, src, rcv = paper_setup
-        km = kernel_matrix(src, rcv, geo, grid, table)
+        km = _dense_kernel(src, rcv, geo, grid, table)
         rng = np.random.default_rng(2)
         current = rng.normal(size=len(src.points)) + 1j * rng.normal(size=len(src.points))
         via_stages = propagate_current(current, src, rcv, geo, grid, table)
@@ -163,17 +181,8 @@ class TestPropagator:
         assert rel < 1e-10
 
 
-def _dense_kernel(src, rcv, geo, grid, table):
-    """H from one dense exponential per (surface point, direction) pair."""
-    dirs = grid.directions
-    A = np.exp(-1j * K * ((geo.transmitter.center - src.points) @ dirs.T))
-    B = np.exp(-1j * K * ((rcv.points - geo.receiver.center) @ dirs.T))
-    w_alpha = grid.weights * table
-    return -K * OMEGA_MU / (16 * np.pi**2) * ((B * w_alpha) @ A.T)
-
-
 class TestSeparableFactors:
-    """Per-axis plane-wave factors reproduce the dense (points x directions) ones."""
+    """The per-axis sweeps, radiated basis and propagator, reproduce dense (points x directions) factors."""
 
     @pytest.mark.parametrize(
         "tx_center, rx_center, n_theta, n_phi, mirrors",
@@ -198,8 +207,6 @@ class TestSeparableFactors:
         src = tensor_grid(geo.transmitter, 25)
         rcv = tensor_grid(geo.receiver, 16)
         dense = _dense_kernel(src, rcv, geo, grid, table)
-        entries = kernel_matrix(src, rcv, geo, grid, table)
-        assert np.max(np.abs(entries - dense)) < 1e-13 * np.max(np.abs(dense))
 
         # the parity classes radiated_basis splits into (4, 2 or 1), and the
         # folded sweep: one direction per orbit of the mirrors
@@ -208,14 +215,14 @@ class TestSeparableFactors:
         assert len(directions) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[sum(mirrors)]
 
         basis = basis_order_table(3)
-        radiated = dense @ (src.weights[:, None] * basis_eval(geo.transmitter, basis, src))
+        radiated = dense @ (src.weights[:, None] * basis_eval(basis, src))
         got = radiated_basis(basis, src, rcv, geo, grid, table)
         assert np.max(np.abs(got - radiated)) < 1e-13 * np.max(np.abs(radiated))
 
         rng = np.random.default_rng(11)
         current = rng.normal(size=len(src.points)) + 1j * rng.normal(size=len(src.points))
         field = propagate_current(current, src, rcv, geo, grid, table)
-        expected = entries @ (src.weights * current)
+        expected = dense @ (src.weights * current)
         assert np.linalg.norm(field - expected) < 1e-13 * np.linalg.norm(expected)
 
 
@@ -246,8 +253,8 @@ class TestDirectionBudget:
         src = tensor_grid(geo.transmitter, 144)
         rcv = tensor_grid(geo.receiver, 144)
         rule, over = _rule_and_oversampled(geo, 34, np.radians(deg))
-        H = kernel_matrix(src, rcv, geo, *rule)
-        ref = kernel_matrix(src, rcv, geo, *over)
+        H = _dense_kernel(src, rcv, geo, *rule)
+        ref = _dense_kernel(src, rcv, geo, *over)
         assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("rx_center", [(0, 0, 25.5), (6, -4, 24)], ids=["paper", "paper-off-axis"])
@@ -299,7 +306,7 @@ class TestReferenceOracle:
 def _smooth_currents(src, count, seed, order=1):
     """Random low-order Legendre combinations sampled on the source grid."""
     table = basis_order_table(order)
-    E = basis_eval(src.aperture, table, src)
+    E = basis_eval(table, src)
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=(count, len(table))) + 1j * rng.normal(size=(count, len(table)))
     return coeffs @ E.T

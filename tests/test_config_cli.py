@@ -377,6 +377,18 @@ class TestCliCommands:
         assert [p.name for p in out.iterdir()] == ["eigenvalues.csv"]
         assert (out / "eigenvalues.csv").read_text() == "stale\n"
 
+    def test_coefficient_rows_over_budget_leave_out_as_it_was(self, tmp_path):
+        # t = 80 gives 3 321 basis functions: R (144 x 3 321) fits the default
+        # budget of 1e7 entries, the 3 321 x 3 321 coefficient rows do not
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "eigenvalues.csv").write_text("stale\n")
+        code = run_cli(["--preset", "ci", "--out", str(out), "--set", "basis_order=80", "modes"])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
+        assert [p.name for p in out.iterdir()] == ["eigenvalues.csv"]
+        assert (out / "eigenvalues.csv").read_text() == "stale\n"
+
     @pytest.mark.parametrize("points", [1, 4], ids=["one-node", "maps-past-grid"])
     def test_degenerate_surface_grid_writes_nothing(self, tmp_path, points):
         # one point per aperture keeps a single nonzero beta; with 2 x 2
@@ -440,6 +452,10 @@ def _infinite_surface_points(doc):
     doc["surface_points"] = float("inf")
 
 
+def _zero_surface_points(doc):
+    doc["surface_points"] = 0
+
+
 def _infinite_basis_order(doc):
     doc["basis_order"] = float("inf")
 
@@ -496,14 +512,15 @@ class TestMalformedModeSet:
         [_nan_sixth, _first_sixty, _reversed, _negative_last, _short_re_im,
          _empty_spectrum, _zero_spectrum, _nan_coefficient, _negative_power, _nan_scale,
          _infinite_impedance, _top_level_list, _transmitter_list, _null_eigenvalues,
-         _unit_scale, _infinite_surface_points, _infinite_basis_order, _huge_basis_order,
+         _unit_scale, _infinite_surface_points, _zero_surface_points, _infinite_basis_order,
+         _huge_basis_order,
          _infinite_mode_count, _nan_wavenumber, _infinite_wavenumber, _nan_transmitter_side,
          _nan_receiver_center],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
              "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum",
              "nan-coefficient", "negative-power", "nan-scale", "infinite-impedance",
              "top-level-list", "transmitter-list", "null-eigenvalues",
-             "unit-scale", "infinite-surface-points", "infinite-basis-order",
+             "unit-scale", "infinite-surface-points", "zero-surface-points", "infinite-basis-order",
              "huge-basis-order", "infinite-mode-count", "nan-wavenumber",
              "infinite-wavenumber", "nan-transmitter-side", "nan-receiver-center"],
     )
@@ -516,6 +533,26 @@ class TestMalformedModeSet:
         code = run_cli(["--preset", "ci", "--out", str(out), "capacity", "--modes-file", str(path)])
         assert code == 1
         assert list(out.iterdir()) == []
+
+
+def test_capacity_builds_no_surface_grid(tmp_path, monkeypatch, ci_mode_doc):
+    # capacity reads no grid, so a mode set that asks for 10**9 points per
+    # aperture loads and gives the same files as the unedited one
+    def built(*args, **kwargs):
+        raise AssertionError("a surface grid was built")
+
+    monkeypatch.setattr(modes, "tensor_grid", built)
+    outs = []
+    for points in (ci_mode_doc["surface_points"], 10**9):
+        out = tmp_path / str(points)
+        out.mkdir()
+        path = out / "modeset.json"
+        path.write_text(json.dumps(dict(ci_mode_doc, surface_points=points)))
+        assert modes.load_mode_set(path).surface_points == points
+        assert run_cli(["--preset", "ci", "--out", str(out), "capacity"]) == 0
+        outs.append(out)
+    for name in ("capacity_curve.csv", "allocation.csv", "spectrum_fit.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from emlink.channel import FREE_SPACE_IMPEDANCE, kernel_matrix, propagate_current
+from emlink import modes
+from emlink.channel import FREE_SPACE_IMPEDANCE, propagate_current
+from emlink.errors import BudgetError
 from emlink.geometry import LinkGeometry, cap_direction_grid, rect_aperture, tensor_grid
 from emlink.greens import translator_table
 from emlink.modes import (
     _PIVOT_TIE_REL,
     ModeSet,
+    ModesResult,
     _fix_gauge,
     _merge_spectra,
     basis_eval,
@@ -51,14 +54,14 @@ class TestBasisEval:
     def test_constant_entry(self):
         ap = rect_aperture((0, 0, 0), 2.0, 5.0)
         grid = tensor_grid(ap, 16)
-        E = basis_eval(ap, basis_order_table(2), grid)
+        E = basis_eval(basis_order_table(2), grid)
         assert E[:, 0] == pytest.approx(np.full(len(grid.points), 1 / np.sqrt(10.0)))
 
     def test_odd_entry_vanishes_at_center(self):
         ap = rect_aperture((0, 0, 0), 3.0, 3.0)
         # odd grid size puts a point exactly at the aperture center
         grid = tensor_grid(ap, 25)
-        E = basis_eval(ap, basis_order_table(1), grid)
+        E = basis_eval(basis_order_table(1), grid)
         center = np.argmin(np.linalg.norm(grid.points, axis=1))
         assert abs(E[center, 1]) < 1e-14  # (0,1) entry ~ P_1(y)
         assert abs(E[center, 2]) < 1e-14  # (1,0) entry ~ P_1(x)
@@ -67,16 +70,9 @@ class TestBasisEval:
     def test_gram_is_identity(self, t):
         ap = rect_aperture((1.0, -0.5, 2.0), 4.0, 2.5)
         grid = tensor_grid(ap, (t + 1) ** 2)
-        E = basis_eval(ap, basis_order_table(t), grid)
+        E = basis_eval(basis_order_table(t), grid)
         gram = (E.T * grid.weights) @ E
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-10
-
-    def test_grid_aperture_mismatch_rejected(self):
-        ap = rect_aperture((0, 0, 0), 2.0, 2.0)
-        other = rect_aperture((0, 0, 0), 3.0, 2.0)
-        grid = tensor_grid(other, 9)
-        with pytest.raises(ValueError):
-            basis_eval(ap, basis_order_table(2), grid)
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +99,11 @@ def _pivots(rows):
 
 class TestRadiatedBasis:
     def test_matches_kernel_route(self, small_pipeline):
+        # column m of R = H W_src E is the field of basis current m
         geo, grid, table, src, rcv = small_pipeline
         basis = basis_order_table(6)
-        E = basis_eval(geo.transmitter, basis, src)
-        expected = kernel_matrix(src, rcv, geo, grid, table) @ (src.weights[:, None] * E)
+        E = basis_eval(basis, src)
+        expected = np.stack([propagate_current(e, src, rcv, geo, grid, table) for e in E.T], axis=1)
         R = radiated_basis(basis, src, rcv, geo, grid, table)
         assert R.shape == (len(rcv.points), len(basis))
         assert np.max(np.abs(R - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -123,7 +120,7 @@ class TestRadiatedBasis:
         basis = basis_order_table(0)
         R = radiated_basis(basis, src, rcv, geo, grid, table)
         B = R.conj().T @ (rcv.weights[:, None] * R)
-        E = basis_eval(geo.transmitter, basis, src)
+        E = basis_eval(basis, src)
         psi = propagate_current(E[:, 0], src, rcv, geo, grid, table)
         oracle = np.sum(rcv.weights * np.abs(psi) ** 2)
         assert B[0, 0].real == pytest.approx(oracle, rel=1e-12)
@@ -194,6 +191,23 @@ class TestSingularModes:
         assert np.abs(fixed[0]) == pytest.approx(np.abs(row[0]), abs=1e-16)
 
 
+class TestEntryBudget:
+    """solve_modes checks the budget before it builds any grid or the order table."""
+
+    # Never run these sizes without the monkeypatch: 10**9 points would build
+    # two 31 623^2-point grids, and t = 10**5 a table of 5e9 orders.
+    @pytest.mark.parametrize("n_surface, t", [(10**9, 14), (144, 10**5)], ids=["huge-grid", "huge-basis"])
+    def test_rejected_before_anything_is_built(self, monkeypatch, n_surface, t):
+        def built(*args, **kwargs):
+            raise AssertionError("built before the budget check")
+
+        for name in ("cap_direction_grid", "tensor_grid", "basis_order_table"):
+            monkeypatch.setattr(modes, name, built)
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
+        with pytest.raises(BudgetError):
+            solve_modes(geo, np.radians(60), 34, t, n_surface)
+
+
 def _ci_scale_betas(tx_center, rx_center):
     geo = LinkGeometry(rect_aperture(tx_center, 4.0, 4.0), rect_aperture(rx_center, 3.2, 3.2), K)
     return solve_modes(geo, np.radians(60), 34, 14, 144).modes.eigenvalues
@@ -235,16 +249,28 @@ class TestLinkSymmetry:
 
 class TestModeSet:
     def test_scale_examples(self):
-        src = tensor_grid(rect_aperture((0, 0, 0), 1, 1), 4)
-        rcv = tensor_grid(rect_aperture((0, 0, 9), 1, 1), 4)
-        geo = LinkGeometry(src.aperture, rcv.aperture, K)
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 1, 1), rect_aperture((0, 0, 9), 1, 1), K)
         basis = basis_order_table(0)
         ms_unit = ModeSet(np.array([1.0]), np.eye(1, dtype=complex), FREE_SPACE_IMPEDANCE,
-                          FREE_SPACE_IMPEDANCE, basis, geo, src, rcv)
+                          FREE_SPACE_IMPEDANCE, basis, geo, 4)
         assert ms_unit.scale == pytest.approx(1.0)
         ms_watt = ModeSet(np.array([1.0]), np.eye(1, dtype=complex), 1.0,
-                          FREE_SPACE_IMPEDANCE, basis, geo, src, rcv)
+                          FREE_SPACE_IMPEDANCE, basis, geo, 4)
         assert ms_watt.scale == pytest.approx(0.0515258, rel=1e-4)
+
+    def test_solve_builds_each_grid_once(self, monkeypatch):
+        # the mode set's grids are the ones the sweep ran on, not rebuilt
+        built = []
+
+        def counted(aperture, n_total):
+            built.append(n_total)
+            return tensor_grid(aperture, n_total)
+
+        monkeypatch.setattr(modes, "tensor_grid", counted)
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
+        ms = solve_modes(geo, np.radians(60), 34, 3, 16).modes
+        assert len(ms.src_grid.points) == len(ms.rcv_grid.points) == 16
+        assert built == [16, 16]
 
     def test_mode_current_power(self, ci_run):
         # eta * integral |phi_n|^2 = P_t for every mode
@@ -258,7 +284,7 @@ class TestModeSet:
         result, _, cfg = ci_run
         ms = result.modes
         for n in range(4):
-            psi = received_field(ms, n, result.radiated)
+            psi = received_field(result, n)
             power = np.sum(ms.rcv_grid.weights * np.abs(psi) ** 2)
             expected = ms.eigenvalues[n] * cfg.power_w / FREE_SPACE_IMPEDANCE
             assert power == pytest.approx(expected, rel=0.02)
@@ -267,7 +293,7 @@ class TestModeSet:
         result, _, cfg = ci_run
         ms = result.modes
         for n in range(4):
-            chi = combiner_field(ms, n, result.radiated)
+            chi = combiner_field(result, n)
             power = np.sum(ms.rcv_grid.weights * np.abs(chi) ** 2)
             assert power == pytest.approx(cfg.power_w / FREE_SPACE_IMPEDANCE, rel=0.02)
 
@@ -276,12 +302,12 @@ class TestModeSet:
         basis = basis_order_table(1)
         ms = ModeSet(
             np.array([1.0, 0.0, 0.0]), np.eye(3, dtype=complex), 1.0, FREE_SPACE_IMPEDANCE,
-            basis, geo, src, rcv,
+            basis, geo, len(src.points),
         )
-        R = radiated_basis(basis, src, rcv, geo, grid, table)
-        assert combiner_field(ms, 0, R).shape == (len(rcv.points),)
+        result = ModesResult(ms, radiated_basis(basis, src, rcv, geo, grid, table))
+        assert combiner_field(result, 0).shape == (len(rcv.points),)
         with pytest.raises(ValueError):
-            combiner_field(ms, 1, R)
+            combiner_field(result, 1)
 
     def test_kernel_shape_checked(self, ci_run, small_pipeline):
         # a radiated basis from another link or basis order does not fit the
@@ -292,12 +318,8 @@ class TestModeSet:
         other_link = radiated_basis(ms.basis, src, rcv, geo, grid, table)
         other_basis = result.radiated[:, :-1]
         for other in (other_link, other_basis):
-            with pytest.raises(ValueError):
-                received_field(ms, 0, other)
-            with pytest.raises(ValueError):
-                combiner_field(ms, 0, other)
-            with pytest.raises(ValueError):
-                gram_fields(ms, 2, other)
+            with pytest.raises(ValueError, match="does not match"):
+                ModesResult(ms, other)
 
     def test_mode_index_range(self, ci_run):
         result, _, _ = ci_run
@@ -332,7 +354,7 @@ class TestGramMatrices:
         result, _, cfg = ci_run
         ms = result.modes
         count = min(40, len(ms))
-        gram = gram_fields(ms, count, result.radiated)
+        gram = gram_fields(result, count)
         scale = cfg.power_w / FREE_SPACE_IMPEDANCE
         diag = np.diag(gram).real
         expected = ms.eigenvalues[:count] * scale
@@ -352,8 +374,9 @@ class TestSerialization:
         result, _, cfg = ci_run
         ms = result.modes
         path = tmp_path / "modeset.json"
-        save_mode_set(ms, path, surface_points=cfg.surface_points)
+        save_mode_set(ms, path)
         loaded = load_mode_set(path)
+        assert loaded.surface_points == ms.surface_points == cfg.surface_points
         assert loaded.eigenvalues == pytest.approx(ms.eigenvalues)
         assert np.max(np.abs(loaded.coefficients - ms.coefficients)) < 1e-15
         assert np.array_equal(loaded.basis, ms.basis)
@@ -388,6 +411,6 @@ class TestSerialization:
             (Path(__file__).resolve().parents[1] / "docs" / "modeset.schema.json").read_text()
         )
         result, _, cfg = ci_run
-        doc = mode_set_to_dict(result.modes, surface_points=cfg.surface_points)
+        doc = mode_set_to_dict(result.modes)
         jsonschema.validate(doc, schema)
 
