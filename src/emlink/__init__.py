@@ -15,15 +15,10 @@ from .capacity import (
     capacity_vs_snr,
     capacity_waterfill,
     dof_geometric,
-    effective_dof,
     spectrum_fit,
     waterfill,
 )
-from .channel import (
-    FREE_SPACE_IMPEDANCE,
-    propagate_current,
-    reference_field,
-)
+from .channel import FREE_SPACE_IMPEDANCE, propagate_current
 from .config import PRESETS, ExperimentConfig, load_config
 from .errors import BudgetError, ConfigError
 from .geometry import (
@@ -60,13 +55,6 @@ from .modes import (
     save_mode_set,
     solve_modes,
 )
-from .specfun import (
-    QuadratureRule,
-    gauss_legendre_rule,
-    legendre_sequence,
-    spherical_bessel_j,
-    spherical_hankel_paper,
-    spherical_neumann_y,
-)
+from .specfun import gauss_legendre_rule, legendre_sequence, spherical_hankel_paper
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ __all__ = [
     "SpectrumFit",
     "CapacityPoint",
     "dof_geometric",
-    "effective_dof",
     "waterfill",
     "capacity_waterfill",
     "capacity_equal",
@@ -95,24 +94,6 @@ def capacity_equal(beta_avg: float, n: int, p_t: float, sigma2: float) -> float:
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     return float(n * np.log2(1.0 + beta_avg * p_t / (n * sigma2)))
-
-
-def effective_dof(betas: np.ndarray, sigma2: float, allocation: PowerAllocation) -> int:
-    """Largest n whose allocated signal power survives the noise floor.
-
-    Scans for the last channel with beta_n * P_n >= sigma^2; with power
-    decreasing in n this is where truncating the received expansion stops
-    discarding information.
-    """
-    betas = np.asarray(betas, dtype=float)
-    if betas.size == 0:
-        raise ValueError("empty spectrum")
-    powers = allocation.powers
-    n_eff = 0
-    for i in range(min(len(betas), len(powers))):
-        if betas[i] * powers[i] >= sigma2:
-            n_eff = i + 1
-    return n_eff
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ radiated basis in `modes`, builds on the same per-axis factors.
 The weighted translator is built here too, for every caller,
 greens.sgf_planewave included, and so is its fold by the lateral mirrors a
 link shares with its grid (`_mirror_fold`), which the mode solve sums over.
+Each grid is phased about its own aperture's center; `propagate_current`
+and `_mirror_fold` check that the grids lie on the link's apertures.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid, _mirror_partner,
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
     "propagate_current",
-    "reference_field",
 ]
 
 FREE_SPACE_IMPEDANCE = 376.730  # ohms
@@ -51,18 +52,27 @@ def _plane_waves(offsets: np.ndarray, directions: np.ndarray, k: float) -> np.nd
 
 
 def _axis_waves(
-    surface: SurfaceGrid, origin: np.ndarray, sign: float, directions: np.ndarray, k: float
+    surface: SurfaceGrid, sign: float, directions: np.ndarray, k: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis factors of e^{-jk khat.(sign * (point - origin))} on a tensor grid.
+    """Per-axis factors of e^{-jk khat.(sign * (point - c))} on a tensor grid, c its aperture's center.
 
     Returns X (n_x, n_dir) and Y (n_y, n_dir) with the factor at point
-    (nodes_x[i], nodes_y[j]) equal to X[i] * Y[j]; X carries the constant z phase.
+    (nodes_x[i], nodes_y[j]) equal to X[i] * Y[j].
     """
     nx, ny = len(surface.nodes_x), len(surface.nodes_y)
-    dz = surface.aperture.center[2] - origin[2]
-    x_offsets = np.stack([surface.nodes_x - origin[0], np.zeros(nx), np.full(nx, dz)], axis=1)
-    y_offsets = np.stack([np.zeros(ny), surface.nodes_y - origin[1], np.zeros(ny)], axis=1)
+    cx, cy, _ = surface.aperture.center
+    x_offsets = np.stack([surface.nodes_x - cx, np.zeros(nx), np.zeros(nx)], axis=1)
+    y_offsets = np.stack([np.zeros(ny), surface.nodes_y - cy, np.zeros(ny)], axis=1)
     return _plane_waves(sign * x_offsets, directions, k), _plane_waves(sign * y_offsets, directions, k)
+
+
+def _check_apertures(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry) -> None:
+    """Each grid lies on its end's aperture of the link: same center and sides."""
+    for grid, aperture, end in ((src, geometry.transmitter, "source"), (rcv, geometry.receiver, "receiver")):
+        own = grid.aperture
+        sides = (own.side_x, own.side_y) == (aperture.side_x, aperture.side_y)
+        if not (sides and np.array_equal(own.center, aperture.center)):
+            raise ValueError(f"the {end} grid is not on the link's {end} aperture")
 
 
 def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
@@ -85,13 +95,13 @@ def _mirror_fold(
     the mirrored axes (the lowest index: phi in [0, pi/2] on a cap about z
     mirrored in both) and the sum of w alpha over each orbit.
     """
+    _check_apertures(src, rcv, geometry)
     w_alpha = _translator_weights(grid, table)
     tol = 1e-12 * np.max(np.abs(w_alpha), initial=0.0)
     label = np.arange(len(w_alpha))
     mirrored = []
     for axis in (0, 1):
-        link = (geometry.r_pq[axis] == 0.0 and _mirrored_nodes(src, geometry.transmitter.center, axis)
-                and _mirrored_nodes(rcv, geometry.receiver.center, axis))
+        link = geometry.r_pq[axis] == 0.0 and _mirrored_nodes(src, axis) and _mirrored_nodes(rcv, axis)
         partner = _mirror_partner(grid, axis) if link else None
         ok = partner is not None and bool(np.max(np.abs(w_alpha[partner] - w_alpha), initial=0.0) <= tol)
         if ok:
@@ -121,26 +131,12 @@ def propagate_current(
     current = np.asarray(current)
     if current.shape != (len(src.points),):
         raise ValueError("current must be sampled on the source grid")
+    _check_apertures(src, rcv, geometry)
     w_alpha = _translator_weights(grid, table)
     k = geometry.k
-    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, grid.directions, k)
-    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, grid.directions, k)
+    ax, ay = _axis_waves(src, -1.0, grid.directions, k)
+    bx, by = _axis_waves(rcv, 1.0, grid.directions, k)
     weighted = (src.weights * current).reshape(len(ax), len(ay))
     far = np.einsum("jd,jd->d", ay, weighted.T @ ax)
     field = (bx * (w_alpha * far)) @ by.T
     return _kernel_scale(k) * field.ravel()
-
-
-def reference_field(current: np.ndarray, src: SurfaceGrid, rcv: SurfaceGrid, k: float) -> np.ndarray:
-    """Direct-quadrature radiation E(r) = -j omega mu * sum_s w g(r, s) J(s).
-
-    Independent of the plane-wave machinery; the validation oracle for
-    propagate_current.
-    """
-    current = np.asarray(current)
-    if current.shape != (len(src.points),):
-        raise ValueError("current must be sampled on the source grid")
-    diff = rcv.points[:, None, :] - src.points[None, :, :]
-    R = np.linalg.norm(diff, axis=2)
-    g = np.exp(-1j * k * R) / (4.0 * np.pi * R)
-    return -1j * _omega_mu(k) * (g @ (src.weights * current))

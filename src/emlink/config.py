@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import LinkGeometry, rect_aperture, truncation_order
-from .modes import ModesResult, solve_modes
+from .modes import DEFAULT_ENTRY_BUDGET, ModesResult, solve_modes
 
 __all__ = ["ExperimentConfig", "PRESETS", "load_config"]
 
@@ -78,7 +78,7 @@ class ExperimentConfig:
     check_field: tuple[float, float, float] = (-3.5, 5.0, 20.0)
     modes_keep: int = 120          # 0 means: keep every mode
     fit_floor_rel: float = 1e-6
-    entry_budget: int = 10**7
+    entry_budget: int = DEFAULT_ENTRY_BUDGET
 
     @property
     def k(self) -> float:

@@ -196,10 +196,10 @@ def _mirror_partner(grid: DirectionGrid, axis: int) -> np.ndarray | None:
     return partner
 
 
-def _mirrored_nodes(surface: SurfaceGrid, origin: np.ndarray, axis: int) -> bool:
-    """The grid's nodes and weights along `axis` are symmetric about origin[axis]."""
+def _mirrored_nodes(surface: SurfaceGrid, axis: int) -> bool:
+    """The grid's nodes and weights along `axis` are symmetric about its aperture's center."""
     nodes, weights = ((surface.nodes_x, surface.weights_x), (surface.nodes_y, surface.weights_y))[axis]
-    local = nodes - origin[axis]
+    local = nodes - surface.aperture.center[axis]
     scale = np.max(np.abs(local), initial=0.0)
     return bool(
         np.allclose(local, -local[::-1], rtol=0.0, atol=1e-13 * scale)

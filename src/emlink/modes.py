@@ -28,9 +28,13 @@ rows in class order, which pins the exact eo/oe pairs of a square link.
 A ModeSet keeps only independent values: its basis is the (m, n) order table
 of `basis_order_table`, its grids follow from the apertures and the requested
 `surface_points`, and its current scale sqrt(P_t / eta) follows from the
-transmit power and the free-space impedance, which the loader checks.  A
-ModesResult pairs R with the mode set it was solved with, so the field
-functions take the result and cannot be handed an R of another link.
+transmit power and the free-space impedance, which the loader checks.
+
+A ModesResult pairs the mode set with its modes' received fields
+R @ coefficients.T, (n_rcv, modes), and R itself is not rebuilt: Q R is
+block-diagonal, so each block times its own columns of the kept rows gives
+that block's rows of every field.  The field functions take the
+result and cannot be handed fields of another link.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .specfun import legendre_sequence
 
 __all__ = [
     "ModeSet",
+    "ModesResult",
     "basis_order_table",
     "basis_eval",
     "radiated_basis",
@@ -68,8 +73,6 @@ __all__ = [
     "combiner_field",
     "gram_currents",
     "gram_fields",
-    "mode_set_to_dict",
-    "mode_set_from_dict",
     "save_mode_set",
     "load_mode_set",
 ]
@@ -176,10 +179,10 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     mirrored, directions, w_alpha = _mirror_fold(src, rcv, geometry, grid, table)
     k = geometry.k
     px, py = _axis_legendre(int(basis.max()), src)
-    ax, ay = _axis_waves(src, geometry.transmitter.center, -1.0, directions, k)
+    ax, ay = _axis_waves(src, -1.0, directions, k)
     fx = ax.T @ (src.weights_x[:, None] * px)
     fy = ay.T @ (src.weights_y[:, None] * py)
-    bx, by = _axis_waves(rcv, geometry.receiver.center, 1.0, directions, k)
+    bx, by = _axis_waves(rcv, 1.0, directions, k)
     qx, classes_x = _parity_combinations(len(bx), mirrored[0])
     qy, classes_y = _parity_combinations(len(by), mirrored[1])
     bx, by = qx @ bx, (qy @ by) * w_alpha
@@ -203,14 +206,19 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     return qx, qy, blocks
 
 
-def _unfold(qx: np.ndarray, qy: np.ndarray, blocks, n_basis: int) -> np.ndarray:
-    """R = (Qx (x) Qy)^T times the block-diagonal parity matrix, (n_rcv, n_basis)."""
-    nx, ny = len(qx), len(qy)
-    parity = np.zeros((nx, ny, n_basis), dtype=complex)
+def _unfold(qx: np.ndarray, qy: np.ndarray, blocks, rows: np.ndarray) -> np.ndarray:
+    """R @ rows.T, (n_rcv, len(rows)), from the parity blocks without forming R.
+
+    (Qx (x) Qy) R is block-diagonal, so block c times its own columns of the
+    rows gives its rows of the product; (Qx (x) Qy)^T maps them to the grid.
+    """
+    nx, ny, width = len(qx), len(qy), len(rows)
+    parity = np.zeros((nx, ny, width), dtype=complex)
     for rows_x, rows_y, cols, block in blocks:
-        parity[rows_x, rows_y, cols] = block.reshape(rows_x.stop - rows_x.start, rows_y.stop - rows_y.start, len(cols))
-    half = (qx.T @ parity.reshape(nx, -1)).reshape(nx, ny, n_basis)
-    return (qy.T @ half).reshape(nx * ny, n_basis)
+        piece = block @ rows[:, cols].T
+        parity[rows_x, rows_y] = piece.reshape(rows_x.stop - rows_x.start, rows_y.stop - rows_y.start, width)
+    half = (qx.T @ parity.reshape(nx, ny * width)).reshape(nx, ny, width)
+    return (qy.T @ half).reshape(nx * ny, width)
 
 
 def radiated_basis(
@@ -227,9 +235,11 @@ def radiated_basis(
     Basis current (m, n) is separable, so its plane-wave pattern is
     fx[d, m] * fy[d, n] with fx = X^T (w_x Px) and fy = Y^T (w_y Py); H is not
     formed.  On a mirror-symmetric link R is summed in parity blocks over
-    the folded direction grid and rebuilt (see the module docstring).
+    the folded direction grid and unfolded as R @ I (see the module
+    docstring); the budget bounds R and the identity rows.
     """
-    return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), len(basis))
+    _check_budget(len(basis) ** 2, entry_budget)
+    return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), np.eye(len(basis)))
 
 
 def _fix_gauge(rows: np.ndarray) -> np.ndarray:
@@ -288,15 +298,15 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class ModesResult:
-    """A mode set and the radiated basis it was solved from."""
+    """A mode set and the received fields of its modes, solved together."""
 
     modes: ModeSet
-    radiated: np.ndarray   # R = H W_src E, (n_rcv, n_basis) complex
+    fields: np.ndarray     # R @ coefficients.T, (n_rcv, modes) complex, unscaled
 
     def __post_init__(self):
-        expected = (len(self.modes.rcv_grid.points), len(self.modes.basis))
-        if self.radiated.shape != expected:
-            raise ValueError(f"radiated basis of shape {self.radiated.shape} does not match the mode set's {expected}")
+        expected = (len(self.modes.rcv_grid.points), len(self.modes))
+        if self.fields.shape != expected:
+            raise ValueError(f"mode fields of shape {self.fields.shape} do not match the mode set's {expected}")
 
 
 def solve_modes(
@@ -313,9 +323,10 @@ def solve_modes(
     """End-to-end pipeline: grids, translator, radiated basis, one SVD per parity block, modes.
 
     Beyond a block's rank, its V^H completes the block's orders with beta = 0.
-    The first `keep` modes are kept (all when `keep` is None or <= 0).  The
-    budget bounds R and the coefficient rows, n_rcv x n_basis and
-    n_basis x n_basis, and is checked before anything is built.
+    The first `keep` modes are kept (all when `keep` is None or <= 0), with
+    their received fields.  The budget bounds R's blocks and the coefficient
+    rows, n_rcv x n_basis and n_basis x n_basis, and is checked before
+    anything is built.
     """
     n1, n_basis = int(np.ceil(np.sqrt(max(n_surface, 1)))), (t + 1) * (t + 2) // 2
     _check_budget(max(n1 * n1, n_basis) * n_basis, entry_budget)
@@ -338,13 +349,11 @@ def solve_modes(
         classes.append(np.full(len(cols), cls))
     betas, order = _merge_spectra(np.concatenate(betas), np.concatenate(classes))
     kept = slice(keep) if keep is not None and keep > 0 else slice(None)
-    modes = ModeSet(
-        betas[kept], _fix_gauge(np.concatenate(coefficient_rows)[order][kept]),
-        float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface,
-    )
+    coefficients = _fix_gauge(np.concatenate(coefficient_rows)[order[kept]])
+    modes = ModeSet(betas[kept], coefficients, float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface)
     # src and rcv are what the cached grid properties would build again
     vars(modes).update(src_grid=src, rcv_grid=rcv)
-    return ModesResult(modes, _unfold(qx, qy, blocks, len(basis)))
+    return ModesResult(modes, _unfold(qx, qy, blocks, coefficients))
 
 
 def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +381,7 @@ def received_field(result: ModesResult, n: int) -> np.ndarray:
     modes = result.modes
     if not 0 <= n < len(modes):
         raise IndexError("mode index out of range")
-    return modes.scale * (result.radiated @ modes.coefficients[n])
+    return modes.scale * result.fields[:, n]
 
 
 def combiner_field(result: ModesResult, n: int) -> np.ndarray:
@@ -411,7 +420,7 @@ def gram_fields(result: ModesResult, count: int) -> np.ndarray:
     modes = result.modes
     if count > len(modes):
         raise ValueError("count exceeds the number of stored modes")
-    psi = modes.scale * (result.radiated @ modes.coefficients[:count].T)
+    psi = modes.scale * result.fields[:, :count]
     return (psi.T * modes.rcv_grid.weights) @ np.conj(psi)
 
 

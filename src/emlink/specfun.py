@@ -13,11 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "legendre_sequence",
     "gauss_legendre_rule",
-    "spherical_bessel_j",
-    "spherical_neumann_y",
     "spherical_hankel_paper",
 ]
 

@@ -8,7 +8,6 @@ from emlink.capacity import (
     capacity_vs_snr,
     capacity_waterfill,
     dof_geometric,
-    effective_dof,
     spectrum_fit,
     waterfill,
 )
@@ -153,30 +152,6 @@ class TestCapacityEqual:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             capacity_equal(1.0, 0, 1.0, 1.0)
-
-
-class TestEffectiveDof:
-    def test_equal_allocation_example(self):
-        from emlink.capacity import PowerAllocation
-
-        alloc = PowerAllocation(np.array([1.0, 1.0, 1.0]), 3, 0.0)
-        assert effective_dof(np.array([1.0, 1.0, 0.1]), 0.5, alloc) == 2
-
-    def test_vanishing_noise_counts_active_channels(self):
-        betas = np.array([1.0, 0.6, 0.3, 0.1])
-        alloc = waterfill(betas, 1.0, 1e-12)
-        assert effective_dof(betas, 1e-30, alloc) == alloc.active_count
-
-    def test_single_channel(self):
-        alloc = waterfill(np.array([1.0]), 1.0, 0.5)
-        assert effective_dof(np.array([1.0]), 0.5, alloc) == 1
-        assert effective_dof(np.array([1.0]), 1.5, alloc) == 0
-
-    def test_empty_spectrum_rejected(self):
-        from emlink.capacity import PowerAllocation
-
-        with pytest.raises(ValueError):
-            effective_dof(np.array([]), 1.0, PowerAllocation(np.array([]), 0, 0.0))
 
 
 class TestSpectrumFit:

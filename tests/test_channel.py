@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from reference_routes import reference_field
 
-from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current, reference_field
+from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
 from emlink.errors import BudgetError
 from emlink.geometry import (
     LinkGeometry,
@@ -224,6 +225,25 @@ class TestSeparableFactors:
         field = propagate_current(current, src, rcv, geo, grid, table)
         expected = dense @ (src.weights * current)
         assert np.linalg.norm(field - expected) < 1e-13 * np.linalg.norm(expected)
+
+
+class TestApertures:
+    """Each grid is phased about its own aperture, and must lie on the link's."""
+
+    @pytest.mark.parametrize(
+        "tx, rx",
+        [(((0.5, 0, 0), 4.0, 4.0), ((0, 0, 10.2), 3.2, 3.2)), (((0, 0, 0), 4.0, 4.0), ((0, 0, 10.2), 3.2, 3.0))],
+        ids=["source-center", "receiver-side"],
+    )
+    def test_grid_off_the_link_rejected(self, tx, rx):
+        geo = _ci_link((0, 0, 10.2))
+        src, rcv = tensor_grid(rect_aperture(*tx), 16), tensor_grid(rect_aperture(*rx), 16)
+        grid = cap_direction_grid(geo.axis, np.radians(60), 12, 24)
+        table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
+        with pytest.raises(ValueError, match="aperture"):
+            propagate_current(np.ones(16), src, rcv, geo, grid, table)
+        with pytest.raises(ValueError, match="aperture"):
+            radiated_basis(basis_order_table(2), src, rcv, geo, grid, table)
 
 
 def _rule_and_oversampled(geo, L, theta_e, windowed=True):

@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from reference_routes import solved_radiated_basis
 
 from emlink import modes
-from emlink.channel import FREE_SPACE_IMPEDANCE, propagate_current
+from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
 from emlink.errors import BudgetError
-from emlink.geometry import LinkGeometry, cap_direction_grid, rect_aperture, tensor_grid
+from emlink.geometry import LinkGeometry, cap_direction_grid, default_cap_densities, rect_aperture, tensor_grid
 from emlink.greens import translator_table
 from emlink.modes import (
     _PIVOT_TIE_REL,
@@ -129,8 +130,9 @@ class TestRadiatedBasis:
 class TestSingularModes:
     def test_matches_galerkin_eigh(self, ci_run):
         # an eigh of the Galerkin matrix B = R^H W_rcv R, formed here only
-        result, _, _ = ci_run
-        ms, R = result.modes, result.radiated
+        result, _, cfg = ci_run
+        ms = result.modes
+        R = solved_radiated_basis(ms, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
         B = R.conj().T @ (ms.rcv_grid.weights[:, None] * R)
         vals = np.linalg.eigvalsh(B)[::-1]
         top = ms.eigenvalues[0]
@@ -161,16 +163,40 @@ class TestSingularModes:
     @pytest.mark.parametrize("n_surface", [1, 4], ids=["one-node", "two-nodes"])
     def test_parity_blocks_without_odd_rows(self, n_surface):
         # one receiver node per axis leaves the odd classes without rows, so
-        # their orders get beta = 0; the rebuilt R still matches eigh of R^H W R
+        # their orders get beta = 0; the betas still match eigh of R^H W R
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
         result = solve_modes(geo, np.radians(60), 34, 3, n_surface)
-        ms, R = result.modes, result.radiated
+        ms, R = result.modes, solved_radiated_basis(result.modes, np.radians(60), 34)
         assert R.shape == (n_surface, 10)
+        assert result.fields.shape == (n_surface, 10)
         B = R.conj().T @ (ms.rcv_grid.weights[:, None] * R)
         vals = np.linalg.eigvalsh(B)[::-1]
         assert np.max(np.abs(vals - ms.eigenvalues)) <= 1e-13 * ms.eigenvalues[0]
         assert np.count_nonzero(ms.eigenvalues) == n_surface
         assert np.max(np.abs(ms.coefficients @ ms.coefficients.conj().T - np.eye(10))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "rx_center, n_surface, keep, mirrors",
+        [
+            ((0, 0, 10.2), 144, 40, (True, True)),
+            ((0.9, 0, 10.2), 144, None, (False, True)),
+            ((0.9, -0.6, 10.2), 144, 40, (False, False)),
+            ((0, 0, 10.2), 1, None, (True, True)),
+        ],
+        ids=["four-classes", "x-offset", "no-mirror", "one-node"],
+    )
+    def test_fields_are_radiated_basis_times_rows(self, rx_center, n_surface, keep, mirrors):
+        # the solve keeps R @ coefficients.T from its parity blocks, not R;
+        # four, two and one parity classes, and odd classes without rows
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture(rx_center, 3.2, 3.2), K)
+        result = solve_modes(geo, np.radians(60), 34, 14, n_surface, keep=keep)
+        ms = result.modes
+        grid = cap_direction_grid(geo.axis, np.radians(60), *default_cap_densities(34, np.radians(60)))
+        table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
+        assert _mirror_fold(ms.src_grid, ms.rcv_grid, geo, grid, table)[0] == mirrors
+        expected = radiated_basis(ms.basis, ms.src_grid, ms.rcv_grid, geo, grid, table) @ ms.coefficients.T
+        assert result.fields.shape == (n_surface, keep or 120)
+        assert np.max(np.abs(result.fields - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("roundoff", [1e-15, -1e-15])
     def test_beta_tie_goes_in_class_order(self, roundoff):
@@ -304,21 +330,21 @@ class TestModeSet:
             np.array([1.0, 0.0, 0.0]), np.eye(3, dtype=complex), 1.0, FREE_SPACE_IMPEDANCE,
             basis, geo, len(src.points),
         )
-        result = ModesResult(ms, radiated_basis(basis, src, rcv, geo, grid, table))
+        result = ModesResult(ms, radiated_basis(basis, src, rcv, geo, grid, table) @ ms.coefficients.T)
         assert combiner_field(result, 0).shape == (len(rcv.points),)
         with pytest.raises(ValueError):
             combiner_field(result, 1)
 
     def test_kernel_shape_checked(self, ci_run, small_pipeline):
-        # a radiated basis from another link or basis order does not fit the
-        # mode set's receiver grid and basis
+        # fields on another link's receiver grid, or of another number of
+        # modes, do not fit the mode set: the shape must be (n_rcv, len(modes))
         result, _, _ = ci_run
         ms = result.modes
         geo, grid, table, src, rcv = small_pipeline
-        other_link = radiated_basis(ms.basis, src, rcv, geo, grid, table)
-        other_basis = result.radiated[:, :-1]
-        for other in (other_link, other_basis):
-            with pytest.raises(ValueError, match="does not match"):
+        other_link = radiated_basis(ms.basis, src, rcv, geo, grid, table) @ ms.coefficients.T
+        other_count = result.fields[:, :-1]
+        for other in (other_link, other_count):
+            with pytest.raises(ValueError, match="do not match"):
                 ModesResult(ms, other)
 
     def test_mode_index_range(self, ci_run):
@@ -328,10 +354,11 @@ class TestModeSet:
 
     def test_uniform_current_bounded_by_top_mode(self, ci_run):
         # Rayleigh quotient of any trial current cannot beat beta_1
-        result, _, _ = ci_run
+        result, _, cfg = ci_run
         ms = result.modes
         # column 0 of R is the field of the constant unit-norm basis current
-        scalar = np.sum(ms.rcv_grid.weights * np.abs(result.radiated[:, 0]) ** 2)
+        R = solved_radiated_basis(ms, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
+        scalar = np.sum(ms.rcv_grid.weights * np.abs(R[:, 0]) ** 2)
         assert scalar <= result.modes.eigenvalues[0] * (1 + 1e-12)
 
 
