@@ -43,14 +43,12 @@ from .greens import (
 from .modes import (
     ModeSet,
     ModesResult,
-    basis_eval,
     basis_order_table,
     combiner_field,
     gram_currents,
     gram_fields,
     load_mode_set,
     mode_current_field,
-    radiated_basis,
     received_field,
     save_mode_set,
     solve_modes,

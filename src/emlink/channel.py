@@ -13,7 +13,7 @@ algebraically identical to entrywise evaluation; H itself is never formed.
 Both surface grids are tensor products on z-normal planes, so every
 plane-wave factor splits exactly into an x part and a y part:
 e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The complex exponentials are the
-per-axis factors alone, n1 * n_dir per axis, all from `_plane_waves`.
+per-axis factors alone, n1 * n_dir per axis, all from `_axis_waves`.
 `propagate_current` applies them matrix-free; the one dense sweep, the
 radiated basis in `modes`, builds on the same per-axis factors.
 The weighted translator is built here too, for every caller,
@@ -46,11 +46,6 @@ def _kernel_scale(k: float) -> float:
     return -k * _omega_mu(k) / (16.0 * np.pi**2)
 
 
-def _plane_waves(offsets: np.ndarray, directions: np.ndarray, k: float) -> np.ndarray:
-    """Plane-wave factors e^{-jk khat.offset}, shape (n_offsets, n_dir)."""
-    return np.exp(-1j * k * (offsets @ directions.T))
-
-
 def _axis_waves(
     surface: SurfaceGrid, sign: float, directions: np.ndarray, k: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -59,11 +54,10 @@ def _axis_waves(
     Returns X (n_x, n_dir) and Y (n_y, n_dir) with the factor at point
     (nodes_x[i], nodes_y[j]) equal to X[i] * Y[j].
     """
-    nx, ny = len(surface.nodes_x), len(surface.nodes_y)
     cx, cy, _ = surface.aperture.center
-    x_offsets = np.stack([surface.nodes_x - cx, np.zeros(nx), np.zeros(nx)], axis=1)
-    y_offsets = np.stack([np.zeros(ny), surface.nodes_y - cy, np.zeros(ny)], axis=1)
-    return _plane_waves(sign * x_offsets, directions, k), _plane_waves(sign * y_offsets, directions, k)
+    x = np.exp(-1j * k * np.outer(sign * (surface.nodes_x - cx), directions[:, 0]))
+    y = np.exp(-1j * k * np.outer(sign * (surface.nodes_y - cy), directions[:, 1]))
+    return x, y
 
 
 def _check_apertures(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry) -> None:

@@ -35,7 +35,10 @@ def _parse_number_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(round(v)) for v in _parse_number_list(text))
+    values = _parse_number_list(text)
+    if any(v != int(v) for v in values):
+        raise ValueError("list entries must be integers")
+    return tuple(int(v) for v in values)
 
 
 def _parse_vector(text: str) -> tuple[float, float, float]:

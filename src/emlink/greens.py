@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _plane_waves, _translator_weights
+from .channel import _translator_weights
 from .geometry import DirectionGrid, LinkGeometry, cap_direction_grid, default_cap_densities, truncation_order
 from .specfun import legendre_sequence, spherical_hankel_paper
 
@@ -81,7 +81,7 @@ def sgf_planewave(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: np.n
     r_qs = geometry.transmitter.center - np.asarray(s, float)
     r_rp = np.asarray(r, float) - geometry.receiver.center
     w_alpha = _translator_weights(grid, table)
-    phase = _plane_waves((r_qs + r_rp)[None, :], grid.directions, geometry.k)[0]
+    phase = np.exp(-1j * geometry.k * (grid.directions @ (r_qs + r_rp)))
     return complex(-1j * geometry.k / (16.0 * np.pi**2) * (phase @ w_alpha))
 
 

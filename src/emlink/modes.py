@@ -5,10 +5,11 @@ integral of H(r, s) conj(H(r, s')).  In an orthonormal 2-D Legendre basis E
 this is beta a = R^H W_rcv R a, where R = H W_src E holds the fields the
 basis currents radiate onto the receiver grid.  Neither H nor R^H W_rcv R is
 formed: R is a sum of separable per-axis patterns over 1024 directions at a
-time (`radiated_basis`, the package's one dense plane-wave sweep), and the
+time (`_radiated_blocks`, the package's one dense plane-wave sweep), and the
 SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and the
-coefficient rows conj(V^H) (Miller, Appl. Opt. 39, 2000).  The entry budget
-bounds R and the n_basis x n_basis coefficient rows before anything is built.
+coefficient rows conj(V^H) (Miller, Appl. Opt. 39, 2000), of which only the
+kept ones are built.  The entry budget bounds R and the blocks' V^H, at
+most n_basis x n_basis, before anything is built.
 
 Mirror symmetry splits that SVD (Knorr, IEEE TAP 21, 1973).  When the link
 and its direction grid are symmetric under x -> -x (a coaxial link on a cap
@@ -35,6 +36,10 @@ R @ coefficients.T, (n_rcv, modes), and R itself is not rebuilt: Q R is
 block-diagonal, so each block times its own columns of the kept rows gives
 that block's rows of every field.  The field functions take the
 result and cannot be handed fields of another link.
+
+The basis is only ever sampled per axis, as Px and Py: a current is
+Px A Py^T, with A its coefficient row scattered onto the (m, n) order grid,
+so no function forms the (n_points x n_basis) basis matrix.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ import numpy as np
 from .channel import FREE_SPACE_IMPEDANCE, _axis_waves, _kernel_scale, _mirror_fold
 from .errors import BudgetError
 from .geometry import (
-    DirectionGrid,
     LinkGeometry,
     SurfaceGrid,
     cap_direction_grid,
@@ -65,8 +69,6 @@ __all__ = [
     "ModeSet",
     "ModesResult",
     "basis_order_table",
-    "basis_eval",
-    "radiated_basis",
     "solve_modes",
     "mode_current_field",
     "received_field",
@@ -118,17 +120,6 @@ def _axis_legendre(t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
 
     cx, cy, _ = aperture.center
     return axis(grid.nodes_x, cx, aperture.side_x), axis(grid.nodes_y, cy, aperture.side_y)
-
-
-def basis_eval(table: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    """Sample the orthonormal 2-D Legendre basis on a surface grid.
-
-    Column i holds sqrt((2m+1)(2n+1)/(Lx Ly)) P_m(2x/Lx) P_n(2y/Ly) for
-    table entry i = (m, n), with (x, y) local coordinates on the grid's aperture.
-    """
-    px, py = _axis_legendre(int(table.max()), grid)
-    m, n = table.T
-    return (px[:, None, m] * py[None, :, n]).reshape(len(grid.points), len(table))
 
 
 def _parity_combinations(n: int, mirrored: bool) -> tuple[np.ndarray, list[tuple[slice, int | None]]]:
@@ -221,27 +212,6 @@ def _unfold(qx: np.ndarray, qy: np.ndarray, blocks, rows: np.ndarray) -> np.ndar
     return (qy.T @ half).reshape(nx * ny, width)
 
 
-def radiated_basis(
-    basis: np.ndarray,
-    src: SurfaceGrid,
-    rcv: SurfaceGrid,
-    geometry: LinkGeometry,
-    grid: DirectionGrid,
-    table: np.ndarray,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
-) -> np.ndarray:
-    """R = H W_src E, (n_rcv, n_basis): the basis currents' fields on the receiver grid.
-
-    Basis current (m, n) is separable, so its plane-wave pattern is
-    fx[d, m] * fy[d, n] with fx = X^T (w_x Px) and fy = Y^T (w_y Py); H is not
-    formed.  On a mirror-symmetric link R is summed in parity blocks over
-    the folded direction grid and unfolded as R @ I (see the module
-    docstring); the budget bounds R and the identity rows.
-    """
-    _check_budget(len(basis) ** 2, entry_budget)
-    return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), np.eye(len(basis)))
-
-
 def _fix_gauge(rows: np.ndarray) -> np.ndarray:
     """Rotate each row so its pivot entry is real positive.
 
@@ -324,8 +294,8 @@ def solve_modes(
 
     Beyond a block's rank, its V^H completes the block's orders with beta = 0.
     The first `keep` modes are kept (all when `keep` is None or <= 0), with
-    their received fields.  The budget bounds R's blocks and the coefficient
-    rows, n_rcv x n_basis and n_basis x n_basis, and is checked before
+    their received fields.  The budget bounds R's blocks and their V^H,
+    n_rcv x n_basis and at most n_basis x n_basis, and is checked before
     anything is built.
     """
     n1, n_basis = int(np.ceil(np.sqrt(max(n_surface, 1)))), (t + 1) * (t + 2) // 2
@@ -338,18 +308,25 @@ def solve_modes(
     qx, qy, blocks = _radiated_blocks(basis, src, rcv, geometry, dir_grid, table, entry_budget)
     # Q is orthogonal and pairs nodes of equal weight, so Q W_rcv Q^T is diagonal
     wx, wy = qx**2 @ rcv.weights_x, qy**2 @ rcv.weights_y
-    betas, coefficient_rows, classes = [], [], []
+    betas, class_rows, classes = [], [], []
     for cls, (rows_x, rows_y, cols, block) in enumerate(blocks):
         weighted = np.sqrt(np.outer(wx[rows_x], wy[rows_y]).ravel())[:, None] * block
         _, sigma, vh = np.linalg.svd(weighted, full_matrices=len(weighted) < len(cols))
-        coefficients = np.zeros((len(cols), len(basis)), dtype=complex)
-        coefficients[:, cols] = vh.conj()
         betas.append(np.pad(sigma**2, (0, len(cols) - len(sigma))))
-        coefficient_rows.append(coefficients)
+        class_rows.append((cols, vh.conj()))
         classes.append(np.full(len(cols), cls))
-    betas, order = _merge_spectra(np.concatenate(betas), np.concatenate(classes))
+    classes = np.concatenate(classes)
+    betas, order = _merge_spectra(np.concatenate(betas), classes)
     kept = slice(keep) if keep is not None and keep > 0 else slice(None)
-    coefficients = _fix_gauge(np.concatenate(coefficient_rows)[order[kept]])
+    merged = order[kept]
+    # only the kept rows are built: merged row r is row r - start of its class's conj(V^H)
+    coefficients = np.zeros((len(merged), len(basis)), dtype=complex)
+    start, merged_class = 0, classes[merged]
+    for cls, (cols, rows) in enumerate(class_rows):
+        mine = np.flatnonzero(merged_class == cls)
+        coefficients[np.ix_(mine, cols)] = rows[merged[mine] - start]
+        start += len(cols)
+    coefficients = _fix_gauge(coefficients)
     modes = ModeSet(betas[kept], coefficients, float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface)
     # src and rcv are what the cached grid properties would build again
     vars(modes).update(src_grid=src, rcv_grid=rcv)
@@ -369,11 +346,24 @@ def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, 
     return betas, order[np.lexsort((classes[order], run))]
 
 
+def _sample_currents(basis: np.ndarray, rows: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+    """The currents of coefficient rows (count, n_basis) at a grid's points, (n_points, count).
+
+    Each row is scattered onto its (m, n) order grid A, and the current on
+    the tensor grid is Px A Py^T (see `_axis_legendre`).
+    """
+    px, py = _axis_legendre(int(basis.max()), grid)
+    m, n = basis.T
+    orders = np.zeros((len(rows), px.shape[1], py.shape[1]), dtype=complex)
+    orders[:, m, n] = rows
+    return (px @ orders @ py.T).reshape(len(rows), len(grid.points)).T
+
+
 def mode_current_field(modes: ModeSet, n: int) -> np.ndarray:
     """Mode current phi_n sampled on the mode set's transmitter grid."""
     if not 0 <= n < len(modes):
         raise IndexError("mode index out of range")
-    return modes.scale * (basis_eval(modes.basis, modes.src_grid) @ modes.coefficients[n])
+    return modes.scale * _sample_currents(modes.basis, modes.coefficients[n : n + 1], modes.src_grid)[:, 0]
 
 
 def received_field(result: ModesResult, n: int) -> np.ndarray:
@@ -407,7 +397,7 @@ def gram_currents(modes: ModeSet, count: int) -> np.ndarray:
     if count > len(modes):
         raise ValueError("count exceeds the number of stored modes")
     grid = _exact_gram_grid(modes)
-    phi = modes.scale * (basis_eval(modes.basis, grid) @ modes.coefficients[:count].T)
+    phi = modes.scale * _sample_currents(modes.basis, modes.coefficients[:count], grid)
     return (phi.T * grid.weights) @ np.conj(phi)
 
 
@@ -472,6 +462,14 @@ def _member(obj: dict, key: str, kind: str, default=None):
     return value
 
 
+def _integer(obj: dict, key: str, default=None) -> int:
+    """obj[key] as a JSON number with no fractional part."""
+    value = _member(obj, key, "number", default)
+    if value != int(value):
+        raise ValueError(f"{key!r} must be an integer")
+    return int(value)
+
+
 def mode_set_from_dict(doc: dict) -> ModeSet:
     """Rebuild a ModeSet from its JSON document; ValueError if it is malformed.  No grid is built."""
     if not isinstance(doc, dict):
@@ -487,21 +485,21 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         apertures.append(rect_aperture(center, _member(side, "side_x", "number"), _member(side, "side_y", "number")))
     tx, rx = apertures
     geometry = LinkGeometry(tx, rx, float(_member(doc, "wavenumber", "number")))
-    n_pts = int(_member(doc, "surface_points", "number"))
+    n_pts = _integer(doc, "surface_points")
     if n_pts < 1:
         raise ValueError("surface_points must be >= 1")
-    t = int(_member(doc, "basis_order", "number"))
+    t = _integer(doc, "basis_order")
     block = _member(doc, "coefficients", "object")
-    shape = (int(_member(block, "modes", "number")), int(_member(block, "basis", "number")))
-    # checked before the table is built, whose size grows as t^2
+    shape = (_integer(block, "modes"), _integer(block, "basis"))
+    # these checks come before the table, whose size grows as t^2
     if shape[1] != (t + 1) * (t + 2) // 2:
         raise ValueError("coefficient width does not match the basis order")
-    basis = basis_order_table(t)
     flat = np.asarray(_member(block, "re_im", "array"), dtype=float)
     if flat.shape != (2 * shape[0] * shape[1],):
         raise ValueError(f"re_im holds {flat.size} values, not 2 * modes * basis")
     if not np.all(np.isfinite(flat)):
         raise ValueError("coefficients must be finite")
+    basis = basis_order_table(t)
     for key in ("power_w", "impedance_ohm", "normalization_scale"):
         if not float(_member(doc, key, "number")) > 0:
             raise ValueError(f"{key} must be finite and positive")
@@ -533,7 +531,7 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         basis=basis,
         geometry=geometry,
         surface_points=n_pts,
-        clamped_count=int(_member(doc, "clamped_count", "number", 0)),
+        clamped_count=_integer(doc, "clamped_count", 0),
     )
 
 

@@ -74,10 +74,7 @@ def legendre_sequence(l_max: int, x) -> np.ndarray:
 
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P'_n(x) for the Newton root solve (x strictly inside (-1, 1))."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for m in range(2, n + 1):
-        p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+    p_prev, p = legendre_sequence(n, x)[n - 1 :]
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 

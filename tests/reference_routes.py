@@ -1,16 +1,19 @@
 """Reference routes the tests check the package against.
 
 `reference_field` is the direct-sum oracle of `propagate_current`;
-`solved_radiated_basis` rebuilds R for a solved mode set, which keeps only
-its modes' fields.
+`basis_eval` is the dense Legendre basis, built from numpy's `legvander`
+rather than the package's per-axis patterns; `radiated_basis` is the full R
+from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
+for a solved mode set, which keeps only its modes' fields.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from emlink.channel import FREE_SPACE_IMPEDANCE
 from emlink.geometry import cap_direction_grid, default_cap_densities
 from emlink.greens import translator_table
-from emlink.modes import radiated_basis
+from emlink.modes import DEFAULT_ENTRY_BUDGET, _radiated_blocks, _unfold
 
 
 def reference_field(current, src, rcv, k):
@@ -26,6 +29,28 @@ def reference_field(current, src, rcv, k):
     R = np.linalg.norm(diff, axis=2)
     g = np.exp(-1j * k * R) / (4.0 * np.pi * R)
     return -1j * (k * FREE_SPACE_IMPEDANCE) * (g @ (src.weights * current))
+
+
+def basis_eval(table, grid):
+    """E (n_points, n_basis): sqrt((2m+1)(2n+1)/(Lx Ly)) P_m(2x/Lx) P_n(2y/Ly) for table row (m, n).
+
+    (x, y) are local coordinates on the grid's aperture, and grid point
+    i * ny + j sits at (nodes_x[i], nodes_y[j]).
+    """
+    aperture, t = grid.aperture, int(table.max())
+
+    def axis(nodes, center, side):
+        return legvander(2.0 * (nodes - center) / side, t) * np.sqrt((2 * np.arange(t + 1) + 1.0) / side)
+
+    px = axis(grid.nodes_x, aperture.center[0], aperture.side_x)
+    py = axis(grid.nodes_y, aperture.center[1], aperture.side_y)
+    m, n = table.T
+    return (px[:, None, m] * py[None, :, n]).reshape(len(grid.points), len(table))
+
+
+def radiated_basis(basis, src, rcv, geometry, grid, table, entry_budget=DEFAULT_ENTRY_BUDGET):
+    """R = H W_src E, (n_rcv, n_basis): the solve's parity blocks unfolded as R @ I."""
+    return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), np.eye(len(basis)))
 
 
 def solved_radiated_basis(modes, theta_e, L, windowed=True):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from reference_routes import reference_field, solved_radiated_basis
+from reference_routes import basis_eval, reference_field, solved_radiated_basis
 
 from emlink import (
     FREE_SPACE_IMPEDANCE,
@@ -35,7 +35,7 @@ from emlink import (
     waterfill,
 )
 from emlink.cli import main as cli_main
-from emlink.modes import basis_eval, basis_order_table
+from emlink.modes import basis_order_table
 from emlink.specfun import spherical_bessel_j, spherical_neumann_y
 
 K = 2 * np.pi

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference_routes import reference_field
+from reference_routes import basis_eval, radiated_basis, reference_field
 
 from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
 from emlink.errors import BudgetError
@@ -13,7 +13,7 @@ from emlink.geometry import (
     truncation_order,
 )
 from emlink.greens import sgf_exact, sgf_planewave, translator_table
-from emlink.modes import _BLOCK, basis_eval, basis_order_table, radiated_basis
+from emlink.modes import _BLOCK, _radiated_blocks, basis_order_table
 
 K = 2 * np.pi
 OMEGA_MU = K * FREE_SPACE_IMPEDANCE
@@ -137,7 +137,7 @@ class TestKernelMatrix:
         # the one dense sweep, the radiated basis, is budgeted
         geo, grid, table, src, rcv = paper_setup
         with pytest.raises(BudgetError):
-            radiated_basis(basis_order_table(2), src, rcv, geo, grid, table, entry_budget=1000)
+            _radiated_blocks(basis_order_table(2), src, rcv, geo, grid, table, entry_budget=1000)
 
 
 class TestPropagator:

@@ -94,6 +94,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             load_config("ci", overrides=[override])
 
+    def test_integer_lists_reject_fractions(self):
+        assert load_config("ci", overrides=["mode_map_indices=1:5:2"]).mode_map_indices == (1, 3, 5)
+        assert load_config("ci", overrides=["mode_map_indices=2.0,4"]).mode_map_indices == (2, 4)
+        for value in ("1.6,3", "0.5:2.5:1"):
+            with pytest.raises(ConfigError, match="mode_map_indices"):
+                load_config("ci", overrides=[f"mode_map_indices={value}"])
+
     def test_theta_range(self):
         with pytest.raises(ConfigError):
             load_config("paper", overrides=["theta_e_deg=190"])
@@ -360,6 +367,14 @@ class TestCliCommands:
             assert code == 1
             assert list(out.iterdir()) == []
 
+    def test_fractional_mode_map_index_writes_nothing(self, tmp_path):
+        # 1.6 is not rounded to a map of mode 2
+        out = tmp_path / "o"
+        out.mkdir()
+        code = run_cli(["--preset", "ci", "--out", str(out), "--set", "mode_map_indices=1.6,3", "modes"])
+        assert code == 1
+        assert list(out.iterdir()) == []
+
     def test_failed_modes_leaves_out_as_it_was(self, tmp_path, monkeypatch):
         # the run fails after modeset.json and eigenvalues.csv are written:
         # --out keeps its old file and nothing of the run is left beside it
@@ -465,6 +480,27 @@ def _huge_basis_order(doc):
     doc["basis_order"] = 10**9
 
 
+def _fractional_surface_points(doc):
+    doc["surface_points"] = 144.9
+
+
+def _fractional_basis_order(doc):
+    # the width 120 matches the truncated order 14
+    doc["basis_order"] = 14.6
+
+
+def _fractional_mode_count(doc):
+    doc["coefficients"]["modes"] = 120.5
+
+
+def _fractional_basis_width(doc):
+    doc["coefficients"]["basis"] = 120.5
+
+
+def _fractional_clamped_count(doc):
+    doc["clamped_count"] = 0.5
+
+
 def _infinite_mode_count(doc):
     doc["coefficients"]["modes"] = float("inf")
 
@@ -515,14 +551,17 @@ class TestMalformedModeSet:
          _unit_scale, _infinite_surface_points, _zero_surface_points, _infinite_basis_order,
          _huge_basis_order,
          _infinite_mode_count, _nan_wavenumber, _infinite_wavenumber, _nan_transmitter_side,
-         _nan_receiver_center],
+         _nan_receiver_center, _fractional_surface_points, _fractional_basis_order,
+         _fractional_mode_count, _fractional_basis_width, _fractional_clamped_count],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
              "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum",
              "nan-coefficient", "negative-power", "nan-scale", "infinite-impedance",
              "top-level-list", "transmitter-list", "null-eigenvalues",
              "unit-scale", "infinite-surface-points", "zero-surface-points", "infinite-basis-order",
              "huge-basis-order", "infinite-mode-count", "nan-wavenumber",
-             "infinite-wavenumber", "nan-transmitter-side", "nan-receiver-center"],
+             "infinite-wavenumber", "nan-transmitter-side", "nan-receiver-center",
+             "fractional-surface-points", "fractional-basis-order", "fractional-mode-count",
+             "fractional-basis-width", "fractional-clamped-count"],
     )
     def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
         doc = json.loads(json.dumps(ci_mode_doc))

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from reference_routes import solved_radiated_basis
+from reference_routes import basis_eval, radiated_basis, solved_radiated_basis
 
 from emlink import modes
 from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
@@ -15,7 +15,7 @@ from emlink.modes import (
     ModesResult,
     _fix_gauge,
     _merge_spectra,
-    basis_eval,
+    _sample_currents,
     basis_order_table,
     combiner_field,
     gram_currents,
@@ -24,7 +24,6 @@ from emlink.modes import (
     mode_current_field,
     mode_set_from_dict,
     mode_set_to_dict,
-    radiated_basis,
     received_field,
     save_mode_set,
     solve_modes,
@@ -51,18 +50,23 @@ class TestBasisOrderTable:
         assert len(basis_order_table(14)) == 120
 
 
+def _sampled_basis(table, grid):
+    """The package's per-axis sampler on the identity rows: every basis function at every grid point."""
+    return _sample_currents(table, np.eye(len(table)), grid)
+
+
 class TestBasisEval:
     def test_constant_entry(self):
         ap = rect_aperture((0, 0, 0), 2.0, 5.0)
         grid = tensor_grid(ap, 16)
-        E = basis_eval(basis_order_table(2), grid)
+        E = _sampled_basis(basis_order_table(2), grid)
         assert E[:, 0] == pytest.approx(np.full(len(grid.points), 1 / np.sqrt(10.0)))
 
     def test_odd_entry_vanishes_at_center(self):
         ap = rect_aperture((0, 0, 0), 3.0, 3.0)
         # odd grid size puts a point exactly at the aperture center
         grid = tensor_grid(ap, 25)
-        E = basis_eval(basis_order_table(1), grid)
+        E = _sampled_basis(basis_order_table(1), grid)
         center = np.argmin(np.linalg.norm(grid.points, axis=1))
         assert abs(E[center, 1]) < 1e-14  # (0,1) entry ~ P_1(y)
         assert abs(E[center, 2]) < 1e-14  # (1,0) entry ~ P_1(x)
@@ -71,9 +75,36 @@ class TestBasisEval:
     def test_gram_is_identity(self, t):
         ap = rect_aperture((1.0, -0.5, 2.0), 4.0, 2.5)
         grid = tensor_grid(ap, (t + 1) ** 2)
-        E = basis_eval(basis_order_table(t), grid)
-        gram = (E.T * grid.weights) @ E
+        E = _sampled_basis(basis_order_table(t), grid)
+        gram = (E.T * grid.weights) @ E.conj()
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-10
+
+    @pytest.mark.parametrize("t, n_surface", [(5, 36), (9, 49)])
+    def test_matches_dense_oracle(self, t, n_surface):
+        # Px A Py^T against the dense legvander basis times the rows, on an
+        # offset aperture whose sides differ, so swapping x and y moves it
+        ap = rect_aperture((1.0, -0.5, 2.0), 4.0, 2.5)
+        grid = tensor_grid(ap, n_surface)
+        table = basis_order_table(t)
+        rng = np.random.default_rng(t)
+        rows = rng.normal(size=(3, len(table))) + 1j * rng.normal(size=(3, len(table)))
+        expected = basis_eval(table, grid) @ rows.T
+        got = _sample_currents(table, rows, grid)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_mode_currents_match_dense_oracle(self, ci_run):
+        # mode_current_field on the transmitter grid and gram_currents on its
+        # exact grid, against the dense basis times the coefficient rows
+        ms = ci_run[0].modes
+        E = basis_eval(ms.basis, ms.src_grid)
+        for n in (0, 4):
+            expected = ms.scale * (E @ ms.coefficients[n])
+            got = mode_current_field(ms, n)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        grid = tensor_grid(ms.geometry.transmitter, (int(ms.basis.max()) + 1) ** 2)
+        phi = ms.scale * (basis_eval(ms.basis, grid) @ ms.coefficients[:6].T)
+        expected = (phi.T * grid.weights) @ np.conj(phi)
+        assert np.max(np.abs(gram_currents(ms, 6) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +459,22 @@ class TestSerialization:
         assert mode_set_from_dict(doc).power_w == doc["power_w"]
         doc[key] = value
         with pytest.raises(ValueError, match=key):
+            mode_set_from_dict(doc)
+
+    @pytest.mark.parametrize("fault", ["short", "nan"])
+    def test_re_im_checked_before_the_table(self, monkeypatch, ci_run, fault):
+        # the order table grows as t^2; a re_im that cannot fit is rejected first
+        def built(*args, **kwargs):
+            raise AssertionError("the order table was built")
+
+        monkeypatch.setattr(modes, "basis_order_table", built)
+        doc = mode_set_to_dict(ci_run[0].modes)
+        if fault == "short":
+            t = 2500
+            doc["basis_order"], doc["coefficients"]["basis"] = t, (t + 1) * (t + 2) // 2
+        else:
+            doc["coefficients"]["re_im"][7] = float("nan")
+        with pytest.raises(ValueError, match="re_im|finite"):
             mode_set_from_dict(doc)
 
     def test_validates_against_schema(self, tmp_path, ci_run):
