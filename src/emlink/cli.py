@@ -9,10 +9,11 @@ modes        full eigenmode pipeline: mode-set JSON, eigenvalue CSV, Gram
 capacity     water-filling / flat-plateau capacity curve from a mode-set file
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
-All files are deterministic for a fixed configuration: fixed float format,
-fixed ordering, no timestamps.  A command writes into a temporary directory
-beside --out and moves its files into --out only when it succeeds, so a
-failed run leaves --out as it was.
+All files are deterministic for a fixed configuration: one CSV writer takes
+columns and gives each one format from its dtype (integers %d, the rest
+%.12e), fixed ordering, no timestamps.  A command writes into a temporary
+directory beside --out and moves its files into --out only when it succeeds,
+so a failed run leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -36,16 +37,11 @@ from .geometry import truncation_order
 _FMT = "%.12e"
 
 
-def _write_csv(path: Path, header: str, rows) -> Path:
-    lines = [header]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            else:
-                cells.append(_FMT % float(value))
-        lines.append(",".join(cells))
+def _write_csv(path: Path, header: str, *columns) -> Path:
+    """One row per index of the equal-length columns: integer columns as %d, every other one as _FMT."""
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join("%d" if column.dtype.kind in "iu" else _FMT for column in columns)
+    lines = [header, *(row % cells for cells in zip(*(column.tolist() for column in columns), strict=True))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -60,90 +56,50 @@ def _translator_profile(cfg: ExperimentConfig, theta_deg: np.ndarray, windowed: 
 
 def cmd_translator(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     theta = np.arange(0.0, 180.0 + 1e-9, 0.25)
-    unw = _translator_profile(cfg, theta, windowed=False)
-    win = _translator_profile(cfg, theta, windowed=True)
-    path = _write_csv(
-        out_dir / "translator.csv",
-        "theta_deg,alpha_abs_norm_unwindowed,alpha_abs_norm_windowed",
-        zip(theta, unw, win),
-    )
-    return [path]
+    profiles = (_translator_profile(cfg, theta, windowed) for windowed in (False, True))
+    header = "theta_deg,alpha_abs_norm_unwindowed,alpha_abs_norm_windowed"
+    return [_write_csv(out_dir / "translator.csv", header, theta, *profiles)]
 
 
 def cmd_sgf_error(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     geometry = cfg.check_geometry()
-    sweeps = {}
-    for windowed in (False, True):
-        sweeps[windowed] = greens.expansion_error_sweep(
-            geometry,
-            cfg.check_src,
-            cfg.check_field,
-            [np.radians(a) for a in cfg.sweep_theta_deg],
-            windowed=windowed,
-        )
-    rows = [
-        (ang, sweeps[False][i][1], sweeps[True][i][1])
-        for i, ang in enumerate(cfg.sweep_theta_deg)
-    ]
-    path = _write_csv(
-        out_dir / "sgf_error.csv",
-        "theta_e_deg,rel_error_unwindowed,rel_error_windowed",
-        rows,
+    angles = np.asarray(cfg.sweep_theta_deg, dtype=float)
+    errors = (
+        [error for _, error in greens.expansion_error_sweep(
+            geometry, cfg.check_src, cfg.check_field, np.radians(angles), windowed=windowed)]
+        for windowed in (False, True)
     )
-    return [path]
+    header = "theta_e_deg,rel_error_unwindowed,rel_error_windowed"
+    return [_write_csv(out_dir / "sgf_error.csv", header, angles, *errors)]
 
 
 def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     result = cfg.solve()
     ms = result.modes
-    written = []
-
     json_path = out_dir / "modeset.json"
     modes.save_mode_set(ms, json_path)
-    written.append(json_path)
-
-    bn = ms.normalized
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(bn)
-    written.append(
-        _write_csv(
-            out_dir / "eigenvalues.csv",
-            "mode_index,beta_raw,beta_rel_db",
-            zip(range(1, len(ms) + 1), ms.eigenvalues, db),
-        )
-    )
+        db = 10.0 * np.log10(ms.normalized)
+    written = [
+        json_path,
+        _write_csv(out_dir / "eigenvalues.csv", "mode_index,beta_raw,beta_rel_db",
+                   np.arange(1, len(ms) + 1), ms.eigenvalues, db),
+    ]
 
     count = min(40, len(ms))
-    gram_c = modes.gram_currents(ms, count)
-    gram_f = modes.gram_fields(result, count)
-    for name, gram in (("gram_currents.csv", gram_c), ("gram_fields.csv", gram_f)):
-        rows = [
-            (i + 1, j + 1, abs(gram[i, j]))
-            for i in range(count)
-            for j in range(count)
-        ]
-        written.append(_write_csv(out_dir / name, "row_mode,col_mode,magnitude_sys", rows))
+    row, col = divmod(np.arange(count * count), count)
+    for name, gram in (("gram_currents.csv", modes.gram_currents(ms, count)),
+                       ("gram_fields.csv", modes.gram_fields(result, count))):
+        # hypot of the parts is abs() of each complex entry, bit for bit
+        magnitude = np.hypot(gram.real, gram.imag).ravel()
+        written.append(_write_csv(out_dir / name, "row_mode,col_mode,magnitude_sys", row + 1, col + 1, magnitude))
 
+    header = "x_lambda,y_lambda,magnitude_sys,phase_rad"
     for index in cfg.mode_map_indices:
-        n = index - 1
-        phi = modes.mode_current_field(ms, n)
-        pts = ms.src_grid.points
-        written.append(
-            _write_csv(
-                out_dir / f"mode_current_{index:02d}.csv",
-                "x_lambda,y_lambda,magnitude_sys,phase_rad",
-                zip(pts[:, 0], pts[:, 1], np.abs(phi), np.angle(phi)),
-            )
-        )
-        psi = modes.received_field(result, n)
-        rpts = ms.rcv_grid.points
-        written.append(
-            _write_csv(
-                out_dir / f"mode_field_{index:02d}.csv",
-                "x_lambda,y_lambda,magnitude_sys,phase_rad",
-                zip(rpts[:, 0], rpts[:, 1], np.abs(psi), np.angle(psi)),
-            )
-        )
+        for kind, values, grid in (("current", modes.mode_current_field(ms, index - 1), ms.src_grid),
+                                   ("field", modes.received_field(result, index - 1), ms.rcv_grid)):
+            path = out_dir / f"mode_{kind}_{index:02d}.csv"
+            written.append(_write_csv(path, header, *grid.points[:, :2].T, np.abs(values), np.angle(values)))
     return written
 
 
@@ -158,29 +114,20 @@ def cmd_capacity(cfg: ExperimentConfig, out_dir: Path, modes_file: Path) -> list
         raise ConfigError(f"mode-set file not found: {modes_file}")
     try:
         ms = modes.load_mode_set(modes_file)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # JSON and Unicode decode errors are ValueErrors too
         raise ConfigError(f"invalid mode-set file {modes_file}: {exc}") from exc
     betas = ms.normalized
     n_plateau = _plateau_count(ms)
     curve = cap.capacity_vs_snr(betas, cfg.power_w, cfg.snr_db, n_plateau)
+    columns = ("snr_db", "sigma2_w", "c_waterfill_bits", "c_equal_bits", "active_channels")
+    active = [p.allocation.active_count for p in curve]
     written = [
-        _write_csv(
-            out_dir / "capacity_curve.csv",
-            "snr_db,sigma2_w,c_waterfill_bits,c_equal_bits,active_channels",
-            (
-                (p.snr_db, p.sigma2_w, p.c_waterfill_bits, p.c_equal_bits, p.active_channels)
-                for p in curve
-            ),
-        ),
-        _write_csv(
-            out_dir / "allocation.csv",
-            "snr_db,channel_index,power_w",
-            (
-                (p.snr_db, i + 1, p.allocation.powers[i])
-                for p in curve
-                for i in range(p.allocation.active_count)
-            ),
-        ),
+        _write_csv(out_dir / "capacity_curve.csv", ",".join(columns),
+                   *([getattr(p, name) for p in curve] for name in columns)),
+        _write_csv(out_dir / "allocation.csv", "snr_db,channel_index,power_w",
+                   np.repeat([p.snr_db for p in curve], active),
+                   np.concatenate([np.arange(1, n + 1) for n in active]),
+                   np.concatenate([p.allocation.powers[:n] for p, n in zip(curve, active)])),
     ]
     fit = cap.spectrum_fit(betas, n_plateau, tail_floor_rel=cfg.fit_floor_rel)
     fit_doc = {
@@ -234,15 +181,14 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.resolve().name}.", dir=out_dir.resolve().parent))
-        if args.command == "translator":
-            written = cmd_translator(cfg, staging)
-        elif args.command == "sgf-error":
-            written = cmd_sgf_error(cfg, staging)
-        elif args.command == "modes":
-            written = cmd_modes(cfg, staging)
-        else:
-            modes_file = Path(args.modes_file) if args.modes_file else out_dir / "modeset.json"
-            written = cmd_capacity(cfg, staging, modes_file)
+        # built per call, so each entry runs the module's current cmd_* binding
+        commands = {
+            "translator": lambda: cmd_translator(cfg, staging),
+            "sgf-error": lambda: cmd_sgf_error(cfg, staging),
+            "modes": lambda: cmd_modes(cfg, staging),
+            "capacity": lambda: cmd_capacity(cfg, staging, Path(args.modes_file or out_dir / "modeset.json")),
+        }
+        written = commands[args.command]()
         for path in written:
             os.replace(path, out_dir / path.name)
         written = [out_dir / path.name for path in written]

@@ -19,6 +19,8 @@ from .modes import DEFAULT_ENTRY_BUDGET, ModesResult, solve_modes
 
 __all__ = ["ExperimentConfig", "PRESETS", "load_config"]
 
+_MAX_RANGE_COUNT = 10_000  # values one start:stop:step range may expand to
+
 
 def _parse_number_list(text: str) -> tuple[float, ...]:
     text = text.strip()
@@ -30,6 +32,8 @@ def _parse_number_list(text: str) -> tuple[float, ...]:
         if step <= 0:
             raise ValueError("range step must be positive")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        if count > _MAX_RANGE_COUNT:
+            raise ValueError(f"range holds {count} values, more than {_MAX_RANGE_COUNT}")
         return tuple(start + i * step for i in range(count))
     return tuple(float(p) for p in text.split(",") if p.strip())
 
@@ -74,7 +78,7 @@ class ExperimentConfig:
     power_w: float = 1.0
     snr_db: tuple[float, ...] = tuple(float(v) for v in range(31))
     mode_map_indices: tuple[int, ...] = (1, 3, 5)
-    sweep_theta_deg: tuple[float, ...] = (10, 20, 30, 40, 50, 60, 70, 80, 90)
+    sweep_theta_deg: tuple[float, ...] = tuple(float(v) for v in range(10, 91, 10))
     check_aperture: float = 10.0
     check_distance: float = 20.0
     check_src: tuple[float, float, float] = (-5.0, 1.0, 1.0)

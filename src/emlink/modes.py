@@ -523,6 +523,9 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         raise ValueError("eigenvalues must be sorted descending")
     if eigenvalues[0] == 0:
         raise ValueError("eigenvalues are all zero")
+    clamped_count = _integer(doc, "clamped_count", 0)
+    if clamped_count < 0:
+        raise ValueError("clamped_count must be >= 0")
     return ModeSet(
         eigenvalues=eigenvalues,
         coefficients=coeff,
@@ -531,7 +534,7 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         basis=basis,
         geometry=geometry,
         surface_points=n_pts,
-        clamped_count=_integer(doc, "clamped_count", 0),
+        clamped_count=clamped_count,
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emlink import modes
+from emlink import cli, modes
 from emlink.cli import main
 from emlink.config import PRESETS, load_config
 from emlink.errors import ConfigError
@@ -101,6 +101,13 @@ class TestValidation:
             with pytest.raises(ConfigError, match="mode_map_indices"):
                 load_config("ci", overrides=[f"mode_map_indices={value}"])
 
+    def test_range_length_bounded(self):
+        # a range is counted before it is built: 10 000 values load, one more does not
+        assert len(load_config("ci", overrides=["snr_db=0:9999:1"]).snr_db) == 10_000
+        for value in ("0:10000:1", "0:1e5:1"):
+            with pytest.raises(ConfigError, match="snr_db"):
+                load_config("ci", overrides=[f"snr_db={value}"])
+
     def test_theta_range(self):
         with pytest.raises(ConfigError):
             load_config("paper", overrides=["theta_e_deg=190"])
@@ -168,6 +175,33 @@ def _read_map(path):
     return rows[:, 2] * np.exp(1j * rows[:, 3])
 
 
+def _per_cell_csv(header, rows):
+    """The per-cell rule the writer keeps: integers as str(int(v)), every other value as %.12e."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(
+            str(int(v)) if isinstance(v, (int, np.integer)) else "%.12e" % float(v) for v in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_matches_per_cell_rule(self, tmp_path):
+        columns = (
+            [1, 2, 3],
+            np.array([7, -8, 2**40], dtype=np.int64),
+            np.array([-np.inf, 0.0, 1e-300]),  # -inf is a null mode's beta_rel_db
+            [np.float64(0.1), np.float64(-2.5e12), np.float64(np.pi)],
+            [10.0, 20.0, 90.0],
+        )
+        path = cli._write_csv(tmp_path / "t.csv", "a,b,c,d,e", *columns)
+        assert path.read_text(encoding="utf-8") == _per_cell_csv("a,b,c,d,e", zip(*columns))
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", "a,b", [1, 2], [1.0])
+
+
 class TestCliCommands:
     def test_translator_outputs(self, tmp_path):
         out = tmp_path / "o"
@@ -194,6 +228,17 @@ class TestCliCommands:
         assert len(data) == 9
         # decreasing-then-settled shape: late errors far below early ones
         assert data[-1, 2] < 0.05 * data[0, 2]
+
+    def test_sweep_angles_print_the_same_either_way(self, tmp_path):
+        # the preset default and the same angles given as a range are one
+        # configuration, so they give one file
+        outs = [tmp_path / "default", tmp_path / "range"]
+        assert run_cli(["--preset", "ci", "--out", str(outs[0]), "sgf-error"]) == 0
+        as_range = ["--set", "sweep_theta_deg=10:90:10"]
+        assert run_cli(["--preset", "ci", "--out", str(outs[1]), *as_range, "sgf-error"]) == 0
+        first, second = ((out / "sgf_error.csv").read_bytes() for out in outs)
+        assert first == second
+        assert first.splitlines()[1].startswith(b"1.000000000000e+01,")
 
     def test_single_angle_sweep(self, tmp_path):
         out = tmp_path / "o"
@@ -304,25 +349,18 @@ class TestCliCommands:
         )
         assert code == 2
 
-    def test_determinism(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert run_cli(["--preset", "ci", "--out", str(out), "translator"]) == 0
-            assert run_cli(["--preset", "ci", "--out", str(out), "sgf-error"]) == 0
-            assert run_cli(["--preset", "ci", "--out", str(out), "modes"]) == 0
-            assert run_cli(["--preset", "ci", "--out", str(out), "capacity"]) == 0
-        for name in (
-            "translator.csv",
-            "sgf_error.csv",
-            "modeset.json",
-            "eigenvalues.csv",
-            "gram_currents.csv",
-            "gram_fields.csv",
-            "capacity_curve.csv",
-            "allocation.csv",
-            "spectrum_fit.json",
-        ):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    def test_determinism(self, tmp_path, capsys):
+        printed = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            for command in ("translator", "sgf-error", "modes", "capacity"):
+                assert run_cli(["--preset", "ci", "--out", str(out), command]) == 0
+            printed.append([Path(line) for line in capsys.readouterr().out.splitlines()])
+        first, second = printed
+        # 1 + 1 + (modeset, eigenvalues, 2 Grams, 3 current and 3 field maps) + 3
+        assert len(first) == 15
+        assert [p.name for p in first] == [p.name for p in second]
+        for path1, path2 in zip(first, second):
+            assert path1.read_bytes() == path2.read_bytes(), path1.name
 
     def test_modes_reproducible_across_blas_threads(self, tmp_path):
         # the BLAS thread count changes roundoff only: the spectrum and every
@@ -501,6 +539,10 @@ def _fractional_clamped_count(doc):
     doc["clamped_count"] = 0.5
 
 
+def _negative_clamped_count(doc):
+    doc["clamped_count"] = -3
+
+
 def _infinite_mode_count(doc):
     doc["coefficients"]["modes"] = float("inf")
 
@@ -552,7 +594,8 @@ class TestMalformedModeSet:
          _huge_basis_order,
          _infinite_mode_count, _nan_wavenumber, _infinite_wavenumber, _nan_transmitter_side,
          _nan_receiver_center, _fractional_surface_points, _fractional_basis_order,
-         _fractional_mode_count, _fractional_basis_width, _fractional_clamped_count],
+         _fractional_mode_count, _fractional_basis_width, _fractional_clamped_count,
+         _negative_clamped_count],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
              "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum",
              "nan-coefficient", "negative-power", "nan-scale", "infinite-impedance",
@@ -561,7 +604,7 @@ class TestMalformedModeSet:
              "huge-basis-order", "infinite-mode-count", "nan-wavenumber",
              "infinite-wavenumber", "nan-transmitter-side", "nan-receiver-center",
              "fractional-surface-points", "fractional-basis-order", "fractional-mode-count",
-             "fractional-basis-width", "fractional-clamped-count"],
+             "fractional-basis-width", "fractional-clamped-count", "negative-clamped-count"],
     )
     def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
         doc = json.loads(json.dumps(ci_mode_doc))
@@ -572,6 +615,15 @@ class TestMalformedModeSet:
         code = run_cli(["--preset", "ci", "--out", str(out), "capacity", "--modes-file", str(path)])
         assert code == 1
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"format": '], ids=["not-utf8", "truncated-json"])
+def test_capacity_rejects_undecodable_file(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "o"
+    assert run_cli(["--preset", "ci", "--out", str(out), "capacity", "--modes-file", str(path)]) == 1
+    assert list(out.iterdir()) == []
 
 
 def test_capacity_builds_no_surface_grid(tmp_path, monkeypatch, ci_mode_doc):
