@@ -43,9 +43,7 @@ print(f"full-sphere relative error: {abs(recon - exact) / abs(exact):.2e}\n")
 angles = np.radians(np.arange(10, 91, 10))
 print("cap half-angle sweep, relative error |G_cap - G| / |G|:")
 print(f"{'theta_e':>8} {'unwindowed':>12} {'windowed':>12}")
-sweep_u = expansion_error_sweep(geo, s, r, angles, windowed=False)
-sweep_w = expansion_error_sweep(geo, s, r, angles, windowed=True)
-for (t, eu), (_, ew) in zip(sweep_u, sweep_w):
+for t, eu, ew in expansion_error_sweep(geo, s, r, angles):
     print(f"{np.degrees(t):>6.0f}   {eu:>12.3e} {ew:>12.3e}")
 
 print("\nwith the window, a 60-degree cap already reconstructs the propagator "

@@ -48,31 +48,29 @@ def waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> PowerAllocation:
     """Closed-form water-filling over the largest feasible active set.
 
     For the active set of size M,
-        P_n = P_t/M + (1/M) sum_i sigma^2/beta_i - sigma^2/beta_n,
-    and M is reduced from the full candidate set until every P_n >= 0.
-    Channels with beta = 0 never receive power.
+        P_n = P_t/M + (1/M) sum_i sigma^2/beta_i - sigma^2/beta_n.
+    With descending betas the feasible sets (every P_n >= 0) are the
+    prefixes up to the largest M whose level (P_t + sum_{i<=M} sigma^2/beta_i)/M
+    reaches sigma^2/beta_M, so one cumulative sum finds M.  Channels with
+    beta = 0 never receive power.
     """
     betas = np.asarray(betas, dtype=float)
-    if p_t <= 0 or sigma2 <= 0:
-        raise ValueError("p_t and sigma2 must be positive")
+    if not (0 < p_t < np.inf and 0 < sigma2 < np.inf):
+        raise ValueError("p_t and sigma2 must be finite and positive")
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("betas must be finite")
     if betas.size == 0 or betas[0] <= 0:
         raise ValueError("spectrum has no usable channel")
     if np.any(np.diff(betas) > 0):
         raise ValueError("betas must be sorted descending")
-    positive = betas[betas > 0]
-    inv = sigma2 / positive
-    M = len(positive)
-    while M > 0:
-        level = (p_t + np.sum(inv[:M])) / M
-        candidate = level - inv[:M]
-        # weakest active channel pins feasibility; descending betas mean
-        # the last entry is the smallest allocation
-        if candidate[-1] >= 0:
-            powers = np.zeros_like(betas)
-            powers[:M] = candidate
-            return PowerAllocation(powers, M, float(level))
-        M -= 1
-    raise ValueError("water-filling found no feasible active set")
+    inv = sigma2 / betas[betas > 0]
+    levels = (p_t + np.cumsum(inv)) / np.arange(1, len(inv) + 1)
+    # as a difference, a floor sigma^2/beta that overflows to inf fails (inf - inf is NaN)
+    M = int(np.flatnonzero(levels - inv >= 0)[-1]) + 1
+    level = (p_t + np.sum(inv[:M])) / M
+    powers = np.zeros_like(betas)
+    powers[:M] = level - inv[:M]
+    return PowerAllocation(powers, M, float(level))
 
 
 def _rate(betas: np.ndarray, alloc: PowerAllocation, sigma2: float) -> float:

@@ -33,6 +33,7 @@ from . import greens, modes
 from .config import ExperimentConfig, load_config
 from .errors import BudgetError, ConfigError
 from .geometry import truncation_order
+from .specfun import legendre_sequence
 
 _FMT = "%.12e"
 
@@ -46,31 +47,21 @@ def _write_csv(path: Path, header: str, *columns) -> Path:
     return path
 
 
-def _translator_profile(cfg: ExperimentConfig, theta_deg: np.ndarray, windowed: bool) -> np.ndarray:
-    """|alpha| over the angle to the link axis, normalized to its own peak."""
-    L = truncation_order(cfg.k, cfg.check_aperture)
-    cos_theta = np.cos(np.radians(theta_deg))
-    mag = np.abs(greens.translator_series(L, cfg.k * cfg.check_distance, cos_theta, windowed))
-    return mag / mag.max()
-
-
 def cmd_translator(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     theta = np.arange(0.0, 180.0 + 1e-9, 0.25)
-    profiles = (_translator_profile(cfg, theta, windowed) for windowed in (False, True))
+    L = truncation_order(cfg.k, cfg.check_aperture)
+    legendre = legendre_sequence(L, np.cos(np.radians(theta)))
+    # |alpha| over the angle to the link axis for both windows, each normalized to its own peak
+    mag = np.abs([row @ legendre for row in greens._window_rows(L, cfg.k * cfg.check_distance)])
     header = "theta_deg,alpha_abs_norm_unwindowed,alpha_abs_norm_windowed"
-    return [_write_csv(out_dir / "translator.csv", header, theta, *profiles)]
+    return [_write_csv(out_dir / "translator.csv", header, theta, *(mag / mag.max(axis=1, keepdims=True)))]
 
 
 def cmd_sgf_error(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    geometry = cfg.check_geometry()
     angles = np.asarray(cfg.sweep_theta_deg, dtype=float)
-    errors = (
-        [error for _, error in greens.expansion_error_sweep(
-            geometry, cfg.check_src, cfg.check_field, np.radians(angles), windowed=windowed)]
-        for windowed in (False, True)
-    )
+    sweep = greens.expansion_error_sweep(cfg.check_geometry(), cfg.check_src, cfg.check_field, np.radians(angles))
     header = "theta_e_deg,rel_error_unwindowed,rel_error_windowed"
-    return [_write_csv(out_dir / "sgf_error.csv", header, angles, *errors)]
+    return [_write_csv(out_dir / "sgf_error.csv", header, angles, *np.array(sweep)[:, 1:].T)]
 
 
 def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:

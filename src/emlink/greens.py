@@ -50,6 +50,15 @@ def tukey_window(L: int) -> np.ndarray:
     return w
 
 
+def _window_rows(L: int, k_rpq: float) -> np.ndarray:
+    """Series coefficients (-j)^l (2l+1) h_l(k r_pq), unwindowed and Tukey-tapered, shape (2, L+1)."""
+    if L < 0:
+        raise ValueError("L must be non-negative")
+    ls = np.arange(L + 1)
+    coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, k_rpq)
+    return np.stack([coef, coef * tukey_window(L) if L >= 2 else coef])
+
+
 def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.ndarray:
     """alpha = sum_l (-j)^l (2l+1) h_l(k r_pq) P_l(cos gamma) [w_l] at each cos gamma.
 
@@ -57,61 +66,57 @@ def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.nda
     Neumann recurrence when L is pushed far beyond k*r_pq.  The Tukey taper
     w_l applies when windowed and L >= 2.
     """
-    if L < 0:
-        raise ValueError("L must be non-negative")
-    ls = np.arange(L + 1)
-    coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, k_rpq)
-    if windowed and L >= 2:
-        coef = coef * tukey_window(L)
-    return coef @ legendre_sequence(L, cos_gamma)
+    return _window_rows(L, k_rpq)[int(windowed)] @ legendre_sequence(L, cos_gamma)
 
 
-def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool) -> np.ndarray:
-    """Translator alpha(khat . rhat_pq) at every direction sample, shape (n_dir,) complex."""
+def _link_cosines(grid: DirectionGrid, r_pq) -> tuple[float, np.ndarray]:
+    """|r_pq| and khat . rhat_pq at every direction sample."""
     r_pq = np.asarray(r_pq, dtype=float)
     rpq = float(np.linalg.norm(r_pq))
     if rpq <= 0:
         raise ValueError("translation vector must be non-zero")
-    cosg = np.clip(grid.directions @ (r_pq / rpq), -1.0, 1.0)
+    return rpq, np.clip(grid.directions @ (r_pq / rpq), -1.0, 1.0)
+
+
+def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool) -> np.ndarray:
+    """Translator alpha(khat . rhat_pq) at every direction sample, shape (n_dir,) complex."""
+    rpq, cosg = _link_cosines(grid, r_pq)
     return translator_series(L, k * rpq, cosg, windowed)
+
+
+def _planewave_sum(r, s, geometry: LinkGeometry, grid: DirectionGrid, w_alpha: np.ndarray):
+    """(-jk / 16 pi^2) sum_khat e^{-jk khat.(r_qs + r_rp)} w alpha, over the first axis of w_alpha."""
+    r_qs = geometry.transmitter.center - np.asarray(s, float)
+    r_rp = np.asarray(r, float) - geometry.receiver.center
+    phase = np.exp(-1j * geometry.k * (grid.directions @ (r_qs + r_rp)))
+    return -1j * geometry.k / (16.0 * np.pi**2) * (phase @ w_alpha)
 
 
 def sgf_planewave(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray) -> complex:
     """Scalar Green's function reconstructed from the plane-wave expansion."""
-    r_qs = geometry.transmitter.center - np.asarray(s, float)
-    r_rp = np.asarray(r, float) - geometry.receiver.center
-    w_alpha = _translator_weights(grid, table)
-    phase = np.exp(-1j * geometry.k * (grid.directions @ (r_qs + r_rp)))
-    return complex(-1j * geometry.k / (16.0 * np.pi**2) * (phase @ w_alpha))
+    return complex(_planewave_sum(r, s, geometry, grid, _translator_weights(grid, table)))
 
 
-def expansion_error_sweep(
-    geometry: LinkGeometry,
-    s,
-    r,
-    theta_list,
-    windowed: bool,
-) -> list[tuple[float, float]]:
-    """Relative reconstruction error |G_a - G| / |G| versus cap half-angle.
+def expansion_error_sweep(geometry: LinkGeometry, s, r, theta_list) -> list[tuple[float, float, float]]:
+    """Relative reconstruction errors |G_a - G| / |G|, unwindowed and windowed, versus cap half-angle.
 
-    G_a integrates the expansion over a cap of half-angle theta_e around the
-    link axis, on that cap's default_cap_densities grid; G is the exact scalar
-    Green's function.  L is the truncation rule applied to the largest
-    aperture side.
+    Returns (theta_e, unwindowed error, windowed error) per angle.  G_a
+    integrates the expansion over a cap of half-angle theta_e around the link
+    axis, on that cap's default_cap_densities grid; both windows share the
+    grid, its Legendre table and its phases.  G is the exact scalar Green's
+    function.  L is the truncation rule applied to the largest aperture side.
     """
-    D = max(
-        geometry.transmitter.side_x,
-        geometry.transmitter.side_y,
-        geometry.receiver.side_x,
-        geometry.receiver.side_y,
-    )
+    D = max(max(aperture.side_x, aperture.side_y) for aperture in (geometry.transmitter, geometry.receiver))
     L = truncation_order(geometry.k, D)
     exact = sgf_exact(r, s, geometry.k)
+    rows = _window_rows(L, geometry.k * geometry.distance)
+    # real and imaginary rows through one real product, so no Legendre table is copied to complex
+    re_im_rows = np.concatenate([rows.real, rows.imag])
     out = []
-    for theta_e in theta_list:
-        theta_e = float(theta_e)
+    for theta_e in map(float, theta_list):
         grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
-        table = translator_table(grid, geometry.k, geometry.r_pq, L, windowed)
-        approx = sgf_planewave(r, s, geometry, grid, table)
-        out.append((theta_e, abs(approx - exact) / abs(exact)))
+        re_im = re_im_rows @ legendre_sequence(L, _link_cosines(grid, geometry.r_pq)[1])
+        approx = _planewave_sum(r, s, geometry, grid, (grid.weights * (re_im[:2] + 1j * re_im[2:])).T)
+        unwindowed, windowed = np.abs(approx - exact) / abs(exact)
+        out.append((theta_e, float(unwindowed), float(windowed)))
     return out

@@ -470,6 +470,14 @@ def _integer(obj: dict, key: str, default=None) -> int:
     return int(value)
 
 
+def _numbers(obj: dict, key: str) -> np.ndarray:
+    """obj[key], a JSON array, as a float array; ValueError on an entry that is not a number."""
+    try:
+        return np.asarray(_member(obj, key, "array"), dtype=float)
+    except TypeError as exc:  # numpy raises TypeError, not ValueError, on a JSON object entry
+        raise ValueError(f"{key!r} must hold numbers") from exc
+
+
 def mode_set_from_dict(doc: dict) -> ModeSet:
     """Rebuild a ModeSet from its JSON document; ValueError if it is malformed.  No grid is built."""
     if not isinstance(doc, dict):
@@ -479,7 +487,7 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     apertures = []
     for key in ("transmitter", "receiver"):
         side = _member(doc, key, "object")
-        center = np.asarray(_member(side, "center", "array"), dtype=float)
+        center = _numbers(side, "center")
         if center.shape != (3,) or not np.all(np.isfinite(center)):
             raise ValueError(f"{key} center must hold three finite numbers")
         apertures.append(rect_aperture(center, _member(side, "side_x", "number"), _member(side, "side_y", "number")))
@@ -494,7 +502,7 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     # these checks come before the table, whose size grows as t^2
     if shape[1] != (t + 1) * (t + 2) // 2:
         raise ValueError("coefficient width does not match the basis order")
-    flat = np.asarray(_member(block, "re_im", "array"), dtype=float)
+    flat = _numbers(block, "re_im")
     if flat.shape != (2 * shape[0] * shape[1],):
         raise ValueError(f"re_im holds {flat.size} values, not 2 * modes * basis")
     if not np.all(np.isfinite(flat)):
@@ -508,7 +516,7 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     if abs(float(doc["normalization_scale"]) - scale) > 1e-12 * scale:
         raise ValueError(f"normalization_scale must equal sqrt(power_w / impedance_ohm) = {scale!r}")
     coeff = (flat[0::2] + 1j * flat[1::2]).reshape(shape)
-    eigenvalues = np.asarray(_member(doc, "eigenvalues", "array"), dtype=float)
+    eigenvalues = _numbers(doc, "eigenvalues")
     if eigenvalues.ndim != 1:
         raise ValueError("eigenvalues must be a flat list of numbers")
     if len(eigenvalues) == 0:

@@ -5,14 +5,17 @@
 rather than the package's per-axis patterns; `radiated_basis` is the full R
 from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
 for a solved mode set, which keeps only its modes' fields.
+`two_pass_error_sweep` is the per-window route of `expansion_error_sweep`,
+and `step_down_waterfill` the active-set loop of `waterfill`.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
+from emlink.capacity import PowerAllocation
 from emlink.channel import FREE_SPACE_IMPEDANCE
-from emlink.geometry import cap_direction_grid, default_cap_densities
-from emlink.greens import translator_table
+from emlink.geometry import cap_direction_grid, default_cap_densities, truncation_order
+from emlink.greens import sgf_exact, sgf_planewave, translator_table
 from emlink.modes import DEFAULT_ENTRY_BUDGET, _radiated_blocks, _unfold
 
 
@@ -59,3 +62,37 @@ def solved_radiated_basis(modes, theta_e, L, windowed=True):
     grid = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(grid, geo.k, geo.r_pq, L, windowed)
     return radiated_basis(modes.basis, modes.src_grid, modes.rcv_grid, geo, grid, table)
+
+
+def two_pass_error_sweep(geometry, s, r, theta_list):
+    """(theta_e, unwindowed error, windowed error) per angle, each window on its own grid, table and sum.
+
+    Every (angle, window) pair builds the cap grid, calls `translator_table`
+    (one complex product with the Legendre table) and `sgf_planewave`.
+    """
+    D = max(max(aperture.side_x, aperture.side_y) for aperture in (geometry.transmitter, geometry.receiver))
+    L = truncation_order(geometry.k, D)
+    exact = sgf_exact(r, s, geometry.k)
+    out = []
+    for theta_e in map(float, theta_list):
+        errors = []
+        for windowed in (False, True):
+            grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
+            table = translator_table(grid, geometry.k, geometry.r_pq, L, windowed)
+            errors.append(abs(sgf_planewave(r, s, geometry, grid, table) - exact) / abs(exact))
+        out.append((theta_e, *errors))
+    return out
+
+
+def step_down_waterfill(betas, p_t, sigma2):
+    """Water-filling that starts from every positive channel and drops the weakest until its power is >= 0."""
+    betas = np.asarray(betas, dtype=float)
+    inv = sigma2 / betas[betas > 0]
+    for M in range(len(inv), 0, -1):
+        level = (p_t + np.sum(inv[:M])) / M
+        candidate = level - inv[:M]
+        if candidate[-1] >= 0:
+            powers = np.zeros_like(betas)
+            powers[:M] = candidate
+            return PowerAllocation(powers, M, float(level))
+    raise ValueError("water-filling found no feasible active set")

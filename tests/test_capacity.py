@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_routes import step_down_waterfill
 
 from emlink.capacity import (
     capacity_equal,
@@ -89,6 +90,54 @@ class TestWaterfill:
     def test_rejects_empty_or_dead(self):
         with pytest.raises(ValueError):
             waterfill(np.array([0.0, 0.0]), 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "betas, p_t, sigma2",
+        [([1.0, np.nan, 0.5], 1.0, 0.1), ([np.inf, 1.0, 0.5], 1.0, 0.1),
+         ([1.0, 0.5], np.nan, 0.1), ([1.0, 0.5], np.inf, 0.1),
+         ([1.0, 0.5], 1.0, np.nan), ([1.0, 0.5], 1.0, np.inf)],
+        ids=["nan-beta", "infinite-beta", "nan-power", "infinite-power", "nan-noise", "infinite-noise"],
+    )
+    def test_rejects_non_finite(self, betas, p_t, sigma2):
+        # a NaN beta slips past the ordering check, since NaN compares false
+        with pytest.raises(ValueError, match="finite"):
+            waterfill(np.array(betas), p_t, sigma2)
+
+    def test_overflowing_floor_gets_no_power(self):
+        # sigma2 / 1e-320 overflows to inf; that channel stays inactive
+        betas = np.array([1.0, 0.5, 1e-320])
+        alloc = waterfill(betas, 1.0, 1.0)
+        assert alloc.active_count == 2
+        assert np.array_equal(alloc.powers, step_down_waterfill(betas, 1.0, 1.0).powers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(0, 3),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_step_down_loop(self, seed, n, zeros, dyadic, at_boundary):
+        rng = np.random.default_rng(seed)
+        if dyadic:
+            # powers of two: exact sums, frequent ties, and an exact zero-power edge below
+            gains = 2.0 ** -rng.integers(0, 12, n)
+            sigma2 = 2.0 ** int(rng.integers(-6, 6))
+        else:
+            gains = np.repeat(10.0 ** rng.uniform(-8.0, 0.0, n), rng.integers(1, 3, n))
+            sigma2 = 10.0 ** rng.uniform(-4.0, 2.0)
+        betas = np.concatenate([np.sort(gains)[::-1], np.zeros(zeros)])
+        inv = sigma2 / betas[betas > 0]
+        m = int(rng.integers(1, len(inv) + 1))
+        # the water level sits exactly on channel m's floor sigma2 / beta_m
+        p_t = m * inv[m - 1] - np.sum(inv[:m])
+        if not (dyadic and at_boundary and p_t > 0):
+            p_t = 10.0 ** rng.uniform(-3.0, 2.0)
+        new, old = waterfill(betas, p_t, sigma2), step_down_waterfill(betas, p_t, sigma2)
+        assert new.active_count == old.active_count
+        assert np.array_equal(new.powers, old.powers)
+        assert new.water_level == old.water_level
 
     @settings(max_examples=60, deadline=None)
     @given(

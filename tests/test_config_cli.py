@@ -575,6 +575,14 @@ def _null_eigenvalues(doc):
     doc["eigenvalues"] = None
 
 
+def _object_eigenvalue(doc):
+    doc["eigenvalues"][5] = {}
+
+
+def _object_coefficient(doc):
+    doc["coefficients"]["re_im"][7] = {}
+
+
 @pytest.fixture(scope="module")
 def ci_mode_doc(tmp_path_factory):
     out = tmp_path_factory.mktemp("ci-modes")
@@ -595,7 +603,7 @@ class TestMalformedModeSet:
          _infinite_mode_count, _nan_wavenumber, _infinite_wavenumber, _nan_transmitter_side,
          _nan_receiver_center, _fractional_surface_points, _fractional_basis_order,
          _fractional_mode_count, _fractional_basis_width, _fractional_clamped_count,
-         _negative_clamped_count],
+         _negative_clamped_count, _object_eigenvalue, _object_coefficient],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
              "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum",
              "nan-coefficient", "negative-power", "nan-scale", "infinite-impedance",
@@ -604,7 +612,8 @@ class TestMalformedModeSet:
              "huge-basis-order", "infinite-mode-count", "nan-wavenumber",
              "infinite-wavenumber", "nan-transmitter-side", "nan-receiver-center",
              "fractional-surface-points", "fractional-basis-order", "fractional-mode-count",
-             "fractional-basis-width", "fractional-clamped-count", "negative-clamped-count"],
+             "fractional-basis-width", "fractional-clamped-count", "negative-clamped-count",
+             "object-eigenvalue", "object-coefficient"],
     )
     def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
         doc = json.loads(json.dumps(ci_mode_doc))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from reference_routes import two_pass_error_sweep
 
+from emlink.config import load_config
 from emlink.geometry import (
     LinkGeometry,
     cap_direction_grid,
@@ -169,10 +171,8 @@ def sweeps():
     geo = fig3_link()
     s, r = (-5, 1, 1), (-3.5, 5, 20)
     angles = np.radians([10, 20, 30, 40, 50, 60, 70, 80, 90, 180])
-    return {
-        windowed: expansion_error_sweep(geo, s, r, angles, windowed=windowed)
-        for windowed in (False, True)
-    }
+    rows = expansion_error_sweep(geo, s, r, angles)
+    return {False: [(t, unw) for t, unw, _ in rows], True: [(t, win) for t, _, win in rows]}
 
 
 class TestErrorSweep:
@@ -201,3 +201,19 @@ class TestErrorSweep:
     def test_small_cap_much_worse_than_wide(self, sweeps):
         win = dict((round(np.degrees(t)), e) for t, e in sweeps[True])
         assert win[10] > 100 * win[60]
+
+    @pytest.mark.parametrize("preset", ["paper", "ci"])
+    def test_matches_two_pass_route(self, preset):
+        # one grid, Legendre table and phase per angle for both windows gives
+        # the per-window route's errors to its roundoff floor, about 1e-14 |G|
+        cfg = load_config(preset)
+        args = (cfg.check_geometry(), cfg.check_src, cfg.check_field, np.radians(cfg.sweep_theta_deg))
+        new, old = np.array(expansion_error_sweep(*args)), np.array(two_pass_error_sweep(*args))
+        assert np.array_equal(new[:, 0], old[:, 0])
+        assert np.max(np.abs(new[:, 1:] - old[:, 1:])) <= 1e-13
+
+    def test_matches_two_pass_route_off_axis(self):
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 3.0), rect_aperture((3.0, -2.0, 12.0), 3.0, 3.0), K)
+        args = (geo, (1.0, -0.5, 0.3), (2.0, -1.0, 12.0), np.radians([15, 40, 75, 120, 180]))
+        new, old = np.array(expansion_error_sweep(*args)), np.array(two_pass_error_sweep(*args))
+        assert np.max(np.abs(new[:, 1:] - old[:, 1:])) <= 1e-13
