@@ -51,8 +51,8 @@ def waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> PowerAllocation:
         P_n = P_t/M + (1/M) sum_i sigma^2/beta_i - sigma^2/beta_n.
     With descending betas the feasible sets (every P_n >= 0) are the
     prefixes up to the largest M whose level (P_t + sum_{i<=M} sigma^2/beta_i)/M
-    reaches sigma^2/beta_M, so one cumulative sum finds M.  Channels with
-    beta = 0 never receive power.
+    reaches sigma^2/beta_M, so one cumulative sum finds M.  A channel with
+    beta = 0, or with a floor or level past the float range, gets no power.
     """
     betas = np.asarray(betas, dtype=float)
     if not (0 < p_t < np.inf and 0 < sigma2 < np.inf):
@@ -63,10 +63,14 @@ def waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> PowerAllocation:
         raise ValueError("spectrum has no usable channel")
     if np.any(np.diff(betas) > 0):
         raise ValueError("betas must be sorted descending")
-    inv = sigma2 / betas[betas > 0]
-    levels = (p_t + np.cumsum(inv)) / np.arange(1, len(inv) + 1)
-    # as a difference, a floor sigma^2/beta that overflows to inf fails (inf - inf is NaN)
-    M = int(np.flatnonzero(levels - inv >= 0)[-1]) + 1
+    with np.errstate(over="ignore"):  # past the float range: inf, and infeasible
+        inv = sigma2 / betas[betas > 0]
+        totals = p_t + np.cumsum(inv)
+    n = int(np.count_nonzero(np.isfinite(totals)))  # the floors ascend: a prefix is finite
+    if n == 0:
+        raise ValueError("p_t + sigma2/beta_1 exceeds the float range")
+    levels = totals[:n] / np.arange(1, n + 1)
+    M = int(np.flatnonzero(levels - inv[:n] >= 0)[-1]) + 1
     level = (p_t + np.sum(inv[:M])) / M
     powers = np.zeros_like(betas)
     powers[:M] = level - inv[:M]

@@ -14,8 +14,9 @@ Both surface grids are tensor products on z-normal planes, so every
 plane-wave factor splits exactly into an x part and a y part:
 e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The complex exponentials are the
 per-axis factors alone, n1 * n_dir per axis, all from `_axis_waves`.
-`propagate_current` applies them matrix-free; the one dense sweep, the
-radiated basis in `modes`, builds on the same per-axis factors.
+`propagate_current` applies them matrix-free; it makes them once per direction
+grid and node offsets, not on every call, and the grid keeps them while it lives.
+The one dense sweep, the radiated basis in `modes`, makes its own once per solve.
 The weighted translator is built here too, for every caller,
 greens.sgf_planewave included, and so is its fold by the lateral mirrors a
 link shares with its grid (`_mirror_fold`), which the mode solve sums over.
@@ -58,6 +59,20 @@ def _axis_waves(
     x = np.exp(-1j * k * np.outer(sign * (surface.nodes_x - cx), directions[:, 0]))
     y = np.exp(-1j * k * np.outer(sign * (surface.nodes_y - cy), directions[:, 1]))
     return x, y
+
+
+def _grid_waves(
+    surface: SurfaceGrid, sign: float, grid: DirectionGrid, k: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_axis_waves` on the grid's directions: made once per k, sign and node offsets, kept read-only on the grid."""
+    cx, cy, _ = surface.aperture.center
+    key = (k, sign, (surface.nodes_x - cx).tobytes(), (surface.nodes_y - cy).tobytes())
+    waves = grid._waves.get(key)
+    if waves is None:
+        waves = grid._waves[key] = _axis_waves(surface, sign, grid.directions, k)
+        for factor in waves:
+            factor.flags.writeable = False
+    return waves
 
 
 def _check_apertures(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry) -> None:
@@ -128,8 +143,8 @@ def propagate_current(
     _check_apertures(src, rcv, geometry)
     w_alpha = _translator_weights(grid, table)
     k = geometry.k
-    ax, ay = _axis_waves(src, -1.0, grid.directions, k)
-    bx, by = _axis_waves(rcv, 1.0, grid.directions, k)
+    ax, ay = _grid_waves(src, -1.0, grid, k)
+    bx, by = _grid_waves(rcv, 1.0, grid, k)
     weighted = (src.weights * current).reshape(len(ax), len(ay))
     far = np.einsum("jd,jd->d", ay, weighted.T @ ax)
     field = (bx * (w_alpha * far)) @ by.T

@@ -7,7 +7,7 @@ are axis-aligned rectangles facing +z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,10 +95,19 @@ class DirectionGrid:
     """Unit wavevector samples on a spherical cap (see `cap_direction_grid`).
 
     Weights are solid-angle measure; they sum to the cap's 2*pi*(1 - cos(theta_e)).
+    The directions are frozen (a view is copied first), so the factors kept in `_waves` stay valid.
     """
 
     directions: np.ndarray  # (n, 3) unit vectors
     weights: np.ndarray     # (n,) steradians
+    _waves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        directions = np.asarray(self.directions, dtype=float)
+        if not directions.flags.owndata:  # a view: its base could still be written
+            directions = directions.copy()
+        directions.flags.writeable = False
+        object.__setattr__(self, "directions", directions)
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:

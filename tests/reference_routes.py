@@ -87,12 +87,15 @@ def two_pass_error_sweep(geometry, s, r, theta_list):
 def step_down_waterfill(betas, p_t, sigma2):
     """Water-filling that starts from every positive channel and drops the weakest until its power is >= 0."""
     betas = np.asarray(betas, dtype=float)
-    inv = sigma2 / betas[betas > 0]
-    for M in range(len(inv), 0, -1):
-        level = (p_t + np.sum(inv[:M])) / M
-        candidate = level - inv[:M]
-        if candidate[-1] >= 0:
-            powers = np.zeros_like(betas)
-            powers[:M] = candidate
-            return PowerAllocation(powers, M, float(level))
+    with np.errstate(over="ignore"):  # a floor or level past the float range is inf, and infeasible
+        inv = sigma2 / betas[betas > 0]
+        for M in range(len(inv), 0, -1):
+            level = (p_t + np.sum(inv[:M])) / M
+            if not np.isfinite(level):
+                continue
+            candidate = level - inv[:M]
+            if candidate[-1] >= 0:
+                powers = np.zeros_like(betas)
+                powers[:M] = candidate
+                return PowerAllocation(powers, M, float(level))
     raise ValueError("water-filling found no feasible active set")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,44 @@ class TestWaterfill:
         alloc = waterfill(betas, 1.0, 1.0)
         assert alloc.active_count == 2
         assert np.array_equal(alloc.powers, step_down_waterfill(betas, 1.0, 1.0).powers)
+
+    def test_overflowing_level_gets_no_power(self):
+        # each floor sigma2 / 1e-307 is finite, but their sum passes the float range
+        betas = np.array([1.0] + [1e-307] * 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc = waterfill(betas, 1.0, 1.0)
+        assert alloc.active_count == 1
+        assert np.array_equal(alloc.powers, np.r_[1.0, np.zeros(30)])
+        assert alloc.water_level == 2.0
+        assert np.array_equal(alloc.powers, step_down_waterfill(betas, 1.0, 1.0).powers)
+
+    def test_rejects_first_level_past_float_range(self):
+        # sigma2 / 1e-300 overflows, so not even one channel has a finite level
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                waterfill(np.array([1e-300]), 1.0, 1e10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 30))
+    def test_overflowing_tail_matches_step_down_loop(self, seed, n, tail):
+        # a tail of floors sigma2 / beta in [1e306, 1e308): some sums of them pass the float range
+        rng = np.random.default_rng(seed)
+        sigma2 = 10.0 ** rng.uniform(-4.0, 2.0)
+        gains = np.sort(10.0 ** rng.uniform(-8.0, 0.0, n))[::-1]
+        floors = np.sort(10.0 ** rng.uniform(306.0, 308.0, tail))
+        betas = np.concatenate([gains, sigma2 / floors])
+        p_t = 10.0 ** rng.uniform(-3.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = waterfill(betas, p_t, sigma2)
+        old = step_down_waterfill(betas, p_t, sigma2)
+        assert np.all(np.isfinite(new.powers)) and np.isfinite(new.water_level)
+        # each power is level - floor, so it carries roundoff of the level's size
+        assert abs(new.total - p_t) <= 1e-12 * new.active_count * new.water_level
+        assert new.active_count == old.active_count
+        assert np.array_equal(new.powers, old.powers)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,10 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from reference_routes import basis_eval, radiated_basis, reference_field
 
-from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
+from emlink import channel
+from emlink.channel import FREE_SPACE_IMPEDANCE, _axis_waves, _mirror_fold, propagate_current
 from emlink.errors import BudgetError
 from emlink.geometry import (
+    DirectionGrid,
     LinkGeometry,
     cap_direction_grid,
     default_cap_densities,
@@ -365,3 +370,123 @@ class TestFmmVersusDirect:
             fmm = propagate_current(current, src, rcv, geo, grid, table)
             direct = reference_field(current, src, rcv, K)
             assert np.linalg.norm(fmm - direct) / np.linalg.norm(direct) < 1e-3
+
+
+def _ci_parts(geo, n_points=144):
+    """Direction grid, translator table and surface grids of a link at the `ci` scale (L = 34, 60-degree cap)."""
+    theta_e = np.radians(60)
+    grid = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(34, theta_e))
+    table = translator_table(grid, geo.k, geo.r_pq, 34, windowed=True)
+    return grid, table, tensor_grid(geo.transmitter, n_points), tensor_grid(geo.receiver, n_points)
+
+
+def _random_current(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+class TestAdjointness:
+    """<Hx, y>_rcv = <x, H^H y>_src, with H^H y = conj(H_swap W_rcv conj(y)) by reciprocity."""
+
+    @pytest.mark.parametrize(
+        "rx_center, tol", [((0, 0, 10.2), 1e-13), ((1.3, -0.7, 10.2), 1e-11)], ids=["coaxial", "offset"]
+    )
+    def test_inner_products_agree(self, rx_center, tol):
+        geo = _ci_link(rx_center)
+        swapped = LinkGeometry(geo.receiver, geo.transmitter, K)
+        grid, table, src, rcv = _ci_parts(geo)
+        grid_s, table_s, *_ = _ci_parts(swapped)
+        x = _random_current(len(src.points), 31)
+        y = _random_current(len(rcv.points), 32)
+        hx = propagate_current(x, src, rcv, geo, grid, table)
+        # the swapped link radiates from the receiver grid, so its source weights are W_rcv
+        adj_y = np.conj(propagate_current(np.conj(y), rcv, src, swapped, grid_s, table_s))
+        lhs = np.sum(rcv.weights * hx * np.conj(y))
+        rhs = np.sum(src.weights * x * np.conj(adj_y))
+        assert abs(lhs - rhs) <= tol * abs(lhs)
+
+
+def _unkept_waves(surface, sign, grid, k):
+    return _axis_waves(surface, sign, grid.directions, k)
+
+
+class TestFactorMemo:
+    """The per-axis factors are made once per grid, k, side and node offsets, and live as long as the grid."""
+
+    def test_repeat_makes_no_exponentials(self, monkeypatch):
+        geo = _ci_link((0, 0, 10.2))
+        _, table, src, rcv = _ci_parts(geo)
+        current = _random_current(len(src.points), 41)
+        calls = []
+        exp = np.exp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        # two equal grids built apart: each makes its own factors, two per side, once
+        for grid in (_ci_parts(geo)[0], _ci_parts(geo)[0]):
+            monkeypatch.setattr(np, "exp", counted)
+            propagate_current(current, src, rcv, geo, grid, table)
+            first = len(calls)
+            propagate_current(current, src, rcv, geo, grid, table)
+            monkeypatch.setattr(np, "exp", exp)
+            assert (first, len(calls) - first) == (4, 0)
+            calls.clear()
+
+    def test_repeat_is_bit_identical(self, monkeypatch):
+        # equal apertures: both sides have the same node offsets and differ only in sign
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 4.0, 4.0), K)
+        grid, table, src, rcv = _ci_parts(geo)
+        current = _random_current(len(src.points), 42)
+        first = propagate_current(current, src, rcv, geo, grid, table)
+        repeat = propagate_current(current, src, rcv, geo, grid, table)
+        monkeypatch.setattr(channel, "_grid_waves", _unkept_waves)
+        unkept = propagate_current(current, src, rcv, geo, grid, table)
+        assert np.array_equal(first, unkept)
+        assert np.array_equal(repeat, unkept)
+
+    def test_one_grid_serves_many_links(self):
+        # receivers that differ from the first in x only, in y only, and a second wavenumber
+        base = _ci_link((0, 0, 10.2))
+        grid, _, src, _ = _ci_parts(base)
+        links = [base, LinkGeometry(base.transmitter, rect_aperture((0, 0, 10.2), 2.4, 3.2), K),
+                 LinkGeometry(base.transmitter, rect_aperture((0, 0, 10.2), 3.2, 2.4), K),
+                 LinkGeometry(base.transmitter, base.receiver, 1.1 * K)]
+        current = _random_current(len(src.points), 43)
+        for _ in range(2):
+            for geo in links:
+                table = translator_table(grid, geo.k, geo.r_pq, 34, windowed=True)
+                rcv = tensor_grid(geo.receiver, 144)
+                fresh = _ci_parts(geo)[0]
+                assert np.array_equal(
+                    propagate_current(current, src, rcv, geo, grid, table),
+                    propagate_current(current, src, rcv, geo, fresh, table),
+                )
+        assert len(grid._waves) == 2 + len(links)  # a source entry per k, a receiver entry per link
+
+    def test_directions_and_factors_are_read_only(self):
+        geo = _ci_link((0, 0, 10.2))
+        grid, table, src, rcv = _ci_parts(geo)
+        with pytest.raises(ValueError):
+            grid.directions[0, 0] = 0.0
+        base = np.array(grid.directions)
+        from_view = DirectionGrid(base[:], grid.weights)
+        base[0, 0] = 2.0  # a view is copied, so writing its base leaves the grid alone
+        assert from_view.directions[0, 0] == grid.directions[0, 0]
+        propagate_current(_random_current(len(src.points), 44), src, rcv, geo, grid, table)
+        assert len(grid._waves) == 2  # the source side and the receiver side
+        for factors in grid._waves.values():
+            for factor in factors:
+                with pytest.raises(ValueError):
+                    factor[0, 0] = 0.0
+
+    def test_factors_die_with_their_grid(self):
+        geo = _ci_link((0, 0, 10.2))
+        grid, table, src, rcv = _ci_parts(geo)
+        propagate_current(_random_current(len(src.points), 45), src, rcv, geo, grid, table)
+        kept = [weakref.ref(factor) for factors in grid._waves.values() for factor in factors]
+        assert len(kept) == 4
+        del grid
+        gc.collect()
+        assert all(ref() is None for ref in kept)

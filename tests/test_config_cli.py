@@ -337,6 +337,35 @@ class TestCliCommands:
         curve = (out / "capacity_curve.csv").read_text().splitlines()
         assert len(curve) == 2  # single SNR row
 
+    def test_capacity_with_overflowing_tail_writes_finite_numbers(self, tmp_path):
+        # 30 noise floors of 1e307 at 0 dB each fit a float, but their sum does not
+        out = tmp_path / "o"
+        out.mkdir()
+        n = np.arange(1, 41)
+        betas = np.r_[np.where(n <= 1, 1.0, 0.5 * 10.0 ** (-0.127 * (n - 2))), [1e-307] * 30]
+        doc = {
+            "format": "emlink.modeset/1",
+            "wavenumber": 2 * np.pi,
+            "transmitter": {"center": [0.0, 0.0, 0.0], "side_x": 4.0, "side_y": 4.0},
+            "receiver": {"center": [0.0, 0.0, 10.2], "side_x": 3.2, "side_y": 3.2},
+            "surface_points": 16,
+            "basis_order": 0,
+            "power_w": 1.0,
+            "impedance_ohm": 376.730,
+            "normalization_scale": float(np.sqrt(1.0 / 376.730)),
+            "clamped_count": 0,
+            "eigenvalues": [float(b) for b in betas],
+            "coefficients": {"modes": 70, "basis": 1, "re_im": [0.0] * 140},
+        }
+        (out / "modeset.json").write_text(json.dumps(doc))
+        assert run_cli(["--preset", "ci", "--out", str(out), "capacity"]) == 0
+        for name in ("capacity_curve.csv", "allocation.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            values = [float(v) for row in rows for v in row.split(",")]
+            assert values and np.all(np.isfinite(values)), name
+        fit = json.loads((out / "spectrum_fit.json").read_text())
+        assert np.all(np.isfinite(list(fit.values())))
+
     def test_exit_code_on_validation_error(self, tmp_path):
         code = run_cli(
             ["--preset", "paper", "--out", str(tmp_path), "--set", "distance=5", "modes"]
