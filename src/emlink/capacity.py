@@ -17,8 +17,6 @@ __all__ = [
     "CapacityPoint",
     "dof_geometric",
     "waterfill",
-    "capacity_waterfill",
-    "capacity_equal",
     "spectrum_fit",
     "capacity_vs_snr",
 ]
@@ -83,13 +81,7 @@ def _rate(betas: np.ndarray, alloc: PowerAllocation, sigma2: float) -> float:
     return float(np.sum(np.log2(1.0 + betas[active] * alloc.powers[active] / sigma2)))
 
 
-def capacity_waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> float:
-    """Optimal capacity sum log2(1 + beta_n P_n / sigma^2) under water-filling."""
-    betas = np.asarray(betas, dtype=float)
-    return _rate(betas, waterfill(betas, p_t, sigma2), sigma2)
-
-
-def capacity_equal(beta_avg: float, n: int, p_t: float, sigma2: float) -> float:
+def _capacity_equal(beta_avg: float, n: int, p_t: float, sigma2: float) -> float:
     """Flat-plateau capacity N log2(1 + beta_avg P_t / (N sigma^2))."""
     if n < 1:
         raise ValueError("channel count must be >= 1")
@@ -186,7 +178,7 @@ def capacity_vs_snr(
         sigma2 = p_t * 10.0 ** (-float(snr) / 10.0)
         alloc = waterfill(betas, p_t, sigma2)
         c_wf = _rate(betas, alloc, sigma2)
-        c_eq = capacity_equal(beta_avg, n_plateau, p_t, sigma2)
+        c_eq = _capacity_equal(beta_avg, n_plateau, p_t, sigma2)
         points.append(
             CapacityPoint(float(snr), sigma2, c_wf, c_eq, alloc.active_count, alloc)
         )

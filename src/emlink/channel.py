@@ -18,8 +18,9 @@ per-axis factors alone, n1 * n_dir per axis, all from `_axis_waves`.
 grid and node offsets, not on every call, and the grid keeps them while it lives.
 The one dense sweep, the radiated basis in `modes`, makes its own once per solve.
 The weighted translator is built here too, for every caller,
-greens.sgf_planewave included, and so is its fold by the lateral mirrors a
-link shares with its grid (`_mirror_fold`), which the mode solve sums over.
+greens.sgf_planewave included, and so are its folds by the lateral mirrors
+and the x <-> y swap a link shares with its grid (`_mirror_fold`), which the
+mode solve sums over.
 Each grid is phased about its own aperture's center; `propagate_current`
 and `_mirror_fold` check that the grids lie on the link's apertures.
 """
@@ -28,7 +29,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid, _mirror_partner, _mirrored_nodes
+from .geometry import (
+    _LATERAL_IMAGES,
+    DirectionGrid,
+    LinkGeometry,
+    SurfaceGrid,
+    _mirror_partner,
+    _mirrored_nodes,
+    _swapped_nodes,
+)
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
@@ -93,32 +102,56 @@ def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
 
 def _mirror_fold(
     src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray
-) -> tuple[tuple[bool, bool], np.ndarray, np.ndarray]:
-    """The lateral mirrors a link shares with its direction grid, and the grid folded by them.
+) -> tuple[tuple[bool, bool, bool], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lateral symmetries a link shares with its direction grid, and the grid folded by them.
 
     Axis a (0 for x, 1 for y) is mirrored when the link axis lies in the
     plane normal to it (r_pq[a] = 0), both node grids are symmetric about
     their aperture centers, the direction grid maps onto itself under
     k_a -> -k_a, and w alpha agrees at each direction and its image to 1e-12
-    of its largest value.  Returns the two flags, one direction per orbit of
-    the mirrored axes (the lowest index: phi in [0, pi/2] on a cap about z
-    mirrored in both) and the sum of w alpha over each orbit.
+    of its largest value.  The swap k_x <-> k_y is a symmetry when both axes
+    are mirrored, both grids are square (`_swapped_nodes`) and the direction
+    grid and w alpha pass the same checks under it.
+
+    Returns the three flags (x, y, swap); one direction per orbit of the
+    mirrored axes (the lowest index: phi in [0, pi/2] on a cap about z
+    mirrored in both) and the sum of w alpha over each orbit; and the
+    positions among those directions of one per orbit of all the symmetries
+    found (phi in [0, pi/4] with the swap, the same directions without it)
+    with the sum of w alpha over each of those orbits.
     """
     _check_apertures(src, rcv, geometry)
     w_alpha = _translator_weights(grid, table)
     tol = 1e-12 * np.max(np.abs(w_alpha), initial=0.0)
+    link = [
+        geometry.r_pq[axis] == 0.0 and _mirrored_nodes(src, axis) and _mirrored_nodes(rcv, axis) for axis in (0, 1)
+    ]
+    link.append(all(link) and _swapped_nodes(src) and _swapped_nodes(rcv))
+    partners = _mirror_partner(grid, _LATERAL_IMAGES) if any(link) else [None] * 3
+    found = [
+        ok and partner is not None and bool(np.max(np.abs(w_alpha[partner] - w_alpha), initial=0.0) <= tol)
+        for partner, ok in zip(partners, link)
+    ]
+    found[2] = all(found)
     label = np.arange(len(w_alpha))
-    mirrored = []
-    for axis in (0, 1):
-        link = geometry.r_pq[axis] == 0.0 and _mirrored_nodes(src, axis) and _mirrored_nodes(rcv, axis)
-        partner = _mirror_partner(grid, axis) if link else None
-        ok = partner is not None and bool(np.max(np.abs(w_alpha[partner] - w_alpha), initial=0.0) <= tol)
+    for partner, ok in zip(partners[:2], found):
         if ok:
             label = np.minimum(label, label[partner])
-        mirrored.append(ok)
     reps, orbit = np.unique(label, return_inverse=True)
-    folded = np.bincount(orbit, w_alpha.real) + 1j * np.bincount(orbit, w_alpha.imag)
-    return (mirrored[0], mirrored[1]), grid.directions[reps], folded
+    if found[2]:
+        label = np.minimum(label, label[partners[2]])
+    reps_all, orbit_all = np.unique(label, return_inverse=True)
+    return (
+        tuple(found),
+        grid.directions[reps],
+        _orbit_sums(orbit, w_alpha),
+        np.searchsorted(reps, reps_all),
+        _orbit_sums(orbit_all, w_alpha),
+    )
+
+
+def _orbit_sums(orbit: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return np.bincount(orbit, values.real) + 1j * np.bincount(orbit, values.imag)
 
 
 def propagate_current(

@@ -170,39 +170,61 @@ def default_cap_densities(L: int, theta_e: float) -> tuple[int, int]:
     converge.  So, with y = L theta_e / 2,
 
         n_theta = min(L + 1, ceil(y + 3 y^(1/3)) + 2)
-        n_phi   = ceil(L sin(min(theta_e, pi/2))) + 24, rounded up to even,
+        n_phi   = ceil(L sin(min(theta_e, pi/2))) + 24, rounded up to a multiple of 4,
 
     with n_theta at least 8.  The L + 1 cap is the full-sphere rule, which
     theta_e = pi reaches.  The margins were measured: on both presets the
     kernel agrees with a 1.4x oversampled grid to ~1e-13 of its largest entry.
-    An even n_phi makes a cap about z closed under both lateral mirrors
-    k_x -> -k_x and k_y -> -k_y, which a coaxial link's mode solve folds by.
+    A multiple of 4 makes a cap about z closed under both lateral mirrors
+    k_x -> -k_x and k_y -> -k_y and under the swap k_x <-> k_y (phi ->
+    pi/2 - phi), which a coaxial link's mode solve folds by.
     """
     y = 0.5 * L * theta_e
     n_theta = min(L + 1, int(np.ceil(y + 3.0 * y ** (1.0 / 3.0))) + 2)
     n_phi = int(np.ceil(L * np.sin(min(theta_e, 0.5 * np.pi)))) + 24
-    return max(8, n_theta), n_phi + n_phi % 2
+    return max(8, n_theta), n_phi + -n_phi % 4
 
 
-# directions are paired under a mirror on this lattice, then checked to 1e-12
-_MIRROR_KEY_SCALE = 2.0**20
+# the lateral images a direction grid can be closed under, as maps of
+# (k_x, k_y, k_z): k_x -> -k_x, k_y -> -k_y and the swap k_x <-> k_y
+_LATERAL_IMAGES = (np.diag([-1, 1, 1]), np.diag([1, -1, 1]), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+
+# directions are paired on this lattice, then checked to 1e-12; each of a
+# key's three coordinates fits in 21 bits, so a key packs into one int64
+_MIRROR_KEY_SCALE = 2**19
+_KEY_BITS = 21
 
 
-def _mirror_partner(grid: DirectionGrid, axis: int) -> np.ndarray | None:
-    """Index of each direction's image under k[axis] -> -k[axis], or None if the grid is not closed under it."""
-    keys = np.rint(grid.directions * _MIRROR_KEY_SCALE).astype(np.int64)
-    images = keys.copy()
-    images[:, axis] *= -1
-    own, mirrored = np.lexsort(keys.T), np.lexsort(images.T)
-    if not np.array_equal(keys[own], images[mirrored]):
-        return None
-    partner = np.empty(len(keys), dtype=int)
-    partner[mirrored] = own
-    image = grid.directions.copy()
-    image[:, axis] *= -1
-    if np.max(np.abs(grid.directions[partner] - image), initial=0.0) > 1e-12:
-        return None
-    return partner
+def _lattice_keys(directions: np.ndarray) -> np.ndarray:
+    shifted = np.rint(directions * _MIRROR_KEY_SCALE).astype(np.int64) + _MIRROR_KEY_SCALE
+    return (shifted[:, 0] << 2 * _KEY_BITS) | (shifted[:, 1] << _KEY_BITS) | shifted[:, 2]
+
+
+def _mirror_partner(grid: DirectionGrid, images) -> list[np.ndarray | None]:
+    """For each image map (a signed permutation matrix of k, as in `_LATERAL_IMAGES`), each direction's image.
+
+    The grid's lattice keys are made and sorted once; each map's images are
+    exact (a signed permutation of the coordinates), so their keys are the
+    keys of their directions when the grid is closed under the map.  A map
+    gets None when it is not: the sorted keys differ, or a paired direction
+    lies more than 1e-12 from the image.
+    """
+    keys = _lattice_keys(grid.directions)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    partners = []
+    for image in images:
+        mapped = grid.directions @ image.T
+        wanted = _lattice_keys(mapped)
+        by_key = np.argsort(wanted)
+        partner = None
+        if np.array_equal(wanted[by_key], ranked):
+            partner = np.empty(len(keys), dtype=int)
+            partner[by_key] = order
+            if np.max(np.abs(grid.directions[partner] - mapped), initial=0.0) > 1e-12:
+                partner = None
+        partners.append(partner)
+    return partners
 
 
 def _mirrored_nodes(surface: SurfaceGrid, axis: int) -> bool:
@@ -213,6 +235,19 @@ def _mirrored_nodes(surface: SurfaceGrid, axis: int) -> bool:
     return bool(
         np.allclose(local, -local[::-1], rtol=0.0, atol=1e-13 * scale)
         and np.allclose(weights, weights[::-1], rtol=1e-13, atol=0.0)
+    )
+
+
+def _swapped_nodes(surface: SurfaceGrid) -> bool:
+    """The grid is square: its sides agree, and so do its nodes about the center and its weights on x and y."""
+    aperture = surface.aperture
+    if aperture.side_x != aperture.side_y or len(surface.nodes_x) != len(surface.nodes_y):
+        return False
+    local_x, local_y = surface.nodes_x - aperture.center[0], surface.nodes_y - aperture.center[1]
+    scale = np.max(np.abs(local_x), initial=0.0)
+    return bool(
+        np.allclose(local_x, local_y, rtol=0.0, atol=1e-13 * scale)
+        and np.allclose(surface.weights_x, surface.weights_y, rtol=1e-13, atol=0.0)
     )
 
 

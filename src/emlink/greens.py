@@ -22,7 +22,6 @@ from .specfun import legendre_sequence, spherical_hankel_paper
 
 __all__ = [
     "sgf_exact",
-    "tukey_window",
     "translator_series",
     "translator_table",
     "sgf_planewave",
@@ -38,7 +37,7 @@ def sgf_exact(r, s, k: float) -> complex:
     return np.exp(-1j * k * R) / (4.0 * np.pi * R)
 
 
-def tukey_window(L: int) -> np.ndarray:
+def _tukey_window(L: int) -> np.ndarray:
     """Tukey taper w_0 .. w_L: flat up to L/2, raised cosine on (L/2, L]."""
     if L < 2:
         raise ValueError("window needs L >= 2")
@@ -56,7 +55,7 @@ def _window_rows(L: int, k_rpq: float) -> np.ndarray:
         raise ValueError("L must be non-negative")
     ls = np.arange(L + 1)
     coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, k_rpq)
-    return np.stack([coef, coef * tukey_window(L) if L >= 2 else coef])
+    return np.stack([coef, coef * _tukey_window(L) if L >= 2 else coef])
 
 
 def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.ndarray:

@@ -17,14 +17,27 @@ grid with even n_phi; the check is made, not assumed), the even and odd
 combinations of mirrored receiver nodes only see basis orders m of the same
 parity, and likewise for y and n.  So Q W_rcv^(1/2) R, with Q the orthogonal
 change to those combinations, is block-diagonal in up to four classes ee,
-eo, oe, oo, each with its own SVD; the paper link's 529 x 703 problem
-becomes blocks of 144 x 190, 132 x 171, 132 x 171 and 121 x 171.  Inside a
-block the summand is even under both mirrors of khat, so the direction sum
-runs over one direction per orbit (phi in [0, pi/2]) weighted by the orbit's
-w alpha, a quarter of the grid.  A symmetry the link lacks leaves its axis in
-one class, unfolded; a general link is the one-class case.  The merged
-spectrum is sorted descending, and betas that tie to 1e-12 beta_1 take their
-rows in class order, which pins the exact eo/oe pairs of a square link.
+eo, oe, oo, each with its own SVD.  Inside a block the summand is even under
+both mirrors of khat, so the direction sum runs over one direction per orbit
+(phi in [0, pi/2]) weighted by the orbit's w alpha, a quarter of the grid.
+A symmetry the link lacks leaves its axis in one class, unfolded; a general
+link is the one-class case.
+
+A square link (both apertures square, on a grid with 4 | n_phi) is also
+symmetric under the swap x <-> y.  Then ee and oo each split into the
+swap-even and swap-odd combinations of their rows (i, j), (j, i) and of their
+orders (m, n), (n, m); in those four blocks the summand is even under all
+eight maps of khat the mirrors and the swap make, so their sums run over an
+eighth of the grid (phi in [0, pi/4]).  oe is eo with x and y exchanged, so
+it is not swept or decomposed: its betas and rows are eo's, its orders
+(n, m) for eo's (m, n).  The paper link's 529 x 703 problem becomes five
+blocks, 78 x 100, 66 x 90 (ee), 132 x 171 (eo) and 66 x 90, 55 x 81 (oo),
+against 144 x 190, 132 x 171 twice and 121 x 171 without the swap.
+
+The merged spectrum is sorted descending, and betas that tie to 1e-12 beta_1
+take their rows in class order (ee even, ee odd, eo, oe, oo even, oo odd), so
+an eo mode of a square link comes just before its oe image unless modes of
+other classes tie with them.
 
 A ModeSet keeps only independent values: its basis is the (m, n) order table
 of `basis_order_table`, its grids follow from the apertures and the requested
@@ -33,8 +46,8 @@ transmit power and the free-space impedance, which the loader checks.
 
 A ModesResult pairs the mode set with its modes' received fields
 R @ coefficients.T, (n_rcv, modes), and R itself is not rebuilt: Q R is
-block-diagonal, so each block times its own columns of the kept rows gives
-that block's rows of every field.  The field functions take the
+block-diagonal, so each block times its combination of the kept rows'
+columns gives that block's rows of every field.  The field functions take the
 result and cannot be handed fields of another link.
 
 The basis is only ever sampled per axis, as Px and Py: a current is
@@ -49,6 +62,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,6 +161,51 @@ def _of_parity(orders: np.ndarray, parity: int | None) -> np.ndarray:
     return np.ones(len(orders), dtype=bool) if parity is None else orders % 2 == parity
 
 
+def _swap_split(index: np.ndarray) -> tuple[tuple, tuple]:
+    """Swap-even and swap-odd combinations of the entries index[i, j] and index[j, i] of a square table (-1: none).
+
+    Each set is (first, second, sign, scale): combination k is
+    scale[k] (e_first[k] + sign e_second[k]), in row-major order of the upper
+    triangle.  The even ones are (e_a + e_b) / sqrt(2), and e_a alone on the
+    diagonal (first = second, scale 1/2), the odd ones (e_a - e_b) / sqrt(2).
+    """
+    i, j = np.nonzero(index >= 0)
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    pair = i < j
+    first, second = index[i, j], index[j, i]
+    even = (first, second, 1, np.where(pair, np.sqrt(0.5), 0.5))
+    return even, (first[pair], second[pair], -1, np.full(np.count_nonzero(pair), np.sqrt(0.5)))
+
+
+def _pair_sums(x: np.ndarray, pairs) -> np.ndarray:
+    """Rows x[first] + sign x[second] of the combinations `pairs`, before their scale; x itself for None."""
+    if pairs is None:
+        return x
+    first, second, sign, _ = pairs
+    return x[first] + x[second] if sign > 0 else x[first] - x[second]
+
+
+def _scale(pairs, n: int) -> np.ndarray:
+    """The scale of each combination in `pairs`, or n ones for None."""
+    return np.ones(n) if pairs is None else pairs[3]
+
+
+def _spread(y: np.ndarray, pairs, n: int) -> np.ndarray:
+    """The transpose of the combinations `pairs`, scale included, onto n rows; y itself for None.
+
+    A set's firsts are distinct, and so are its seconds.
+    """
+    if pairs is None:
+        return y
+    first, second, sign, scale = pairs
+    y = scale[:, None] * y
+    x = np.zeros((n,) + y.shape[1:], dtype=y.dtype)
+    x[first] += y
+    x[second] += sign * y
+    return x
+
+
 def _check_budget(entries: int, entry_budget: int) -> None:
     if entries > entry_budget:
         raise BudgetError(
@@ -155,59 +214,123 @@ def _check_budget(entries: int, entry_budget: int) -> None:
         )
 
 
-def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
-    """Parity blocks of (Qx (x) Qy) R, with Q from `_parity_combinations` per receiver axis.
+class _Class(NamedTuple):
+    """One symmetry class of the radiated basis and its block.
 
-    Returns qx, qy and the nonempty blocks (rows_x, rows_y, cols, R_block) in
-    class order ee, eo, oe, oo (x parity first); the rows of a block are the
-    rows_x x rows_y combinations, its columns the basis entries `cols`.  A
-    block sums its (rows x directions) plane-wave factors, the outer products
-    of the per-axis ones with w alpha on the y side, against the basis
-    patterns, _BLOCK directions at a time; the budget bounds R, each block
-    and one block of factors.
+    Its rows are the combinations `row_pairs` (see `_swap_split`) of the
+    rows_x x rows_y receiver parity combinations (all of them for None), its
+    columns the combinations `col_pairs` of the basis entries `cols`.
+    `fold` names the directions its block is summed over: 0 one per orbit of
+    the lateral mirrors, 1 one per orbit of the mirrors and the swap; None
+    takes the previous class's block.
     """
-    _check_budget(len(rcv.points) * len(basis), entry_budget)
-    mirrored, directions, w_alpha = _mirror_fold(src, rcv, geometry, grid, table)
-    k = geometry.k
-    px, py = _axis_legendre(int(basis.max()), src)
-    ax, ay = _axis_waves(src, -1.0, directions, k)
-    fx = ax.T @ (src.weights_x[:, None] * px)
-    fy = ay.T @ (src.weights_y[:, None] * py)
-    bx, by = _axis_waves(rcv, 1.0, directions, k)
-    qx, classes_x = _parity_combinations(len(bx), mirrored[0])
-    qy, classes_y = _parity_combinations(len(by), mirrored[1])
-    bx, by = qx @ bx, (qy @ by) * w_alpha
-    step = min(_BLOCK, len(w_alpha))
+
+    rows_x: slice
+    rows_y: slice
+    row_pairs: tuple | None
+    cols: np.ndarray
+    col_pairs: tuple | None
+    fold: int | None
+    block: np.ndarray | None = None
+
+
+def _symmetry_classes(basis: np.ndarray, classes_x, classes_y, swap: bool) -> list[_Class]:
+    """The parity classes ee, eo, oe, oo (x parity first) that have columns, each split further under the swap.
+
+    With the swap, ee and oo each split into a swap-even and a swap-odd class
+    (in that order) summed over fold 1, and oe is eo's image: eo's row (i, j)
+    is its row (j, i) and eo's column (m, n) its column (n, m), so it takes
+    eo's block as it is.
+    """
     m, n = basis.T
-    blocks = []
+    index = np.full((int(basis.max()) + 1,) * 2, -1)
+    index[m, n] = np.arange(len(basis))
+    out = []
     for (rows_x, p), (rows_y, q) in itertools.product(classes_x, classes_y):
         cols = np.flatnonzero(_of_parity(m, p) & _of_parity(n, q))
         if len(cols) == 0:
             continue
-        mc, nc = m[cols], n[cols]
-        cx, cy = bx[rows_x], by[rows_y]
-        n_rows = len(cx) * len(cy)
-        _check_budget(max(n_rows * len(cols), step * len(cols), step * n_rows), entry_budget)
-        block = np.zeros((n_rows, len(cols)), dtype=complex)
-        for start in range(0, len(w_alpha), step):
+        if not swap or p < q:
+            out.append(_Class(rows_x, rows_y, None, cols, None, 0))
+        elif p > q:
+            # eo's sub-grid is n_y x n_x, so its row (i, j) is row j * n_y + i here
+            n_x, n_y = rows_x.stop - rows_x.start, rows_y.stop - rows_y.start
+            perm = np.arange(n_x * n_y).reshape(n_x, n_y).T.ravel()
+            eo_cols = np.flatnonzero(_of_parity(m, q) & _of_parity(n, p))
+            rows = (perm, perm, 1, np.full(len(perm), 0.5))
+            out.append(_Class(rows_x, rows_y, rows, index[n[eo_cols], m[eo_cols]], None, None))
+        else:
+            side = (int(basis.max()) - p) // 2 + 1
+            col_index = np.full((side, side), -1)
+            col_index[(m[cols] - p) // 2, (n[cols] - p) // 2] = np.arange(len(cols))
+            n_x = rows_x.stop - rows_x.start
+            row_index = np.arange(n_x * n_x).reshape(n_x, n_x)
+            for row_pairs, col_pairs in zip(_swap_split(row_index), _swap_split(col_index)):
+                if len(col_pairs[0]):
+                    out.append(_Class(rows_x, rows_y, row_pairs, cols, col_pairs, 1))
+    return out
+
+
+def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
+    """Blocks of (Qx (x) Qy) R, with Q from `_parity_combinations` per receiver axis, one per `_Class`.
+
+    Returns qx, qy and the classes of `_symmetry_classes`, each with its
+    block.  A block sums its (rows x directions) plane-wave factors, the
+    outer products of the per-axis ones with w alpha on the y side, against
+    the basis patterns, over its fold's directions, _BLOCK at a time; the
+    budget bounds R, each block and one block of factors.
+    """
+    _check_budget(len(rcv.points) * len(basis), entry_budget)
+    mirrored, directions, w_alpha, eighth, w_eighth = _mirror_fold(src, rcv, geometry, grid, table)
+    k = geometry.k
+    px, py = _axis_legendre(int(basis.max()), src)
+    ax, ay = _axis_waves(src, -1.0, directions, k)
+    fx = (src.weights_x[:, None] * px).T @ ax
+    fy = (src.weights_y[:, None] * py).T @ ay
+    bx, by = _axis_waves(rcv, 1.0, directions, k)
+    qx, classes_x = _parity_combinations(len(bx), mirrored[0])
+    qy, classes_y = _parity_combinations(len(by), mirrored[1])
+    bx, by = qx @ bx, qy @ by
+    folds = [(bx, by * w_alpha, fx, fy)]
+    if mirrored[2]:
+        folds.append((bx[:, eighth], by[:, eighth] * w_eighth, fx[:, eighth], fy[:, eighth]))
+    m, n = basis.T
+    blocks = []
+    for cls in _symmetry_classes(basis, classes_x, classes_y, mirrored[2]):
+        if cls.fold is None:
+            blocks.append(cls._replace(block=blocks[-1].block))
+            continue
+        cx, cy, fx, fy = folds[cls.fold]
+        cx, cy = cx[cls.rows_x], cy[cls.rows_y]
+        mc, nc = m[cls.cols], n[cls.cols]
+        n_sub, n_dir = len(cx) * len(cy), cx.shape[1]
+        step = min(_BLOCK, n_dir)
+        _check_budget(max(n_sub * len(mc), step * len(mc), step * n_sub), entry_budget)
+        row_scale, col_scale = _scale(cls.row_pairs, n_sub), _scale(cls.col_pairs, len(mc))
+        block = np.zeros((len(row_scale), len(col_scale)), dtype=complex)
+        for start in range(0, n_dir, step):
             sl = slice(start, start + step)
             waves = cx[:, None, sl] * cy[None, :, sl]
-            block += waves.reshape(n_rows, waves.shape[2]) @ (fx[sl][:, mc] * fy[sl][:, nc])
-        blocks.append((rows_x, rows_y, cols, _kernel_scale(k) * block))
+            waves = waves.reshape(n_sub, waves.shape[2])
+            block += _pair_sums(waves, cls.row_pairs) @ _pair_sums(fx[mc, sl] * fy[nc, sl], cls.col_pairs).T
+        blocks.append(cls._replace(block=_kernel_scale(k) * np.outer(row_scale, col_scale) * block))
     return qx, qy, blocks
 
 
-def _unfold(qx: np.ndarray, qy: np.ndarray, blocks, rows: np.ndarray) -> np.ndarray:
-    """R @ rows.T, (n_rcv, len(rows)), from the parity blocks without forming R.
+def _unfold(qx: np.ndarray, qy: np.ndarray, blocks: list[_Class], rows: np.ndarray) -> np.ndarray:
+    """R @ rows.T, (n_rcv, len(rows)), from the class blocks without forming R.
 
-    (Qx (x) Qy) R is block-diagonal, so block c times its own columns of the
-    rows gives its rows of the product; (Qx (x) Qy)^T maps them to the grid.
+    (Qx (x) Qy) R is block-diagonal in the classes, so each block times its
+    combination of the rows' columns gives its combination of the product's
+    rows; `_spread` and (Qx (x) Qy)^T map them back to the grid.
     """
     nx, ny, width = len(qx), len(qy), len(rows)
     parity = np.zeros((nx, ny, width), dtype=complex)
-    for rows_x, rows_y, cols, block in blocks:
-        piece = block @ rows[:, cols].T
-        parity[rows_x, rows_y] = piece.reshape(rows_x.stop - rows_x.start, rows_y.stop - rows_y.start, width)
+    for cls in blocks:
+        columns = _scale(cls.col_pairs, len(cls.cols))[:, None] * _pair_sums(rows[:, cls.cols].T, cls.col_pairs)
+        piece = cls.block @ columns
+        n_x, n_y = cls.rows_x.stop - cls.rows_x.start, cls.rows_y.stop - cls.rows_y.start
+        parity[cls.rows_x, cls.rows_y] += _spread(piece, cls.row_pairs, n_x * n_y).reshape(n_x, n_y, width)
     half = (qx.T @ parity.reshape(nx, ny * width)).reshape(nx, ny, width)
     return (qy.T @ half).reshape(nx * ny, width)
 
@@ -290,9 +413,9 @@ def solve_modes(
     keep: int | None = None,
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> ModesResult:
-    """End-to-end pipeline: grids, translator, radiated basis, one SVD per parity block, modes.
+    """End-to-end pipeline: grids, translator, radiated basis, one SVD per class block, modes.
 
-    Beyond a block's rank, its V^H completes the block's orders with beta = 0.
+    Beyond a block's rank, its V^H completes the block's columns with beta = 0.
     The first `keep` modes are kept (all when `keep` is None or <= 0), with
     their received fields.  The budget bounds R's blocks and their V^H,
     n_rcv x n_basis and at most n_basis x n_basis, and is checked before
@@ -306,26 +429,33 @@ def solve_modes(
     rcv = tensor_grid(geometry.receiver, n_surface)
     basis = basis_order_table(t)
     qx, qy, blocks = _radiated_blocks(basis, src, rcv, geometry, dir_grid, table, entry_budget)
-    # Q is orthogonal and pairs nodes of equal weight, so Q W_rcv Q^T is diagonal
+    # Q is orthogonal and pairs nodes of equal weight, so Q W_rcv Q^T is diagonal,
+    # and so is its swap split, whose pairs have equal weights too
     wx, wy = qx**2 @ rcv.weights_x, qy**2 @ rcv.weights_y
     betas, class_rows, classes = [], [], []
-    for cls, (rows_x, rows_y, cols, block) in enumerate(blocks):
-        weighted = np.sqrt(np.outer(wx[rows_x], wy[rows_y]).ravel())[:, None] * block
-        _, sigma, vh = np.linalg.svd(weighted, full_matrices=len(weighted) < len(cols))
-        betas.append(np.pad(sigma**2, (0, len(cols) - len(sigma))))
-        class_rows.append((cols, vh.conj()))
-        classes.append(np.full(len(cols), cls))
+    for label, cls in enumerate(blocks):
+        if cls.fold is not None:  # an image class takes the previous class's singular system
+            weights = np.outer(wx[cls.rows_x], wy[cls.rows_y]).ravel()
+            weights = weights if cls.row_pairs is None else weights[cls.row_pairs[0]]
+            width = cls.block.shape[1]
+            _, sigma, vh = np.linalg.svd(np.sqrt(weights)[:, None] * cls.block, full_matrices=len(weights) < width)
+            beta, rows = np.pad(sigma**2, (0, width - len(sigma))), vh.conj()
+        betas.append(beta)
+        class_rows.append((cls, rows))
+        classes.append(np.full(len(beta), label))
     classes = np.concatenate(classes)
     betas, order = _merge_spectra(np.concatenate(betas), classes)
     kept = slice(keep) if keep is not None and keep > 0 else slice(None)
     merged = order[kept]
-    # only the kept rows are built: merged row r is row r - start of its class's conj(V^H)
+    # only the kept rows are built: merged row r is row r - start of its class's
+    # rows, taken from the class's column combinations back to its basis entries
     coefficients = np.zeros((len(merged), len(basis)), dtype=complex)
     start, merged_class = 0, classes[merged]
-    for cls, (cols, rows) in enumerate(class_rows):
-        mine = np.flatnonzero(merged_class == cls)
-        coefficients[np.ix_(mine, cols)] = rows[merged[mine] - start]
-        start += len(cols)
+    for label, (cls, rows) in enumerate(class_rows):
+        mine = np.flatnonzero(merged_class == label)
+        picked = rows[merged[mine] - start].T
+        coefficients[np.ix_(mine, cls.cols)] = _spread(picked, cls.col_pairs, len(cls.cols)).T
+        start += len(rows)
     coefficients = _fix_gauge(coefficients)
     modes = ModeSet(betas[kept], coefficients, float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface)
     # src and rcv are what the cached grid properties would build again
@@ -337,8 +467,9 @@ def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, 
     """Betas sorted descending, and the row order that goes with them.
 
     Inside a run of betas that agree to _BETA_TIE_REL * beta_1 the rows go in
-    class order, so the exact pairs of a square link (one mode in each of eo
-    and oe) come out the same whatever the roundoff.  The betas stay sorted.
+    class order, so of each pair of a square link (an eo mode and its oe
+    image, equal by construction) the eo mode comes first.  The betas stay
+    sorted.
     """
     order = np.argsort(-betas, kind="stable")
     betas = betas[order]

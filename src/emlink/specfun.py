@@ -79,15 +79,29 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p, dp
 
 
+# rules already built, by order; their arrays are read-only
+_RULES: dict[int, QuadratureRule] = {}
+
+
 def gauss_legendre_rule(n: int) -> QuadratureRule:
-    """Construct the n-point Gauss-Legendre rule on [-1, 1].
+    """The n-point Gauss-Legendre rule on [-1, 1], built once per n.
 
     Nodes are the roots of P_n, found by Newton iteration from the asymptotic
     cosine guess; weights are 2 / ((1 - x^2) P'_n(x)^2).  Convergence to
-    1e-15 with at most 100 iterations.
+    1e-15 with at most 100 iterations.  Every call with the same n returns
+    the same rule, whose nodes and weights are read-only.
     """
     if n < 1:
         raise ValueError("rule order must be >= 1")
+    rule = _RULES.get(n)
+    if rule is None:
+        rule = _RULES[n] = _newton_rule(n)
+        for array in (rule.nodes, rule.weights):
+            array.flags.writeable = False
+    return rule
+
+
+def _newton_rule(n: int) -> QuadratureRule:
     if n == 1:
         return QuadratureRule(np.zeros(1), np.full(1, 2.0))
     i = np.arange(1, n + 1)

@@ -1,6 +1,8 @@
 """Reference routes the tests check the package against.
 
-`reference_field` is the direct-sum oracle of `propagate_current`;
+`reference_field` is the direct-sum oracle of `propagate_current`, and
+`dense_kernel` the plane-wave sum with one exponential per (point,
+direction) pair; `dense_betas` are the betas it gives a mode set's link;
 `basis_eval` is the dense Legendre basis, built from numpy's `legvander`
 rather than the package's per-axis patterns; `radiated_basis` is the full R
 from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
@@ -51,16 +53,46 @@ def basis_eval(table, grid):
     return (px[:, None, m] * py[None, :, n]).reshape(len(grid.points), len(table))
 
 
+def dense_kernel(src, rcv, geometry, grid, table):
+    """H from one dense exponential per (surface point, direction) pair, 2048 directions at a time."""
+    k = geometry.k
+    H = np.zeros((len(rcv.points), len(src.points)), dtype=complex)
+    for start in range(0, len(grid.weights), 2048):
+        dirs = grid.directions[start:start + 2048]
+        A = np.exp(-1j * k * ((geometry.transmitter.center - src.points) @ dirs.T))
+        B = np.exp(-1j * k * ((rcv.points - geometry.receiver.center) @ dirs.T))
+        H += (B * (grid.weights * table)[start:start + 2048]) @ A.T
+    return -k * (k * FREE_SPACE_IMPEDANCE) / (16 * np.pi**2) * H
+
+
+def dense_betas(modes, theta_e, L, windowed=True):
+    """Squared singular values of W_rcv^(1/2) H W_src E, descending, with H the dense kernel of a mode set's link.
+
+    H is built on the direction grid and translator `solve_modes` builds,
+    and E is `basis_eval`, so no parity class or fold is used.
+    """
+    geo, src, rcv = modes.geometry, modes.src_grid, modes.rcv_grid
+    grid, table = solved_direction_grid(geo, theta_e, L, windowed)
+    R = dense_kernel(src, rcv, geo, grid, table) @ (src.weights[:, None] * basis_eval(modes.basis, src))
+    sigma = np.linalg.svd(np.sqrt(rcv.weights)[:, None] * R, compute_uv=False)
+    return np.pad(sigma**2, (0, len(modes.basis) - len(sigma)))
+
+
 def radiated_basis(basis, src, rcv, geometry, grid, table, entry_budget=DEFAULT_ENTRY_BUDGET):
     """R = H W_src E, (n_rcv, n_basis): the solve's parity blocks unfolded as R @ I."""
     return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), np.eye(len(basis)))
 
 
+def solved_direction_grid(geometry, theta_e, L, windowed=True):
+    """The direction grid and translator table `solve_modes` builds for a link."""
+    grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
+    return grid, translator_table(grid, geometry.k, geometry.r_pq, L, windowed)
+
+
 def solved_radiated_basis(modes, theta_e, L, windowed=True):
     """R = H W_src E of a mode set's link, on the direction grid and translator `solve_modes` builds."""
     geo = modes.geometry
-    grid = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(L, theta_e))
-    table = translator_table(grid, geo.k, geo.r_pq, L, windowed)
+    grid, table = solved_direction_grid(geo, theta_e, L, windowed)
     return radiated_basis(modes.basis, modes.src_grid, modes.rcv_grid, geo, grid, table)
 
 

@@ -17,7 +17,6 @@ from emlink import (
     LinkGeometry,
     cap_direction_grid,
     capacity_vs_snr,
-    capacity_waterfill,
     default_cap_densities,
     dof_geometric,
     expansion_error_sweep,
@@ -34,6 +33,7 @@ from emlink import (
     truncation_order,
     waterfill,
 )
+from emlink.capacity import _rate
 from emlink.cli import main as cli_main
 from emlink.modes import basis_order_table
 from emlink.specfun import spherical_bessel_j, spherical_neumann_y
@@ -199,7 +199,7 @@ def test_criterion_6_waterfilling_correctness():
         betas = np.sort(rng.uniform(0.02, 1.0, size=size))[::-1]
         p_t = float(rng.uniform(0.2, 5.0))
         sigma2 = float(rng.uniform(0.01, 2.0))
-        closed = capacity_waterfill(betas, p_t, sigma2)
+        closed = _rate(betas, waterfill(betas, p_t, sigma2), sigma2)
 
         # discrete brute force at resolution p_t/100: greedy quantum
         # allocation is optimal for concave per-channel rates

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from reference_routes import step_down_waterfill
 
 from emlink.capacity import (
-    capacity_equal,
+    _capacity_equal,
+    _rate,
     capacity_vs_snr,
-    capacity_waterfill,
     dof_geometric,
     spectrum_fit,
     waterfill,
@@ -210,11 +210,12 @@ class TestWaterfill:
 
 class TestCapacityWaterfill:
     def test_single_channel_one_bit(self):
-        assert capacity_waterfill(np.array([1.0]), 1.0, 1.0) == pytest.approx(1.0)
+        assert _rate(np.array([1.0]), waterfill(np.array([1.0]), 1.0, 1.0), 1.0) == pytest.approx(1.0)
 
     def test_two_channel_frozen_value(self):
         # allocation (0.55, 0.45) gives log2(6.5) + log2(3.25)
-        value = capacity_waterfill(np.array([1.0, 0.5]), 1.0, 0.1)
+        betas = np.array([1.0, 0.5])
+        value = _rate(betas, waterfill(betas, 1.0, 0.1), 0.1)
         assert value == pytest.approx(np.log2(6.5) + np.log2(3.25), rel=1e-12)
         assert value == pytest.approx(4.40088, abs=1e-5)
 
@@ -224,7 +225,7 @@ class TestCapacityWaterfill:
             betas = np.sort(rng.uniform(0.02, 1.0, size=3))[::-1]
             p_t = float(rng.uniform(0.5, 4.0))
             sigma2 = float(rng.uniform(0.05, 2.0))
-            closed = capacity_waterfill(betas, p_t, sigma2)
+            closed = _rate(betas, waterfill(betas, p_t, sigma2), sigma2)
             grid_best = exhaustive_three_channel(betas, p_t, sigma2)
             assert closed >= grid_best - 1e-9
             step_gain = np.log2(1 + betas[0] * (p_t / 50) / sigma2)
@@ -233,14 +234,14 @@ class TestCapacityWaterfill:
 
 class TestCapacityEqual:
     def test_single_channel(self):
-        assert capacity_equal(1.0, 1, 1.0, 1.0) == pytest.approx(1.0)
+        assert _capacity_equal(1.0, 1, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_ten_channels_at_ten_db(self):
-        assert capacity_equal(1.0, 10, 1.0, 0.1) == pytest.approx(10.0)
+        assert _capacity_equal(1.0, 10, 1.0, 0.1) == pytest.approx(10.0)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
-            capacity_equal(1.0, 0, 1.0, 1.0)
+            _capacity_equal(1.0, 0, 1.0, 1.0)
 
 
 class TestSpectrumFit:
@@ -304,7 +305,7 @@ class TestCapacityCurve:
         n = 4
         for snr in range(0, 31, 3):
             sigma2 = 10 ** (-snr / 10)
-            c_wf = capacity_waterfill(betas, 1.0, sigma2)
+            c_wf = _rate(betas, waterfill(betas, 1.0, sigma2), sigma2)
             c_true_equal = float(np.sum(np.log2(1 + betas[:n] * (1.0 / n) / sigma2)))
             assert c_wf >= c_true_equal - 1e-12
 

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from reference_routes import basis_eval, radiated_basis, reference_field
+from reference_routes import basis_eval, dense_kernel, radiated_basis, reference_field
 
 from emlink import channel
 from emlink.channel import FREE_SPACE_IMPEDANCE, _axis_waves, _mirror_fold, propagate_current
@@ -27,17 +27,6 @@ OMEGA_MU = K * FREE_SPACE_IMPEDANCE
 def h_point(r, s, geo, grid, table):
     """Pointwise kernel reference H(r, s) = -j omega mu G_planewave(r, s)."""
     return -1j * OMEGA_MU * sgf_planewave(r, s, geo, grid, table)
-
-
-def _dense_kernel(src, rcv, geo, grid, table):
-    """H from one dense exponential per (surface point, direction) pair, 2048 directions at a time."""
-    H = np.zeros((len(rcv.points), len(src.points)), dtype=complex)
-    for start in range(0, len(grid.weights), 2048):
-        dirs = grid.directions[start:start + 2048]
-        A = np.exp(-1j * K * ((geo.transmitter.center - src.points) @ dirs.T))
-        B = np.exp(-1j * K * ((rcv.points - geo.receiver.center) @ dirs.T))
-        H += (B * (grid.weights * table)[start:start + 2048]) @ A.T
-    return -K * OMEGA_MU / (16 * np.pi**2) * H
 
 
 def _kernel_columns(cols, src, rcv, geo, grid, table):
@@ -155,7 +144,7 @@ class TestPropagator:
         geo, grid, table, *_ = paper_setup
         src = tensor_grid(geo.transmitter, 16)
         rcv = tensor_grid(geo.receiver, 16)
-        km = _dense_kernel(src, rcv, geo, grid, table)
+        km = dense_kernel(src, rcv, geo, grid, table)
         j = 5
         current = np.zeros(len(src.points), dtype=complex)
         current[j] = 1.0
@@ -178,7 +167,7 @@ class TestPropagator:
 
     def test_matches_kernel_matrix_route(self, paper_setup):
         geo, grid, table, src, rcv = paper_setup
-        km = _dense_kernel(src, rcv, geo, grid, table)
+        km = dense_kernel(src, rcv, geo, grid, table)
         rng = np.random.default_rng(2)
         current = rng.normal(size=len(src.points)) + 1j * rng.normal(size=len(src.points))
         via_stages = propagate_current(current, src, rcv, geo, grid, table)
@@ -193,17 +182,35 @@ class TestSeparableFactors:
     @pytest.mark.parametrize(
         "tx_center, rx_center, n_theta, n_phi, mirrors",
         [
-            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0), 12, 24, (True, True)),
-            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 12, 24, (False, False)),
-            ((0.0, 0.0, 0.0), (3.0, -2.0, 12.0), 12, 24, (False, False)),
-            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 107, 24, (False, False)),
-            ((0.0, 0.0, 0.0), (3.0, 0.0, 12.0), 12, 24, (False, True)),
-            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0), 12, 25, (False, True)),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0), 12, 24, (True, True, False)),
+            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 12, 24, (False, False, False)),
+            ((0.0, 0.0, 0.0), (3.0, -2.0, 12.0), 12, 24, (False, False, False)),
+            ((1.5, -0.5, -2.0), (-2.0, 1.0, 9.0), 107, 24, (False, False, False)),
+            ((0.0, 0.0, 0.0), (3.0, 0.0, 12.0), 12, 24, (False, True, False)),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, 12.0), 12, 25, (False, True, False)),
         ],
         ids=["on-axis", "offset-centres", "tilted-axis", "several-blocks", "x-offset", "odd-phi"],
     )
     def test_matches_dense_exponentials(self, tx_center, rx_center, n_theta, n_phi, mirrors):
-        geo = LinkGeometry(rect_aperture(tx_center, 3.0, 5.0), rect_aperture(rx_center, 2.0, 4.0), K)
+        self._check_against_dense(tx_center, rx_center, (3.0, 5.0), (2.0, 4.0), n_theta, n_phi, mirrors)
+
+    @pytest.mark.parametrize(
+        "rx_center, n_phi, mirrors",
+        [
+            ((0.0, 0.0, 12.0), 24, (True, True, True)),
+            ((0.0, 0.0, 12.0), 28, (True, True, True)),
+            ((0.0, 0.0, 12.0), 26, (True, True, False)),
+            ((0.4, 0.0, 12.0), 24, (False, True, False)),
+        ],
+        ids=["square", "square-phi-4-mod-8", "square-phi-2-mod-4", "square-x-offset"],
+    )
+    def test_square_link_matches_dense_exponentials(self, rx_center, n_phi, mirrors):
+        # the swap-split classes, summed over an eighth of the directions
+        self._check_against_dense((0.0, 0.0, 0.0), rx_center, (3.0, 3.0), (2.0, 2.0), 12, n_phi, mirrors)
+
+    @staticmethod
+    def _check_against_dense(tx_center, rx_center, tx_sides, rx_sides, n_theta, n_phi, mirrors):
+        geo = LinkGeometry(rect_aperture(tx_center, *tx_sides), rect_aperture(rx_center, *rx_sides), K)
         L = truncation_order(K, geo.transmitter.half_diagonal + geo.receiver.half_diagonal)
         grid = cap_direction_grid(geo.axis, np.radians(60), n_theta, n_phi)
         if n_theta > 12:
@@ -212,13 +219,19 @@ class TestSeparableFactors:
         table = translator_table(grid, K, geo.r_pq, L, windowed=True)
         src = tensor_grid(geo.transmitter, 25)
         rcv = tensor_grid(geo.receiver, 16)
-        dense = _dense_kernel(src, rcv, geo, grid, table)
+        dense = dense_kernel(src, rcv, geo, grid, table)
 
-        # the parity classes radiated_basis splits into (4, 2 or 1), and the
-        # folded sweep: one direction per orbit of the mirrors
-        found, directions, _ = _mirror_fold(src, rcv, geo, grid, table)
+        # the classes radiated_basis splits into, and the folded sweeps: one
+        # direction per orbit of the lateral mirrors, and one per orbit of
+        # the mirrors and the swap (phi in [0, pi/4]) among those
+        found, directions, w_alpha, eighth, w_eighth = _mirror_fold(src, rcv, geo, grid, table)
         assert found == mirrors
-        assert len(directions) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[sum(mirrors)]
+        lateral = sum(mirrors[:2])
+        assert len(directions) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[lateral]
+        assert len(eighth) == (n_theta * (n_phi // 8 + 1) if mirrors[2] else len(directions))
+        total = np.sum(grid.weights * table)
+        assert abs(np.sum(w_alpha) - total) <= 1e-13 * np.sum(np.abs(grid.weights * table))
+        assert abs(np.sum(w_eighth) - total) <= 1e-13 * np.sum(np.abs(grid.weights * table))
 
         basis = basis_order_table(3)
         radiated = dense @ (src.weights[:, None] * basis_eval(basis, src))
@@ -278,8 +291,8 @@ class TestDirectionBudget:
         src = tensor_grid(geo.transmitter, 144)
         rcv = tensor_grid(geo.receiver, 144)
         rule, over = _rule_and_oversampled(geo, 34, np.radians(deg))
-        H = _dense_kernel(src, rcv, geo, *rule)
-        ref = _dense_kernel(src, rcv, geo, *over)
+        H = dense_kernel(src, rcv, geo, *rule)
+        ref = dense_kernel(src, rcv, geo, *over)
         assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("rx_center", [(0, 0, 25.5), (6, -4, 24)], ids=["paper", "paper-off-axis"])

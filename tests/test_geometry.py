@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from emlink.geometry import (
+    _LATERAL_IMAGES,
     LinkGeometry,
     _mirror_partner,
     cap_direction_grid,
@@ -136,8 +137,8 @@ class TestDefaultCapDensities:
     THETAS = np.radians(np.linspace(1.0, 180.0, 180))
 
     def test_presets(self):
-        assert default_cap_densities(93, np.radians(60)) == (62, 106)
-        assert default_cap_densities(34, np.radians(60)) == (28, 54)
+        assert default_cap_densities(93, np.radians(60)) == (62, 108)
+        assert default_cap_densities(34, np.radians(60)) == (28, 56)
 
     def test_floors(self):
         for L in (0, 1, 4, 93):
@@ -154,22 +155,38 @@ class TestDefaultCapDensities:
         assert np.all(np.diff(table, axis=1) >= 0)
 
     def test_grids_about_z_are_mirror_symmetric(self):
-        # closure under k_x -> -k_x and k_y -> -k_y depends on n_phi alone
-        # (the rings sit at phi = 2 pi i / n_phi), so one grid per n_phi covers
-        # every rule grid about z
+        # closure under k_x -> -k_x, k_y -> -k_y and k_x <-> k_y depends on
+        # n_phi alone (the rings sit at phi = 2 pi i / n_phi), so one grid per
+        # n_phi covers every rule grid about z
         n_phis = {default_cap_densities(L, t)[1] for L in range(200) for t in self.THETAS}
         for n_phi in sorted(n_phis):
             grid = cap_direction_grid((0, 0, 1), np.pi / 3, 3, n_phi)
-            for axis in (0, 1):
-                partner = _mirror_partner(grid, axis)
-                assert partner is not None, (n_phi, axis)
-                image = grid.directions * np.where(np.arange(3) == axis, -1.0, 1.0)
-                assert np.max(np.abs(grid.directions[partner] - image)) < 1e-14
+            for image, partner in zip(_LATERAL_IMAGES, _mirror_partner(grid, _LATERAL_IMAGES)):
+                assert partner is not None, (n_phi, image)
+                assert np.max(np.abs(grid.directions[partner] - grid.directions @ image.T)) < 1e-14
+
+    def test_phi_count_is_a_multiple_of_four(self):
+        for L in range(200):
+            assert all(default_cap_densities(L, t)[1] % 4 == 0 for t in self.THETAS), L
 
     def test_mirror_partner_rejects_odd_phi_count(self):
         grid = cap_direction_grid((0, 0, 1), np.pi / 3, 3, 25)
-        assert _mirror_partner(grid, 0) is None
-        assert _mirror_partner(grid, 1) is not None
+        x, y, swap = _mirror_partner(grid, _LATERAL_IMAGES)
+        assert x is None and swap is None
+        assert y is not None
+
+    @pytest.mark.parametrize("n_phi", [26, 54, 106])
+    def test_no_swap_partner_for_phi_count_2_mod_4(self, n_phi):
+        # phi -> pi/2 - phi maps ring sample i to n_phi/4 - i, not a sample
+        grid = cap_direction_grid((0, 0, 1), np.pi / 3, 3, n_phi)
+        x, y, swap = _mirror_partner(grid, _LATERAL_IMAGES)
+        assert x is not None and y is not None
+        assert swap is None
+
+    def test_mirror_partner_is_an_involution(self):
+        grid = cap_direction_grid((0, 0, 1), np.pi / 3, 5, 108)
+        for partner in _mirror_partner(grid, _LATERAL_IMAGES):
+            assert np.array_equal(partner[partner], np.arange(len(partner)))
 
     @pytest.mark.parametrize("L", [34, 75, 93])
     def test_pi_covers_full_sphere(self, L):

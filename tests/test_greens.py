@@ -10,12 +10,12 @@ from emlink.geometry import (
     truncation_order,
 )
 from emlink.greens import (
+    _tukey_window,
     expansion_error_sweep,
     sgf_exact,
     sgf_planewave,
     translator_series,
     translator_table,
-    tukey_window,
 )
 
 K = 2 * np.pi
@@ -58,16 +58,16 @@ class TestScalarGreens:
 class TestTukeyWindow:
     def test_flat_start(self):
         for L in (2, 7, 100):
-            assert tukey_window(L)[0] == 1.0
+            assert _tukey_window(L)[0] == 1.0
 
     def test_taper_endpoint_and_midpoint(self):
-        w = tukey_window(100)
+        w = _tukey_window(100)
         assert w[100] == pytest.approx(0.0, abs=1e-15)
         assert w[75] == pytest.approx(0.5, rel=1e-12)
 
     def test_non_increasing(self):
         for L in (4, 33, 93):
-            assert np.all(np.diff(tukey_window(L)) <= 1e-15)
+            assert np.all(np.diff(_tukey_window(L)) <= 1e-15)
 
 
 class TestTranslator:

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from reference_routes import basis_eval, radiated_basis, solved_radiated_basis
+from reference_routes import basis_eval, dense_betas, radiated_basis, solved_direction_grid, solved_radiated_basis
 
 from emlink import modes
 from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
@@ -209,16 +210,17 @@ class TestSingularModes:
     @pytest.mark.parametrize(
         "rx_center, n_surface, keep, mirrors",
         [
-            ((0, 0, 10.2), 144, 40, (True, True)),
-            ((0.9, 0, 10.2), 144, None, (False, True)),
-            ((0.9, -0.6, 10.2), 144, 40, (False, False)),
-            ((0, 0, 10.2), 1, None, (True, True)),
+            ((0, 0, 10.2), 144, 40, (True, True, True)),
+            ((0.9, 0, 10.2), 144, None, (False, True, False)),
+            ((0.9, -0.6, 10.2), 144, 40, (False, False, False)),
+            ((0, 0, 10.2), 1, None, (True, True, True)),
         ],
         ids=["four-classes", "x-offset", "no-mirror", "one-node"],
     )
     def test_fields_are_radiated_basis_times_rows(self, rx_center, n_surface, keep, mirrors):
-        # the solve keeps R @ coefficients.T from its parity blocks, not R;
-        # four, two and one parity classes, and odd classes without rows
+        # the solve keeps R @ coefficients.T from its class blocks, not R;
+        # the swap-split classes, two and one parity classes, and odd
+        # classes without rows
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture(rx_center, 3.2, 3.2), K)
         result = solve_modes(geo, np.radians(60), 34, 14, n_surface, keep=keep)
         ms = result.modes
@@ -263,6 +265,88 @@ class TestEntryBudget:
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
         with pytest.raises(BudgetError):
             solve_modes(geo, np.radians(60), 34, t, n_surface)
+
+
+def _swapped_columns(basis):
+    """Column of basis entry (n, m) for each entry (m, n)."""
+    m, n = basis.T
+    index = np.full((m.max() + 1,) * 2, -1)
+    index[m, n] = np.arange(len(basis))
+    return index[n, m]
+
+
+def _solved_flags(ms, theta_e, L, windowed=True):
+    grid, table = solved_direction_grid(ms.geometry, theta_e, L, windowed)
+    return _mirror_fold(ms.src_grid, ms.rcv_grid, ms.geometry, grid, table)[0]
+
+
+class TestSwapSymmetry:
+    """A square coaxial link is also symmetric under x <-> y: ee and oo split in two, oe is eo's image."""
+
+    @pytest.mark.parametrize("preset", ["ci", "paper"])
+    def test_oe_modes_are_eo_modes_swapped(self, preset, ci_run, paper_run):
+        # the oe coefficient row of the k-th pair is the eo one with
+        # (m, n) -> (n, m).  Above the roundoff tail, where a run of betas
+        # tied to 1e-12 beta_1 holds just the pair, the oe mode comes right
+        # after its eo mode with a bit-equal beta (in the tail the stored
+        # betas are the sorted run, and the rows go in class order)
+        ms = {"ci": ci_run, "paper": paper_run}[preset][0].modes
+        m, n = ms.basis.T
+        support = ms.coefficients != 0
+        eo = np.flatnonzero(~np.any(support[:, (m % 2 == 1) | (n % 2 == 0)], axis=1))
+        oe = np.flatnonzero(~np.any(support[:, (m % 2 == 0) | (n % 2 == 1)], axis=1))
+        pairs = min(len(eo), len(oe))
+        assert pairs >= 10
+        eo, oe = eo[:pairs], oe[:pairs]
+        assert np.array_equal(ms.coefficients[oe][:, _swapped_columns(ms.basis)], ms.coefficients[eo])
+        strong = ms.eigenvalues[eo] > 1e-10 * ms.eigenvalues[0]
+        assert np.count_nonzero(strong) >= 10
+        assert np.array_equal(oe[strong], eo[strong] + 1)
+        assert np.array_equal(ms.eigenvalues[oe[strong]], ms.eigenvalues[eo[strong]])
+
+    def test_ee_and_oo_modes_are_swap_even_or_odd(self, ci_run):
+        ms = ci_run[0].modes
+        m, n = ms.basis.T
+        swapped = _swapped_columns(ms.basis)
+        same = (m % 2) == (n % 2)
+        rows = np.flatnonzero(~np.any(ms.coefficients[:, ~same] != 0, axis=1))
+        assert len(rows) > len(ms) // 3
+        for row in ms.coefficients[rows]:
+            assert np.array_equal(row[swapped], row) or np.array_equal(row[swapped], -row)
+
+    def test_ci_betas_match_dense_route(self, ci_run):
+        result, _, cfg = ci_run
+        ms, theta_e = result.modes, np.radians(cfg.theta_e_deg)
+        assert _solved_flags(ms, theta_e, cfg.truncation(), cfg.windowed) == (True, True, True)
+        betas = dense_betas(ms, theta_e, cfg.truncation(), cfg.windowed)
+        assert np.max(np.abs(betas[: len(ms)] - ms.eigenvalues)) <= 1e-13 * betas[0]
+
+    @pytest.mark.parametrize(
+        "tx_sides, rx_center, flags",
+        [((10.0, 8.0), (0, 0, 25.5), (True, True, False)), ((10.0, 10.0), (0.7, 0, 25.5), (False, True, False))],
+        ids=["10x8-transmitter", "x-offset"],
+    )
+    def test_links_without_the_swap_match_dense_route(self, tx_sides, rx_center, flags):
+        # a rectangular transmitter, or a receiver off the x mirror plane, on
+        # the paper direction grid (n_phi = 108, closed under the swap)
+        geo = LinkGeometry(rect_aperture((0, 0, 0), *tx_sides), rect_aperture(rx_center, 8.0, 8.0), K)
+        theta_e = np.radians(60)
+        ms = solve_modes(geo, theta_e, 93, 10, 64).modes
+        assert _solved_flags(ms, theta_e, 93) == flags
+        betas = dense_betas(ms, theta_e, 93)
+        assert np.max(np.abs(betas[: len(ms)] - ms.eigenvalues)) <= 1e-13 * betas[0]
+
+    def test_square_receiver_off_the_grid_nodes(self):
+        # a square aperture whose grid nodes differ along x and y is not swapped
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
+        src, rcv = tensor_grid(geo.transmitter, 36), tensor_grid(geo.receiver, 36)
+        shifted = rcv.nodes_y.copy()
+        shifted[[0, -1]] *= 0.99
+        ragged = dataclasses.replace(rcv, nodes_y=shifted)
+        grid = cap_direction_grid(geo.axis, np.radians(60), 12, 24)
+        table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
+        assert _mirror_fold(src, rcv, geo, grid, table)[0] == (True, True, True)
+        assert _mirror_fold(src, ragged, geo, grid, table)[0] == (True, True, False)
 
 
 def _ci_scale_betas(tx_center, rx_center):

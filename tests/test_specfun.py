@@ -3,6 +3,7 @@ import pytest
 from scipy.special import spherical_jn, spherical_yn
 
 from emlink.specfun import (
+    _newton_rule,
     gauss_legendre_rule,
     legendre_sequence,
     spherical_bessel_j,
@@ -92,6 +93,19 @@ class TestGaussLegendre:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             gauss_legendre_rule(0)
+
+    @pytest.mark.parametrize("n", [1, 23, 62])
+    def test_built_once_and_read_only(self, n):
+        # a repeat call returns the rule of the first, bit-identical to a
+        # fresh Newton solve, and neither array can be written
+        rule = gauss_legendre_rule(n)
+        again = gauss_legendre_rule(n)
+        fresh = _newton_rule(n)
+        assert again is rule
+        for array, solved in ((rule.nodes, fresh.nodes), (rule.weights, fresh.weights)):
+            assert np.array_equal(array, solved)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 class TestSphericalBessel:
