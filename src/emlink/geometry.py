@@ -95,7 +95,7 @@ class DirectionGrid:
     """Unit wavevector samples on a spherical cap (see `cap_direction_grid`).
 
     Weights are solid-angle measure; they sum to the cap's 2*pi*(1 - cos(theta_e)).
-    The directions are frozen (a view is copied first), so the factors kept in `_waves` stay valid.
+    The directions are frozen (a view is copied first), so what `channel` keeps in `_waves` stays valid.
     """
 
     directions: np.ndarray  # (n, 3) unit vectors

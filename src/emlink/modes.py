@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FREE_SPACE_IMPEDANCE, _axis_waves, _kernel_scale, _mirror_fold
+from .channel import FREE_SPACE_IMPEDANCE, _axis_waves, _kernel_scale, _mirror_fold, _parity_combinations
 from .errors import BudgetError
 from .geometry import (
     LinkGeometry,
@@ -134,27 +134,6 @@ def _axis_legendre(t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
 
     cx, cy, _ = aperture.center
     return axis(grid.nodes_x, cx, aperture.side_x), axis(grid.nodes_y, cy, aperture.side_y)
-
-
-def _parity_combinations(n: int, mirrored: bool) -> tuple[np.ndarray, list[tuple[slice, int | None]]]:
-    """Orthogonal Q (n, n) over one axis's receiver nodes, and its row classes.
-
-    On a mirrored axis the first ceil(n/2) rows of Q are the even
-    combinations (b_i + b_{n-1-i}) / sqrt(2) of mirrored nodes and the middle
-    node, the rest the odd ones (b_i - b_{n-1-i}) / sqrt(2); each class pairs
-    with the Legendre orders of its parity.  Otherwise Q = I and one class
-    (parity None) takes every order.
-    """
-    if not mirrored:
-        return np.eye(n), [(slice(0, n), None)]
-    half, even = n // 2, n - n // 2
-    i = np.arange(half)
-    q = np.zeros((n, n))
-    q[i, i] = q[i, n - 1 - i] = q[even + i, i] = np.sqrt(0.5)
-    q[even + i, n - 1 - i] = -np.sqrt(0.5)
-    if n % 2:
-        q[half, half] = 1.0
-    return q, [(slice(0, even), 0), (slice(even, n), 1)]
 
 
 def _of_parity(orders: np.ndarray, parity: int | None) -> np.ndarray:

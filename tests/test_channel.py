@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from reference_routes import basis_eval, dense_kernel, radiated_basis, reference_field
 
 from emlink import channel
-from emlink.channel import FREE_SPACE_IMPEDANCE, _axis_waves, _mirror_fold, propagate_current
+from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
 from emlink.errors import BudgetError
 from emlink.geometry import (
     DirectionGrid,
@@ -419,12 +420,23 @@ class TestAdjointness:
         assert abs(lhs - rhs) <= tol * abs(lhs)
 
 
-def _unkept_waves(surface, sign, grid, k):
-    return _axis_waves(surface, sign, grid.directions, k)
+def _kept_arrays(grid, kind=None):
+    """Every array the grid's memo holds, or only those of one kind of entry ("waves", "orbits", ...)."""
+    return [
+        value
+        for key, entry in grid._waves.items()
+        if kind is None or key[0] == kind
+        for value in entry
+        if isinstance(value, np.ndarray)
+    ]
+
+
+def _unkept(grid, key, make):
+    return make()
 
 
 class TestFactorMemo:
-    """The per-axis factors are made once per grid, k, side and node offsets, and live as long as the grid."""
+    """The folded factors, images, node checks and orbits are made once per grid and key, and live with the grid."""
 
     def test_repeat_makes_no_exponentials(self, monkeypatch):
         geo = _ci_link((0, 0, 10.2))
@@ -454,7 +466,7 @@ class TestFactorMemo:
         current = _random_current(len(src.points), 42)
         first = propagate_current(current, src, rcv, geo, grid, table)
         repeat = propagate_current(current, src, rcv, geo, grid, table)
-        monkeypatch.setattr(channel, "_grid_waves", _unkept_waves)
+        monkeypatch.setattr(channel, "_kept", _unkept)  # every memo entry made afresh
         unkept = propagate_current(current, src, rcv, geo, grid, table)
         assert np.array_equal(first, unkept)
         assert np.array_equal(repeat, unkept)
@@ -476,7 +488,11 @@ class TestFactorMemo:
                     propagate_current(current, src, rcv, geo, grid, table),
                     propagate_current(current, src, rcv, geo, fresh, table),
                 )
-        assert len(grid._waves) == 2 + len(links)  # a source entry per k, a receiver entry per link
+        kinds = [key[0] for key in grid._waves]
+        assert kinds.count("waves") == 2 + len(links)  # a source entry per k, a receiver entry per link
+        assert kinds.count("nodes") == 4  # one per distinct surface grid: the source and three receivers
+        assert kinds.count("orbits") == 2  # the square links fold by the swap too, the oblong ones do not
+        assert kinds.count("partners") == 1
 
     def test_directions_and_factors_are_read_only(self):
         geo = _ci_link((0, 0, 10.2))
@@ -488,18 +504,110 @@ class TestFactorMemo:
         base[0, 0] = 2.0  # a view is copied, so writing its base leaves the grid alone
         assert from_view.directions[0, 0] == grid.directions[0, 0]
         propagate_current(_random_current(len(src.points), 44), src, rcv, geo, grid, table)
-        assert len(grid._waves) == 2  # the source side and the receiver side
-        for factors in grid._waves.values():
-            for factor in factors:
-                with pytest.raises(ValueError):
-                    factor[0, 0] = 0.0
+        assert len(_kept_arrays(grid, "waves")) == 4  # x and y, on the source side and the receiver side
+        for value in _kept_arrays(grid):
+            with pytest.raises(ValueError):
+                value.flat[0] = 0
 
     def test_factors_die_with_their_grid(self):
         geo = _ci_link((0, 0, 10.2))
         grid, table, src, rcv = _ci_parts(geo)
         propagate_current(_random_current(len(src.points), 45), src, rcv, geo, grid, table)
-        kept = [weakref.ref(factor) for factors in grid._waves.values() for factor in factors]
-        assert len(kept) == 4
+        kept = [weakref.ref(value) for value in _kept_arrays(grid)]
+        assert len(kept) == 11  # 4 factors, 3 images and the orbits' 4 index arrays
         del grid
         gc.collect()
         assert all(ref() is None for ref in kept)
+
+
+# (tx center, tx sides), (rx center, rx sides), L, points per aperture, n_phi (None: the default), mirrors found
+FOLD_LINKS = {
+    "ci": ((0, 0, 0), (4.0, 4.0), (0, 0, 10.2), (3.2, 3.2), 34, 144, None, (True, True, True)),
+    "paper": ((0, 0, 0), (10.0, 10.0), (0, 0, 25.5), (8.0, 8.0), 93, 512, None, (True, True, True)),
+    "tx-10x8": ((0, 0, 0), (10.0, 8.0), (0, 0, 25.5), (8.0, 8.0), 93, 144, None, (True, True, False)),
+    "x-offset": ((0, 0, 0), (10.0, 10.0), (0.7, 0, 25.5), (8.0, 8.0), 93, 144, None, (False, True, False)),
+    "offset": ((0, 0, 0), (10.0, 10.0), (0.7, -0.4, 25.5), (8.0, 8.0), 93, 144, None, (False, False, False)),
+    "phi-2-mod-4": ((0, 0, 0), (4.0, 4.0), (0, 0, 10.2), (3.2, 3.2), 34, 144, 54, (True, True, False)),
+}
+
+
+def _fold_parts(name):
+    tx, tx_sides, rx, rx_sides, L, n_points, n_phi, mirrors = FOLD_LINKS[name]
+    geo = LinkGeometry(rect_aperture(tx, *tx_sides), rect_aperture(rx, *rx_sides), K)
+    theta_e = np.radians(60)
+    n_theta, n_phi_rule = default_cap_densities(L, theta_e)
+    grid = cap_direction_grid(geo.axis, theta_e, n_theta, n_phi or n_phi_rule)
+    table = translator_table(grid, K, geo.r_pq, L, windowed=True)
+    src, rcv = tensor_grid(geo.transmitter, n_points), tensor_grid(geo.receiver, n_points)
+    return geo, grid, table, src, rcv, mirrors, (n_theta, n_phi or n_phi_rule)
+
+
+def _no_symmetries(*args):
+    return False, False, False
+
+
+class TestFoldedPropagator:
+    """propagate_current summed over one direction per orbit of the link's mirrors, one parity class at a time."""
+
+    @pytest.mark.parametrize("name", list(FOLD_LINKS))
+    def test_matches_one_class_route_and_dense_kernel(self, name, monkeypatch):
+        geo, grid, table, src, rcv, mirrors, (n_theta, n_phi) = _fold_parts(name)
+        assert _mirror_fold(src, rcv, geo, grid, table)[0] == mirrors
+        current = _random_current(len(src.points), 51)
+        folded = propagate_current(current, src, rcv, geo, grid, table)
+        # each factor holds one direction per orbit: a quarter of the cap under both mirrors, half under one
+        lateral = sum(mirrors[:2])
+        kept_directions = n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[lateral]
+        assert {value.shape[1] for value in _kept_arrays(grid, "waves")} == {kept_directions}
+
+        monkeypatch.setattr(channel, "_symmetries", _no_symmetries)
+        one_class = propagate_current(current, src, rcv, geo, grid, table)
+        if not any(mirrors):
+            assert np.array_equal(folded, one_class)
+        assert np.linalg.norm(folded - one_class) <= 1e-13 * np.linalg.norm(one_class)
+
+        expected = dense_kernel(src, rcv, geo, grid, table) @ (src.weights * current)
+        assert np.linalg.norm(folded - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_repeat_makes_no_exponentials_or_sorts(self, monkeypatch):
+        geo, grid, table, src, rcv, *_ = _fold_parts("ci")
+        current = _random_current(len(src.points), 52)
+        calls = {"exp": 0, "argsort": 0, "unique": 0}
+
+        def counting(name):
+            original = getattr(np, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name))
+        first = propagate_current(current, src, rcv, geo, grid, table)
+        made = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        repeat = propagate_current(current, src, rcv, geo, grid, table)
+        monkeypatch.undo()
+        # the first call pairs the images (sorts), finds the orbits (unique) and makes the factors (exp)
+        assert all(made.values()), made
+        assert calls == {"exp": 0, "argsort": 0, "unique": 0}
+        assert np.array_equal(first, repeat)
+
+
+class TestTranslatorShape:
+    """A translator table must hold one value per direction, and is checked before it is multiplied."""
+
+    @pytest.mark.parametrize("caller", ["propagate_current", "sgf_planewave", "_mirror_fold"])
+    def test_column_table_rejected(self, caller):
+        geo = _ci_link((0, 0, 10.2))
+        grid, table, src, rcv = _ci_parts(geo)
+        column = table[:, None]
+        call = {
+            "propagate_current": lambda: propagate_current(np.ones(len(src.points)), src, rcv, geo, grid, column),
+            "sgf_planewave": lambda: sgf_planewave((0.5, 0.2, 10.2), (0.1, -0.3, 0.0), geo, grid, column),
+            "_mirror_fold": lambda: _mirror_fold(src, rcv, geo, grid, column),
+        }[caller]
+        with pytest.raises(ValueError, match=re.escape(f"{column.shape}") + ".*" + re.escape(f"{grid.weights.shape}")):
+            call()
