@@ -37,10 +37,6 @@ class PowerAllocation:
     active_count: int
     water_level: float
 
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.powers))
-
 
 def waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> PowerAllocation:
     """Closed-form water-filling over the largest feasible active set.
@@ -75,6 +71,14 @@ def waterfill(betas: np.ndarray, p_t: float, sigma2: float) -> PowerAllocation:
     return PowerAllocation(powers, M, float(level))
 
 
+def _noise_power(p_t: float, snr_db: float) -> float:
+    """sigma^2 = P_t * 10^(-SNR/10); inf once 10^(-SNR/10) passes the float range."""
+    try:
+        return p_t * 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        return np.inf
+
+
 def _rate(betas: np.ndarray, alloc: PowerAllocation, sigma2: float) -> float:
     """sum log2(1 + beta_n P_n / sigma^2) over the channels that carry power."""
     active = alloc.powers > 0
@@ -100,12 +104,6 @@ class SpectrumFit:
     intercept_log10: float
     n_plateau: int
     n_tail_points: int
-
-    def model(self, n: np.ndarray) -> np.ndarray:
-        """Evaluate the fitted piecewise model at 1-based mode indices."""
-        n = np.asarray(n)
-        tail = 10.0 ** (self.intercept_log10 - self.decay_rate * (n - self.n_plateau - 1))
-        return np.where(n <= self.n_plateau, self.plateau_avg, tail)
 
 
 def spectrum_fit(betas: np.ndarray, n_plateau: int, tail_floor_rel: float = 1e-12) -> SpectrumFit:
@@ -175,7 +173,7 @@ def capacity_vs_snr(
     beta_avg = float(np.mean(betas[:n_plateau]))
     points = []
     for snr in snrs:
-        sigma2 = p_t * 10.0 ** (-float(snr) / 10.0)
+        sigma2 = _noise_power(p_t, snr)
         alloc = waterfill(betas, p_t, sigma2)
         c_wf = _rate(betas, alloc, sigma2)
         c_eq = _capacity_equal(beta_avg, n_plateau, p_t, sigma2)

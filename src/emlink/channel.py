@@ -12,29 +12,30 @@ algebraically identical to entrywise evaluation; H itself is never formed.
 
 Both surface grids are tensor products on z-normal planes, so every
 plane-wave factor splits exactly into an x part and a y part:
-e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The complex exponentials are the
-per-axis factors alone, n1 * n_dir per axis, all from `_axis_waves`.
-The one dense sweep, the radiated basis in `modes`, makes its own once per solve.
-The weighted translator is built here too, for every caller,
-greens.sgf_planewave included, and so are its folds by the lateral mirrors
-and the x <-> y swap a link shares with its grid (`_mirror_fold`), and the
-even/odd combinations of mirrored nodes (`_parity_combinations`) that the
-mode solve and the propagator both split by.
+e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The weighted translator is built
+here, for every caller, greens.sgf_planewave included, and so is the one
+fold of a link (`_fold`) that the mode solve in `modes` and
+`propagate_current` both read: the lateral mirrors and the x <-> y swap the
+link shares with its direction grid, their orbits, and each end's per-axis
+factors on one direction per orbit of the mirrors, combined by the even/odd
+combinations of mirrored nodes (`_parity_combinations`).  Those folded
+factors are the package's only plane-wave exponentials besides the pointwise
+sums in `greens`.
 
-`propagate_current` applies the factors matrix-free, folded by the link's
-mirrors: each parity class of the current radiates only into the same class
-of the receiver and is summed over one direction per orbit (a quarter of the
-cap on a coaxial link, 1 736 of 6 696 directions on the paper link).  The
-direction grid keeps, read-only and while it lives, what a repeat call would
-make again (`_kept`): the mirror images of its directions, each surface
-grid's node checks, the orbits, and per k, side and node offsets the
-parity-combined per-axis factors on the orbit directions, n1 x n_orbits
-complex per axis: 2.56 MB for both sides of the paper link (9.9 MB unfolded),
-and 0.29 MB for its images and orbits.
-A repeat call makes no exponential and no sort, only the checks of w alpha
-and the orbit sums.
-Each grid is phased about its own aperture's center; `propagate_current`
-and `_mirror_fold` check that the grids lie on the link's apertures.
+`propagate_current` applies the factors matrix-free: each parity class of
+the current radiates only into the same class of the receiver and is summed
+over one direction per orbit (a quarter of the cap on a coaxial link, 1 736
+of 6 696 directions on the paper link).  The direction grid keeps, read-only
+and while it lives, what a repeat call would make again (`_kept`): the
+mirror images of its directions, the orbits, and per k, side, mirrors and
+node offsets the folded per-axis factors, n1 x n_orbits complex per axis:
+2.56 MB for both sides of the paper link (9.9 MB unfolded), and 0.29 MB for
+its images and orbits.  Each surface grid keeps its own node checks
+(`SurfaceGrid.symmetries`).  A repeat call, or a call after a mode solve on
+the same grids, makes no exponential and no sort, only the checks of
+w alpha and the orbit sums.
+Each grid is phased about its own aperture's center; `_fold` checks that the
+grids lie on the link's apertures.
 """
 
 from __future__ import annotations
@@ -44,15 +45,7 @@ import itertools
 
 import numpy as np
 
-from .geometry import (
-    _LATERAL_IMAGES,
-    DirectionGrid,
-    LinkGeometry,
-    SurfaceGrid,
-    _mirror_partner,
-    _mirrored_nodes,
-    _swapped_nodes,
-)
+from .geometry import _LATERAL_IMAGES, DirectionGrid, LinkGeometry, SurfaceGrid, _mirror_partner
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
@@ -62,27 +55,9 @@ __all__ = [
 FREE_SPACE_IMPEDANCE = 376.730  # ohms
 
 
-def _omega_mu(k: float) -> float:
-    # with lambda = 1 units, omega*mu0 = k * eta
-    return k * FREE_SPACE_IMPEDANCE
-
-
 def _kernel_scale(k: float) -> float:
-    return -k * _omega_mu(k) / (16.0 * np.pi**2)
-
-
-def _axis_waves(
-    surface: SurfaceGrid, sign: float, directions: np.ndarray, k: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis factors of e^{-jk khat.(sign * (point - c))} on a tensor grid, c its aperture's center.
-
-    Returns X (n_x, n_dir) and Y (n_y, n_dir) with the factor at point
-    (nodes_x[i], nodes_y[j]) equal to X[i] * Y[j].
-    """
-    cx, cy, _ = surface.aperture.center
-    x = np.exp(-1j * k * np.outer(sign * (surface.nodes_x - cx), directions[:, 0]))
-    y = np.exp(-1j * k * np.outer(sign * (surface.nodes_y - cy), directions[:, 1]))
-    return x, y
+    # -k omega mu / 16 pi^2, with omega mu = k * eta in lambda = 1 units
+    return -k * (k * FREE_SPACE_IMPEDANCE) / (16.0 * np.pi**2)
 
 
 def _check_apertures(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry) -> None:
@@ -120,27 +95,12 @@ def _partners(grid: DirectionGrid) -> tuple:
     return _kept(grid, ("partners",), lambda: tuple(_mirror_partner(grid, _LATERAL_IMAGES)))
 
 
-def _node_symmetries(surface: SurfaceGrid, grid: DirectionGrid) -> tuple[bool, bool, bool]:
-    """`_mirrored_nodes` on x and y and `_swapped_nodes` of a surface grid.
-
-    Kept on `grid` by the surface grid's sides, node offsets and weights.
-    """
-    aperture = surface.aperture
-    cx, cy, _ = aperture.center
-    offsets = (surface.nodes_x - cx, surface.nodes_y - cy, surface.weights_x, surface.weights_y)
-    key = ("nodes", aperture.side_x, aperture.side_y, *(a.tobytes() for a in offsets))
-    return _kept(
-        grid, key, lambda: (_mirrored_nodes(surface, 0), _mirrored_nodes(surface, 1), _swapped_nodes(surface))
-    )
-
-
 def _symmetries(
     src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid, w_alpha: np.ndarray
 ) -> tuple[bool, bool, bool]:
-    """The flags (x, y, swap) of `_mirror_fold`; only the checks of w alpha are made on every call."""
-    ends = _node_symmetries(src, grid), _node_symmetries(rcv, grid)
-    link = [bool(geometry.r_pq[axis] == 0.0) and ends[0][axis] and ends[1][axis] for axis in (0, 1)]
-    link.append(all(link) and ends[0][2] and ends[1][2])
+    """The flags (x, y, swap) of `_fold`; only the checks of w alpha are made on every call."""
+    link = [bool(geometry.r_pq[axis] == 0.0) and src.symmetries[axis] and rcv.symmetries[axis] for axis in (0, 1)]
+    link.append(all(link) and src.symmetries[2] and rcv.symmetries[2])
     if not any(link):
         return False, False, False
     tol = 1e-12 * np.max(np.abs(w_alpha), initial=0.0)
@@ -154,7 +114,7 @@ def _symmetries(
 
 
 def _orbits(grid: DirectionGrid, found: tuple[bool, bool, bool]) -> tuple[np.ndarray, ...]:
-    """The orbits of the symmetries `found` on the grid, kept on the grid (see `_mirror_fold`).
+    """The orbits of the symmetries `found` on the grid, kept on the grid (see `_fold`).
 
     Returns the lowest direction of each orbit of the mirrors found and each
     direction's orbit among them; then the positions among those of one
@@ -175,35 +135,6 @@ def _orbits(grid: DirectionGrid, found: tuple[bool, bool, bool]) -> tuple[np.nda
         return reps, orbit, np.searchsorted(reps, reps_all), orbit_all
 
     return _kept(grid, ("orbits", found), make)
-
-
-def _mirror_fold(
-    src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray
-) -> tuple[tuple[bool, bool, bool], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lateral symmetries a link shares with its direction grid, and the grid folded by them.
-
-    Axis a (0 for x, 1 for y) is mirrored when the link axis lies in the
-    plane normal to it (r_pq[a] = 0), both node grids are symmetric about
-    their aperture centers, the direction grid maps onto itself under
-    k_a -> -k_a, and w alpha agrees at each direction and its image to 1e-12
-    of its largest value.  The swap k_x <-> k_y is a symmetry when both axes
-    are mirrored, both grids are square (`_swapped_nodes`) and the direction
-    grid and w alpha pass the same checks under it.  The grid keeps its
-    images, the node checks and the orbits, so a repeat makes only the checks
-    of w alpha and the orbit sums.
-
-    Returns the three flags (x, y, swap); one direction per orbit of the
-    mirrored axes (the lowest index: phi in [0, pi/2] on a cap about z
-    mirrored in both) and the sum of w alpha over each orbit; and the
-    positions among those directions of one per orbit of all the symmetries
-    found (phi in [0, pi/4] with the swap, the same directions without it)
-    with the sum of w alpha over each of those orbits.
-    """
-    _check_apertures(src, rcv, geometry)
-    w_alpha = _translator_weights(grid, table)
-    found = _symmetries(src, rcv, geometry, grid, w_alpha)
-    reps, orbit, eighth, orbit_all = _orbits(grid, found)
-    return found, grid.directions[reps], _orbit_sums(orbit, w_alpha), eighth, _orbit_sums(orbit_all, w_alpha)
 
 
 def _orbit_sums(orbit: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -238,18 +169,54 @@ def _parity_combinations(n: int, mirrored: bool) -> tuple[np.ndarray, tuple[tupl
 def _folded_waves(
     surface: SurfaceGrid, sign: float, grid: DirectionGrid, k: float, mirrored: tuple[bool, bool], reps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Qx X and Qy Y: `_axis_waves` on the directions `reps`, combined by `_parity_combinations` of each axis.
+    """Qx X and Qy Y, with Q from `_parity_combinations` of each axis, on the directions `reps`.
 
+    X (n_x, n_dir) and Y (n_y, n_dir) are the per-axis factors of
+    e^{-jk khat.(sign * (point - c))} on a tensor grid, c its aperture's
+    center: the factor at point (nodes_x[i], nodes_y[j]) is X[i] * Y[j].
     Kept, read-only, on the grid by k, sign, the mirrors and the node offsets.
     """
     cx, cy, _ = surface.aperture.center
-    key = ("waves", k, sign, mirrored, (surface.nodes_x - cx).tobytes(), (surface.nodes_y - cy).tobytes())
+    offsets = surface.nodes_x - cx, surface.nodes_y - cy
+    key = ("waves", k, sign, mirrored, *(offset.tobytes() for offset in offsets))
 
     def make():
-        waves = _axis_waves(surface, sign, grid.directions[reps], k)
-        return tuple(_parity_combinations(len(w), m)[0] @ w for w, m in zip(waves, mirrored))
+        directions = grid.directions[reps]
+        return tuple(
+            _parity_combinations(len(offset), m)[0] @ np.exp(-1j * k * np.outer(sign * offset, directions[:, axis]))
+            for axis, (offset, m) in enumerate(zip(offsets, mirrored))
+        )
 
     return _kept(grid, key, make)
+
+
+def _fold(
+    src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray
+) -> tuple[tuple[bool, bool, bool], tuple, tuple, np.ndarray, tuple[np.ndarray, ...]]:
+    """The lateral symmetries a link shares with its direction grid, and both ends' factors folded by them.
+
+    Axis a (0 for x, 1 for y) is mirrored when the link axis lies in the
+    plane normal to it (r_pq[a] = 0), both node grids are symmetric about
+    their aperture centers (`SurfaceGrid.symmetries`), the direction grid
+    maps onto itself under k_a -> -k_a, and w alpha agrees at each direction
+    and its image to 1e-12 of its largest value.  The swap k_x <-> k_y is a
+    symmetry when both axes are mirrored, both grids are square and the
+    direction grid and w alpha pass the same checks under it.  The grid keeps
+    its images, the orbits and the factors, so a repeat makes only the
+    checks of w alpha.
+
+    Returns the three flags (x, y, swap); the source's and the receiver's
+    `_folded_waves` on one direction per orbit of the mirrored axes (the
+    lowest index: phi in [0, pi/2] on a cap about z mirrored in both); w alpha
+    on every direction; and `_orbits`, whose sums of w alpha (`_orbit_sums`)
+    weight those directions, or, with the swap, their subset phi in [0, pi/4].
+    """
+    _check_apertures(src, rcv, geometry)
+    w_alpha = _translator_weights(grid, table)
+    found = _symmetries(src, rcv, geometry, grid, w_alpha)
+    orbits = _orbits(grid, found)
+    waves = [_folded_waves(end, sign, grid, geometry.k, found[:2], orbits[0]) for end, sign in ((src, -1), (rcv, 1))]
+    return found, *waves, w_alpha, orbits
 
 
 def propagate_current(
@@ -268,7 +235,7 @@ def propagate_current(
     field is sum_j Y[j] * (J^T X)[j]; with X', Y' the receiver-side ones, the
     field is (X' * w alpha * far) @ Y'^T.
 
-    Folded by the link's mirrors (`_mirror_fold`): J becomes Qx J Qy^T, with
+    Folded by the link's mirrors (`_fold`): J becomes Qx J Qy^T, with
     Q from `_parity_combinations` on each axis, and the factors Q X, Q Y.
     Source class (p, q) radiates only into receiver class (p, q), and in a
     class the summand is even under the mirrors, so each class is summed over
@@ -279,20 +246,14 @@ def propagate_current(
     current = np.asarray(current)
     if current.shape != (len(src.points),):
         raise ValueError("current must be sampled on the source grid")
-    _check_apertures(src, rcv, geometry)
-    w_alpha = _translator_weights(grid, table)
-    found = _symmetries(src, rcv, geometry, grid, w_alpha)
-    reps, orbit, *_ = _orbits(grid, found)
+    found, (ax, ay), (bx, by), w_alpha, (_, orbit, *_) = _fold(src, rcv, geometry, grid, table)
     w_orbit = _orbit_sums(orbit, w_alpha)
-    k, mirrored = geometry.k, found[:2]
-    ax, ay = _folded_waves(src, -1.0, grid, k, mirrored, reps)
-    bx, by = _folded_waves(rcv, 1.0, grid, k, mirrored, reps)
     (qx, src_x), (qy, src_y), (qx_r, rcv_x), (qy_r, rcv_y) = (
-        _parity_combinations(len(f), m) for f, m in zip((ax, ay, bx, by), mirrored * 2)
+        _parity_combinations(len(f), m) for f, m in zip((ax, ay, bx, by), found[:2] * 2)
     )
     weighted = qx @ (src.weights * current).reshape(len(ax), len(ay)) @ qy.T
     field = np.zeros((len(bx), len(by)), dtype=complex)
     for ((sx, _), (rx, _)), ((sy, _), (ry, _)) in itertools.product(zip(src_x, rcv_x), zip(src_y, rcv_y)):
         far = (ay[sy] * (weighted[sx, sy].T @ ax[sx])).sum(axis=0)
         field[rx, ry] = (bx[rx] * (w_orbit * far)) @ by[ry].T
-    return _kernel_scale(k) * (qx_r.T @ field @ qy_r).ravel()
+    return _kernel_scale(geometry.k) * (qx_r.T @ field @ qy_r).ravel()

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .capacity import _noise_power
 from .errors import ConfigError
 from .geometry import LinkGeometry, rect_aperture, truncation_order
 from .modes import DEFAULT_ENTRY_BUDGET, ModesResult, solve_modes
+from .specfun import spherical_neumann_y
 
 __all__ = ["ExperimentConfig", "PRESETS", "load_config"]
 
@@ -153,6 +155,9 @@ class ExperimentConfig:
                 )
         if not self.snr_db:
             raise ConfigError("snr_db must list at least one value")
+        for snr in self.snr_db:
+            if not 0.0 < _noise_power(self.power_w, snr) < math.inf:
+                raise ConfigError(f"snr_db entry {snr:g} puts power_w * 10^(-snr/10) out of the float range")
         if not self.sweep_theta_deg:
             raise ConfigError("sweep_theta_deg must list at least one angle")
         if any(not 0 < a <= 180 for a in self.sweep_theta_deg):
@@ -164,7 +169,8 @@ class ExperimentConfig:
         try:
             self.link_geometry()
             self.check_geometry()
-        except ValueError as exc:
+            spherical_neumann_y(self.truncation(), self.k * self.distance)  # the translator's Hankel orders
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         return self
 

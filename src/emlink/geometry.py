@@ -8,6 +8,7 @@ are axis-aligned rectangles facing +z.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,11 +46,20 @@ class Aperture:
         return 0.5 * float(np.hypot(self.side_x, self.side_y))
 
 
+def _frozen(array) -> np.ndarray:
+    """`array` as a read-only float array; a view is copied first, since its base could still be written."""
+    array = np.asarray(array, dtype=float)
+    if not array.flags.owndata:
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 def rect_aperture(center, side_x: float, side_y: float) -> Aperture:
-    """Axis-aligned rectangular aperture with a +z normal."""
+    """Axis-aligned rectangular aperture with a +z normal; it holds its own read-only copy of the center."""
     if side_x <= 0 or side_y <= 0:
         raise ValueError("aperture sides must be positive")
-    return Aperture(np.asarray(center, dtype=float), float(side_x), float(side_y))
+    return Aperture(_frozen(np.array(center, dtype=float)), float(side_x), float(side_y))
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,8 @@ class SurfaceGrid:
     The points are the tensor product of `nodes_x` and `nodes_y` at the
     aperture's z, in row-major order: point i * len(nodes_y) + j sits at
     (nodes_x[i], nodes_y[j]) with weight weights_x[i] * weights_y[j].
+    Its arrays are frozen (`_frozen`: a view is copied first), so its node
+    checks `symmetries` are made once.
     """
 
     points: np.ndarray     # (n, 3)
@@ -68,6 +80,29 @@ class SurfaceGrid:
     nodes_y: np.ndarray    # (n_y,)
     weights_x: np.ndarray  # (n_x,), sums to side_x
     weights_y: np.ndarray  # (n_y,), sums to side_y
+
+    def __post_init__(self):
+        for name in ("points", "weights", "nodes_x", "nodes_y", "weights_x", "weights_y"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    @cached_property
+    def symmetries(self) -> tuple[bool, bool, bool]:
+        """(x, y, square): the nodes and weights along x, and along y, are symmetric about the aperture's center;
+        the sides, the nodes about the center and the weights agree on x and y.
+
+        Nodes agree to 1e-13 of their largest offset from the center, weights to 1e-13 relative.
+        """
+        cx, cy, _ = self.aperture.center
+        axes = (self.nodes_x - cx, self.weights_x), (self.nodes_y - cy, self.weights_y)
+
+        def same(axis, other) -> bool:  # two (nodes, weights) pairs
+            scale = np.max(np.abs(axis[0]), initial=0.0)
+            nodes = np.allclose(axis[0], other[0], rtol=0.0, atol=1e-13 * scale)
+            return bool(nodes and np.allclose(axis[1], other[1], rtol=1e-13, atol=0.0))
+
+        x, y = (same((nodes, w), (-nodes[::-1], w[::-1])) for nodes, w in axes)
+        sides = self.aperture.side_x == self.aperture.side_y and len(self.nodes_x) == len(self.nodes_y)
+        return x, y, sides and same(*axes)
 
 
 def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
@@ -95,7 +130,9 @@ class DirectionGrid:
     """Unit wavevector samples on a spherical cap (see `cap_direction_grid`).
 
     Weights are solid-angle measure; they sum to the cap's 2*pi*(1 - cos(theta_e)).
-    The directions are frozen (a view is copied first), so what `channel` keeps in `_waves` stays valid.
+    The directions are frozen like a `SurfaceGrid`'s arrays, so what `channel`
+    keeps in `_waves` stays valid: the mirror images of the directions, the
+    orbits and the folded plane-wave factors.
     """
 
     directions: np.ndarray  # (n, 3) unit vectors
@@ -103,11 +140,7 @@ class DirectionGrid:
     _waves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        directions = np.asarray(self.directions, dtype=float)
-        if not directions.flags.owndata:  # a view: its base could still be written
-            directions = directions.copy()
-        directions.flags.writeable = False
-        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "directions", _frozen(self.directions))
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
@@ -225,30 +258,6 @@ def _mirror_partner(grid: DirectionGrid, images) -> list[np.ndarray | None]:
                 partner = None
         partners.append(partner)
     return partners
-
-
-def _mirrored_nodes(surface: SurfaceGrid, axis: int) -> bool:
-    """The grid's nodes and weights along `axis` are symmetric about its aperture's center."""
-    nodes, weights = ((surface.nodes_x, surface.weights_x), (surface.nodes_y, surface.weights_y))[axis]
-    local = nodes - surface.aperture.center[axis]
-    scale = np.max(np.abs(local), initial=0.0)
-    return bool(
-        np.allclose(local, -local[::-1], rtol=0.0, atol=1e-13 * scale)
-        and np.allclose(weights, weights[::-1], rtol=1e-13, atol=0.0)
-    )
-
-
-def _swapped_nodes(surface: SurfaceGrid) -> bool:
-    """The grid is square: its sides agree, and so do its nodes about the center and its weights on x and y."""
-    aperture = surface.aperture
-    if aperture.side_x != aperture.side_y or len(surface.nodes_x) != len(surface.nodes_y):
-        return False
-    local_x, local_y = surface.nodes_x - aperture.center[0], surface.nodes_y - aperture.center[1]
-    scale = np.max(np.abs(local_x), initial=0.0)
-    return bool(
-        np.allclose(local_x, local_y, rtol=0.0, atol=1e-13 * scale)
-        and np.allclose(surface.weights_x, surface.weights_y, rtol=1e-13, atol=0.0)
-    )
 
 
 def truncation_order(k: float, D: float) -> int:

@@ -5,7 +5,8 @@ integral of H(r, s) conj(H(r, s')).  In an orthonormal 2-D Legendre basis E
 this is beta a = R^H W_rcv R a, where R = H W_src E holds the fields the
 basis currents radiate onto the receiver grid.  Neither H nor R^H W_rcv R is
 formed: R is a sum of separable per-axis patterns over 1024 directions at a
-time (`_radiated_blocks`, the package's one dense plane-wave sweep), and the
+time (`_radiated_blocks`, the package's one dense plane-wave sweep, on the
+folded factors `channel._fold` keeps for the propagator too), and the
 SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and the
 coefficient rows conj(V^H) (Miller, Appl. Opt. 39, 2000), of which only the
 kept ones are built.  The entry budget bounds R and the blocks' V^H, at
@@ -66,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FREE_SPACE_IMPEDANCE, _axis_waves, _kernel_scale, _mirror_fold, _parity_combinations
+from .channel import FREE_SPACE_IMPEDANCE, _fold, _kernel_scale, _orbit_sums, _parity_combinations
 from .errors import BudgetError
 from .geometry import (
     LinkGeometry,
@@ -254,25 +255,22 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     """Blocks of (Qx (x) Qy) R, with Q from `_parity_combinations` per receiver axis, one per `_Class`.
 
     Returns qx, qy and the classes of `_symmetry_classes`, each with its
-    block.  A block sums its (rows x directions) plane-wave factors, the
-    outer products of the per-axis ones with w alpha on the y side, against
-    the basis patterns, over its fold's directions, _BLOCK at a time; the
-    budget bounds R, each block and one block of factors.
+    block.  A block sums its (rows x directions) plane-wave factors, outer
+    products of the receiver's factors from `channel._fold` with w alpha on
+    the y side, against the basis patterns (Q w P)^T (Q X) = (w P)^T X per
+    axis, Q X the source's factors, over its fold's directions, _BLOCK at a
+    time; the budget bounds R, each block and one block of factors.
     """
     _check_budget(len(rcv.points) * len(basis), entry_budget)
-    mirrored, directions, w_alpha, eighth, w_eighth = _mirror_fold(src, rcv, geometry, grid, table)
-    k = geometry.k
+    mirrored, (ax, ay), (bx, by), w_alpha, (_, orbit, eighth, orbit_all) = _fold(src, rcv, geometry, grid, table)
+    (qx, classes_x), (qy, classes_y) = (_parity_combinations(len(f), m) for f, m in zip((bx, by), mirrored))
     px, py = _axis_legendre(int(basis.max()), src)
-    ax, ay = _axis_waves(src, -1.0, directions, k)
-    fx = (src.weights_x[:, None] * px).T @ ax
-    fy = (src.weights_y[:, None] * py).T @ ay
-    bx, by = _axis_waves(rcv, 1.0, directions, k)
-    qx, classes_x = _parity_combinations(len(bx), mirrored[0])
-    qy, classes_y = _parity_combinations(len(by), mirrored[1])
-    bx, by = qx @ bx, qy @ by
-    folds = [(bx, by * w_alpha, fx, fy)]
+    sx, sy = (_parity_combinations(len(a), m)[0] for a, m in zip((ax, ay), mirrored))
+    fx = (sx @ (src.weights_x[:, None] * px)).T @ ax
+    fy = (sy @ (src.weights_y[:, None] * py)).T @ ay
+    folds = [(bx, by * _orbit_sums(orbit, w_alpha), fx, fy)]
     if mirrored[2]:
-        folds.append((bx[:, eighth], by[:, eighth] * w_eighth, fx[:, eighth], fy[:, eighth]))
+        folds.append((bx[:, eighth], by[:, eighth] * _orbit_sums(orbit_all, w_alpha), fx[:, eighth], fy[:, eighth]))
     m, n = basis.T
     blocks = []
     for cls in _symmetry_classes(basis, classes_x, classes_y, mirrored[2]):
@@ -292,7 +290,7 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
             waves = cx[:, None, sl] * cy[None, :, sl]
             waves = waves.reshape(n_sub, waves.shape[2])
             block += _pair_sums(waves, cls.row_pairs) @ _pair_sums(fx[mc, sl] * fy[nc, sl], cls.col_pairs).T
-        blocks.append(cls._replace(block=_kernel_scale(k) * np.outer(row_scale, col_scale) * block))
+        blocks.append(cls._replace(block=_kernel_scale(geometry.k) * np.outer(row_scale, col_scale) * block))
     return qx, qy, blocks
 
 

@@ -216,7 +216,7 @@ def test_criterion_6_waterfilling_correctness():
         worst_gap = max(worst_gap, (closed - brute) / max(one_step, 1e-12))
 
         wf = waterfill(betas, p_t, sigma2)
-        assert wf.total == pytest.approx(p_t, rel=1e-10)
+        assert np.sum(wf.powers) == pytest.approx(p_t, rel=1e-10)
         active = wf.powers > 0
         levels = wf.powers[active] + sigma2 / betas[active]
         assert np.max(np.abs(levels - wf.water_level)) <= 1e-10 * wf.water_level

@@ -7,7 +7,7 @@ import pytest
 from reference_routes import basis_eval, dense_kernel, radiated_basis, reference_field
 
 from emlink import channel
-from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
+from emlink.channel import FREE_SPACE_IMPEDANCE, _fold, _orbit_sums, propagate_current
 from emlink.errors import BudgetError
 from emlink.geometry import (
     DirectionGrid,
@@ -225,14 +225,15 @@ class TestSeparableFactors:
         # the classes radiated_basis splits into, and the folded sweeps: one
         # direction per orbit of the lateral mirrors, and one per orbit of
         # the mirrors and the swap (phi in [0, pi/4]) among those
-        found, directions, w_alpha, eighth, w_eighth = _mirror_fold(src, rcv, geo, grid, table)
+        found, src_waves, rcv_waves, w_alpha, (reps, orbit, eighth, orbit_all) = _fold(src, rcv, geo, grid, table)
         assert found == mirrors
         lateral = sum(mirrors[:2])
-        assert len(directions) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[lateral]
-        assert len(eighth) == (n_theta * (n_phi // 8 + 1) if mirrors[2] else len(directions))
+        assert len(reps) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[lateral]
+        assert {waves.shape for waves in src_waves + rcv_waves} == {(5, len(reps)), (4, len(reps))}
+        assert len(eighth) == (n_theta * (n_phi // 8 + 1) if mirrors[2] else len(reps))
         total = np.sum(grid.weights * table)
-        assert abs(np.sum(w_alpha) - total) <= 1e-13 * np.sum(np.abs(grid.weights * table))
-        assert abs(np.sum(w_eighth) - total) <= 1e-13 * np.sum(np.abs(grid.weights * table))
+        for orbits in (orbit, orbit_all):
+            assert abs(np.sum(_orbit_sums(orbits, w_alpha)) - total) <= 1e-13 * np.sum(np.abs(grid.weights * table))
 
         basis = basis_order_table(3)
         radiated = dense @ (src.weights[:, None] * basis_eval(basis, src))
@@ -490,9 +491,13 @@ class TestFactorMemo:
                 )
         kinds = [key[0] for key in grid._waves]
         assert kinds.count("waves") == 2 + len(links)  # a source entry per k, a receiver entry per link
-        assert kinds.count("nodes") == 4  # one per distinct surface grid: the source and three receivers
         assert kinds.count("orbits") == 2  # the square links fold by the swap too, the oblong ones do not
         assert kinds.count("partners") == 1
+        assert len(kinds) == 2 + len(links) + 3  # nothing else: each surface grid keeps its own node checks
+        assert src.symmetries == (True, True, True)
+        assert [tensor_grid(geo.receiver, 144).symmetries for geo in links] == [
+            (True, True, True), (True, True, False), (True, True, False), (True, True, True)
+        ]
 
     def test_directions_and_factors_are_read_only(self):
         geo = _ci_link((0, 0, 10.2))
@@ -542,6 +547,17 @@ def _fold_parts(name):
     return geo, grid, table, src, rcv, mirrors, (n_theta, n_phi or n_phi_rule)
 
 
+def _counting(name, calls):
+    """np.<name>, counting its calls in calls[name]."""
+    original = getattr(np, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
 def _no_symmetries(*args):
     return False, False, False
 
@@ -552,7 +568,7 @@ class TestFoldedPropagator:
     @pytest.mark.parametrize("name", list(FOLD_LINKS))
     def test_matches_one_class_route_and_dense_kernel(self, name, monkeypatch):
         geo, grid, table, src, rcv, mirrors, (n_theta, n_phi) = _fold_parts(name)
-        assert _mirror_fold(src, rcv, geo, grid, table)[0] == mirrors
+        assert _fold(src, rcv, geo, grid, table)[0] == mirrors
         current = _random_current(len(src.points), 51)
         folded = propagate_current(current, src, rcv, geo, grid, table)
         # each factor holds one direction per orbit: a quarter of the cap under both mirrors, half under one
@@ -573,18 +589,8 @@ class TestFoldedPropagator:
         geo, grid, table, src, rcv, *_ = _fold_parts("ci")
         current = _random_current(len(src.points), 52)
         calls = {"exp": 0, "argsort": 0, "unique": 0}
-
-        def counting(name):
-            original = getattr(np, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return counted
-
         for name in calls:
-            monkeypatch.setattr(np, name, counting(name))
+            monkeypatch.setattr(np, name, _counting(name, calls))
         first = propagate_current(current, src, rcv, geo, grid, table)
         made = dict(calls)
         calls.update(dict.fromkeys(calls, 0))
@@ -595,11 +601,28 @@ class TestFoldedPropagator:
         assert calls == {"exp": 0, "argsort": 0, "unique": 0}
         assert np.array_equal(first, repeat)
 
+    @pytest.mark.parametrize("name", ["ci", "x-offset"])
+    def test_mode_solve_leaves_nothing_to_make(self, name, monkeypatch):
+        # the solve and the propagator read one fold: after the radiated basis
+        # on a fresh grid, propagating on that grid makes no exponential and no sort
+        geo, grid, table, src, rcv, *_ = _fold_parts(name)
+        current = _random_current(len(src.points), 53)
+        calls = {"exp": 0, "argsort": 0, "unique": 0}
+        for counted in calls:
+            monkeypatch.setattr(np, counted, _counting(counted, calls))
+        _radiated_blocks(basis_order_table(4), src, rcv, geo, grid, table, entry_budget=10**7)
+        assert calls["exp"] == 4  # two per side, on the folded directions
+        calls.update(dict.fromkeys(calls, 0))
+        field = propagate_current(current, src, rcv, geo, grid, table)
+        monkeypatch.undo()
+        assert calls == {"exp": 0, "argsort": 0, "unique": 0}
+        assert np.array_equal(field, propagate_current(current, src, rcv, geo, _fold_parts(name)[1], table))
+
 
 class TestTranslatorShape:
     """A translator table must hold one value per direction, and is checked before it is multiplied."""
 
-    @pytest.mark.parametrize("caller", ["propagate_current", "sgf_planewave", "_mirror_fold"])
+    @pytest.mark.parametrize("caller", ["propagate_current", "sgf_planewave", "_fold"])
     def test_column_table_rejected(self, caller):
         geo = _ci_link((0, 0, 10.2))
         grid, table, src, rcv = _ci_parts(geo)
@@ -607,7 +630,7 @@ class TestTranslatorShape:
         call = {
             "propagate_current": lambda: propagate_current(np.ones(len(src.points)), src, rcv, geo, grid, column),
             "sgf_planewave": lambda: sgf_planewave((0.5, 0.2, 10.2), (0.1, -0.3, 0.0), geo, grid, column),
-            "_mirror_fold": lambda: _mirror_fold(src, rcv, geo, grid, column),
+            "_fold": lambda: _fold(src, rcv, geo, grid, column),
         }[caller]
         with pytest.raises(ValueError, match=re.escape(f"{column.shape}") + ".*" + re.escape(f"{grid.weights.shape}")):
             call()

@@ -102,8 +102,9 @@ class TestValidation:
                 load_config("ci", overrides=[f"mode_map_indices={value}"])
 
     def test_range_length_bounded(self):
-        # a range is counted before it is built: 10 000 values load, one more does not
-        assert len(load_config("ci", overrides=["snr_db=0:9999:1"]).snr_db) == 10_000
+        # a range is counted before it is built: 10 000 values load, one more does not (the
+        # values span -2500 to 2499.5 dB, where the noise power is a positive float)
+        assert len(load_config("ci", overrides=["snr_db=-2500:2499.5:0.5"]).snr_db) == 10_000
         for value in ("0:10000:1", "0:1e5:1"):
             with pytest.raises(ConfigError, match="snr_db"):
                 load_config("ci", overrides=[f"snr_db={value}"])
@@ -699,3 +700,28 @@ def test_non_finite_config_leaves_out_as_it_was(tmp_path, ci_mode_doc, command, 
     assert [p.name for p in tmp_path.iterdir()] == ["o"]
     assert [p.name for p in out.iterdir()] == ["modeset.json"]
     assert json.loads((out / "modeset.json").read_text()) == ci_mode_doc
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [("power_w=1e308", "snr_db=-10"), ("power_w=1e-300", "snr_db=300"), ("snr_db=-4000",)],
+    ids=["noise-overflows", "noise-underflows", "snr-factor-overflows"],
+)
+def test_noise_power_out_of_range_leaves_out_as_it_was(tmp_path, ci_mode_doc, overrides):
+    # sigma2 = power_w * 10^(-snr_db / 10) must be a positive float at every SNR entry
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "modeset.json").write_text(json.dumps(ci_mode_doc))
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    with pytest.raises(ConfigError, match="snr_db"):
+        load_config("ci", overrides=list(overrides))
+    assert run_cli(["--preset", "ci", "--out", str(out), *sets, "capacity"]) == 1
+    assert [p.name for p in out.iterdir()] == ["modeset.json"]
+
+
+def test_translator_order_past_the_recurrence_writes_nothing(tmp_path):
+    # y_415(k * 10.2) passes the float range: the config is rejected before any grid is built
+    with pytest.raises(ConfigError, match="y_415.* exceeds the supported range"):
+        load_config("ci", overrides=["l_override=2000"])
+    assert run_cli(["--preset", "ci", "--out", str(tmp_path), "--set", "l_override=2000", "modes"]) == 1
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,42 @@ class TestTensorGrid:
 
             exact = integral(px, -1.0, 2.0) * integral(py, -1.0, 1.0)
             assert value == pytest.approx(exact, rel=1e-11)
+
+    def test_arrays_are_read_only_and_own_their_data(self):
+        grid = tensor_grid(rect_aperture((0, 0, 0), 4.0, 4.0), 16)
+        # the aperture's center too: the node checks `symmetries` are made about it once
+        for array in (grid.points, grid.weights, grid.nodes_x, grid.nodes_y, grid.weights_x, grid.weights_y,
+                      grid.aperture.center):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+        base = np.array(grid.nodes_x)
+        from_view = dataclasses.replace(grid, nodes_x=base[:])
+        base[0] = 5.0  # a view is copied, so writing its base leaves the grid alone
+        assert from_view.nodes_x[0] == grid.nodes_x[0]
+        center = np.zeros(3)
+        rect_aperture(center, 4.0, 4.0)
+        center[0] = 1.0  # the aperture copies its center and leaves the caller's array writeable
+
+    @pytest.mark.parametrize(
+        "center, sides, n_total, edit, expected",
+        [((0, 0, 0), (4.0, 4.0), 16, None, (True, True, True)),
+         ((1.0, -2.0, 3.0), (3.2, 3.2), 9, None, (True, True, True)),
+         ((1.0, -2.0, 3.0), (2.0, 4.0), 100, None, (True, True, False)),
+         ((1.0, -2.0, 3.0), (3.2, 3.2), 16, ("nodes_y", [0], 0.99), (True, False, False)),
+         ((1.0, -2.0, 3.0), (3.2, 3.2), 16, ("weights_y", [0, -1], 1.01), (True, True, False))],
+        ids=["square", "offset-odd-nodes", "oblong", "y-end-moved", "y-end-weights"],
+    )
+    def test_symmetries(self, center, sides, n_total, edit, expected):
+        # about its own aperture's center, wherever that is; an edit scales
+        # some entries of one array (node offsets about the center for nodes)
+        grid = tensor_grid(rect_aperture(center, *sides), n_total)
+        if edit is not None:
+            name, entries, factor = edit
+            offset = center[1] if name == "nodes_y" else 0.0
+            values = np.array(getattr(grid, name))
+            values[entries] = offset + factor * (values[entries] - offset)
+            grid = dataclasses.replace(grid, **{name: values})
+        assert grid.symmetries == expected
 
 
 class TestCapGrid:

@@ -6,7 +6,7 @@ import pytest
 from reference_routes import basis_eval, dense_betas, radiated_basis, solved_direction_grid, solved_radiated_basis
 
 from emlink import modes
-from emlink.channel import FREE_SPACE_IMPEDANCE, _mirror_fold, propagate_current
+from emlink.channel import FREE_SPACE_IMPEDANCE, _fold, propagate_current
 from emlink.errors import BudgetError
 from emlink.geometry import LinkGeometry, cap_direction_grid, default_cap_densities, rect_aperture, tensor_grid
 from emlink.greens import translator_table
@@ -226,7 +226,7 @@ class TestSingularModes:
         ms = result.modes
         grid = cap_direction_grid(geo.axis, np.radians(60), *default_cap_densities(34, np.radians(60)))
         table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
-        assert _mirror_fold(ms.src_grid, ms.rcv_grid, geo, grid, table)[0] == mirrors
+        assert _fold(ms.src_grid, ms.rcv_grid, geo, grid, table)[0] == mirrors
         expected = radiated_basis(ms.basis, ms.src_grid, ms.rcv_grid, geo, grid, table) @ ms.coefficients.T
         assert result.fields.shape == (n_surface, keep or 120)
         assert np.max(np.abs(result.fields - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -277,7 +277,7 @@ def _swapped_columns(basis):
 
 def _solved_flags(ms, theta_e, L, windowed=True):
     grid, table = solved_direction_grid(ms.geometry, theta_e, L, windowed)
-    return _mirror_fold(ms.src_grid, ms.rcv_grid, ms.geometry, grid, table)[0]
+    return _fold(ms.src_grid, ms.rcv_grid, ms.geometry, grid, table)[0]
 
 
 class TestSwapSymmetry:
@@ -345,8 +345,9 @@ class TestSwapSymmetry:
         ragged = dataclasses.replace(rcv, nodes_y=shifted)
         grid = cap_direction_grid(geo.axis, np.radians(60), 12, 24)
         table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
-        assert _mirror_fold(src, rcv, geo, grid, table)[0] == (True, True, True)
-        assert _mirror_fold(src, ragged, geo, grid, table)[0] == (True, True, False)
+        assert (src.symmetries, rcv.symmetries, ragged.symmetries) == ((True, True, True),) * 2 + ((True, True, False),)
+        assert _fold(src, rcv, geo, grid, table)[0] == (True, True, True)
+        assert _fold(src, ragged, geo, grid, table)[0] == (True, True, False)
 
 
 def _ci_scale_betas(tx_center, rx_center):
