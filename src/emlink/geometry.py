@@ -47,10 +47,8 @@ class Aperture:
 
 
 def _frozen(array) -> np.ndarray:
-    """`array` as a read-only float array; a view is copied first, since its base could still be written."""
-    array = np.asarray(array, dtype=float)
-    if not array.flags.owndata:
-        array = array.copy()
+    """A read-only float copy of `array`; the caller's own array stays writeable."""
+    array = np.array(array, dtype=float)
     array.flags.writeable = False
     return array
 
@@ -59,22 +57,26 @@ def rect_aperture(center, side_x: float, side_y: float) -> Aperture:
     """Axis-aligned rectangular aperture with a +z normal; it holds its own read-only copy of the center."""
     if side_x <= 0 or side_y <= 0:
         raise ValueError("aperture sides must be positive")
-    return Aperture(_frozen(np.array(center, dtype=float)), float(side_x), float(side_y))
+    return Aperture(_frozen(center), float(side_x), float(side_y))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Quadrature points and area weights on an aperture.
+    """Quadrature points and area weights on an aperture, the tensor product of one Gauss rule per axis.
 
-    The points are the tensor product of `nodes_x` and `nodes_y` at the
-    aperture's z, in row-major order: point i * len(nodes_y) + j sits at
-    (nodes_x[i], nodes_y[j]) with weight weights_x[i] * weights_y[j].
-    Its arrays are frozen (`_frozen`: a view is copied first), so its node
+    The grid holds the per-axis nodes and weights; `points` and `weights`
+    are derived from them when first read, so they cannot disagree: point
+    i * len(nodes_y) + j sits at (nodes_x[i], nodes_y[j]) at the aperture's
+    z, with weight weights_x[i] * weights_y[j].  Every array is read-only
+    and the per-axis ones are the grid's own copies (`_frozen`), so its node
     checks `symmetries` are made once.
     """
 
-    points: np.ndarray     # (n, 3)
-    weights: np.ndarray    # (n,), sums to the aperture area
     aperture: Aperture
     nodes_x: np.ndarray    # (n_x,)
     nodes_y: np.ndarray    # (n_y,)
@@ -82,8 +84,20 @@ class SurfaceGrid:
     weights_y: np.ndarray  # (n_y,), sums to side_y
 
     def __post_init__(self):
-        for name in ("points", "weights", "nodes_x", "nodes_y", "weights_x", "weights_y"):
+        for name in ("nodes_x", "nodes_y", "weights_x", "weights_y"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(n_x * n_y, 3) points, row-major over (nodes_x, nodes_y)."""
+        nx, ny = len(self.nodes_x), len(self.nodes_y)
+        z = np.full(nx * ny, self.aperture.center[2])
+        return _read_only(np.stack([np.repeat(self.nodes_x, ny), np.tile(self.nodes_y, nx), z], axis=1))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(n_x * n_y,) area weights, summing to the aperture area."""
+        return _read_only(np.outer(self.weights_x, self.weights_y).ravel())
 
     @cached_property
     def symmetries(self) -> tuple[bool, bool, bool]:
@@ -116,31 +130,10 @@ def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
         raise ValueError("n_total must be >= 1")
     n1 = int(np.ceil(np.sqrt(n_total)))
     rule = gauss_legendre_rule(n1)
-    cx, cy, cz = aperture.center
+    cx, cy, _ = aperture.center
     x, wx = rule.map_to(cx - 0.5 * aperture.side_x, cx + 0.5 * aperture.side_x)
     y, wy = rule.map_to(cy - 0.5 * aperture.side_y, cy + 0.5 * aperture.side_y)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    points = np.stack([X.ravel(), Y.ravel(), np.full(n1 * n1, cz)], axis=1)
-    weights = np.outer(wx, wy).ravel()
-    return SurfaceGrid(points, weights, aperture, x, y, wx, wy)
-
-
-@dataclass(frozen=True)
-class DirectionGrid:
-    """Unit wavevector samples on a spherical cap (see `cap_direction_grid`).
-
-    Weights are solid-angle measure; they sum to the cap's 2*pi*(1 - cos(theta_e)).
-    The directions are frozen like a `SurfaceGrid`'s arrays, so what `channel`
-    keeps in `_waves` stays valid: the mirror images of the directions, the
-    orbits and the folded plane-wave factors.
-    """
-
-    directions: np.ndarray  # (n, 3) unit vectors
-    weights: np.ndarray     # (n,) steradians
-    _waves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "directions", _frozen(self.directions))
+    return SurfaceGrid(aperture, x, y, wx, wy)
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
@@ -156,40 +149,81 @@ def _rotation_to(axis: np.ndarray) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def cap_direction_grid(axis, theta_e: float, n_theta: int, n_phi: int) -> DirectionGrid:
-    """Quadrature for integrals over the cap {k_hat : angle(k_hat, axis) <= theta_e}.
+@dataclass(frozen=True)
+class DirectionGrid:
+    """Unit wavevector samples on a spherical cap, held as the rings it is made of (see `cap_direction_grid`).
 
-    Gauss-Legendre in u = cos(theta) over [cos(theta_e), 1] crossed with a
-    uniform (trapezoid-on-periodic) phi rule; the sample weight is
+    Ring i is the circle at cosine `cosines[i]` = cos(theta_i) to `axis`
+    (normalized on construction), sampled at n_phi uniform azimuths, each with solid-angle weight
+    `ring_weights[i]`.  `directions` and `weights` are derived from the rings
+    when first read, ring-major (direction i * n_phi + j is azimuth
+    2 pi j / n_phi on ring i), so they cannot disagree with them; the weights
+    sum to the cap's 2*pi*(1 - cos(theta_e)).  Every array is read-only and
+    the ring vectors are the grid's own copies, so what `channel` keeps in
+    `_waves` stays valid: the mirror images of the directions, the orbits and
+    the folded plane-wave factors.  A function of the angle to the axis alone,
+    such as the translator (`greens.translator_table`), is evaluated once
+    per ring.
+    """
+
+    axis: np.ndarray          # (3,) cap axis, stored normalized
+    cosines: np.ndarray       # (n_theta,) cos(theta) of each ring about the axis
+    ring_weights: np.ndarray  # (n_theta,) steradians per direction on each ring
+    n_phi: int
+    _waves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        axis = np.asarray(self.axis, dtype=float)
+        norm = np.linalg.norm(axis)
+        if norm == 0:
+            raise ValueError("axis must be non-zero")
+        object.__setattr__(self, "axis", _frozen(axis / norm))
+        for name in ("cosines", "ring_weights"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if self.cosines.shape != self.ring_weights.shape or self.cosines.ndim != 1:
+            raise ValueError("a direction grid needs one cosine and one weight per ring")
+        if self.n_phi < 1:
+            raise ValueError("grid sizes must be >= 1")
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """(n_theta * n_phi, 3) unit vectors, ring-major."""
+        u = self.cosines
+        phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+        sin_t = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+        about_z = np.stack(
+            [
+                np.outer(sin_t, np.cos(phi)).ravel(),
+                np.outer(sin_t, np.sin(phi)).ravel(),
+                np.repeat(u, self.n_phi),
+            ],
+            axis=1,
+        )
+        return _read_only(about_z @ _rotation_to(self.axis).T)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(n_theta * n_phi,) steradians, ring-major."""
+        return _read_only(np.repeat(self.ring_weights, self.n_phi))
+
+
+def cap_direction_grid(axis, theta_e: float, n_theta: int, n_phi: int) -> DirectionGrid:
+    """Quadrature for integrals over the cap {k_hat : angle(k_hat, axis) <= theta_e}, as n_theta rings.
+
+    Gauss-Legendre in u = cos(theta) over [cos(theta_e), 1] gives the ring
+    cosines, crossed with a uniform (trapezoid-on-periodic) phi rule of n_phi
+    azimuths per ring; the sample weight on the ring at node u is
     w_u * (1 - cos(theta_e))/2 * (2*pi/n_phi).
     """
     if not (0.0 < theta_e <= np.pi):
         raise ValueError("theta_e must lie in (0, pi]")
     if n_theta < 1 or n_phi < 1:
         raise ValueError("grid sizes must be >= 1")
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0:
-        raise ValueError("axis must be non-zero")
-    axis = axis / norm
-
     rule = gauss_legendre_rule(n_theta)
     u0 = np.cos(theta_e)
     u = 0.5 * (1.0 - u0) * rule.nodes + 0.5 * (1.0 + u0)
     wu = 0.5 * (1.0 - u0) * rule.weights
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    sin_t = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    directions = np.stack(
-        [
-            np.outer(sin_t, np.cos(phi)).ravel(),
-            np.outer(sin_t, np.sin(phi)).ravel(),
-            np.repeat(u, n_phi),
-        ],
-        axis=1,
-    )
-    weights = np.repeat(wu * (2.0 * np.pi / n_phi), n_phi)
-    rot = _rotation_to(axis)
-    return DirectionGrid(directions @ rot.T, weights)
+    return DirectionGrid(axis, u, wu * (2.0 * np.pi / n_phi), n_phi)
 
 
 def default_cap_densities(L: int, theta_e: float) -> tuple[int, int]:

@@ -9,7 +9,11 @@ sphere (or cap) of plane-wave directions as
 with r_qs = q - s, r_rp = r - p for group centers q (source side) and p
 (field side).  The translator alpha is a truncated spherical-Hankel/Legendre
 series, optionally tapered with a Tukey window to suppress its wide-angle
-sidelobes.
+sidelobes.  It depends on khat only through khat . rhat_pq, and every
+direction grid is a cap of rings about its axis (`geometry.DirectionGrid`),
+so on a cap about rhat_pq the series is evaluated once per ring, at the
+ring's cosine, and repeated over the ring's directions: 62 cosines for the
+6 696 directions of the paper link.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ def sgf_exact(r, s, k: float) -> complex:
     if R == 0.0:
         raise ValueError("source and field points coincide")
     return np.exp(-1j * k * R) / (4.0 * np.pi * R)
+
+
+# ring cosines per Legendre table in expansion_error_sweep: (L + 1) x 4096 floats, 2.5 MB at the paper's L = 75
+_SWEEP_COSINES = 4096
 
 
 def _tukey_window(L: int) -> np.ndarray:
@@ -68,19 +76,20 @@ def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.nda
     return _window_rows(L, k_rpq)[int(windowed)] @ legendre_sequence(L, cos_gamma)
 
 
-def _link_cosines(grid: DirectionGrid, r_pq) -> tuple[float, np.ndarray]:
-    """|r_pq| and khat . rhat_pq at every direction sample."""
+def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool) -> np.ndarray:
+    """Translator alpha(khat . rhat_pq) at every direction sample, shape (n_dir,) complex.
+
+    The grid must be a cap about rhat_pq, so that khat . rhat_pq is its ring
+    cosine: the series is evaluated once per ring and repeated over the
+    ring's n_phi directions.  A grid about another axis raises ValueError.
+    """
     r_pq = np.asarray(r_pq, dtype=float)
     rpq = float(np.linalg.norm(r_pq))
     if rpq <= 0:
         raise ValueError("translation vector must be non-zero")
-    return rpq, np.clip(grid.directions @ (r_pq / rpq), -1.0, 1.0)
-
-
-def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool) -> np.ndarray:
-    """Translator alpha(khat . rhat_pq) at every direction sample, shape (n_dir,) complex."""
-    rpq, cosg = _link_cosines(grid, r_pq)
-    return translator_series(L, k * rpq, cosg, windowed)
+    if not np.allclose(grid.axis, r_pq / rpq, rtol=0.0, atol=1e-13):
+        raise ValueError(f"the direction grid is a cap about {grid.axis}, not about the link axis {r_pq / rpq}")
+    return np.repeat(translator_series(L, k * rpq, grid.cosines, windowed), grid.n_phi)
 
 
 def _planewave_sum(r, s, geometry: LinkGeometry, grid: DirectionGrid, w_alpha: np.ndarray):
@@ -102,8 +111,12 @@ def expansion_error_sweep(geometry: LinkGeometry, s, r, theta_list) -> list[tupl
     Returns (theta_e, unwindowed error, windowed error) per angle.  G_a
     integrates the expansion over a cap of half-angle theta_e around the link
     axis, on that cap's default_cap_densities grid; both windows share the
-    grid, its Legendre table and its phases.  G is the exact scalar Green's
-    function.  L is the truncation rule applied to the largest aperture side.
+    grid and its phases.  The translator is evaluated per ring: one Legendre
+    table serves the rings of consecutive caps, up to _SWEEP_COSINES
+    cosines (a cap with more rings gets a table of its own), and one real
+    product with the real and imaginary window rows gives both windows.  G is
+    the exact scalar Green's function.  L is the truncation rule applied to
+    the largest aperture side.
     """
     D = max(max(aperture.side_x, aperture.side_y) for aperture in (geometry.transmitter, geometry.receiver))
     L = truncation_order(geometry.k, D)
@@ -111,11 +124,23 @@ def expansion_error_sweep(geometry: LinkGeometry, s, r, theta_list) -> list[tupl
     rows = _window_rows(L, geometry.k * geometry.distance)
     # real and imaginary rows through one real product, so no Legendre table is copied to complex
     re_im_rows = np.concatenate([rows.real, rows.imag])
+    thetas = [float(theta_e) for theta_e in theta_list]
+    sizes = [default_cap_densities(L, theta_e) for theta_e in thetas]
+    batches, rings = [[]], 0  # consecutive angles whose rings share a Legendre table
+    for i, (n_theta, _) in enumerate(sizes):
+        if batches[-1] and rings + n_theta > _SWEEP_COSINES:
+            batches.append([])
+            rings = 0
+        batches[-1].append(i)
+        rings += n_theta
     out = []
-    for theta_e in map(float, theta_list):
-        grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
-        re_im = re_im_rows @ legendre_sequence(L, _link_cosines(grid, geometry.r_pq)[1])
-        approx = _planewave_sum(r, s, geometry, grid, (grid.weights * (re_im[:2] + 1j * re_im[2:])).T)
-        unwindowed, windowed = np.abs(approx - exact) / abs(exact)
-        out.append((theta_e, float(unwindowed), float(windowed)))
+    for batch in batches:
+        grids = [cap_direction_grid(geometry.axis, thetas[i], *sizes[i]) for i in batch]
+        re_im = re_im_rows @ legendre_sequence(L, np.concatenate([grid.cosines for grid in grids]))
+        ring_alphas = np.split(re_im[:2] + 1j * re_im[2:], np.cumsum([sizes[i][0] for i in batch[:-1]]), axis=1)
+        for i, alpha in zip(batch, ring_alphas):
+            grid = grids.pop(0)  # freed once summed, with the directions it made
+            w_alpha = np.repeat(grid.ring_weights * alpha, grid.n_phi, axis=1)
+            unwindowed, windowed = np.abs(_planewave_sum(r, s, geometry, grid, w_alpha.T) - exact) / abs(exact)
+            out.append((thetas[i], float(unwindowed), float(windowed)))
     return out

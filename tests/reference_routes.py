@@ -7,8 +7,10 @@ direction) pair; `dense_betas` are the betas it gives a mode set's link;
 rather than the package's per-axis patterns; `radiated_basis` is the full R
 from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
 for a solved mode set, which keeps only its modes' fields.
-`two_pass_error_sweep` is the per-window route of `expansion_error_sweep`,
-and `step_down_waterfill` the active-set loop of `waterfill`.
+`per_direction_table` is the translator evaluated at every direction's own
+cosine rather than once per ring, `two_pass_error_sweep` the per-window
+route of `expansion_error_sweep` on it, and `step_down_waterfill` the
+active-set loop of `waterfill`.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from numpy.polynomial.legendre import legvander
 from emlink.capacity import PowerAllocation
 from emlink.channel import FREE_SPACE_IMPEDANCE
 from emlink.geometry import cap_direction_grid, default_cap_densities, truncation_order
-from emlink.greens import sgf_exact, sgf_planewave, translator_table
+from emlink.greens import sgf_exact, sgf_planewave, translator_series, translator_table
 from emlink.modes import DEFAULT_ENTRY_BUDGET, _radiated_blocks, _unfold
 
 
@@ -96,11 +98,18 @@ def solved_radiated_basis(modes, theta_e, L, windowed=True):
     return radiated_basis(modes.basis, modes.src_grid, modes.rcv_grid, geo, grid, table)
 
 
+def per_direction_table(grid, k, r_pq, L, windowed):
+    """The translator at each direction's cosine khat . rhat_pq: one Legendre column per direction, any axis."""
+    r_pq = np.asarray(r_pq, dtype=float)
+    rpq = float(np.linalg.norm(r_pq))
+    return translator_series(L, k * rpq, np.clip(grid.directions @ (r_pq / rpq), -1.0, 1.0), windowed)
+
+
 def two_pass_error_sweep(geometry, s, r, theta_list):
     """(theta_e, unwindowed error, windowed error) per angle, each window on its own grid, table and sum.
 
-    Every (angle, window) pair builds the cap grid, calls `translator_table`
-    (one complex product with the Legendre table) and `sgf_planewave`.
+    Every (angle, window) pair builds the cap grid, its `per_direction_table`
+    and `sgf_planewave`.
     """
     D = max(max(aperture.side_x, aperture.side_y) for aperture in (geometry.transmitter, geometry.receiver))
     L = truncation_order(geometry.k, D)
@@ -110,7 +119,7 @@ def two_pass_error_sweep(geometry, s, r, theta_list):
         errors = []
         for windowed in (False, True):
             grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
-            table = translator_table(grid, geometry.k, geometry.r_pq, L, windowed)
+            table = per_direction_table(grid, geometry.k, geometry.r_pq, L, windowed)
             errors.append(abs(sgf_planewave(r, s, geometry, grid, table) - exact) / abs(exact))
         out.append((theta_e, *errors))
     return out

@@ -504,10 +504,11 @@ class TestFactorMemo:
         grid, table, src, rcv = _ci_parts(geo)
         with pytest.raises(ValueError):
             grid.directions[0, 0] = 0.0
-        base = np.array(grid.directions)
-        from_view = DirectionGrid(base[:], grid.weights)
-        base[0, 0] = 2.0  # a view is copied, so writing its base leaves the grid alone
-        assert from_view.directions[0, 0] == grid.directions[0, 0]
+        base = np.array(grid.cosines)
+        from_view = DirectionGrid(grid.axis, base[:], grid.ring_weights, grid.n_phi)
+        base[0] = 0.5  # the rings are copied, so writing the caller's array leaves the grid alone
+        assert from_view.cosines[0] == grid.cosines[0]
+        assert np.array_equal(from_view.directions, grid.directions)
         propagate_current(_random_current(len(src.points), 44), src, rcv, geo, grid, table)
         assert len(_kept_arrays(grid, "waves")) == 4  # x and y, on the source side and the receiver side
         for value in _kept_arrays(grid):

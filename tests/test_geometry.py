@@ -5,7 +5,9 @@ import pytest
 
 from emlink.geometry import (
     _LATERAL_IMAGES,
+    DirectionGrid,
     LinkGeometry,
+    SurfaceGrid,
     _mirror_partner,
     cap_direction_grid,
     default_cap_densities,
@@ -103,6 +105,23 @@ class TestTensorGrid:
         rect_aperture(center, 4.0, 4.0)
         center[0] = 1.0  # the aperture copies its center and leaves the caller's array writeable
 
+    def test_points_and_weights_follow_the_axis_arrays(self):
+        # a grid's points and weights are the tensor product of its per-axis arrays, also after a replace
+        grid = tensor_grid(rect_aperture((1.0, -2.0, 3.0), 3.2, 2.4), 20)
+        shifted = dataclasses.replace(grid, nodes_y=grid.nodes_y + 0.25, weights_x=2.0 * grid.weights_x)
+        for g in (grid, shifted):
+            X, Y = np.meshgrid(g.nodes_x, g.nodes_y, indexing="ij")
+            assert np.array_equal(g.points, np.stack([X.ravel(), Y.ravel(), np.full(X.size, 3.0)], axis=1))
+            assert np.array_equal(g.weights, np.outer(g.weights_x, g.weights_y).ravel())
+        assert np.array_equal(shifted.points[:, 1], grid.points[:, 1] + 0.25)
+
+    def test_caller_arrays_stay_writeable(self):
+        x, w = np.array([-1.0, 1.0]), np.ones(2)
+        grid = SurfaceGrid(rect_aperture((0, 0, 0), 2.0, 2.0), x, x, w, w)
+        x[0], w[0] = 0.5, 3.0  # the grid holds its own copies
+        assert (grid.nodes_x[0], grid.nodes_y[0], grid.weights_x[0]) == (-1.0, -1.0, 1.0)
+        assert grid.points[0, 0] == -1.0
+
     @pytest.mark.parametrize(
         "center, sides, n_total, edit, expected",
         [((0, 0, 0), (4.0, 4.0), 16, None, (True, True, True)),
@@ -161,6 +180,30 @@ class TestCapGrid:
     def test_antipodal_axis(self):
         grid = cap_direction_grid((0, 0, -1), np.radians(20), 8, 8)
         assert np.min(grid.directions @ np.array([0, 0, -1.0])) >= np.cos(np.radians(20)) - 1e-12
+
+    def test_rings(self):
+        # ring-major: direction i * n_phi + j lies on ring i, with its cosine to the axis and its weight
+        axis = np.array([1.0, -1.0, 0.5]) / 1.5
+        grid = cap_direction_grid(axis, np.radians(50), 7, 12)
+        assert np.max(np.abs(grid.axis - axis)) < 1e-15
+        assert np.max(np.abs(grid.directions @ axis - np.repeat(grid.cosines, 12))) < 1e-15
+        assert np.array_equal(grid.weights, np.repeat(grid.ring_weights, 12))
+        for array in (grid.axis, grid.cosines, grid.ring_weights, grid.directions, grid.weights):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+
+    def test_caller_arrays_stay_writeable(self):
+        axis, u, w = np.array([0.0, 0.0, 1.0]), np.array([1.0]), np.ones(1)
+        grid = DirectionGrid(axis, u, w, 1)
+        axis[0], u[0], w[0] = 0.5, 0.5, 2.0  # the grid holds its own copies
+        assert np.array_equal(grid.directions, [[0.0, 0.0, 1.0]])
+        assert grid.weights[0] == 1.0
+
+    def test_rejects_ragged_rings(self):
+        with pytest.raises(ValueError):
+            DirectionGrid((0.0, 0.0, 1.0), [0.5, 0.9], [1.0], 4)
+        with pytest.raises(ValueError):
+            DirectionGrid((0.0, 0.0, 1.0), [0.5], [1.0], 0)
 
     def test_rejects_bad_angle(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
-from reference_routes import two_pass_error_sweep
+from reference_routes import per_direction_table, two_pass_error_sweep
 
+from emlink import greens
+from emlink.channel import _partners, _symmetries
 from emlink.config import load_config
 from emlink.geometry import (
     LinkGeometry,
     cap_direction_grid,
+    default_cap_densities,
     rect_aperture,
+    tensor_grid,
     truncation_order,
 )
 from emlink.greens import (
@@ -17,6 +21,7 @@ from emlink.greens import (
     translator_series,
     translator_table,
 )
+from emlink.specfun import legendre_sequence
 
 K = 2 * np.pi
 
@@ -111,6 +116,44 @@ class TestTranslator:
         for lo in range(45, 180, 5):
             sel = (deg >= lo) & (deg < lo + 5)
             assert np.max(win[sel]) < np.max(unw[sel])
+
+
+    @pytest.mark.parametrize("deg", [60, 180])
+    @pytest.mark.parametrize("windowed", [False, True])
+    @pytest.mark.parametrize("preset", ["paper", "ci"])
+    def test_ring_table_matches_per_direction_route(self, preset, windowed, deg):
+        cfg = load_config(preset)
+        geo, L, theta_e = cfg.link_geometry(), cfg.truncation(), np.radians(deg)
+        grid = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(L, theta_e))
+        oracle = per_direction_table(grid, geo.k, geo.r_pq, L, windowed)
+        table = translator_table(grid, geo.k, geo.r_pq, L, windowed)
+        assert np.max(np.abs(table - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_ring_table_on_a_tilted_link(self):
+        # the cap is rotated onto the link axis, so a direction's cosine is its ring's up to roundoff
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 3.0), rect_aperture((3.0, -2.0, 12.0), 3.0, 3.0), K)
+        grid = cap_direction_grid(geo.axis, np.radians(75), 14, 40)
+        oracle = per_direction_table(grid, K, geo.r_pq, 40, True)
+        table = translator_table(grid, K, geo.r_pq, 40, True)
+        assert np.max(np.abs(table - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_cap_about_another_axis_rejected(self):
+        geo = fig3_link()
+        grid = cap_direction_grid((0.0, 0.1, 1.0), np.radians(60), 5, 16)
+        with pytest.raises(ValueError, match=r"cap about \[0\. +0\.0995.*link axis \[0\. 0\. 1\.\]"):
+            translator_table(grid, K, geo.r_pq, 10, windowed=False)
+
+    @pytest.mark.parametrize("preset", ["paper", "ci"])
+    def test_mirror_and_swap_checks_are_exact(self, preset):
+        # w alpha is one value per ring, and each image of a direction lies on its ring
+        cfg = load_config(preset)
+        geo, L, theta_e = cfg.link_geometry(), cfg.truncation(), np.radians(cfg.theta_e_deg)
+        grid = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(L, theta_e))
+        w_alpha = grid.weights * translator_table(grid, geo.k, geo.r_pq, L, cfg.windowed)
+        residuals = [np.max(np.abs(w_alpha[partner] - w_alpha)) for partner in _partners(grid)]
+        assert residuals == [0.0, 0.0, 0.0]
+        src, rcv = (tensor_grid(aperture, cfg.surface_points) for aperture in (geo.transmitter, geo.receiver))
+        assert _symmetries(src, rcv, geo, grid, w_alpha) == (True, True, True)
 
 
 class TestPlanewaveReconstruction:
@@ -211,6 +254,29 @@ class TestErrorSweep:
         new, old = np.array(expansion_error_sweep(*args)), np.array(two_pass_error_sweep(*args))
         assert np.array_equal(new[:, 0], old[:, 0])
         assert np.max(np.abs(new[:, 1:] - old[:, 1:])) <= 1e-13
+
+    def test_one_legendre_table_per_batch_of_rings(self, monkeypatch):
+        cfg = load_config("paper")
+        args = cfg.check_geometry(), cfg.check_src, cfg.check_field
+        L = truncation_order(K, cfg.check_aperture)
+        cosines = []
+
+        def counted(l_max, x):
+            cosines.append(np.size(x))
+            return legendre_sequence(l_max, x)
+
+        monkeypatch.setattr(greens, "legendre_sequence", counted)
+        expansion_error_sweep(*args, np.radians(cfg.sweep_theta_deg))
+        assert len(cosines) == 1  # the paper's nine caps, 401 rings
+        cosines.clear()
+        angles = np.radians(np.linspace(0.9, 180.0, 200))
+        rows = expansion_error_sweep(*args, angles)
+        monkeypatch.undo()
+        assert len(cosines) > 1 and max(cosines) <= greens._SWEEP_COSINES
+        assert sum(cosines) == sum(default_cap_densities(L, theta_e)[0] for theta_e in angles)
+        for i in (0, 77, 199):  # an angle swept in a batch and alone
+            alone = expansion_error_sweep(*args, angles[i:i + 1])[0]
+            assert np.max(np.abs(np.subtract(rows[i][1:], alone[1:]))) <= 1e-13
 
     def test_matches_two_pass_route_off_axis(self):
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 3.0), rect_aperture((3.0, -2.0, 12.0), 3.0, 3.0), K)
