@@ -32,7 +32,7 @@ r = (-3.5, 5.0, 20.0)   # a point on the receiver plane
 
 L = truncation_order(k, 10.0)
 grid = cap_direction_grid(geo.axis, np.pi, *default_cap_densities(L, np.pi))
-alpha = translator_table(grid, k, geo.r_pq, L, windowed=False)  # one value per direction
+alpha = translator_table(grid, k, geo.r_pq, L, windowed=False)  # one value per ring of the cap
 
 exact = sgf_exact(r, s, k)
 recon = sgf_planewave(r, s, geo, grid, alpha)

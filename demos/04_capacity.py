@@ -42,7 +42,7 @@ points = capacity_vs_snr(betas, 1.0, range(0, 31, 3), n_plateau)
 print(f"{'SNR dB':>6} {'C_waterfill':>12} {'C_equal':>10} {'active':>7}")
 for p in points:
     print(f"{p.snr_db:>6.0f} {p.c_waterfill_bits:>12.3f} {p.c_equal_bits:>10.3f} "
-          f"{p.active_channels:>7d}")
+          f"{p.allocation.active_count:>7d}")
 
 alloc = waterfill(betas, 1.0, 10 ** (-30 / 10))
 print(f"\nat 30 dB the water level is {alloc.water_level:.4f} W over "

@@ -149,7 +149,6 @@ class CapacityPoint:
     sigma2_w: float
     c_waterfill_bits: float
     c_equal_bits: float
-    active_channels: int
     allocation: PowerAllocation
 
 
@@ -178,6 +177,6 @@ def capacity_vs_snr(
         c_wf = _rate(betas, alloc, sigma2)
         c_eq = _capacity_equal(beta_avg, n_plateau, p_t, sigma2)
         points.append(
-            CapacityPoint(float(snr), sigma2, c_wf, c_eq, alloc.active_count, alloc)
+            CapacityPoint(float(snr), sigma2, c_wf, c_eq, alloc)
         )
     return tuple(points)

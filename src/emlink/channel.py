@@ -13,7 +13,8 @@ algebraically identical to entrywise evaluation; H itself is never formed.
 Both surface grids are tensor products on z-normal planes, so every
 plane-wave factor splits exactly into an x part and a y part:
 e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The weighted translator is built
-here, for every caller, greens.sgf_planewave included, and so is the one
+here, for every caller, greens.sgf_planewave included, from the table's one
+value per ring of the direction grid; so is the one
 fold of a link (`_fold`) that the mode solve in `modes` and
 `propagate_current` both read: the lateral mirrors and the x <-> y swap the
 link shares with its direction grid, their orbits, and each end's per-axis
@@ -32,8 +33,7 @@ node offsets the folded per-axis factors, n1 x n_orbits complex per axis:
 2.56 MB for both sides of the paper link (9.9 MB unfolded), and 0.29 MB for
 its images and orbits.  Each surface grid keeps its own node checks
 (`SurfaceGrid.symmetries`).  A repeat call, or a call after a mode solve on
-the same grids, makes no exponential and no sort, only the checks of
-w alpha and the orbit sums.
+the same grids, makes no exponential, only w alpha and the orbit sums.
 Each grid is phased about its own aperture's center; `_fold` checks that the
 grids lie on the link's apertures.
 """
@@ -70,13 +70,13 @@ def _check_apertures(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry)
 
 
 def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
-    """Quadrature weight times translator value, one per direction sample."""
+    """Quadrature weight times translator value, one per direction sample, from the table's one value per ring."""
     table = np.asarray(table)
-    if table.shape != grid.weights.shape:
+    if table.shape != grid.cosines.shape:
         raise ValueError(
-            f"translator table of shape {table.shape} does not match the direction grid's {grid.weights.shape}"
+            f"translator table of shape {table.shape} does not match the direction grid's rings {grid.cosines.shape}"
         )
-    return grid.weights * table
+    return grid.weights * np.repeat(table, grid.n_phi)
 
 
 def _kept(grid: DirectionGrid, key: tuple, make) -> tuple:
@@ -96,19 +96,14 @@ def _partners(grid: DirectionGrid) -> tuple:
 
 
 def _symmetries(
-    src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid, w_alpha: np.ndarray
+    src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid
 ) -> tuple[bool, bool, bool]:
-    """The flags (x, y, swap) of `_fold`; only the checks of w alpha are made on every call."""
+    """The flags (x, y, swap) of `_fold`."""
     link = [bool(geometry.r_pq[axis] == 0.0) and src.symmetries[axis] and rcv.symmetries[axis] for axis in (0, 1)]
     link.append(all(link) and src.symmetries[2] and rcv.symmetries[2])
     if not any(link):
         return False, False, False
-    tol = 1e-12 * np.max(np.abs(w_alpha), initial=0.0)
-    partners = _partners(grid)
-    found = [
-        ok and partner is not None and bool(np.max(np.abs(w_alpha[partner] - w_alpha), initial=0.0) <= tol)
-        for partner, ok in zip(partners, link)
-    ]
+    found = [ok and partner is not None for partner, ok in zip(_partners(grid), link)]
     found[2] = all(found)
     return tuple(found)
 
@@ -197,13 +192,13 @@ def _fold(
 
     Axis a (0 for x, 1 for y) is mirrored when the link axis lies in the
     plane normal to it (r_pq[a] = 0), both node grids are symmetric about
-    their aperture centers (`SurfaceGrid.symmetries`), the direction grid
-    maps onto itself under k_a -> -k_a, and w alpha agrees at each direction
-    and its image to 1e-12 of its largest value.  The swap k_x <-> k_y is a
-    symmetry when both axes are mirrored, both grids are square and the
-    direction grid and w alpha pass the same checks under it.  The grid keeps
-    its images, the orbits and the factors, so a repeat makes only the
-    checks of w alpha.
+    their aperture centers (`SurfaceGrid.symmetries`) and the direction grid
+    maps each of its rings onto itself under k_a -> -k_a
+    (`geometry._mirror_partner`).  The swap k_x <-> k_y is a symmetry when
+    both axes are mirrored, both grids are square and the direction grid
+    passes the same check under it.  w alpha is one value per ring, so it is
+    even under every such map, with no check.  The grid keeps its images,
+    the orbits and the factors, so a repeat makes only w alpha.
 
     Returns the three flags (x, y, swap); the source's and the receiver's
     `_folded_waves` on one direction per orbit of the mirrored axes (the
@@ -213,7 +208,7 @@ def _fold(
     """
     _check_apertures(src, rcv, geometry)
     w_alpha = _translator_weights(grid, table)
-    found = _symmetries(src, rcv, geometry, grid, w_alpha)
+    found = _symmetries(src, rcv, geometry, grid)
     orbits = _orbits(grid, found)
     waves = [_folded_waves(end, sign, grid, geometry.k, found[:2], orbits[0]) for end, sign in ((src, -1), (rcv, 1))]
     return found, *waves, w_alpha, orbits

@@ -110,11 +110,11 @@ def cmd_capacity(cfg: ExperimentConfig, out_dir: Path, modes_file: Path) -> list
     betas = ms.normalized
     n_plateau = _plateau_count(ms)
     curve = cap.capacity_vs_snr(betas, cfg.power_w, cfg.snr_db, n_plateau)
-    columns = ("snr_db", "sigma2_w", "c_waterfill_bits", "c_equal_bits", "active_channels")
+    columns = ("snr_db", "sigma2_w", "c_waterfill_bits", "c_equal_bits")
     active = [p.allocation.active_count for p in curve]
     written = [
-        _write_csv(out_dir / "capacity_curve.csv", ",".join(columns),
-                   *([getattr(p, name) for p in curve] for name in columns)),
+        _write_csv(out_dir / "capacity_curve.csv", ",".join((*columns, "active_channels")),
+                   *([getattr(p, name) for p in curve] for name in columns), active),
         _write_csv(out_dir / "allocation.csv", "snr_db,channel_index,power_w",
                    np.repeat([p.snr_db for p in curve], active),
                    np.concatenate([np.arange(1, n + 1) for n in active]),

@@ -162,8 +162,9 @@ class DirectionGrid:
     the ring vectors are the grid's own copies, so what `channel` keeps in
     `_waves` stays valid: the mirror images of the directions, the orbits and
     the folded plane-wave factors.  A function of the angle to the axis alone,
-    such as the translator (`greens.translator_table`), is evaluated once
-    per ring.
+    such as the translator (`greens.translator_table`), is one value per
+    ring, and a map that fixes the axis keeps each ring in place, so its
+    images are paired by azimuth (`_mirror_partner`).
     """
 
     axis: np.ndarray          # (3,) cap axis, stored normalized
@@ -256,40 +257,28 @@ def default_cap_densities(L: int, theta_e: float) -> tuple[int, int]:
 # (k_x, k_y, k_z): k_x -> -k_x, k_y -> -k_y and the swap k_x <-> k_y
 _LATERAL_IMAGES = (np.diag([-1, 1, 1]), np.diag([1, -1, 1]), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
 
-# directions are paired on this lattice, then checked to 1e-12; each of a
-# key's three coordinates fits in 21 bits, so a key packs into one int64
-_MIRROR_KEY_SCALE = 2**19
-_KEY_BITS = 21
-
-
-def _lattice_keys(directions: np.ndarray) -> np.ndarray:
-    shifted = np.rint(directions * _MIRROR_KEY_SCALE).astype(np.int64) + _MIRROR_KEY_SCALE
-    return (shifted[:, 0] << 2 * _KEY_BITS) | (shifted[:, 1] << _KEY_BITS) | shifted[:, 2]
-
-
 def _mirror_partner(grid: DirectionGrid, images) -> list[np.ndarray | None]:
     """For each image map (a signed permutation matrix of k, as in `_LATERAL_IMAGES`), each direction's image.
 
-    The grid's lattice keys are made and sorted once; each map's images are
-    exact (a signed permutation of the coordinates), so their keys are the
-    keys of their directions when the grid is closed under the map.  A map
-    gets None when it is not: the sorted keys differ, or a paired direction
-    lies more than 1e-12 from the image.
+    A map that fixes the cap axis sends every ring onto itself and moves the
+    azimuth the same way on each, so the azimuth map is read once, in the
+    cap's own frame, on the ring farthest from the axis, and laid over every
+    ring.  A map gets None when a paired direction lies more than 1e-12 from
+    its image: the grid is not closed under it, or the map moves a ring onto
+    another (the x-mirror of a full sphere about x sends ring u to ring -u).
     """
-    keys = _lattice_keys(grid.directions)
-    order = np.argsort(keys)
-    ranked = keys[order]
+    n_phi = grid.n_phi
+    widest = int(np.argmin(np.abs(grid.cosines)))
+    ring = grid.directions[widest * n_phi:(widest + 1) * n_phi]
+    frame = _rotation_to(grid.axis)
+    starts = n_phi * np.arange(len(grid.cosines))[:, None]
     partners = []
     for image in images:
-        mapped = grid.directions @ image.T
-        wanted = _lattice_keys(mapped)
-        by_key = np.argsort(wanted)
-        partner = None
-        if np.array_equal(wanted[by_key], ranked):
-            partner = np.empty(len(keys), dtype=int)
-            partner[by_key] = order
-            if np.max(np.abs(grid.directions[partner] - mapped), initial=0.0) > 1e-12:
-                partner = None
+        local = ring @ image.T @ frame
+        shift = np.rint(np.arctan2(local[:, 1], local[:, 0]) * (n_phi / (2.0 * np.pi))).astype(int) % n_phi
+        partner = (starts + shift).ravel()
+        if np.max(np.abs(grid.directions[partner] - grid.directions @ image.T), initial=0.0) > 1e-12:
+            partner = None
         partners.append(partner)
     return partners
 

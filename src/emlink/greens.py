@@ -11,9 +11,8 @@ with r_qs = q - s, r_rp = r - p for group centers q (source side) and p
 series, optionally tapered with a Tukey window to suppress its wide-angle
 sidelobes.  It depends on khat only through khat . rhat_pq, and every
 direction grid is a cap of rings about its axis (`geometry.DirectionGrid`),
-so on a cap about rhat_pq the series is evaluated once per ring, at the
-ring's cosine, and repeated over the ring's directions: 62 cosines for the
-6 696 directions of the paper link.
+so on a cap about rhat_pq the translator table holds one value per ring, at
+the ring's cosine: 62 values for the 6 696 directions of the paper link.
 """
 
 from __future__ import annotations
@@ -77,11 +76,11 @@ def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.nda
 
 
 def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool) -> np.ndarray:
-    """Translator alpha(khat . rhat_pq) at every direction sample, shape (n_dir,) complex.
+    """Translator alpha(khat . rhat_pq) on each ring of the grid, shape (n_theta,) complex.
 
     The grid must be a cap about rhat_pq, so that khat . rhat_pq is its ring
-    cosine: the series is evaluated once per ring and repeated over the
-    ring's n_phi directions.  A grid about another axis raises ValueError.
+    cosine and the value holds for every direction on the ring.  A grid
+    about another axis raises ValueError.
     """
     r_pq = np.asarray(r_pq, dtype=float)
     rpq = float(np.linalg.norm(r_pq))
@@ -89,7 +88,7 @@ def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool
         raise ValueError("translation vector must be non-zero")
     if not np.allclose(grid.axis, r_pq / rpq, rtol=0.0, atol=1e-13):
         raise ValueError(f"the direction grid is a cap about {grid.axis}, not about the link axis {r_pq / rpq}")
-    return np.repeat(translator_series(L, k * rpq, grid.cosines, windowed), grid.n_phi)
+    return translator_series(L, k * rpq, grid.cosines, windowed)
 
 
 def _planewave_sum(r, s, geometry: LinkGeometry, grid: DirectionGrid, w_alpha: np.ndarray):

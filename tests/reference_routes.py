@@ -19,7 +19,7 @@ from numpy.polynomial.legendre import legvander
 from emlink.capacity import PowerAllocation
 from emlink.channel import FREE_SPACE_IMPEDANCE
 from emlink.geometry import cap_direction_grid, default_cap_densities, truncation_order
-from emlink.greens import sgf_exact, sgf_planewave, translator_series, translator_table
+from emlink.greens import sgf_exact, translator_series, translator_table
 from emlink.modes import DEFAULT_ENTRY_BUDGET, _radiated_blocks, _unfold
 
 
@@ -58,12 +58,13 @@ def basis_eval(table, grid):
 def dense_kernel(src, rcv, geometry, grid, table):
     """H from one dense exponential per (surface point, direction) pair, 2048 directions at a time."""
     k = geometry.k
+    w_alpha = grid.weights * np.repeat(table, grid.n_phi)  # the table holds one value per ring
     H = np.zeros((len(rcv.points), len(src.points)), dtype=complex)
     for start in range(0, len(grid.weights), 2048):
         dirs = grid.directions[start:start + 2048]
         A = np.exp(-1j * k * ((geometry.transmitter.center - src.points) @ dirs.T))
         B = np.exp(-1j * k * ((rcv.points - geometry.receiver.center) @ dirs.T))
-        H += (B * (grid.weights * table)[start:start + 2048]) @ A.T
+        H += (B * w_alpha[start:start + 2048]) @ A.T
     return -k * (k * FREE_SPACE_IMPEDANCE) / (16 * np.pi**2) * H
 
 
@@ -109,18 +110,22 @@ def two_pass_error_sweep(geometry, s, r, theta_list):
     """(theta_e, unwindowed error, windowed error) per angle, each window on its own grid, table and sum.
 
     Every (angle, window) pair builds the cap grid, its `per_direction_table`
-    and `sgf_planewave`.
+    and its own plane-wave sum over every direction.
     """
     D = max(max(aperture.side_x, aperture.side_y) for aperture in (geometry.transmitter, geometry.receiver))
     L = truncation_order(geometry.k, D)
-    exact = sgf_exact(r, s, geometry.k)
+    k = geometry.k
+    exact = sgf_exact(r, s, k)
+    offset = (geometry.transmitter.center - np.asarray(s, float)) + (np.asarray(r, float) - geometry.receiver.center)
     out = []
     for theta_e in map(float, theta_list):
         errors = []
         for windowed in (False, True):
             grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
-            table = per_direction_table(grid, geometry.k, geometry.r_pq, L, windowed)
-            errors.append(abs(sgf_planewave(r, s, geometry, grid, table) - exact) / abs(exact))
+            table = per_direction_table(grid, k, geometry.r_pq, L, windowed)
+            phase = np.exp(-1j * k * (grid.directions @ offset))
+            approx = -1j * k / (16.0 * np.pi**2) * (phase @ (grid.weights * table))
+            errors.append(abs(approx - exact) / abs(exact))
         out.append((theta_e, *errors))
     return out
 

@@ -292,7 +292,7 @@ class TestCapacityCurve:
         curve = capacity_vs_snr(betas, 1.0, range(0, 31), n_plateau=4)
         c_wf = [p.c_waterfill_bits for p in curve]
         assert np.all(np.diff(c_wf) > 0)
-        counts = [p.active_channels for p in curve]
+        counts = [p.allocation.active_count for p in curve]
         assert np.all(np.diff(counts) >= 0)
 
     def test_power_conserved_at_every_point(self):

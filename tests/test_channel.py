@@ -10,8 +10,10 @@ from emlink import channel
 from emlink.channel import FREE_SPACE_IMPEDANCE, _fold, _orbit_sums, propagate_current
 from emlink.errors import BudgetError
 from emlink.geometry import (
+    _LATERAL_IMAGES,
     DirectionGrid,
     LinkGeometry,
+    _mirror_partner,
     cap_direction_grid,
     default_cap_densities,
     rect_aperture,
@@ -231,9 +233,9 @@ class TestSeparableFactors:
         assert len(reps) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[lateral]
         assert {waves.shape for waves in src_waves + rcv_waves} == {(5, len(reps)), (4, len(reps))}
         assert len(eighth) == (n_theta * (n_phi // 8 + 1) if mirrors[2] else len(reps))
-        total = np.sum(grid.weights * table)
+        every = grid.weights * np.repeat(table, n_phi)
         for orbits in (orbit, orbit_all):
-            assert abs(np.sum(_orbit_sums(orbits, w_alpha)) - total) <= 1e-13 * np.sum(np.abs(grid.weights * table))
+            assert abs(np.sum(_orbit_sums(orbits, w_alpha)) - np.sum(every)) <= 1e-13 * np.sum(np.abs(every))
 
         basis = basis_order_table(3)
         radiated = dense @ (src.weights[:, None] * basis_eval(basis, src))
@@ -533,6 +535,8 @@ FOLD_LINKS = {
     "tx-10x8": ((0, 0, 0), (10.0, 8.0), (0, 0, 25.5), (8.0, 8.0), 93, 144, None, (True, True, False)),
     "x-offset": ((0, 0, 0), (10.0, 10.0), (0.7, 0, 25.5), (8.0, 8.0), 93, 144, None, (False, True, False)),
     "offset": ((0, 0, 0), (10.0, 10.0), (0.7, -0.4, 25.5), (8.0, 8.0), 93, 144, None, (False, False, False)),
+    "minus-z": ((0, 0, 0), (4.0, 4.0), (0, 0, -10.2), (3.2, 3.2), 34, 144, None, (True, True, True)),
+    "y-offset": ((0, 0, 0), (10.0, 10.0), (0, 0.7, 25.5), (8.0, 8.0), 93, 144, None, (True, False, False)),
     "phi-2-mod-4": ((0, 0, 0), (4.0, 4.0), (0, 0, 10.2), (3.2, 3.2), 34, 144, 54, (True, True, False)),
 }
 
@@ -597,10 +601,20 @@ class TestFoldedPropagator:
         calls.update(dict.fromkeys(calls, 0))
         repeat = propagate_current(current, src, rcv, geo, grid, table)
         monkeypatch.undo()
-        # the first call pairs the images (sorts), finds the orbits (unique) and makes the factors (exp)
-        assert all(made.values()), made
+        # the first call pairs the images by azimuth (no sort), finds the orbits (unique) and makes the factors (exp)
+        assert made == {"exp": 4, "argsort": 0, "unique": 2}
         assert calls == {"exp": 0, "argsort": 0, "unique": 0}
         assert np.array_equal(first, repeat)
+
+    def test_images_keep_each_ring(self):
+        # a map that moves rings onto each other gets no partner: the x-mirror of a full sphere about x sends u to -u
+        x, y, swap = _mirror_partner(cap_direction_grid((1, 0, 0), np.pi, 8, 16), _LATERAL_IMAGES)
+        assert x is None and swap is None and y is not None
+        for name in FOLD_LINKS:
+            grid = _fold_parts(name)[1]
+            ring = np.arange(len(grid.weights)) // grid.n_phi
+            for partner in _mirror_partner(grid, _LATERAL_IMAGES):
+                assert partner is None or np.array_equal(ring[partner], ring), name
 
     @pytest.mark.parametrize("name", ["ci", "x-offset"])
     def test_mode_solve_leaves_nothing_to_make(self, name, monkeypatch):
@@ -621,17 +635,17 @@ class TestFoldedPropagator:
 
 
 class TestTranslatorShape:
-    """A translator table must hold one value per direction, and is checked before it is multiplied."""
+    """A translator table must hold one value per ring, and is checked before it is multiplied."""
 
     @pytest.mark.parametrize("caller", ["propagate_current", "sgf_planewave", "_fold"])
     def test_column_table_rejected(self, caller):
         geo = _ci_link((0, 0, 10.2))
         grid, table, src, rcv = _ci_parts(geo)
-        column = table[:, None]
-        call = {
-            "propagate_current": lambda: propagate_current(np.ones(len(src.points)), src, rcv, geo, grid, column),
-            "sgf_planewave": lambda: sgf_planewave((0.5, 0.2, 10.2), (0.1, -0.3, 0.0), geo, grid, column),
-            "_fold": lambda: _fold(src, rcv, geo, grid, column),
-        }[caller]
-        with pytest.raises(ValueError, match=re.escape(f"{column.shape}") + ".*" + re.escape(f"{grid.weights.shape}")):
-            call()
+        for bad in (table[:, None], np.repeat(table, grid.n_phi)):  # a column, and one value per direction
+            call = {
+                "propagate_current": lambda: propagate_current(np.ones(len(src.points)), src, rcv, geo, grid, bad),
+                "sgf_planewave": lambda: sgf_planewave((0.5, 0.2, 10.2), (0.1, -0.3, 0.0), geo, grid, bad),
+                "_fold": lambda: _fold(src, rcv, geo, grid, bad),
+            }[caller]
+            with pytest.raises(ValueError, match=re.escape(f"{bad.shape}") + ".*" + re.escape(f"{grid.cosines.shape}")):
+                call()
