@@ -31,11 +31,11 @@ and while it lives, what a repeat call would make again (`_kept`): the
 mirror images of its directions, the orbits, and per k, side, mirrors and
 node offsets the folded per-axis factors, n1 x n_orbits complex per axis:
 2.56 MB for both sides of the paper link (9.9 MB unfolded), and 0.29 MB for
-its images and orbits.  Each surface grid keeps its own node checks
-(`SurfaceGrid.symmetries`).  A repeat call, or a call after a mode solve on
-the same grids, makes no exponential, only w alpha and the orbit sums.
-Each grid is phased about its own aperture's center; `_fold` checks that the
-grids lie on the link's apertures.
+its images and orbits.  A repeat call, or a call after a mode solve on the
+same grids, makes no exponential, only w alpha and the orbit sums.  Each
+surface grid is the Gauss rule of its aperture, phased about the aperture's
+center, so its nodes are symmetric about that center; `_fold` checks that the
+grids lie on the link's apertures, and reads the mirrors from the link alone.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
 
 
 def _kept(grid: DirectionGrid, key: tuple, make) -> tuple:
-    """grid._waves[key], made by `make` on a miss; its arrays are read-only and live as long as the grid."""
+    """grid._waves[key], made by `make` on a miss: read-only, and valid as long as the grid, whose rule is fixed."""
     kept = grid._waves.get(key)
     if kept is None:
         kept = grid._waves[key] = make()
@@ -95,12 +95,10 @@ def _partners(grid: DirectionGrid) -> tuple:
     return _kept(grid, ("partners",), lambda: tuple(_mirror_partner(grid, _LATERAL_IMAGES)))
 
 
-def _symmetries(
-    src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid
-) -> tuple[bool, bool, bool]:
+def _symmetries(geometry: LinkGeometry, grid: DirectionGrid) -> tuple[bool, bool, bool]:
     """The flags (x, y, swap) of `_fold`."""
-    link = [bool(geometry.r_pq[axis] == 0.0) and src.symmetries[axis] and rcv.symmetries[axis] for axis in (0, 1)]
-    link.append(all(link) and src.symmetries[2] and rcv.symmetries[2])
+    link = [bool(geometry.r_pq[axis] == 0.0) for axis in (0, 1)]
+    link.append(all(link) and all(end.side_x == end.side_y for end in (geometry.transmitter, geometry.receiver)))
     if not any(link):
         return False, False, False
     found = [ok and partner is not None for partner, ok in zip(_partners(grid), link)]
@@ -191,14 +189,14 @@ def _fold(
     """The lateral symmetries a link shares with its direction grid, and both ends' factors folded by them.
 
     Axis a (0 for x, 1 for y) is mirrored when the link axis lies in the
-    plane normal to it (r_pq[a] = 0), both node grids are symmetric about
-    their aperture centers (`SurfaceGrid.symmetries`) and the direction grid
-    maps each of its rings onto itself under k_a -> -k_a
-    (`geometry._mirror_partner`).  The swap k_x <-> k_y is a symmetry when
-    both axes are mirrored, both grids are square and the direction grid
-    passes the same check under it.  w alpha is one value per ring, so it is
-    even under every such map, with no check.  The grid keeps its images,
-    the orbits and the factors, so a repeat makes only w alpha.
+    plane normal to it (r_pq[a] = 0) and the direction grid maps each of its
+    rings onto itself under k_a -> -k_a (`geometry._mirror_partner`); each
+    surface grid is a Gauss rule on its aperture (`_check_apertures`), so its
+    nodes are symmetric about the aperture's center.  The swap k_x <-> k_y is
+    a symmetry when both axes are mirrored, both apertures are square and the
+    direction grid passes the same check under it.  w alpha is one value per
+    ring, so it is even under every such map, with no check.  The grid keeps
+    its images, the orbits and the factors, so a repeat makes only w alpha.
 
     Returns the three flags (x, y, swap); the source's and the receiver's
     `_folded_waves` on one direction per orbit of the mirrored axes (the
@@ -208,7 +206,7 @@ def _fold(
     """
     _check_apertures(src, rcv, geometry)
     w_alpha = _translator_weights(grid, table)
-    found = _symmetries(src, rcv, geometry, grid)
+    found = _symmetries(geometry, grid)
     orbits = _orbits(grid, found)
     waves = [_folded_waves(end, sign, grid, geometry.k, found[:2], orbits[0]) for end, sign in ((src, -1), (rcv, 1))]
     return found, *waves, w_alpha, orbits

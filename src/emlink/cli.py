@@ -170,7 +170,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.preset, args.config, args.overrides)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:  # --out, or a path above it, is a file
+            raise ConfigError(f"--out {out_dir} is not a directory") from exc
         staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.resolve().name}.", dir=out_dir.resolve().parent))
         # built per call, so each entry runs the module's current cmd_* binding
         commands = {

@@ -222,8 +222,12 @@ def _apply_pairs(cfg: ExperimentConfig, pairs, origin: str) -> ExperimentConfig:
 
 
 def _read_pairs(path: Path):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"invalid config file {path}: {exc}") from exc
     pairs = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

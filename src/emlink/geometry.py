@@ -1,8 +1,10 @@
 """Apertures, surface quadrature grids, spherical-cap direction grids.
 
-All lengths are in wavelengths (lambda = 1, k = 2*pi), the convention the
-configuration fixes; nothing below depends on it except through k.  Apertures
-are axis-aligned rectangles facing +z.
+Each grid is its quadrature rule and derives every array from it when first
+read: a `SurfaceGrid` is its aperture and Gauss order, a `DirectionGrid` its
+axis, cap angle and ring and azimuth counts.  All lengths are in wavelengths
+(lambda = 1, k = 2*pi), the convention the configuration fixes; nothing below
+depends on it except through k.  Apertures are axis-aligned rectangles facing +z.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ class Aperture:
         return 0.5 * float(np.hypot(self.side_x, self.side_y))
 
 
-def _frozen(array) -> np.ndarray:
-    """A read-only float copy of `array`; the caller's own array stays writeable."""
-    array = np.array(array, dtype=float)
+def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
@@ -57,83 +57,55 @@ def rect_aperture(center, side_x: float, side_y: float) -> Aperture:
     """Axis-aligned rectangular aperture with a +z normal; it holds its own read-only copy of the center."""
     if side_x <= 0 or side_y <= 0:
         raise ValueError("aperture sides must be positive")
-    return Aperture(_frozen(center), float(side_x), float(side_y))
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+    return Aperture(_read_only(np.array(center, dtype=float)), float(side_x), float(side_y))
 
 
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Quadrature points and area weights on an aperture, the tensor product of one Gauss rule per axis.
+    """The n-point Gauss-Legendre rule on each side of an aperture, and their tensor product.
 
-    The grid holds the per-axis nodes and weights; `points` and `weights`
-    are derived from them when first read, so they cannot disagree: point
-    i * len(nodes_y) + j sits at (nodes_x[i], nodes_y[j]) at the aperture's
-    z, with weight weights_x[i] * weights_y[j].  Every array is read-only
-    and the per-axis ones are the grid's own copies (`_frozen`), so its node
-    checks `symmetries` are made once.
+    Every array is derived from the aperture and the cached
+    `gauss_legendre_rule(n)` when first read, and is read-only.  Along each
+    axis the rule is mapped to the side, so the nodes lie on the aperture,
+    symmetric about its center up to roundoff (`channel._fold` relies on it),
+    and the weights sum to the side; point i * n + j sits at (nodes_x[i],
+    nodes_y[j]) at the aperture's z, with weight weights_x[i] * weights_y[j].
     """
 
     aperture: Aperture
-    nodes_x: np.ndarray    # (n_x,)
-    nodes_y: np.ndarray    # (n_y,)
-    weights_x: np.ndarray  # (n_x,), sums to side_x
-    weights_y: np.ndarray  # (n_y,), sums to side_y
+    n: int  # nodes per axis
 
     def __post_init__(self):
-        for name in ("nodes_x", "nodes_y", "weights_x", "weights_y"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if self.n < 1:
+            raise ValueError("a surface grid needs n >= 1 nodes per axis")
+
+    def _side(self, axis: int) -> tuple[np.ndarray, ...]:
+        """The rule's nodes and weights mapped to the aperture's side along `axis` (0 for x, 1 for y), read-only."""
+        center, side = self.aperture.center[axis], (self.aperture.side_x, self.aperture.side_y)[axis]
+        return tuple(map(_read_only, gauss_legendre_rule(self.n).map_to(center - 0.5 * side, center + 0.5 * side)))
+
+    nodes_x = cached_property(lambda self: self._side(0)[0])    # (n,)
+    nodes_y = cached_property(lambda self: self._side(1)[0])    # (n,)
+    weights_x = cached_property(lambda self: self._side(0)[1])  # (n,), sums to side_x
+    weights_y = cached_property(lambda self: self._side(1)[1])  # (n,), sums to side_y
 
     @cached_property
     def points(self) -> np.ndarray:
-        """(n_x * n_y, 3) points, row-major over (nodes_x, nodes_y)."""
-        nx, ny = len(self.nodes_x), len(self.nodes_y)
-        z = np.full(nx * ny, self.aperture.center[2])
-        return _read_only(np.stack([np.repeat(self.nodes_x, ny), np.tile(self.nodes_y, nx), z], axis=1))
+        """(n * n, 3) points, row-major over (nodes_x, nodes_y)."""
+        z = np.full(self.n * self.n, self.aperture.center[2])
+        return _read_only(np.stack([np.repeat(self.nodes_x, self.n), np.tile(self.nodes_y, self.n), z], axis=1))
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """(n_x * n_y,) area weights, summing to the aperture area."""
+        """(n * n,) area weights, summing to the aperture area."""
         return _read_only(np.outer(self.weights_x, self.weights_y).ravel())
-
-    @cached_property
-    def symmetries(self) -> tuple[bool, bool, bool]:
-        """(x, y, square): the nodes and weights along x, and along y, are symmetric about the aperture's center;
-        the sides, the nodes about the center and the weights agree on x and y.
-
-        Nodes agree to 1e-13 of their largest offset from the center, weights to 1e-13 relative.
-        """
-        cx, cy, _ = self.aperture.center
-        axes = (self.nodes_x - cx, self.weights_x), (self.nodes_y - cy, self.weights_y)
-
-        def same(axis, other) -> bool:  # two (nodes, weights) pairs
-            scale = np.max(np.abs(axis[0]), initial=0.0)
-            nodes = np.allclose(axis[0], other[0], rtol=0.0, atol=1e-13 * scale)
-            return bool(nodes and np.allclose(axis[1], other[1], rtol=1e-13, atol=0.0))
-
-        x, y = (same((nodes, w), (-nodes[::-1], w[::-1])) for nodes, w in axes)
-        sides = self.aperture.side_x == self.aperture.side_y and len(self.nodes_x) == len(self.nodes_y)
-        return x, y, sides and same(*axes)
 
 
 def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
-    """Tensor-product Gauss-Legendre grid with ceil(sqrt(n_total)) points per axis.
-
-    Weights carry the affine Jacobian side_x*side_y/4, so they sum to the
-    aperture area and the grid integrates per-axis polynomial degree
-    <= 2*ceil(sqrt(n_total)) - 1 exactly.
-    """
+    """`SurfaceGrid` of ceil(sqrt(n_total)) points per axis, exact for per-axis degree < 2 ceil(sqrt(n_total))."""
     if n_total < 1:
         raise ValueError("n_total must be >= 1")
-    n1 = int(np.ceil(np.sqrt(n_total)))
-    rule = gauss_legendre_rule(n1)
-    cx, cy, _ = aperture.center
-    x, wx = rule.map_to(cx - 0.5 * aperture.side_x, cx + 0.5 * aperture.side_x)
-    y, wy = rule.map_to(cy - 0.5 * aperture.side_y, cy + 0.5 * aperture.side_y)
-    return SurfaceGrid(aperture, x, y, wx, wy)
+    return SurfaceGrid(aperture, int(np.ceil(np.sqrt(n_total))))
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
@@ -151,26 +123,29 @@ def _rotation_to(axis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DirectionGrid:
-    """Unit wavevector samples on a spherical cap, held as the rings it is made of (see `cap_direction_grid`).
+    """Quadrature for integrals over the cap {k_hat : angle(k_hat, axis) <= theta_e}, as n_theta rings.
 
-    Ring i is the circle at cosine `cosines[i]` = cos(theta_i) to `axis`
-    (normalized on construction), sampled at n_phi uniform azimuths, each with solid-angle weight
-    `ring_weights[i]`.  `directions` and `weights` are derived from the rings
-    when first read, ring-major (direction i * n_phi + j is azimuth
-    2 pi j / n_phi on ring i), so they cannot disagree with them; the weights
-    sum to the cap's 2*pi*(1 - cos(theta_e)).  Every array is read-only and
-    the ring vectors are the grid's own copies, so what `channel` keeps in
-    `_waves` stays valid: the mirror images of the directions, the orbits and
-    the folded plane-wave factors.  A function of the angle to the axis alone,
-    such as the translator (`greens.translator_table`), is one value per
-    ring, and a map that fixes the axis keeps each ring in place, so its
-    images are paired by azimuth (`_mirror_partner`).
+    Gauss-Legendre in u = cos(theta) over [cos(theta_e), 1] gives the ring
+    `cosines`, crossed with a uniform (trapezoid-on-periodic) phi rule of
+    n_phi azimuths per ring; each sample on the ring at node u weighs
+    `ring_weights` = w_u * (1 - cos(theta_e))/2 * (2*pi/n_phi) steradians.
+    The grid is its axis (normalized on construction), theta_e, n_theta and
+    n_phi; every array is derived from them and the cached
+    `gauss_legendre_rule(n_theta)` when first read, and is read-only.
+    `directions` and `weights` are ring-major (direction i * n_phi + j is
+    azimuth 2 pi j / n_phi on ring i), and the weights sum to the cap's
+    2*pi*(1 - cos(theta_e)).  So what `channel` keeps in `_waves` stays
+    valid: the mirror images of the directions, the orbits and the folded
+    plane-wave factors.  A function of the angle to the axis alone, such as
+    the translator (`greens.translator_table`), is one value per ring, and a
+    map that fixes the axis keeps each ring in place, so its images are
+    paired by azimuth (`_mirror_partner`).
     """
 
-    axis: np.ndarray          # (3,) cap axis, stored normalized
-    cosines: np.ndarray       # (n_theta,) cos(theta) of each ring about the axis
-    ring_weights: np.ndarray  # (n_theta,) steradians per direction on each ring
-    n_phi: int
+    axis: np.ndarray  # (3,) cap axis, stored normalized
+    theta_e: float    # cap half-angle, in (0, pi]
+    n_theta: int      # rings
+    n_phi: int        # azimuths per ring
     _waves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -178,13 +153,23 @@ class DirectionGrid:
         norm = np.linalg.norm(axis)
         if norm == 0:
             raise ValueError("axis must be non-zero")
-        object.__setattr__(self, "axis", _frozen(axis / norm))
-        for name in ("cosines", "ring_weights"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        if self.cosines.shape != self.ring_weights.shape or self.cosines.ndim != 1:
-            raise ValueError("a direction grid needs one cosine and one weight per ring")
-        if self.n_phi < 1:
+        if not (0.0 < self.theta_e <= np.pi):
+            raise ValueError("theta_e must lie in (0, pi]")
+        if self.n_theta < 1 or self.n_phi < 1:
             raise ValueError("grid sizes must be >= 1")
+        object.__setattr__(self, "axis", _read_only(axis / norm))
+
+    @cached_property
+    def cosines(self) -> np.ndarray:
+        """(n_theta,) cos(theta) of each ring about the axis."""
+        u0 = np.cos(self.theta_e)
+        return _read_only(0.5 * (1.0 - u0) * gauss_legendre_rule(self.n_theta).nodes + 0.5 * (1.0 + u0))
+
+    @cached_property
+    def ring_weights(self) -> np.ndarray:
+        """(n_theta,) steradians per direction on each ring."""
+        wu = 0.5 * (1.0 - np.cos(self.theta_e)) * gauss_legendre_rule(self.n_theta).weights
+        return _read_only(wu * (2.0 * np.pi / self.n_phi))
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -209,22 +194,8 @@ class DirectionGrid:
 
 
 def cap_direction_grid(axis, theta_e: float, n_theta: int, n_phi: int) -> DirectionGrid:
-    """Quadrature for integrals over the cap {k_hat : angle(k_hat, axis) <= theta_e}, as n_theta rings.
-
-    Gauss-Legendre in u = cos(theta) over [cos(theta_e), 1] gives the ring
-    cosines, crossed with a uniform (trapezoid-on-periodic) phi rule of n_phi
-    azimuths per ring; the sample weight on the ring at node u is
-    w_u * (1 - cos(theta_e))/2 * (2*pi/n_phi).
-    """
-    if not (0.0 < theta_e <= np.pi):
-        raise ValueError("theta_e must lie in (0, pi]")
-    if n_theta < 1 or n_phi < 1:
-        raise ValueError("grid sizes must be >= 1")
-    rule = gauss_legendre_rule(n_theta)
-    u0 = np.cos(theta_e)
-    u = 0.5 * (1.0 - u0) * rule.nodes + 0.5 * (1.0 + u0)
-    wu = 0.5 * (1.0 - u0) * rule.weights
-    return DirectionGrid(axis, u, wu * (2.0 * np.pi / n_phi), n_phi)
+    """The `DirectionGrid` of n_theta rings of n_phi azimuths on the cap of half-angle theta_e about `axis`."""
+    return DirectionGrid(axis, theta_e, n_theta, n_phi)
 
 
 def default_cap_densities(L: int, theta_e: float) -> tuple[int, int]:
@@ -271,7 +242,7 @@ def _mirror_partner(grid: DirectionGrid, images) -> list[np.ndarray | None]:
     widest = int(np.argmin(np.abs(grid.cosines)))
     ring = grid.directions[widest * n_phi:(widest + 1) * n_phi]
     frame = _rotation_to(grid.axis)
-    starts = n_phi * np.arange(len(grid.cosines))[:, None]
+    starts = n_phi * np.arange(grid.n_theta)[:, None]
     partners = []
     for image in images:
         local = ring @ image.T @ frame

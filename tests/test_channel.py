@@ -482,10 +482,12 @@ class TestFactorMemo:
                  LinkGeometry(base.transmitter, rect_aperture((0, 0, 10.2), 3.2, 2.4), K),
                  LinkGeometry(base.transmitter, base.receiver, 1.1 * K)]
         current = _random_current(len(src.points), 43)
+        flags = []
         for _ in range(2):
             for geo in links:
                 table = translator_table(grid, geo.k, geo.r_pq, 34, windowed=True)
                 rcv = tensor_grid(geo.receiver, 144)
+                flags.append(_fold(src, rcv, geo, grid, table)[0])
                 fresh = _ci_parts(geo)[0]
                 assert np.array_equal(
                     propagate_current(current, src, rcv, geo, grid, table),
@@ -495,22 +497,20 @@ class TestFactorMemo:
         assert kinds.count("waves") == 2 + len(links)  # a source entry per k, a receiver entry per link
         assert kinds.count("orbits") == 2  # the square links fold by the swap too, the oblong ones do not
         assert kinds.count("partners") == 1
-        assert len(kinds) == 2 + len(links) + 3  # nothing else: each surface grid keeps its own node checks
-        assert src.symmetries == (True, True, True)
-        assert [tensor_grid(geo.receiver, 144).symmetries for geo in links] == [
-            (True, True, True), (True, True, False), (True, True, False), (True, True, True)
-        ]
+        assert len(kinds) == 2 + len(links) + 3  # nothing else
+        # the oblong receivers are not swapped
+        assert flags == [(True, True, True), (True, True, False), (True, True, False), (True, True, True)] * 2
 
     def test_directions_and_factors_are_read_only(self):
         geo = _ci_link((0, 0, 10.2))
         grid, table, src, rcv = _ci_parts(geo)
         with pytest.raises(ValueError):
             grid.directions[0, 0] = 0.0
-        base = np.array(grid.cosines)
-        from_view = DirectionGrid(grid.axis, base[:], grid.ring_weights, grid.n_phi)
-        base[0] = 0.5  # the rings are copied, so writing the caller's array leaves the grid alone
-        assert from_view.cosines[0] == grid.cosines[0]
-        assert np.array_equal(from_view.directions, grid.directions)
+        for array in (grid.axis, grid.cosines, grid.ring_weights, grid.weights):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+        rebuilt = DirectionGrid(grid.axis, grid.theta_e, grid.n_theta, grid.n_phi)
+        assert np.array_equal(rebuilt.directions, grid.directions)
         propagate_current(_random_current(len(src.points), 44), src, rcv, geo, grid, table)
         assert len(_kept_arrays(grid, "waves")) == 4  # x and y, on the source side and the receiver side
         for value in _kept_arrays(grid):
@@ -538,6 +538,9 @@ FOLD_LINKS = {
     "minus-z": ((0, 0, 0), (4.0, 4.0), (0, 0, -10.2), (3.2, 3.2), 34, 144, None, (True, True, True)),
     "y-offset": ((0, 0, 0), (10.0, 10.0), (0, 0.7, 25.5), (8.0, 8.0), 93, 144, None, (True, False, False)),
     "phi-2-mod-4": ((0, 0, 0), (4.0, 4.0), (0, 0, 10.2), (3.2, 3.2), 34, 144, 54, (True, True, False)),
+    "off-origin": ((1.0, -2.0, 3.0), (4.0, 4.0), (1.0, -2.0, 13.2), (3.2, 3.2), 34, 9, None, (True, True, True)),
+    # off the x mirror plane by less than the direction grid can see: only r_pq[0] != 0 refuses the x mirror
+    "x-hair-offset": ((0, 0, 0), (4.0, 4.0), (1e-13, 0, 10.2), (3.2, 3.2), 34, 144, None, (False, True, False)),
 }
 
 

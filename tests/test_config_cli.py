@@ -725,3 +725,25 @@ def test_translator_order_past_the_recurrence_writes_nothing(tmp_path):
         load_config("ci", overrides=["l_override=2000"])
     assert run_cli(["--preset", "ci", "--out", str(tmp_path), "--set", "l_override=2000", "modes"]) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_out_on_a_file_is_a_config_error(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "o" if below else blocker
+    assert run_cli(["--preset", "ci", "--out", str(out), "translator"]) == 1
+    assert f"error: --out {out} is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "keep\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+
+
+def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"theta_e_deg = 45 # \xff\n")
+    out = tmp_path / "o"
+    assert run_cli(["--preset", "ci", "--config", str(path), "--out", str(out), "translator"]) == 1
+    assert f"error: invalid config file {path}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="invalid config file"):
+        load_config("ci", path)

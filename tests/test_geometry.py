@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from emlink.geometry import (
     tensor_grid,
     truncation_order,
 )
-from emlink.specfun import legendre_sequence
+from emlink.specfun import gauss_legendre_rule, legendre_sequence
 
 K = 2 * np.pi
 
@@ -92,56 +90,40 @@ class TestTensorGrid:
 
     def test_arrays_are_read_only_and_own_their_data(self):
         grid = tensor_grid(rect_aperture((0, 0, 0), 4.0, 4.0), 16)
-        # the aperture's center too: the node checks `symmetries` are made about it once
         for array in (grid.points, grid.weights, grid.nodes_x, grid.nodes_y, grid.weights_x, grid.weights_y,
                       grid.aperture.center):
             with pytest.raises(ValueError):
                 array.flat[0] = 0.0
-        base = np.array(grid.nodes_x)
-        from_view = dataclasses.replace(grid, nodes_x=base[:])
-        base[0] = 5.0  # a view is copied, so writing its base leaves the grid alone
-        assert from_view.nodes_x[0] == grid.nodes_x[0]
-        center = np.zeros(3)
-        rect_aperture(center, 4.0, 4.0)
-        center[0] = 1.0  # the aperture copies its center and leaves the caller's array writeable
-
-    def test_points_and_weights_follow_the_axis_arrays(self):
-        # a grid's points and weights are the tensor product of its per-axis arrays, also after a replace
-        grid = tensor_grid(rect_aperture((1.0, -2.0, 3.0), 3.2, 2.4), 20)
-        shifted = dataclasses.replace(grid, nodes_y=grid.nodes_y + 0.25, weights_x=2.0 * grid.weights_x)
-        for g in (grid, shifted):
-            X, Y = np.meshgrid(g.nodes_x, g.nodes_y, indexing="ij")
-            assert np.array_equal(g.points, np.stack([X.ravel(), Y.ravel(), np.full(X.size, 3.0)], axis=1))
-            assert np.array_equal(g.weights, np.outer(g.weights_x, g.weights_y).ravel())
-        assert np.array_equal(shifted.points[:, 1], grid.points[:, 1] + 0.25)
 
     def test_caller_arrays_stay_writeable(self):
-        x, w = np.array([-1.0, 1.0]), np.ones(2)
-        grid = SurfaceGrid(rect_aperture((0, 0, 0), 2.0, 2.0), x, x, w, w)
-        x[0], w[0] = 0.5, 3.0  # the grid holds its own copies
-        assert (grid.nodes_x[0], grid.nodes_y[0], grid.weights_x[0]) == (-1.0, -1.0, 1.0)
-        assert grid.points[0, 0] == -1.0
+        center = np.zeros(3)
+        grid = SurfaceGrid(rect_aperture(center, 2.0, 2.0), 2)
+        center[0] = 1.0  # the aperture copies its center and leaves the caller's array writeable
+        assert np.array_equal(grid.points, tensor_grid(rect_aperture((0, 0, 0), 2.0, 2.0), 4).points)
 
-    @pytest.mark.parametrize(
-        "center, sides, n_total, edit, expected",
-        [((0, 0, 0), (4.0, 4.0), 16, None, (True, True, True)),
-         ((1.0, -2.0, 3.0), (3.2, 3.2), 9, None, (True, True, True)),
-         ((1.0, -2.0, 3.0), (2.0, 4.0), 100, None, (True, True, False)),
-         ((1.0, -2.0, 3.0), (3.2, 3.2), 16, ("nodes_y", [0], 0.99), (True, False, False)),
-         ((1.0, -2.0, 3.0), (3.2, 3.2), 16, ("weights_y", [0, -1], 1.01), (True, True, False))],
-        ids=["square", "offset-odd-nodes", "oblong", "y-end-moved", "y-end-weights"],
-    )
-    def test_symmetries(self, center, sides, n_total, edit, expected):
-        # about its own aperture's center, wherever that is; an edit scales
-        # some entries of one array (node offsets about the center for nodes)
-        grid = tensor_grid(rect_aperture(center, *sides), n_total)
-        if edit is not None:
-            name, entries, factor = edit
-            offset = center[1] if name == "nodes_y" else 0.0
-            values = np.array(getattr(grid, name))
-            values[entries] = offset + factor * (values[entries] - offset)
-            grid = dataclasses.replace(grid, **{name: values})
-        assert grid.symmetries == expected
+    @pytest.mark.parametrize("center, sides, n", [((0, 0, 0), (4.0, 4.0), 4), ((1.0, -2.0, 3.0), (2.0, 4.0), 23)])
+    def test_grid_is_its_rule(self, center, sides, n):
+        # a grid is its aperture and order: the Gauss rule mapped to each side, bit for bit
+        aperture = rect_aperture(center, *sides)
+        grid = SurfaceGrid(aperture, n)
+        rule = gauss_legendre_rule(n)
+        x, wx = rule.map_to(center[0] - 0.5 * sides[0], center[0] + 0.5 * sides[0])
+        y, wy = rule.map_to(center[1] - 0.5 * sides[1], center[1] + 0.5 * sides[1])
+        for mine, expected in zip((grid.nodes_x, grid.weights_x, grid.nodes_y, grid.weights_y), (x, wx, y, wy)):
+            assert np.array_equal(mine, expected)
+        X, Y = np.meshgrid(x, y, indexing="ij")
+        assert np.array_equal(grid.points, np.stack([X.ravel(), Y.ravel(), np.full(X.size, center[2])], axis=1))
+        assert np.array_equal(grid.weights, np.outer(wx, wy).ravel())
+        same = tensor_grid(aperture, n * n)
+        assert same.aperture is aperture and same.n == n
+        for name in ("nodes_x", "nodes_y", "weights_x", "weights_y", "points", "weights"):
+            assert np.array_equal(getattr(same, name), getattr(grid, name))
+            assert not getattr(grid, name).flags.writeable
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_bad_order(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            SurfaceGrid(rect_aperture((0, 0, 0), 2.0, 2.0), n)
 
 
 class TestCapGrid:
@@ -192,18 +174,32 @@ class TestCapGrid:
             with pytest.raises(ValueError):
                 array.flat[0] = 0.0
 
-    def test_caller_arrays_stay_writeable(self):
-        axis, u, w = np.array([0.0, 0.0, 1.0]), np.array([1.0]), np.ones(1)
-        grid = DirectionGrid(axis, u, w, 1)
-        axis[0], u[0], w[0] = 0.5, 0.5, 2.0  # the grid holds its own copies
-        assert np.array_equal(grid.directions, [[0.0, 0.0, 1.0]])
-        assert grid.weights[0] == 1.0
+    def test_rings_are_the_rule(self):
+        # Gauss-Legendre in cos(theta) over [cos(theta_e), 1], crossed with n_phi azimuths, bit for bit
+        grid = DirectionGrid((0.0, 0.0, 1.0), np.radians(50), 7, 12)
+        rule, u0 = gauss_legendre_rule(7), np.cos(np.radians(50))
+        assert np.array_equal(grid.cosines, 0.5 * (1.0 - u0) * rule.nodes + 0.5 * (1.0 + u0))
+        assert np.array_equal(grid.ring_weights, 0.5 * (1.0 - u0) * rule.weights * (2.0 * np.pi / 12))
+        same = cap_direction_grid((0.0, 0.0, 1.0), np.radians(50), 7, 12)
+        for name in ("axis", "cosines", "ring_weights", "directions", "weights"):
+            assert np.array_equal(getattr(same, name), getattr(grid, name))
 
-    def test_rejects_ragged_rings(self):
-        with pytest.raises(ValueError):
-            DirectionGrid((0.0, 0.0, 1.0), [0.5, 0.9], [1.0], 4)
-        with pytest.raises(ValueError):
-            DirectionGrid((0.0, 0.0, 1.0), [0.5], [1.0], 0)
+    def test_caller_arrays_stay_writeable(self):
+        axis = np.array([0.0, 0.0, 2.0])
+        grid = DirectionGrid(axis, np.pi / 3, 1, 1)
+        axis[0] = 0.5  # the grid holds its own normalized axis
+        assert np.array_equal(grid.axis, [0.0, 0.0, 1.0])
+        assert np.array_equal(grid.directions, DirectionGrid((0.0, 0.0, 1.0), np.pi / 3, 1, 1).directions)
+
+    @pytest.mark.parametrize(
+        "axis, theta_e, n_theta, n_phi, message",
+        [((0, 0, 1), 0.0, 8, 8, "theta_e"), ((0, 0, 1), np.pi / 3, 0, 8, "sizes"),
+         ((0, 0, 1), np.pi / 3, 8, 0, "sizes"), ((0, 0, 0), np.pi / 3, 8, 8, "axis")],
+        ids=["zero-angle", "no-rings", "no-azimuths", "zero-axis"],
+    )
+    def test_constructor_rejects_bad_rules(self, axis, theta_e, n_theta, n_phi, message):
+        with pytest.raises(ValueError, match=message):
+            DirectionGrid(axis, theta_e, n_theta, n_phi)
 
     def test_rejects_bad_angle(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -335,19 +334,6 @@ class TestSwapSymmetry:
         assert _solved_flags(ms, theta_e, 93) == flags
         betas = dense_betas(ms, theta_e, 93)
         assert np.max(np.abs(betas[: len(ms)] - ms.eigenvalues)) <= 1e-13 * betas[0]
-
-    def test_square_receiver_off_the_grid_nodes(self):
-        # a square aperture whose grid nodes differ along x and y is not swapped
-        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
-        src, rcv = tensor_grid(geo.transmitter, 36), tensor_grid(geo.receiver, 36)
-        shifted = rcv.nodes_y.copy()
-        shifted[[0, -1]] *= 0.99
-        ragged = dataclasses.replace(rcv, nodes_y=shifted)
-        grid = cap_direction_grid(geo.axis, np.radians(60), 12, 24)
-        table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
-        assert (src.symmetries, rcv.symmetries, ragged.symmetries) == ((True, True, True),) * 2 + ((True, True, False),)
-        assert _fold(src, rcv, geo, grid, table)[0] == (True, True, True)
-        assert _fold(src, ragged, geo, grid, table)[0] == (True, True, False)
 
 
 def _ci_scale_betas(tx_center, rx_center):
