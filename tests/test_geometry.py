@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from emlink.channel import _fold
 from emlink.geometry import (
     _LATERAL_IMAGES,
     DirectionGrid,
@@ -13,6 +14,7 @@ from emlink.geometry import (
     tensor_grid,
     truncation_order,
 )
+from emlink.greens import translator_table
 from emlink.specfun import gauss_legendre_rule, legendre_sequence
 
 K = 2 * np.pi
@@ -124,6 +126,23 @@ class TestTensorGrid:
     def test_rejects_bad_order(self, n):
         with pytest.raises(ValueError, match="n >= 1"):
             SurfaceGrid(rect_aperture((0, 0, 0), 2.0, 2.0), n)
+
+    @pytest.mark.parametrize(
+        "center, sides, n_total, expected",
+        [((0, 0, 0), (4.0, 4.0), 16, (True, True, True)), ((1.0, -2.0, 3.0), (2.0, 4.0), 100, (True, True, False))],
+        ids=["square", "oblong"],
+    )
+    def test_symmetries(self, center, sides, n_total, expected):
+        # a grid is a Gauss rule on its aperture, so on a coaxial link to a copy of
+        # itself the fold mirrors both axes, and swaps them when the aperture is square
+        tx = rect_aperture(center, *sides)
+        rx = rect_aperture(np.add(center, (0, 0, 10.2)), *sides)
+        geo = LinkGeometry(tx, rx, K)
+        theta_e = np.radians(60)
+        directions = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(34, theta_e))
+        table = translator_table(directions, K, geo.r_pq, 34, windowed=True)
+        src, rcv = tensor_grid(tx, n_total), tensor_grid(rx, n_total)
+        assert _fold(src, rcv, geo, directions, table)[0] == expected
 
 
 class TestCapGrid:
