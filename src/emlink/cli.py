@@ -11,9 +11,10 @@ capacity     water-filling / flat-plateau capacity curve from a mode-set file
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
 All files are deterministic for a fixed configuration: one CSV writer takes
 columns and gives each one format from its dtype (integers %d, the rest
-%.12e), fixed ordering, no timestamps.  A command writes into a temporary
-directory beside --out and moves its files into --out only when it succeeds,
-so a failed run leaves --out as it was.
+%.12e), fixed ordering, no timestamps.  It formats each distinct magnitude of
+a column once, as the mode-set writer does its coefficients.  A command
+writes into a temporary directory beside --out and moves its files into
+--out only when it succeeds, so a failed run leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ _FMT = "%.12e"
 
 def _write_csv(path: Path, header: str, *columns) -> Path:
     """One row per index of the equal-length columns: integer columns as %d, every other one as _FMT."""
-    columns = [np.asarray(column) for column in columns]
-    row = ",".join("%d" if column.dtype.kind in "iu" else _FMT for column in columns)
-    lines = [header, *(row % cells for cells in zip(*(column.tolist() for column in columns), strict=True))]
+    cells = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind in "iu":
+            cells.append(modes._formatted(column, "%d".__mod__))
+        else:
+            cells.append(modes._formatted(column.astype(float), _FMT.__mod__))
+    lines = [header, *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -58,8 +58,10 @@ so no function forms the (n_points x n_basis) basis matrix.
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -522,51 +524,21 @@ def gram_fields(result: ModesResult, count: int) -> np.ndarray:
     return (psi.T * modes.rcv_grid.weights) @ np.conj(psi)
 
 
-def mode_set_to_dict(modes: ModeSet) -> dict:
-    """JSON-ready document; see docs/modeset.schema.json for the contract."""
-    coeff = modes.coefficients
-    re_im = np.empty(coeff.size * 2)
-    re_im[0::2] = coeff.real.ravel()
-    re_im[1::2] = coeff.imag.ravel()
-    geom = modes.geometry
-    return {
-        "format": MODESET_FORMAT,
-        "wavenumber": geom.k,
-        "transmitter": {
-            "center": geom.transmitter.center.tolist(),
-            "side_x": geom.transmitter.side_x,
-            "side_y": geom.transmitter.side_y,
-        },
-        "receiver": {
-            "center": geom.receiver.center.tolist(),
-            "side_x": geom.receiver.side_x,
-            "side_y": geom.receiver.side_y,
-        },
-        "surface_points": int(modes.surface_points),
-        "basis_order": int(modes.basis.max()),
-        "power_w": modes.power_w,
-        "impedance_ohm": modes.impedance_ohm,
-        "normalization_scale": modes.scale,
-        "clamped_count": modes.clamped_count,
-        "eigenvalues": modes.eigenvalues.tolist(),
-        "coefficients": {
-            "modes": int(coeff.shape[0]),
-            "basis": int(coeff.shape[1]),
-            "re_im": re_im.tolist(),
-        },
-    }
-
-
 _JSON_KINDS = {"object": dict, "array": list, "number": (int, float)}
 
 
 def _member(obj: dict, key: str, kind: str, default=None):
-    """obj[key] (or the default when absent), checked to be a JSON `kind`: object, array or finite number."""
+    """obj[key] (or the default when absent), checked to be a JSON `kind`: object, array or finite float number."""
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
         raise ValueError(f"{key!r} must be a JSON {kind}")
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ValueError(f"{key!r} must be finite")
+    if kind == "number":
+        try:
+            finite = math.isfinite(value)
+        except OverflowError as exc:  # an integer past the float range
+            raise ValueError(f"{key!r} is past the float range") from exc
+        if not finite:
+            raise ValueError(f"{key!r} must be finite")
     return value
 
 
@@ -579,11 +551,17 @@ def _integer(obj: dict, key: str, default=None) -> int:
 
 
 def _numbers(obj: dict, key: str) -> np.ndarray:
-    """obj[key], a JSON array, as a float array; ValueError on an entry that is not a number."""
+    """obj[key], a flat JSON array of numbers, as a float array; ValueError on any other entry.
+
+    array.array takes no string, where numpy would parse "1.5"; true and false
+    still load as 1 and 0.
+    """
     try:
-        return np.asarray(_member(obj, key, "array"), dtype=float)
-    except TypeError as exc:  # numpy raises TypeError, not ValueError, on a JSON object entry
+        return np.frombuffer(array.array("d", _member(obj, key, "array")))
+    except TypeError as exc:  # a string, object, array or null entry
         raise ValueError(f"{key!r} must hold numbers") from exc
+    except OverflowError as exc:  # an integer past the float range
+        raise ValueError(f"{key!r} holds a number past the float range") from exc
 
 
 def mode_set_from_dict(doc: dict) -> ModeSet:
@@ -625,8 +603,6 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
         raise ValueError(f"normalization_scale must equal sqrt(power_w / impedance_ohm) = {scale!r}")
     coeff = (flat[0::2] + 1j * flat[1::2]).reshape(shape)
     eigenvalues = _numbers(doc, "eigenvalues")
-    if eigenvalues.ndim != 1:
-        raise ValueError("eigenvalues must be a flat list of numbers")
     if len(eigenvalues) == 0:
         raise ValueError("a mode set needs at least one eigenvalue")
     if len(eigenvalues) != shape[0]:
@@ -654,9 +630,67 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     )
 
 
+def _formatted(values: np.ndarray, fmt) -> list[str]:
+    """[fmt(v) for v in values.tolist()] for a 1-D array, calling fmt once per distinct nonzero magnitude.
+
+    fmt must write a negative value as "-" and its magnitude's text, and NaN
+    with no sign, as float.__repr__, %d and %.12e do; -0.0 is "-" + fmt(0.0).
+    """
+    if values.dtype.kind == "f":
+        negative = np.signbit(values) & ~np.isnan(values)
+        magnitude = np.abs(values)
+    else:  # integers: the unsigned view holds |v| exactly, the most negative one too
+        negative = values < 0
+        magnitude = np.abs(values).view(f"u{values.itemsize}")
+    nonzero = np.flatnonzero(magnitude)
+    distinct, inverse = np.unique(magnitude[nonzero], return_inverse=True)
+    index = np.zeros(len(values), dtype=np.intp)  # 0 for zero, i for distinct[i - 1]
+    index[nonzero] = inverse + 1
+    texts = [fmt(values.dtype.type(0).item()), *map(fmt, distinct.tolist())]
+    table = np.array(texts + ["-" + text for text in texts], dtype=object)
+    return table[index + len(texts) * negative].tolist()
+
+
 def save_mode_set(modes: ModeSet, path) -> None:
-    doc = mode_set_to_dict(modes)
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    """Write the emlink.modeset/1 document (docs/modeset.schema.json) as json.dumps(doc, sort_keys=True) would.
+
+    ValueError, before anything is written, on a non-finite eigenvalue or
+    coefficient, which JSON cannot hold.
+    """
+    coeff = modes.coefficients
+    if not (np.all(np.isfinite(modes.eigenvalues)) and np.all(np.isfinite(coeff))):
+        raise ValueError("a mode set with non-finite eigenvalues or coefficients cannot be written")
+    re_im = np.empty(coeff.size * 2)
+    re_im[0::2] = coeff.real.ravel()
+    re_im[1::2] = coeff.imag.ravel()
+    geom = modes.geometry
+    doc = {
+        "format": MODESET_FORMAT,
+        "wavenumber": geom.k,
+        "transmitter": {
+            "center": geom.transmitter.center.tolist(),
+            "side_x": geom.transmitter.side_x,
+            "side_y": geom.transmitter.side_y,
+        },
+        "receiver": {
+            "center": geom.receiver.center.tolist(),
+            "side_x": geom.receiver.side_x,
+            "side_y": geom.receiver.side_y,
+        },
+        "surface_points": int(modes.surface_points),
+        "basis_order": int(modes.basis.max()),
+        "power_w": modes.power_w,
+        "impedance_ohm": modes.impedance_ohm,
+        "normalization_scale": modes.scale,
+        "clamped_count": modes.clamped_count,
+        "eigenvalues": modes.eigenvalues.tolist(),
+        "coefficients": {"modes": int(coeff.shape[0]), "basis": int(coeff.shape[1]), "re_im": []},
+    }
+    # json.dumps would call float.__repr__ on every entry; most are +-0.0 or share a magnitude
+    slot = '"re_im": []'
+    head, tail = json.dumps(doc, sort_keys=True).split(slot)  # ValueError unless the slot occurs once
+    text = "".join((head, '"re_im": [', ", ".join(_formatted(re_im, float.__repr__)), "]", tail))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_mode_set(path) -> ModeSet:

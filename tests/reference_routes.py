@@ -10,7 +10,9 @@ for a solved mode set, which keeps only its modes' fields.
 `per_direction_table` is the translator evaluated at every direction's own
 cosine rather than once per ring, `two_pass_error_sweep` the per-window
 route of `expansion_error_sweep` on it, and `step_down_waterfill` the
-active-set loop of `waterfill`.
+active-set loop of `waterfill`.  `mode_set_to_dict` is the mode-set
+document whose `json.dumps(..., sort_keys=True)` `save_mode_set` must write
+byte for byte.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from emlink.capacity import PowerAllocation
 from emlink.channel import FREE_SPACE_IMPEDANCE
 from emlink.geometry import cap_direction_grid, default_cap_densities, truncation_order
 from emlink.greens import sgf_exact, translator_series, translator_table
-from emlink.modes import DEFAULT_ENTRY_BUDGET, _radiated_blocks, _unfold
+from emlink.modes import DEFAULT_ENTRY_BUDGET, MODESET_FORMAT, _radiated_blocks, _unfold
 
 
 def reference_field(current, src, rcv, k):
@@ -145,3 +147,38 @@ def step_down_waterfill(betas, p_t, sigma2):
                 powers[:M] = candidate
                 return PowerAllocation(powers, M, float(level))
     raise ValueError("water-filling found no feasible active set")
+
+
+def mode_set_to_dict(modes):
+    """The JSON-ready emlink.modeset/1 document; see docs/modeset.schema.json."""
+    coeff = modes.coefficients
+    re_im = np.empty(coeff.size * 2)
+    re_im[0::2] = coeff.real.ravel()
+    re_im[1::2] = coeff.imag.ravel()
+    geom = modes.geometry
+    return {
+        "format": MODESET_FORMAT,
+        "wavenumber": geom.k,
+        "transmitter": {
+            "center": geom.transmitter.center.tolist(),
+            "side_x": geom.transmitter.side_x,
+            "side_y": geom.transmitter.side_y,
+        },
+        "receiver": {
+            "center": geom.receiver.center.tolist(),
+            "side_x": geom.receiver.side_x,
+            "side_y": geom.receiver.side_y,
+        },
+        "surface_points": int(modes.surface_points),
+        "basis_order": int(modes.basis.max()),
+        "power_w": modes.power_w,
+        "impedance_ohm": modes.impedance_ohm,
+        "normalization_scale": modes.scale,
+        "clamped_count": modes.clamped_count,
+        "eigenvalues": modes.eigenvalues.tolist(),
+        "coefficients": {
+            "modes": int(coeff.shape[0]),
+            "basis": int(coeff.shape[1]),
+            "re_im": re_im.tolist(),
+        },
+    }

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emlink import cli, modes
+from emlink import cli, config, modes
 from emlink.cli import main
 from emlink.config import PRESETS, load_config
 from emlink.errors import ConfigError
@@ -194,9 +194,11 @@ class TestWriteCsv:
             np.array([-np.inf, 0.0, 1e-300]),  # -inf is a null mode's beta_rel_db
             [np.float64(0.1), np.float64(-2.5e12), np.float64(np.pi)],
             [10.0, 20.0, 90.0],
+            [-0.0, 0.0, -0.0],
+            [np.nan, -np.nan, 2.5e12],
         )
-        path = cli._write_csv(tmp_path / "t.csv", "a,b,c,d,e", *columns)
-        assert path.read_text(encoding="utf-8") == _per_cell_csv("a,b,c,d,e", zip(*columns))
+        path = cli._write_csv(tmp_path / "t.csv", "a,b,c,d,e,f,g", *columns)
+        assert path.read_text(encoding="utf-8") == _per_cell_csv("a,b,c,d,e,f,g", zip(*columns))
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -460,6 +462,24 @@ class TestCliCommands:
         assert [p.name for p in out.iterdir()] == ["eigenvalues.csv"]
         assert (out / "eigenvalues.csv").read_text() == "stale\n"
 
+    def test_non_finite_mode_set_leaves_out_as_it_was(self, tmp_path, monkeypatch):
+        # the writer refuses a NaN eigenvalue, which JSON cannot hold, before modeset.json is written
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "eigenvalues.csv").write_text("stale\n")
+
+        def nan_sixth(*args, **kwargs):
+            result = modes.solve_modes(*args, **kwargs)
+            result.modes.eigenvalues[5] = np.nan
+            return result
+
+        monkeypatch.setattr(config, "solve_modes", nan_sixth)
+        code = run_cli(["--preset", "ci", "--out", str(out), "modes"])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
+        assert [p.name for p in out.iterdir()] == ["eigenvalues.csv"]
+        assert (out / "eigenvalues.csv").read_text() == "stale\n"
+
     def test_coefficient_rows_over_budget_leave_out_as_it_was(self, tmp_path):
         # t = 80 gives 3 321 basis functions: R (144 x 3 321) fits the default
         # budget of 1e7 entries, the 3 321 x 3 321 coefficient rows do not
@@ -613,6 +633,32 @@ def _object_coefficient(doc):
     doc["coefficients"]["re_im"][7] = {}
 
 
+# each string holds the number it replaces, which a parser of strings would take
+def _string_coefficient(doc):
+    doc["coefficients"]["re_im"][7] = str(doc["coefficients"]["re_im"][7])
+
+
+def _string_eigenvalue(doc):
+    doc["eigenvalues"][5] = str(doc["eigenvalues"][5])
+
+
+def _string_center(doc):
+    doc["receiver"]["center"][0] = str(doc["receiver"]["center"][0])
+
+
+# an integer of 400 digits is valid JSON but past the float range
+def _huge_integer_coefficient(doc):
+    doc["coefficients"]["re_im"][7] = 10**400
+
+
+def _huge_integer_eigenvalue(doc):
+    doc["eigenvalues"][0] = 10**400
+
+
+def _huge_integer_power(doc):
+    doc["power_w"] = 10**400
+
+
 @pytest.fixture(scope="module")
 def ci_mode_doc(tmp_path_factory):
     out = tmp_path_factory.mktemp("ci-modes")
@@ -633,7 +679,9 @@ class TestMalformedModeSet:
          _infinite_mode_count, _nan_wavenumber, _infinite_wavenumber, _nan_transmitter_side,
          _nan_receiver_center, _fractional_surface_points, _fractional_basis_order,
          _fractional_mode_count, _fractional_basis_width, _fractional_clamped_count,
-         _negative_clamped_count, _object_eigenvalue, _object_coefficient],
+         _negative_clamped_count, _object_eigenvalue, _object_coefficient, _string_coefficient,
+         _string_eigenvalue, _string_center, _huge_integer_coefficient, _huge_integer_eigenvalue,
+         _huge_integer_power],
         ids=["nan-eigenvalue", "short-eigenvalues", "ascending-eigenvalues",
              "negative-eigenvalue", "short-re-im", "empty-spectrum", "zero-spectrum",
              "nan-coefficient", "negative-power", "nan-scale", "infinite-impedance",
@@ -643,7 +691,8 @@ class TestMalformedModeSet:
              "infinite-wavenumber", "nan-transmitter-side", "nan-receiver-center",
              "fractional-surface-points", "fractional-basis-order", "fractional-mode-count",
              "fractional-basis-width", "fractional-clamped-count", "negative-clamped-count",
-             "object-eigenvalue", "object-coefficient"],
+             "object-eigenvalue", "object-coefficient", "string-coefficient", "string-eigenvalue",
+             "string-center", "huge-integer-coefficient", "huge-integer-eigenvalue", "huge-integer-power"],
     )
     def test_capacity_rejects_and_writes_nothing(self, tmp_path, ci_mode_doc, rewrite):
         doc = json.loads(json.dumps(ci_mode_doc))

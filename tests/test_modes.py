@@ -1,8 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from reference_routes import basis_eval, dense_betas, radiated_basis, solved_direction_grid, solved_radiated_basis
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_routes import (
+    basis_eval,
+    dense_betas,
+    mode_set_to_dict,
+    radiated_basis,
+    solved_direction_grid,
+    solved_radiated_basis,
+)
 
 from emlink import modes
 from emlink.channel import FREE_SPACE_IMPEDANCE, _fold, propagate_current
@@ -23,7 +33,6 @@ from emlink.modes import (
     load_mode_set,
     mode_current_field,
     mode_set_from_dict,
-    mode_set_to_dict,
     received_field,
     save_mode_set,
     solve_modes,
@@ -498,6 +507,39 @@ class TestGramMatrices:
             gram_currents(result.modes, len(result.modes) + 1)
 
 
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1]
+
+
+def _with_repeats(values):
+    """The values, then the negation of every second one and every third one again: repeated magnitudes."""
+    return values + [-v for v in values[::2]] + values[::3]
+
+
+class TestFormatted:
+    """`_formatted(values, fmt)` is [fmt(v) for v in values.tolist()], with fmt called per distinct magnitude."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from([v for v in _EDGE_FLOATS if np.isfinite(v)])), max_size=40))
+    def test_repr_of_finite_floats(self, values):
+        values = np.array(_with_repeats(values), dtype=float)
+        assert modes._formatted(values, float.__repr__) == [repr(v) for v in values.tolist()]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)), max_size=40))
+    def test_exponent_format_of_any_float(self, values):
+        values = np.array(_with_repeats(values), dtype=float)
+        assert modes._formatted(values, "%.12e".__mod__) == ["%.12e" % v for v in values.tolist()]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([0, -1, -2**63, 2**63 - 1])),
+                    max_size=40))
+    def test_integers(self, values):
+        # -(-2**63) is past int64, so that value is not negated
+        values = np.array(_with_repeats([v for v in values if v > -2**63]) + values, dtype=np.int64)
+        assert modes._formatted(values, "%d".__mod__) == ["%d" % v for v in values.tolist()]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, ci_run):
         result, _, cfg = ci_run
@@ -513,11 +555,47 @@ class TestSerialization:
         assert loaded.geometry.distance == pytest.approx(ms.geometry.distance)
         assert len(loaded.src_grid.points) == len(ms.src_grid.points)
 
-    def test_document_is_deterministic(self, ci_run):
-        result, _, cfg = ci_run
-        doc1 = json.dumps(mode_set_to_dict(result.modes), sort_keys=True)
-        doc2 = json.dumps(mode_set_to_dict(result.modes), sort_keys=True)
-        assert doc1 == doc2
+    def test_document_is_deterministic(self, tmp_path, ci_run):
+        ms = ci_run[0].modes
+        save_mode_set(ms, tmp_path / "a.json")
+        save_mode_set(ms, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("link", ["ci", "square", "off-axis"])
+    def test_writes_the_json_encoder_bytes(self, tmp_path, ci_run, link):
+        # the encoder calls float.__repr__ per entry; the writer once per distinct magnitude
+        if link == "ci":
+            ms = ci_run[0].modes
+        elif link == "square":  # the paper link scaled by 0.6: zeros outside each parity class, x <-> y twins
+            geo = LinkGeometry(rect_aperture((0, 0, 0), 6.0, 6.0), rect_aperture((0, 0, 15.3), 4.8, 4.8), K)
+            ms = solve_modes(geo, np.radians(60), 56, 14, 196).modes
+        else:  # no mirror and no swap, so no zero coefficient and no twin
+            geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 3.0), rect_aperture((0.7, -0.4, 10.2), 3.2, 2.6), K)
+            ms = solve_modes(geo, np.radians(60), 34, 8, 64).modes
+        # off the axis, a zero is rare: at most about one per row, its gauge pivot's imaginary part
+        zeros = np.count_nonzero(ms.coefficients.real == 0) + np.count_nonzero(ms.coefficients.imag == 0)
+        assert (zeros <= len(ms)) == (link == "off-axis")
+        save_mode_set(ms, tmp_path / "modeset.json")
+        expected = json.dumps(mode_set_to_dict(ms), sort_keys=True)
+        assert (tmp_path / "modeset.json").read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("where", ["eigenvalue", "coefficient"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refuses_non_finite_and_writes_nothing(self, tmp_path, ci_run, where, value):
+        # json.dumps would write NaN or Infinity, which no JSON reader need take
+        ms = ci_run[0].modes
+        if where == "eigenvalue":
+            eigenvalues = ms.eigenvalues.copy()
+            eigenvalues[5] = value
+            ms = dataclasses.replace(ms, eigenvalues=eigenvalues)
+        else:
+            coefficients = ms.coefficients.copy()
+            coefficients[3, 7] = complex(0.0, value)
+            ms = dataclasses.replace(ms, coefficients=coefficients)
+        path = tmp_path / "modeset.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_mode_set(ms, path)
+        assert not path.exists()
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
