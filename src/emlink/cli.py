@@ -41,12 +41,8 @@ _FMT = "%.12e"
 
 def _write_csv(path: Path, header: str, *columns) -> Path:
     """One row per index of the equal-length columns: integer columns as %d, every other one as _FMT."""
-    cells = []
-    for column in map(np.asarray, columns):
-        if column.dtype.kind in "iu":
-            cells.append(modes._formatted(column, "%d".__mod__))
-        else:
-            cells.append(modes._formatted(column.astype(float), _FMT.__mod__))
+    cells = [modes._formatted(column, "%d".__mod__ if column.dtype.kind in "iu" else _FMT.__mod__)
+             for column in map(np.asarray, columns)]
     lines = [header, *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
