@@ -19,8 +19,11 @@ fold of a link (`_fold`) that the mode solve in `modes` and
 `propagate_current` both read: the lateral mirrors and the x <-> y swap the
 link shares with its direction grid, their orbits, and each end's per-axis
 factors on one direction per orbit of the mirrors, combined by the even/odd
-combinations of mirrored nodes (`_parity_combinations`).  Those folded
-factors are the package's only plane-wave exponentials besides the pointwise
+combinations of mirrored nodes (`_parity_combinations`).  On a mirrored axis
+those combinations are cosines (even) and j times sines (odd) of the nodes'
+half-distances, so the folded factors come from one cosine and one sine
+table per mirrored axis and from exponentials only on an axis without a
+mirror; they are the package's only plane-wave factors besides the pointwise
 sums in `greens`.
 
 `propagate_current` applies the factors matrix-free: each parity class of
@@ -32,10 +35,11 @@ mirror images of its directions, the orbits, and per k, side, mirrors and
 node offsets the folded per-axis factors, n1 x n_orbits complex per axis:
 2.56 MB for both sides of the paper link (9.9 MB unfolded), and 0.29 MB for
 its images and orbits.  A repeat call, or a call after a mode solve on the
-same grids, makes no exponential, only w alpha and the orbit sums.  Each
-surface grid is the Gauss rule of its aperture, phased about the aperture's
-center, so its nodes are symmetric about that center; `_fold` checks that the
-grids lie on the link's apertures, and reads the mirrors from the link alone.
+same grids, makes no plane-wave factor (no exponential, cosine or sine), only
+w alpha and the orbit sums.  Each surface grid is the Gauss rule of its
+aperture, phased about the aperture's center, so its nodes are symmetric
+about that center; `_fold` checks that the grids lie on the link's apertures,
+and reads the mirrors from the link alone.
 """
 
 from __future__ import annotations
@@ -63,9 +67,7 @@ def _kernel_scale(k: float) -> float:
 def _check_apertures(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry) -> None:
     """Each grid lies on its end's aperture of the link: same center and sides."""
     for grid, aperture, end in ((src, geometry.transmitter, "source"), (rcv, geometry.receiver, "receiver")):
-        own = grid.aperture
-        sides = (own.side_x, own.side_y) == (aperture.side_x, aperture.side_y)
-        if not (sides and np.array_equal(own.center, aperture.center)):
+        if grid.aperture != aperture:
             raise ValueError(f"the {end} grid is not on the link's {end} aperture")
 
 
@@ -167,18 +169,32 @@ def _folded_waves(
     X (n_x, n_dir) and Y (n_y, n_dir) are the per-axis factors of
     e^{-jk khat.(sign * (point - c))} on a tensor grid, c its aperture's
     center: the factor at point (nodes_x[i], nodes_y[j]) is X[i] * Y[j].
+    On a mirrored axis node n-1-i is node i mirrored about c, so with h_i the
+    half-distance between the two and theta_i = k sign h_i khat_a, even row i
+    of Q X is sqrt(2) cos(theta_i), exactly real, and odd row i is
+    j sqrt(2) sin(theta_i), exactly imaginary; the middle node of an odd n is
+    a row of ones.  So the rows take one cosine and one sine table over the
+    floor(n/2) pairs, and only an axis without a mirror takes exponentials.
     Kept, read-only, on the grid by k, sign, the mirrors and the node offsets.
     """
     cx, cy, _ = surface.aperture.center
     offsets = surface.nodes_x - cx, surface.nodes_y - cy
     key = ("waves", k, sign, mirrored, *(offset.tobytes() for offset in offsets))
 
+    def axis_waves(offset: np.ndarray, kx: np.ndarray, mirror: bool) -> np.ndarray:
+        if not mirror:
+            return np.exp(-1j * k * np.outer(sign * offset, kx))
+        n, half = len(offset), len(offset) // 2
+        theta = k * sign * np.outer(0.5 * (offset[::-1][:half] - offset[:half]), kx)
+        waves = np.zeros((n, len(kx)), dtype=complex)
+        waves.real[:half] = np.sqrt(2.0) * np.cos(theta)
+        waves.real[half:n - half] = 1.0
+        waves.imag[n - half:] = np.sqrt(2.0) * np.sin(theta)
+        return waves
+
     def make():
         directions = grid.directions[reps]
-        return tuple(
-            _parity_combinations(len(offset), m)[0] @ np.exp(-1j * k * np.outer(sign * offset, directions[:, axis]))
-            for axis, (offset, m) in enumerate(zip(offsets, mirrored))
-        )
+        return tuple(axis_waves(offset, directions[:, a], m) for a, (offset, m) in enumerate(zip(offsets, mirrored)))
 
     return _kept(grid, key, make)
 

@@ -31,13 +31,29 @@ __all__ = [
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-@dataclass(frozen=True)
-class Aperture:
-    """Planar rectangular aperture; only the +z normal is implemented."""
+class _ByValue:
+    """== and hash over `_value()`, a tuple of numbers: a dataclass's own == would compare ndarray fields."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+
+@dataclass(frozen=True, eq=False)
+class Aperture(_ByValue):
+    """Planar rectangular aperture; only the +z normal is implemented.
+
+    Apertures compare and hash by value, the center as a tuple of floats.
+    """
 
     center: np.ndarray
     side_x: float
     side_y: float
+
+    def _value(self) -> tuple:
+        return tuple(self.center.tolist()), self.side_x, self.side_y
 
     @property
     def area(self) -> float:
@@ -121,8 +137,8 @@ def _rotation_to(axis: np.ndarray) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-@dataclass(frozen=True)
-class DirectionGrid:
+@dataclass(frozen=True, eq=False)
+class DirectionGrid(_ByValue):
     """Quadrature for integrals over the cap {k_hat : angle(k_hat, axis) <= theta_e}, as n_theta rings.
 
     Gauss-Legendre in u = cos(theta) over [cos(theta_e), 1] gives the ring
@@ -139,14 +155,15 @@ class DirectionGrid:
     plane-wave factors.  A function of the angle to the axis alone, such as
     the translator (`greens.translator_table`), is one value per ring, and a
     map that fixes the axis keeps each ring in place, so its images are
-    paired by azimuth (`_mirror_partner`).
+    paired by azimuth (`_mirror_partner`).  Grids compare and hash by their
+    rule, the axis as a tuple of floats; the memo takes no part.
     """
 
     axis: np.ndarray  # (3,) cap axis, stored normalized
     theta_e: float    # cap half-angle, in (0, pi]
     n_theta: int      # rings
     n_phi: int        # azimuths per ring
-    _waves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _waves: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
@@ -158,6 +175,9 @@ class DirectionGrid:
         if self.n_theta < 1 or self.n_phi < 1:
             raise ValueError("grid sizes must be >= 1")
         object.__setattr__(self, "axis", _read_only(axis / norm))
+
+    def _value(self) -> tuple:
+        return tuple(self.axis.tolist()), self.theta_e, self.n_theta, self.n_phi
 
     @cached_property
     def cosines(self) -> np.ndarray:

@@ -4,7 +4,7 @@ The mode currents phi_n solve beta phi = M phi, with M(s, s') the receiver
 integral of H(r, s) conj(H(r, s')).  In an orthonormal 2-D Legendre basis E
 this is beta a = R^H W_rcv R a, where R = H W_src E holds the fields the
 basis currents radiate onto the receiver grid.  Neither H nor R^H W_rcv R is
-formed: R is a sum of separable per-axis patterns over 1024 directions at a
+formed: R is a sum of separable per-axis patterns over 512 directions at a
 time (`_radiated_blocks`, the package's one dense plane-wave sweep, on the
 folded factors `channel._fold` keeps for the propagator too), and the
 SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and the
@@ -22,7 +22,13 @@ eo, oe, oo, each with its own SVD.  Inside a block the summand is even under
 both mirrors of khat, so the direction sum runs over one direction per orbit
 (phi in [0, pi/2]) weighted by the orbit's w alpha, a quarter of the grid.
 A symmetry the link lacks leaves its axis in one class, unfolded; a general
-link is the one-class case.
+link is the one-class case.  On a mirrored axis the folded factors of an
+even class are real and those of an odd class imaginary, and so are the
+basis patterns of even and odd orders; so the sweep reads each class's
+factors as real rows (the real or the imaginary part), gives block (p, q)
+the sign (-1)^(p+q), and splits w alpha into its real and imaginary rows.
+When both axes are mirrored its outer products, pair sums and GEMM are then
+real, with half the arithmetic of the complex ones.
 
 A square link (both apertures square, on a grid with 4 | n_phi) is also
 symmetric under the swap x <-> y.  Then ee and oo each split into the
@@ -100,8 +106,9 @@ MODESET_FORMAT = "emlink.modeset/1"
 
 DEFAULT_ENTRY_BUDGET = 10**7
 
-# directions per block of the dense sweep in `_radiated_blocks`
-_BLOCK = 1024
+# directions per block of the dense sweep in `_radiated_blocks`: on the paper
+# link a block's real waves and columns, 1.1 and 0.7 MB, stay in a 2 MB L2 cache
+_BLOCK = 512
 
 # combiners are undefined for numerically null modes
 _NULL_MODE_REL = 1e-12
@@ -204,11 +211,13 @@ class _Class(NamedTuple):
     columns the combinations `col_pairs` of the basis entries `cols`.
     `fold` names the directions its block is summed over: 0 one per orbit of
     the lateral mirrors, 1 one per orbit of the mirrors and the swap; None
-    takes the previous class's block.
+    takes the previous class's block.  `parity` is its (x, y) parity, None
+    on an axis without a mirror.
     """
 
     rows_x: slice
     rows_y: slice
+    parity: tuple[int | None, int | None]
     row_pairs: tuple | None
     cols: np.ndarray
     col_pairs: tuple | None
@@ -233,14 +242,14 @@ def _symmetry_classes(basis: np.ndarray, classes_x, classes_y, swap: bool) -> li
         if len(cols) == 0:
             continue
         if not swap or p < q:
-            out.append(_Class(rows_x, rows_y, None, cols, None, 0))
+            out.append(_Class(rows_x, rows_y, (p, q), None, cols, None, 0))
         elif p > q:
             # eo's sub-grid is n_y x n_x, so its row (i, j) is row j * n_y + i here
             n_x, n_y = rows_x.stop - rows_x.start, rows_y.stop - rows_y.start
             perm = np.arange(n_x * n_y).reshape(n_x, n_y).T.ravel()
             eo_cols = np.flatnonzero(_of_parity(m, q) & _of_parity(n, p))
             rows = (perm, perm, 1, np.full(len(perm), 0.5))
-            out.append(_Class(rows_x, rows_y, rows, index[n[eo_cols], m[eo_cols]], None, None))
+            out.append(_Class(rows_x, rows_y, (p, q), rows, index[n[eo_cols], m[eo_cols]], None, None))
         else:
             side = (int(basis.max()) - p) // 2 + 1
             col_index = np.full((side, side), -1)
@@ -249,8 +258,34 @@ def _symmetry_classes(basis: np.ndarray, classes_x, classes_y, swap: bool) -> li
             row_index = np.arange(n_x * n_x).reshape(n_x, n_x)
             for row_pairs, col_pairs in zip(_swap_split(row_index), _swap_split(col_index)):
                 if len(col_pairs[0]):
-                    out.append(_Class(rows_x, rows_y, row_pairs, cols, col_pairs, 1))
+                    out.append(_Class(rows_x, rows_y, (p, q), row_pairs, cols, col_pairs, 1))
     return out
+
+
+def _real_rows(f: np.ndarray, parity: int | None) -> np.ndarray:
+    """A class's rows of folded factors as real numbers: the real part of an even class, the imaginary of an odd one.
+
+    On a mirrored axis the even rows of the folded factors are real and the
+    odd rows imaginary (`channel._folded_waves`), so the part left out is
+    zero; on an axis without a mirror (parity None) the rows stay complex.
+    """
+    return f if parity is None else f.imag if parity else f.real
+
+
+def _patterns(weights: np.ndarray, legendre: np.ndarray, factors: np.ndarray, mirrored: bool) -> np.ndarray:
+    """One axis's basis patterns (w P)^T X = (Q w P)^T (Q X), Q X the source's folded factors.
+
+    On a mirrored axis order m takes only the rows of its parity, so its
+    pattern is real for even m and imaginary for odd m; it is returned as
+    real rows, the real part of the even orders and the imaginary part of the
+    odd ones, as `_real_rows` takes the receiver's.
+    """
+    patterns = (_parity_combinations(len(factors), mirrored)[0] @ (weights[:, None] * legendre)).T
+    if not mirrored:
+        return patterns @ factors
+    real = patterns @ factors.real
+    real[1::2] = patterns[1::2] @ factors.imag
+    return real
 
 
 def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
@@ -259,40 +294,50 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     Returns qx, qy and the classes of `_symmetry_classes`, each with its
     block.  A block sums its (rows x directions) plane-wave factors, outer
     products of the receiver's factors from `channel._fold` with w alpha on
-    the y side, against the basis patterns (Q w P)^T (Q X) = (w P)^T X per
-    axis, Q X the source's factors, over its fold's directions, _BLOCK at a
-    time; the budget bounds R, each block and one block of factors.
+    the y side, against the basis patterns (`_patterns`) over its fold's
+    directions, _BLOCK at a time; the budget bounds R, each block and one
+    block of factors.  Class (p, q) reads the factors and patterns of a
+    mirrored axis as real rows (`_real_rows`): odd rows and odd orders are
+    j times theirs, so the block is (-1)^(p+q) times the real rows' sum.
+    When both axes are mirrored, w alpha is split into its real and
+    imaginary rows, so the outer products, pair sums and GEMM are real; the
+    stacked rows, 2 x step x n_sub floats, take the bytes of the step x n_sub
+    complex entries the budget counts.
     """
     _check_budget(len(rcv.points) * len(basis), entry_budget)
     mirrored, (ax, ay), (bx, by), w_alpha, (_, orbit, eighth, orbit_all) = _fold(src, rcv, geometry, grid, table)
     (qx, classes_x), (qy, classes_y) = (_parity_combinations(len(f), m) for f, m in zip((bx, by), mirrored))
     px, py = _axis_legendre(int(basis.max()), src)
-    sx, sy = (_parity_combinations(len(a), m)[0] for a, m in zip((ax, ay), mirrored))
-    fx = (sx @ (src.weights_x[:, None] * px)).T @ ax
-    fy = (sy @ (src.weights_y[:, None] * py)).T @ ay
-    folds = [(bx, by * _orbit_sums(orbit, w_alpha), fx, fy)]
+    fx = _patterns(src.weights_x, px, ax, mirrored[0])
+    fy = _patterns(src.weights_y, py, ay, mirrored[1])
+    folds = [(bx, by, _orbit_sums(orbit, w_alpha), fx, fy)]
     if mirrored[2]:
-        folds.append((bx[:, eighth], by[:, eighth] * _orbit_sums(orbit_all, w_alpha), fx[:, eighth], fy[:, eighth]))
+        folds.append((bx[:, eighth], by[:, eighth], _orbit_sums(orbit_all, w_alpha), fx[:, eighth], fy[:, eighth]))
     m, n = basis.T
     blocks = []
     for cls in _symmetry_classes(basis, classes_x, classes_y, mirrored[2]):
         if cls.fold is None:
             blocks.append(cls._replace(block=blocks[-1].block))
             continue
-        cx, cy, fx, fy = folds[cls.fold]
-        cx, cy = cx[cls.rows_x], cy[cls.rows_y]
-        mc, nc = m[cls.cols], n[cls.cols]
-        n_sub, n_dir = len(cx) * len(cy), cx.shape[1]
+        cx, cy, w, fx, fy = folds[cls.fold]
+        (p, q), mc, nc = cls.parity, m[cls.cols], n[cls.cols]
+        cx, cy = _real_rows(cx[cls.rows_x], p), _real_rows(cy[cls.rows_y], q)
+        w = np.stack([w.real, w.imag]) if np.isrealobj(cx) and np.isrealobj(cy) else w[None]
+        cy = cy[:, None] * w  # (n_y, parts, n_dir)
+        n_sub, parts, n_dir = len(cx) * len(cy), len(w), cx.shape[1]
         step = min(_BLOCK, n_dir)
         _check_budget(max(n_sub * len(mc), step * len(mc), step * n_sub), entry_budget)
         row_scale, col_scale = _scale(cls.row_pairs, n_sub), _scale(cls.col_pairs, len(mc))
-        block = np.zeros((len(row_scale), len(col_scale)), dtype=complex)
+        block = np.zeros((len(row_scale), parts, len(col_scale)), dtype=np.result_type(cy, fx))
         for start in range(0, n_dir, step):
             sl = slice(start, start + step)
-            waves = cx[:, None, sl] * cy[None, :, sl]
-            waves = waves.reshape(n_sub, waves.shape[2])
-            block += _pair_sums(waves, cls.row_pairs) @ _pair_sums(fx[mc, sl] * fy[nc, sl], cls.col_pairs).T
-        blocks.append(cls._replace(block=_kernel_scale(geometry.k) * np.outer(row_scale, col_scale) * block))
+            waves = cx[:, None, None, sl] * cy[None, :, :, sl]
+            waves = _pair_sums(waves.reshape(n_sub, parts, waves.shape[3]), cls.row_pairs)
+            columns = _pair_sums(fx[mc, sl] * fy[nc, sl], cls.col_pairs)
+            block += (waves.reshape(-1, waves.shape[2]) @ columns.T).reshape(block.shape)
+        block = block[:, 0] + 1j * block[:, 1] if parts == 2 else block[:, 0]
+        scale = (-1) ** ((p or 0) + (q or 0)) * _kernel_scale(geometry.k)
+        blocks.append(cls._replace(block=scale * np.outer(row_scale, col_scale) * block))
     return qx, qy, blocks
 
 

@@ -3,6 +3,8 @@
 `reference_field` is the direct-sum oracle of `propagate_current`, and
 `dense_kernel` the plane-wave sum with one exponential per (point,
 direction) pair; `dense_betas` are the betas it gives a mode set's link;
+`exponential_folded_waves` is Q times the per-axis exponentials of every
+node, the route `channel._folded_waves` replaced with cosine and sine tables;
 `basis_eval` is the dense Legendre basis, built from numpy's `legvander`
 rather than the package's per-axis patterns; `radiated_basis` is the full R
 from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
@@ -19,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from emlink.capacity import PowerAllocation
-from emlink.channel import FREE_SPACE_IMPEDANCE
+from emlink.channel import FREE_SPACE_IMPEDANCE, _parity_combinations
 from emlink.geometry import cap_direction_grid, default_cap_densities, truncation_order
 from emlink.greens import sgf_exact, translator_series, translator_table
 from emlink.modes import DEFAULT_ENTRY_BUDGET, MODESET_FORMAT, _radiated_blocks, _unfold
@@ -69,6 +71,15 @@ def dense_kernel(src, rcv, geometry, grid, table):
         H += (B * w_alpha[start:start + 2048]) @ A.T
     return -k * (k * FREE_SPACE_IMPEDANCE) / (16 * np.pi**2) * H
 
+
+def exponential_folded_waves(surface, sign, grid, k, mirrored, reps):
+    """`channel._folded_waves` as Qx X and Qy Y: Q from `_parity_combinations` times one exponential per node."""
+    directions = grid.directions[reps]
+    cx, cy, _ = surface.aperture.center
+    return tuple(
+        _parity_combinations(len(offset), m)[0] @ np.exp(-1j * k * np.outer(sign * offset, directions[:, axis]))
+        for axis, (offset, m) in enumerate(zip((surface.nodes_x - cx, surface.nodes_y - cy), mirrored))
+    )
 
 def dense_betas(modes, theta_e, L, windowed=True):
     """Squared singular values of W_rcv^(1/2) H W_src E, descending, with H the dense kernel of a mode set's link.

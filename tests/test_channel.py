@@ -4,15 +4,24 @@ import weakref
 
 import numpy as np
 import pytest
-from reference_routes import basis_eval, dense_kernel, radiated_basis, reference_field
+from reference_routes import basis_eval, dense_kernel, exponential_folded_waves, radiated_basis, reference_field
 
 from emlink import channel
-from emlink.channel import FREE_SPACE_IMPEDANCE, _fold, _orbit_sums, propagate_current
+from emlink.channel import (
+    FREE_SPACE_IMPEDANCE,
+    _fold,
+    _folded_waves,
+    _orbit_sums,
+    _orbits,
+    _parity_combinations,
+    propagate_current,
+)
 from emlink.errors import BudgetError
 from emlink.geometry import (
     _LATERAL_IMAGES,
     DirectionGrid,
     LinkGeometry,
+    SurfaceGrid,
     _mirror_partner,
     cap_direction_grid,
     default_cap_densities,
@@ -442,25 +451,22 @@ class TestFactorMemo:
     """The folded factors, images, node checks and orbits are made once per grid and key, and live with the grid."""
 
     def test_repeat_makes_no_exponentials(self, monkeypatch):
+        # nor any other plane-wave factor: no exp, and no cos or sin table of a mirrored axis
         geo = _ci_link((0, 0, 10.2))
         _, table, src, rcv = _ci_parts(geo)
         current = _random_current(len(src.points), 41)
-        calls = []
-        exp = np.exp
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return exp(*args, **kwargs)
-
-        # two equal grids built apart: each makes its own factors, two per side, once
+        # two equal grids built apart: each makes its own tables, a cos and a sin per axis and side, once
         for grid in (_ci_parts(geo)[0], _ci_parts(geo)[0]):
-            monkeypatch.setattr(np, "exp", counted)
-            propagate_current(current, src, rcv, geo, grid, table)
-            first = len(calls)
-            propagate_current(current, src, rcv, geo, grid, table)
-            monkeypatch.setattr(np, "exp", exp)
-            assert (first, len(calls) - first) == (4, 0)
-            calls.clear()
+            _derive(grid, src, rcv)
+            calls = dict.fromkeys(_FACTOR_CALLS, 0)
+            with monkeypatch.context() as patch:
+                for name in calls:
+                    patch.setattr(np, name, _counting(name, calls))
+                propagate_current(current, src, rcv, geo, grid, table)
+                first = dict(calls)
+                propagate_current(current, src, rcv, geo, grid, table)
+            assert first == {"exp": 0, "cos": 4, "sin": 4}
+            assert calls == first  # the repeat made none
 
     def test_repeat_is_bit_identical(self, monkeypatch):
         # equal apertures: both sides have the same node offsets and differ only in sign
@@ -555,6 +561,17 @@ def _fold_parts(name):
     return geo, grid, table, src, rcv, mirrors, (n_theta, n_phi or n_phi_rule)
 
 
+# the numpy functions that make plane-wave factors: exponentials, and a mirrored axis's cosine and sine tables
+_FACTOR_CALLS = ("exp", "cos", "sin")
+
+
+def _derive(grid, *surfaces):
+    """Read the grids' derived arrays, which take cosines and sines, so a count sees only the plane-wave factors."""
+    for obj, names in ((grid, ("directions", "weights")), *((surface, ("points", "weights")) for surface in surfaces)):
+        for name in names:
+            getattr(obj, name)
+
+
 def _counting(name, calls):
     """np.<name>, counting its calls in calls[name]."""
     original = getattr(np, name)
@@ -596,7 +613,8 @@ class TestFoldedPropagator:
     def test_repeat_makes_no_exponentials_or_sorts(self, monkeypatch):
         geo, grid, table, src, rcv, *_ = _fold_parts("ci")
         current = _random_current(len(src.points), 52)
-        calls = {"exp": 0, "argsort": 0, "unique": 0}
+        _derive(grid, src, rcv)
+        calls = dict.fromkeys((*_FACTOR_CALLS, "argsort", "unique"), 0)
         for name in calls:
             monkeypatch.setattr(np, name, _counting(name, calls))
         first = propagate_current(current, src, rcv, geo, grid, table)
@@ -604,9 +622,10 @@ class TestFoldedPropagator:
         calls.update(dict.fromkeys(calls, 0))
         repeat = propagate_current(current, src, rcv, geo, grid, table)
         monkeypatch.undo()
-        # the first call pairs the images by azimuth (no sort), finds the orbits (unique) and makes the factors (exp)
-        assert made == {"exp": 4, "argsort": 0, "unique": 2}
-        assert calls == {"exp": 0, "argsort": 0, "unique": 0}
+        # the first call pairs the images by azimuth (no sort), finds the orbits (unique) and makes the
+        # factors: a cos and a sin table per mirrored axis and side, no exp
+        assert made == {"exp": 0, "cos": 4, "sin": 4, "argsort": 0, "unique": 2}
+        assert calls == dict.fromkeys(calls, 0)
         assert np.array_equal(first, repeat)
 
     def test_images_keep_each_ring(self):
@@ -622,19 +641,45 @@ class TestFoldedPropagator:
     @pytest.mark.parametrize("name", ["ci", "x-offset"])
     def test_mode_solve_leaves_nothing_to_make(self, name, monkeypatch):
         # the solve and the propagator read one fold: after the radiated basis
-        # on a fresh grid, propagating on that grid makes no exponential and no sort
-        geo, grid, table, src, rcv, *_ = _fold_parts(name)
+        # on a fresh grid, propagating on that grid makes no plane-wave factor and no sort
+        geo, grid, table, src, rcv, mirrors, _ = _fold_parts(name)
         current = _random_current(len(src.points), 53)
-        calls = {"exp": 0, "argsort": 0, "unique": 0}
+        _derive(grid, src, rcv)
+        calls = dict.fromkeys((*_FACTOR_CALLS, "argsort", "unique"), 0)
         for counted in calls:
             monkeypatch.setattr(np, counted, _counting(counted, calls))
         _radiated_blocks(basis_order_table(4), src, rcv, geo, grid, table, entry_budget=10**7)
-        assert calls["exp"] == 4  # two per side, on the folded directions
+        # per side, on the folded directions: an exp per axis without a mirror, a cos and a sin per mirrored one
+        mirrored = sum(mirrors[:2])
+        assert {f: calls[f] for f in _FACTOR_CALLS} == {"exp": 2 * (2 - mirrored), "cos": 2 * mirrored,
+                                                         "sin": 2 * mirrored}
         calls.update(dict.fromkeys(calls, 0))
         field = propagate_current(current, src, rcv, geo, grid, table)
         monkeypatch.undo()
-        assert calls == {"exp": 0, "argsort": 0, "unique": 0}
+        assert calls == dict.fromkeys(calls, 0)
         assert np.array_equal(field, propagate_current(current, src, rcv, geo, _fold_parts(name)[1], table))
+
+
+class TestFoldedWaves:
+    """The folded factors from cosine and sine tables are Q times the exponentials, real or imaginary by class."""
+
+    @pytest.mark.parametrize("n", [6, 7, 1], ids=["even-n", "odd-n", "one-node"])
+    @pytest.mark.parametrize("name", ["ci", "x-offset", "offset"])
+    def test_match_exponentials(self, name, n):
+        geo, grid, table, *_, mirrors, _ = _fold_parts(name)
+        reps = _orbits(grid, mirrors)[0]
+        for aperture, sign in ((geo.transmitter, -1), (geo.receiver, 1)):
+            surface = SurfaceGrid(aperture, n)
+            waves = _folded_waves(surface, sign, grid, K, mirrors[:2], reps)
+            expected = exponential_folded_waves(surface, sign, grid, K, mirrors[:2], reps)
+            for got, want, mirrored in zip(waves, expected, mirrors[:2]):
+                assert got.dtype == complex and got.shape == want.shape == (n, len(reps))
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+                if mirrored:
+                    (even, _), (odd, _) = _parity_combinations(n, True)[1]
+                    assert np.all(got[even].imag == 0) and np.all(got[odd].real == 0)
+                else:
+                    assert np.array_equal(got, want)  # the same exponentials, with no Q = I product
 
 
 class TestTranslatorShape:

@@ -227,6 +227,47 @@ class TestCapGrid:
             cap_direction_grid((0, 0, 1), 3.5, 8, 8)
 
 
+
+class TestValueEquality:
+    """Geometry objects built apart from equal values are equal and hash alike."""
+
+    def test_equal_objects_built_apart(self):
+        a, b = rect_aperture((0, 0, 0), 1, 1), rect_aperture([0.0, 0.0, 0.0], 1.0, 1.0)
+        g, h = cap_direction_grid((0, 0, 1), 1.0, 4, 8), cap_direction_grid(np.array([0.0, 0.0, 3.0]), 1.0, 4, 8)
+        far = rect_aperture((0, 0, 5), 1, 1)
+        pairs = [(a, b), (g, h), (tensor_grid(a, 9), SurfaceGrid(b, 3)),
+                 (LinkGeometry(a, far, K), LinkGeometry(b, rect_aperture((0, 0, 5), 1, 1), K))]
+        for x, y in pairs:
+            assert x is not y and x == y and not (x != y)
+            assert hash(x) == hash(y)
+            assert len({x, y}) == 1
+        # -0.0 and 0.0 are one coordinate
+        assert rect_aperture((-0.0, 0, 0), 1, 1) == a and hash(rect_aperture((-0.0, 0, 0), 1, 1)) == hash(a)
+
+    def test_unequal_objects(self):
+        a = rect_aperture((0, 0, 0), 1, 1)
+        for other in (rect_aperture((0, 0, 1e-15), 1, 1), rect_aperture((0, 0, 0), 1, 2),
+                      rect_aperture((0, 0, 0), 2, 1), "aperture", None):
+            assert a != other and not (a == other)
+        g = cap_direction_grid((0, 0, 1), 1.0, 4, 8)
+        for other in (cap_direction_grid((0, 1, 0), 1.0, 4, 8), cap_direction_grid((0, 0, 1), 0.9, 4, 8),
+                      cap_direction_grid((0, 0, 1), 1.0, 5, 8), cap_direction_grid((0, 0, 1), 1.0, 4, 12), a):
+            assert g != other
+        assert tensor_grid(a, 9) != tensor_grid(a, 16)
+        assert tensor_grid(a, 9) != tensor_grid(rect_aperture((0, 0, 0), 1, 2), 9)
+        assert len({a, rect_aperture((0, 0, 0), 1, 2), rect_aperture((0, 0, 0), 1, 1)}) == 2
+
+    def test_memo_takes_no_part(self):
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
+        grid = cap_direction_grid(geo.axis, np.radians(60), *default_cap_densities(34, np.radians(60)))
+        fresh = cap_direction_grid(geo.axis, np.radians(60), *default_cap_densities(34, np.radians(60)))
+        before = hash(grid)
+        table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
+        _fold(tensor_grid(geo.transmitter, 16), tensor_grid(geo.receiver, 16), geo, grid, table)
+        assert grid._waves and not fresh._waves
+        assert grid == fresh and hash(grid) == hash(fresh) == before
+
+
 class TestDefaultCapDensities:
     """The band-limit rule for the cap grid; its accuracy is pinned in test_channel."""
 
