@@ -29,17 +29,18 @@ sums in `greens`.
 `propagate_current` applies the factors matrix-free: each parity class of
 the current radiates only into the same class of the receiver and is summed
 over one direction per orbit (a quarter of the cap on a coaxial link, 1 736
-of 6 696 directions on the paper link).  The direction grid keeps, read-only
-and while it lives, what a repeat call would make again (`_kept`): the
-mirror images of its directions, the orbits, and per k, side, mirrors and
-node offsets the folded per-axis factors, n1 x n_orbits complex per axis:
-2.56 MB for both sides of the paper link (9.9 MB unfolded), and 0.29 MB for
-its images and orbits.  A repeat call, or a call after a mode solve on the
-same grids, makes no plane-wave factor (no exponential, cosine or sine), only
-w alpha and the orbit sums.  Each surface grid is the Gauss rule of its
-aperture, phased about the aperture's center, so its nodes are symmetric
-about that center; `_fold` checks that the grids lie on the link's apertures,
-and reads the mirrors from the link alone.
+of 6 696 directions on the paper link); the orbits follow from closed-form
+azimuth maps of the grid's rule (`geometry._image_steps`).  The direction
+grid keeps, read-only and while it lives, what a repeat call would make
+again (`_kept`): the orbits (0.13 MB on the paper link), and per k, side,
+mirrors and node offsets the folded per-axis factors, n1 x n_orbits complex
+per axis: 2.56 MB for both sides of the paper link (9.9 MB unfolded).  A
+repeat call, or a call after a mode solve on the same grids, makes no
+plane-wave factor (no exponential, cosine or sine), only w alpha and the
+orbit sums.  Each surface grid is the Gauss rule of its aperture, phased
+about the aperture's center, so its nodes are symmetric about that center;
+`_fold` checks that the grids lie on the link's apertures, and reads the
+mirrors from the link and the direction grid's rule.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import itertools
 
 import numpy as np
 
-from .geometry import _LATERAL_IMAGES, DirectionGrid, LinkGeometry, SurfaceGrid, _mirror_partner
+from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid, _image_steps
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
@@ -92,18 +93,11 @@ def _kept(grid: DirectionGrid, key: tuple, make) -> tuple:
     return kept
 
 
-def _partners(grid: DirectionGrid) -> tuple:
-    """`_mirror_partner` of the grid under `_LATERAL_IMAGES`, kept on the grid."""
-    return _kept(grid, ("partners",), lambda: tuple(_mirror_partner(grid, _LATERAL_IMAGES)))
-
-
 def _symmetries(geometry: LinkGeometry, grid: DirectionGrid) -> tuple[bool, bool, bool]:
     """The flags (x, y, swap) of `_fold`."""
     link = [bool(geometry.r_pq[axis] == 0.0) for axis in (0, 1)]
     link.append(all(link) and all(end.side_x == end.side_y for end in (geometry.transmitter, geometry.receiver)))
-    if not any(link):
-        return False, False, False
-    found = [ok and partner is not None for partner, ok in zip(_partners(grid), link)]
+    found = [ok and step is not None for step, ok in zip(_image_steps(grid), link)]
     found[2] = all(found)
     return tuple(found)
 
@@ -114,20 +108,19 @@ def _orbits(grid: DirectionGrid, found: tuple[bool, bool, bool]) -> tuple[np.nda
     Returns the lowest direction of each orbit of the mirrors found and each
     direction's orbit among them; then the positions among those of one
     direction per orbit of all the symmetries found, and each direction's
-    orbit among these.
+    orbit among these; each image is the azimuth map of its `_image_steps`.
     """
 
     def make():
-        partners = _partners(grid) if any(found) else (None,) * 3
-        label = np.arange(len(grid.weights))
-        for partner, ok in zip(partners[:2], found):
-            if ok:
-                label = np.minimum(label, label[partner])
+        label = np.arange(len(grid.weights)).reshape(grid.n_theta, grid.n_phi)
+        images = [(step - np.arange(grid.n_phi)) % grid.n_phi for step, ok in zip(_image_steps(grid), found) if ok]
+        for image in images[:2]:
+            label = np.minimum(label, label[:, image])
         reps, orbit = np.unique(label, return_inverse=True)
         if found[2]:
-            label = np.minimum(label, label[partners[2]])
+            label = np.minimum(label, label[:, images[2]])
         reps_all, orbit_all = np.unique(label, return_inverse=True)
-        return reps, orbit, np.searchsorted(reps, reps_all), orbit_all
+        return reps, orbit.ravel(), np.searchsorted(reps, reps_all), orbit_all.ravel()
 
     return _kept(grid, ("orbits", found), make)
 
@@ -205,14 +198,14 @@ def _fold(
     """The lateral symmetries a link shares with its direction grid, and both ends' factors folded by them.
 
     Axis a (0 for x, 1 for y) is mirrored when the link axis lies in the
-    plane normal to it (r_pq[a] = 0) and the direction grid maps each of its
-    rings onto itself under k_a -> -k_a (`geometry._mirror_partner`); each
-    surface grid is a Gauss rule on its aperture (`_check_apertures`), so its
-    nodes are symmetric about the aperture's center.  The swap k_x <-> k_y is
-    a symmetry when both axes are mirrored, both apertures are square and the
-    direction grid passes the same check under it.  w alpha is one value per
-    ring, so it is even under every such map, with no check.  The grid keeps
-    its images, the orbits and the factors, so a repeat makes only w alpha.
+    plane normal to it (r_pq[a] = 0) and the direction grid's rule is closed
+    under k_a -> -k_a with each ring kept in place (`geometry._image_steps`);
+    each surface grid is a Gauss rule on its aperture (`_check_apertures`),
+    so its nodes are symmetric about the aperture's center.  The swap
+    k_x <-> k_y is a symmetry when both axes are mirrored, both apertures are
+    square and the rule is closed under it (n_phi a multiple of 4).  w alpha
+    is one value per ring, so it is even under every such map, with no check.
+    The grid keeps the orbits and the factors, so a repeat makes only w alpha.
 
     Returns the three flags (x, y, swap); the source's and the receiver's
     `_folded_waves` on one direction per orbit of the mirrored axes (the

@@ -121,7 +121,10 @@ def cmd_capacity(cfg: ExperimentConfig, out_dir: Path, modes_file: Path) -> list
                    np.concatenate([np.arange(1, n + 1) for n in active]),
                    np.concatenate([p.allocation.powers[:n] for p, n in zip(curve, active)])),
     ]
-    fit = cap.spectrum_fit(betas, n_plateau, tail_floor_rel=cfg.fit_floor_rel)
+    try:
+        fit = cap.spectrum_fit(betas, n_plateau, tail_floor_rel=cfg.fit_floor_rel)
+    except ValueError as exc:  # a valid mode set whose spectrum has too few tail points
+        raise ConfigError(f"cannot fit the spectrum of mode-set file {modes_file}: {exc}") from exc
     fit_doc = {
         "plateau_avg": fit.plateau_avg,
         "decay_rate_c": fit.decay_rate,

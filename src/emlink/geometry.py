@@ -150,13 +150,13 @@ class DirectionGrid(_ByValue):
     `gauss_legendre_rule(n_theta)` when first read, and is read-only.
     `directions` and `weights` are ring-major (direction i * n_phi + j is
     azimuth 2 pi j / n_phi on ring i), and the weights sum to the cap's
-    2*pi*(1 - cos(theta_e)).  So what `channel` keeps in `_waves` stays
-    valid: the mirror images of the directions, the orbits and the folded
-    plane-wave factors.  A function of the angle to the axis alone, such as
-    the translator (`greens.translator_table`), is one value per ring, and a
-    map that fixes the axis keeps each ring in place, so its images are
-    paired by azimuth (`_mirror_partner`).  Grids compare and hash by their
-    rule, the axis as a tuple of floats; the memo takes no part.
+    2*pi*(1 - cos(theta_e)).  So what `channel` keeps in `_waves`, the
+    orbits and the folded plane-wave factors, stays valid.  A function of the
+    angle to the axis alone, such as the translator
+    (`greens.translator_table`), is one value per ring, and a lateral mirror
+    or swap that fixes the axis keeps each ring in place and maps its
+    azimuths in closed form (`_image_steps`).  Grids compare and hash by
+    their rule, the axis as a tuple of floats; the memo takes no part.
     """
 
     axis: np.ndarray  # (3,) cap axis, stored normalized
@@ -244,34 +244,22 @@ def default_cap_densities(L: int, theta_e: float) -> tuple[int, int]:
     return max(8, n_theta), n_phi + -n_phi % 4
 
 
-# the lateral images a direction grid can be closed under, as maps of
-# (k_x, k_y, k_z): k_x -> -k_x, k_y -> -k_y and the swap k_x <-> k_y
-_LATERAL_IMAGES = (np.diag([-1, 1, 1]), np.diag([1, -1, 1]), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+def _image_steps(grid: DirectionGrid) -> tuple[int | None, int | None, int | None]:
+    """The images of k_x -> -k_x, k_y -> -k_y and k_x <-> k_y as steps s: sample j goes to (s - j) mod n_phi.
 
-def _mirror_partner(grid: DirectionGrid, images) -> list[np.ndarray | None]:
-    """For each image map (a signed permutation matrix of k, as in `_LATERAL_IMAGES`), each direction's image.
-
-    A map that fixes the cap axis sends every ring onto itself and moves the
-    azimuth the same way on each, so the azimuth map is read once, in the
-    cap's own frame, on the ring farthest from the axis, and laid over every
-    ring.  A map gets None when a paired direction lies more than 1e-12 from
-    its image: the grid is not closed under it, or the map moves a ring onto
-    another (the x-mirror of a full sphere about x sends ring u to ring -u).
+    The cap's frame (`_rotation_to`) rotates about x when the axis has no x
+    part and about y when it has no y part, and is I about +z and
+    diag(1, -1, -1) about -z, so it commutes with the mirror that fixes the
+    axis, which then keeps each ring in place and acts on the azimuth alone:
+    the x-mirror takes phi to pi - phi (s = n_phi/2), the y-mirror to -phi
+    (s = 0).  On a cap about +z the swap takes phi to pi/2 - phi
+    (s = n_phi/4), about -z to -pi/2 - phi (s = -n_phi/4).  Any other map,
+    and a map whose s is not an integer, gets None: `channel._fold` asks for
+    the swap only on a link with both mirrors, whose axis is +z or -z.
     """
-    n_phi = grid.n_phi
-    widest = int(np.argmin(np.abs(grid.cosines)))
-    ring = grid.directions[widest * n_phi:(widest + 1) * n_phi]
-    frame = _rotation_to(grid.axis)
-    starts = n_phi * np.arange(grid.n_theta)[:, None]
-    partners = []
-    for image in images:
-        local = ring @ image.T @ frame
-        shift = np.rint(np.arctan2(local[:, 1], local[:, 0]) * (n_phi / (2.0 * np.pi))).astype(int) % n_phi
-        partner = (starts + shift).ravel()
-        if np.max(np.abs(grid.directions[partner] - grid.directions @ image.T), initial=0.0) > 1e-12:
-            partner = None
-        partners.append(partner)
-    return partners
+    n, (ax, ay, az) = grid.n_phi, grid.axis
+    swap = n // 4 * int(az) if ax == ay == 0.0 and n % 4 == 0 else None
+    return n // 2 if ax == 0.0 and n % 2 == 0 else None, 0 if ay == 0.0 else None, swap
 
 
 def truncation_order(k: float, D: float) -> int:

@@ -549,8 +549,8 @@ def gram_currents(modes: ModeSet, count: int) -> np.ndarray:
     Evaluated on an internal grid fine enough to integrate basis products
     exactly; for orthonormal coefficients this is (P_t/eta) * identity.
     """
-    if count > len(modes):
-        raise ValueError("count exceeds the number of stored modes")
+    if not 0 <= count <= len(modes):
+        raise ValueError(f"count {count} is outside [0, {len(modes)}], the number of stored modes")
     grid = _exact_gram_grid(modes)
     phi = modes.scale * _sample_currents(modes.basis, modes.coefficients[:count], grid)
     return (phi.T * grid.weights) @ np.conj(phi)
@@ -563,8 +563,8 @@ def gram_fields(result: ModesResult, count: int) -> np.ndarray:
     leakage of the discretization.
     """
     modes = result.modes
-    if count > len(modes):
-        raise ValueError("count exceeds the number of stored modes")
+    if not 0 <= count <= len(modes):
+        raise ValueError(f"count {count} is outside [0, {len(modes)}], the number of stored modes")
     psi = modes.scale * result.fields[:, :count]
     return (psi.T * modes.rcv_grid.weights) @ np.conj(psi)
 

@@ -5,6 +5,9 @@
 direction) pair; `dense_betas` are the betas it gives a mode set's link;
 `exponential_folded_waves` is Q times the per-axis exponentials of every
 node, the route `channel._folded_waves` replaced with cosine and sine tables;
+`LATERAL_IMAGES` are the mirror and swap maps of k whose images
+`geometry._image_steps` gives in closed form, and `image_maps` lays those
+steps out as one index per direction;
 `basis_eval` is the dense Legendre basis, built from numpy's `legvander`
 rather than the package's per-axis patterns; `radiated_basis` is the full R
 from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
@@ -22,7 +25,7 @@ from numpy.polynomial.legendre import legvander
 
 from emlink.capacity import PowerAllocation
 from emlink.channel import FREE_SPACE_IMPEDANCE, _parity_combinations
-from emlink.geometry import cap_direction_grid, default_cap_densities, truncation_order
+from emlink.geometry import _image_steps, cap_direction_grid, default_cap_densities, truncation_order
 from emlink.greens import sgf_exact, translator_series, translator_table
 from emlink.modes import DEFAULT_ENTRY_BUDGET, MODESET_FORMAT, _radiated_blocks, _unfold
 
@@ -80,6 +83,19 @@ def exponential_folded_waves(surface, sign, grid, k, mirrored, reps):
         _parity_combinations(len(offset), m)[0] @ np.exp(-1j * k * np.outer(sign * offset, directions[:, axis]))
         for axis, (offset, m) in enumerate(zip((surface.nodes_x - cx, surface.nodes_y - cy), mirrored))
     )
+
+
+# the lateral images a direction grid can be closed under, as maps of
+# (k_x, k_y, k_z): k_x -> -k_x, k_y -> -k_y and the swap k_x <-> k_y
+LATERAL_IMAGES = (np.diag([-1, 1, 1]), np.diag([1, -1, 1]), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+
+
+def image_maps(grid):
+    """Each direction's image under each map of `LATERAL_IMAGES`, from its `_image_steps` step, or None."""
+    starts = grid.n_phi * np.arange(grid.n_theta)[:, None]
+    return [None if step is None else (starts + (step - np.arange(grid.n_phi)) % grid.n_phi).ravel()
+            for step in _image_steps(grid)]
+
 
 def dense_betas(modes, theta_e, L, windowed=True):
     """Squared singular values of W_rcv^(1/2) H W_src E, descending, with H the dense kernel of a mode set's link.

@@ -14,6 +14,7 @@ from emlink.capacity import (
     spectrum_fit,
     waterfill,
 )
+from emlink.config import load_config
 
 
 def greedy_quantized_capacity(betas, p_t, sigma2, steps=100):
@@ -61,6 +62,33 @@ class TestDofGeometric:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             dof_geometric(1.0, 1.0, 0.0)
+
+
+def _paper_spectrum_at(distance):
+    """(beta / beta_1 of the paper link's kept modes at `distance` wavelengths, its geometric DoF N)."""
+    cfg = load_config("paper", overrides=[f"distance={distance}"])
+    geo = cfg.link_geometry()
+    return cfg.solve().modes.normalized, dof_geometric(geo.transmitter.area, geo.receiver.area, geo.distance)
+
+
+class TestDofAgainstDistance:
+    """The spectrum follows the Fresnel number N = A_T A_R / (lambda d)^2 far out, and falls below it near in.
+
+    Miller (Appl. Opt. 39, 2000) and Piestun & Miller (JOSA A 17, 2000) give
+    the far-field law; near-field analyses (Dardari, IEEE JSAC 38, 2020) give
+    fewer modes than the paraxial N once d nears the apertures' size.
+    """
+
+    @pytest.mark.parametrize("distance", [20.0, 25.5, 35.0, 50.0])
+    def test_far_field_follows_the_fresnel_number(self, distance):
+        normalized, n_geo = _paper_spectrum_at(distance)
+        assert abs(np.sum(normalized) - n_geo) <= 0.15 * n_geo  # measured: at most 0.105 N, at 20 lambda
+        assert abs(np.count_nonzero(normalized >= 10 ** -0.3) - n_geo) <= 2  # the -3 dB count: 15 / 9 / 4 / 3
+
+    def test_near_field_falls_below_the_fresnel_number(self):
+        # 13.5 lambda, just past the 12.73 lambda validity bound: 26.75 against N = 35.1
+        normalized, n_geo = _paper_spectrum_at(13.5)
+        assert np.sum(normalized) < n_geo
 
 
 class TestWaterfill:

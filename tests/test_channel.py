@@ -4,7 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
-from reference_routes import basis_eval, dense_kernel, exponential_folded_waves, radiated_basis, reference_field
+from reference_routes import (
+    basis_eval,
+    dense_kernel,
+    exponential_folded_waves,
+    image_maps,
+    radiated_basis,
+    reference_field,
+)
 
 from emlink import channel
 from emlink.channel import (
@@ -18,11 +25,9 @@ from emlink.channel import (
 )
 from emlink.errors import BudgetError
 from emlink.geometry import (
-    _LATERAL_IMAGES,
     DirectionGrid,
     LinkGeometry,
     SurfaceGrid,
-    _mirror_partner,
     cap_direction_grid,
     default_cap_densities,
     rect_aperture,
@@ -448,7 +453,7 @@ def _unkept(grid, key, make):
 
 
 class TestFactorMemo:
-    """The folded factors, images, node checks and orbits are made once per grid and key, and live with the grid."""
+    """The folded factors and orbits are made once per grid and key, and live with the grid."""
 
     def test_repeat_makes_no_exponentials(self, monkeypatch):
         # nor any other plane-wave factor: no exp, and no cos or sin table of a mirrored axis
@@ -502,8 +507,7 @@ class TestFactorMemo:
         kinds = [key[0] for key in grid._waves]
         assert kinds.count("waves") == 2 + len(links)  # a source entry per k, a receiver entry per link
         assert kinds.count("orbits") == 2  # the square links fold by the swap too, the oblong ones do not
-        assert kinds.count("partners") == 1
-        assert len(kinds) == 2 + len(links) + 3  # nothing else
+        assert len(kinds) == 2 + len(links) + 2  # nothing else
         # the oblong receivers are not swapped
         assert flags == [(True, True, True), (True, True, False), (True, True, False), (True, True, True)] * 2
 
@@ -528,7 +532,7 @@ class TestFactorMemo:
         grid, table, src, rcv = _ci_parts(geo)
         propagate_current(_random_current(len(src.points), 45), src, rcv, geo, grid, table)
         kept = [weakref.ref(value) for value in _kept_arrays(grid)]
-        assert len(kept) == 11  # 4 factors, 3 images and the orbits' 4 index arrays
+        assert len(kept) == 8  # 4 factors and the orbits' 4 index arrays
         del grid
         gc.collect()
         assert all(ref() is None for ref in kept)
@@ -622,20 +626,20 @@ class TestFoldedPropagator:
         calls.update(dict.fromkeys(calls, 0))
         repeat = propagate_current(current, src, rcv, geo, grid, table)
         monkeypatch.undo()
-        # the first call pairs the images by azimuth (no sort), finds the orbits (unique) and makes the
+        # the first call maps the images in closed form (no sort), finds the orbits (unique) and makes the
         # factors: a cos and a sin table per mirrored axis and side, no exp
         assert made == {"exp": 0, "cos": 4, "sin": 4, "argsort": 0, "unique": 2}
         assert calls == dict.fromkeys(calls, 0)
         assert np.array_equal(first, repeat)
 
     def test_images_keep_each_ring(self):
-        # a map that moves rings onto each other gets no partner: the x-mirror of a full sphere about x sends u to -u
-        x, y, swap = _mirror_partner(cap_direction_grid((1, 0, 0), np.pi, 8, 16), _LATERAL_IMAGES)
+        # a map that moves rings onto each other gets no image: the x-mirror of a full sphere about x sends u to -u
+        x, y, swap = image_maps(cap_direction_grid((1, 0, 0), np.pi, 8, 16))
         assert x is None and swap is None and y is not None
         for name in FOLD_LINKS:
             grid = _fold_parts(name)[1]
             ring = np.arange(len(grid.weights)) // grid.n_phi
-            for partner in _mirror_partner(grid, _LATERAL_IMAGES):
+            for partner in image_maps(grid):
                 assert partner is None or np.array_equal(ring[partner], ring), name
 
     @pytest.mark.parametrize("name", ["ci", "x-offset"])

@@ -369,6 +369,28 @@ class TestCliCommands:
         fit = json.loads((out / "spectrum_fit.json").read_text())
         assert np.all(np.isfinite(list(fit.values())))
 
+    @pytest.mark.parametrize(
+        "override, reason",
+        [("modes_keep=3", "too short beyond the plateau"), ("basis_order=1", "too short beyond the plateau"),
+         ("theta_e_deg=0.001", "not enough usable tail points")],
+        ids=["three-modes", "basis-order-1", "narrow-cap"],
+    )
+    def test_capacity_on_unfittable_spectrum_leaves_out_as_it_was(self, tmp_path, capsys, override, reason):
+        # a valid mode set whose spectrum has too few tail points to fit is a bad input, not a runtime error
+        made, out = tmp_path / "d", tmp_path / "o"
+        assert run_cli(["--preset", "ci", "--out", str(made), "--set", override, "--set", "mode_map_indices=1",
+                        "modes"]) == 0
+        out.mkdir()
+        (out / "capacity_curve.csv").write_text("stale\n")
+        capsys.readouterr()
+        code = run_cli(["--preset", "ci", "--out", str(out), "capacity", "--modes-file", str(made / "modeset.json")])
+        assert code == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and str(made / "modeset.json") in error and reason in error
+        assert [p.name for p in out.iterdir()] == ["capacity_curve.csv"]
+        assert (out / "capacity_curve.csv").read_text() == "stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "o"]
+
     def test_exit_code_on_validation_error(self, tmp_path):
         code = run_cli(
             ["--preset", "paper", "--out", str(tmp_path), "--set", "distance=5", "modes"]

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from reference_routes import LATERAL_IMAGES, image_maps
 
 from emlink.channel import _fold
 from emlink.geometry import (
-    _LATERAL_IMAGES,
     DirectionGrid,
     LinkGeometry,
     SurfaceGrid,
-    _mirror_partner,
+    _image_steps,
     cap_direction_grid,
     default_cap_densities,
     rect_aperture,
@@ -298,7 +298,7 @@ class TestDefaultCapDensities:
         n_phis = {default_cap_densities(L, t)[1] for L in range(200) for t in self.THETAS}
         for n_phi in sorted(n_phis):
             grid = cap_direction_grid((0, 0, 1), np.pi / 3, 3, n_phi)
-            for image, partner in zip(_LATERAL_IMAGES, _mirror_partner(grid, _LATERAL_IMAGES)):
+            for image, partner in zip(LATERAL_IMAGES, image_maps(grid)):
                 assert partner is not None, (n_phi, image)
                 assert np.max(np.abs(grid.directions[partner] - grid.directions @ image.T)) < 1e-14
 
@@ -308,21 +308,21 @@ class TestDefaultCapDensities:
 
     def test_mirror_partner_rejects_odd_phi_count(self):
         grid = cap_direction_grid((0, 0, 1), np.pi / 3, 3, 25)
-        x, y, swap = _mirror_partner(grid, _LATERAL_IMAGES)
+        x, y, swap = _image_steps(grid)
         assert x is None and swap is None
-        assert y is not None
+        assert y == 0
 
     @pytest.mark.parametrize("n_phi", [26, 54, 106])
     def test_no_swap_partner_for_phi_count_2_mod_4(self, n_phi):
         # phi -> pi/2 - phi maps ring sample i to n_phi/4 - i, not a sample
         grid = cap_direction_grid((0, 0, 1), np.pi / 3, 3, n_phi)
-        x, y, swap = _mirror_partner(grid, _LATERAL_IMAGES)
-        assert x is not None and y is not None
+        x, y, swap = _image_steps(grid)
+        assert (x, y) == (n_phi // 2, 0)
         assert swap is None
 
     def test_mirror_partner_is_an_involution(self):
         grid = cap_direction_grid((0, 0, 1), np.pi / 3, 5, 108)
-        for partner in _mirror_partner(grid, _LATERAL_IMAGES):
+        for partner in image_maps(grid):
             assert np.array_equal(partner[partner], np.arange(len(partner)))
 
     @pytest.mark.parametrize("L", [34, 75, 93])
@@ -335,6 +335,54 @@ class TestDefaultCapDensities:
         moments = legendre_sequence(2 * L + 1, grid.directions[:, 2]) @ grid.weights
         assert moments[0] == pytest.approx(4 * np.pi, rel=1e-13)
         assert np.max(np.abs(moments[1:])) < 1e-12
+
+
+class TestImageSteps:
+    """The closed-form images of a grid's rule are its directions' images under `LATERAL_IMAGES`."""
+
+    @staticmethod
+    def _check(grid):
+        # where a map has images, it fixes the axis, and they keep each ring and lie on the mapped directions; a
+        # mirror that fixes the axis, or the swap on a cap about +-z, has none only where the grid is not closed
+        axis, ring = grid.axis, np.arange(len(grid.weights)) // grid.n_phi
+        for image, partner, asked in zip(LATERAL_IMAGES, image_maps(grid), (True, True, abs(axis[2]) == 1.0)):
+            fixes, mapped = np.array_equal(image @ axis, axis), grid.directions @ image.T
+            if partner is not None:
+                assert fixes
+                assert np.max(np.abs(grid.directions[partner] - mapped)) <= 1e-14
+                assert np.array_equal(ring[partner], ring)
+            elif fixes and asked:
+                gaps = np.linalg.norm(grid.directions[:, None, :] - mapped[None, :, :], axis=2).min(axis=0)
+                assert np.max(gaps) > 1e-3, (image, grid)
+
+    @pytest.mark.parametrize("L, deg", [(34, 60), (93, 60), (34, 120), (20, 180)])
+    @pytest.mark.parametrize("axis", [(0, 0, 1), (0, 0, -1)], ids=["plus-z", "minus-z"])
+    def test_rule_grids_about_z(self, axis, L, deg):
+        theta_e = np.radians(deg)
+        grid = cap_direction_grid(axis, theta_e, *default_cap_densities(L, theta_e))
+        assert None not in _image_steps(grid)
+        self._check(grid)
+
+    @pytest.mark.parametrize("deg", [30, 90, 180])
+    @pytest.mark.parametrize("n_phi", [25, 26, 28], ids=["odd", "2-mod-4", "0-mod-4"])
+    @pytest.mark.parametrize(
+        "axis",
+        [(0, 0, 1), (0, 0, -1), (1, 0, 2), (-3, 0, -1), (1, 0, 0), (0, 2, 1), (0, -1, -3), (0, 1, 0), (1, 1, 1)],
+        ids=["plus-z", "minus-z", "xz", "xz-below", "x", "yz", "yz-below", "y", "diagonal"],
+    )
+    def test_images_match_directions(self, axis, n_phi, deg):
+        self._check(cap_direction_grid(axis, np.radians(deg), 4, n_phi))
+
+    def test_no_image_where_the_map_moves_the_axis_or_the_step_is_fractional(self):
+        # the full sphere about x is closed under the x-mirror, but it sends ring u to ring -u
+        assert _image_steps(cap_direction_grid((1, 0, 0), np.pi, 8, 16)) == (None, 0, None)
+        # phi -> pi/2 - phi sends sample j to n_phi/4 - j, not a sample, when 4 does not divide n_phi
+        assert _image_steps(cap_direction_grid((0, 0, 1), np.pi, 8, 26)) == (13, 0, None)
+        assert _image_steps(cap_direction_grid((0, 0, -1), np.pi, 8, 28)) == (14, 0, -7)
+        # an axis off the y-z plane by roundoff moves under the x-mirror
+        assert _image_steps(cap_direction_grid((1e-14, 0, 1), np.pi / 3, 8, 28)) == (None, 0, None)
+        # the swap fixes a diagonal axis and closes its grid, but no fold asks for it off +-z
+        assert _image_steps(cap_direction_grid((1, 1, 1), np.pi / 3, 8, 28)) == (None, None, None)
 
 
 class TestTruncationOrder:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from reference_routes import per_direction_table, two_pass_error_sweep
+from reference_routes import image_maps, per_direction_table, two_pass_error_sweep
 
 from emlink import greens
-from emlink.channel import _partners, _symmetries
+from emlink.channel import _symmetries
 from emlink.config import load_config
 from emlink.geometry import (
     LinkGeometry,
@@ -148,7 +148,7 @@ class TestTranslator:
         geo, L, theta_e = cfg.link_geometry(), cfg.truncation(), np.radians(cfg.theta_e_deg)
         grid = cap_direction_grid(geo.axis, theta_e, *default_cap_densities(L, theta_e))
         w_alpha = grid.weights * np.repeat(translator_table(grid, geo.k, geo.r_pq, L, cfg.windowed), grid.n_phi)
-        residuals = [np.max(np.abs(w_alpha[partner] - w_alpha)) for partner in _partners(grid)]
+        residuals = [np.max(np.abs(w_alpha[partner] - w_alpha)) for partner in image_maps(grid)]
         assert residuals == [0.0, 0.0, 0.0]
         assert _symmetries(geo, grid) == (True, True, True)
 

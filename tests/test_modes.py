@@ -506,6 +506,19 @@ class TestGramMatrices:
         with pytest.raises(ValueError):
             gram_currents(result.modes, len(result.modes) + 1)
 
+    @pytest.mark.parametrize("gram", ["currents", "fields"])
+    def test_count_outside_the_stored_modes_rejected(self, ci_run, gram):
+        # a negative count would slice off the last modes and return a smaller Gram
+        result, _, _ = ci_run
+        n = len(result.modes)
+        call = {"currents": lambda count: gram_currents(result.modes, count),
+                "fields": lambda count: gram_fields(result, count)}[gram]
+        for count in (-1, -2, -n, n + 1):
+            with pytest.raises(ValueError, match=rf"count {count} is outside \[0, {n}\]"):
+                call(count)
+        assert call(0).shape == (0, 0)
+        assert call(n).shape == (n, n)
+
 
 _EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1]
 

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import subprocess
 import sys
@@ -18,6 +19,24 @@ def test_package_exports_exactly_the_module_names():
     exported = {name for name, obj in vars(emlink).items() if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == declared
     assert sum(len(module.__all__) for module in MODULES) == len(declared) - 2 == 40
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency: every import of every module, at any depth, is of the
+    # standard library, numpy or the package itself (a relative import)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "emlink"}
+    paths = sorted(Path(emlink.__file__).parent.glob("*.py"))
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert len(paths) > 1 and outside == []
 
 
 FAILING_PROPERTY_AND_PASSING_TEST = '''
