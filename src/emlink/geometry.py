@@ -71,9 +71,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def rect_aperture(center, side_x: float, side_y: float) -> Aperture:
     """Axis-aligned rectangular aperture with a +z normal; it holds its own read-only copy of the center."""
-    if side_x <= 0 or side_y <= 0:
-        raise ValueError("aperture sides must be positive")
-    return Aperture(_read_only(np.array(center, dtype=float)), float(side_x), float(side_y))
+    if not (0 < side_x < np.inf and 0 < side_y < np.inf):
+        raise ValueError("aperture sides must be positive and finite")
+    center = np.array(center, dtype=float)
+    if not np.all(np.isfinite(center)):
+        raise ValueError("aperture center must be finite")
+    return Aperture(_read_only(center), float(side_x), float(side_y))
 
 
 @dataclass(frozen=True)
@@ -125,16 +128,19 @@ def tensor_grid(aperture: Aperture, n_total: int) -> SurfaceGrid:
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
-    """Rotation matrix mapping +z onto `axis` (Rodrigues form)."""
+    """Rotation matrix mapping +z onto the unit `axis`.
+
+    On the +z side, Rodrigues' rotation from +z about z x axis; on the -z
+    side, Rodrigues' rotation from -z about -z x axis after diag(1, -1, -1),
+    the half turn about x that takes +z to -z.  Each is exactly I or
+    diag(1, -1, -1) on +-z, and its 1 / (1 + |c|) never exceeds 1.
+    """
     c = float(axis @ _Z_AXIS)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        # antipodal: rotate by pi about x
-        return np.diag([1.0, -1.0, -1.0])
-    v = np.cross(_Z_AXIS, axis)
+    pole = _Z_AXIS if c >= 0 else -_Z_AXIS
+    v = np.cross(pole, axis)
     vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+    rotation = np.eye(3) + vx + vx @ vx / (1.0 + abs(c))
+    return rotation if c >= 0 else rotation @ np.diag([1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +174,8 @@ class DirectionGrid(_ByValue):
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
         norm = np.linalg.norm(axis)
-        if norm == 0:
-            raise ValueError("axis must be non-zero")
+        if not 0 < norm < np.inf:
+            raise ValueError("axis must be non-zero and finite")
         if not (0.0 < self.theta_e <= np.pi):
             raise ValueError("theta_e must lie in (0, pi]")
         if self.n_theta < 1 or self.n_phi < 1:
@@ -247,10 +253,10 @@ def default_cap_densities(L: int, theta_e: float) -> tuple[int, int]:
 def _image_steps(grid: DirectionGrid) -> tuple[int | None, int | None, int | None]:
     """The images of k_x -> -k_x, k_y -> -k_y and k_x <-> k_y as steps s: sample j goes to (s - j) mod n_phi.
 
-    The cap's frame (`_rotation_to`) rotates about x when the axis has no x
-    part and about y when it has no y part, and is I about +z and
-    diag(1, -1, -1) about -z, so it commutes with the mirror that fixes the
-    axis, which then keeps each ring in place and acts on the azimuth alone:
+    The cap's frame (`_rotation_to`) is a rotation about x when the axis has
+    no x part and about y when it has no y part, after diag(1, -1, -1) on the
+    -z side; each of these commutes with the mirror that fixes the axis,
+    which then keeps each ring in place and acts on the azimuth alone:
     the x-mirror takes phi to pi - phi (s = n_phi/2), the y-mirror to -phi
     (s = 0).  On a cap about +z the swap takes phi to pi/2 - phi
     (s = n_phi/4), about -z to -pi/2 - phi (s = -n_phi/4).  Any other map,
@@ -283,8 +289,10 @@ class LinkGeometry:
     k: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not 0 < self.k < np.inf:
+            raise ValueError("wavenumber must be positive and finite")
+        if not np.all(np.isfinite(self.r_pq)):
+            raise ValueError("aperture centers must be finite")
         sep = float(np.linalg.norm(self.r_pq))
         bound = self.transmitter.half_diagonal + self.receiver.half_diagonal
         if sep < bound:

@@ -27,19 +27,21 @@ even class are real and those of an odd class imaginary, and so are the
 basis patterns of even and odd orders; so the sweep reads each class's
 factors as real rows (the real or the imaginary part), gives block (p, q)
 the sign (-1)^(p+q), and splits w alpha into its real and imaginary rows.
-When both axes are mirrored its outer products, pair sums and GEMM are then
-real, with half the arithmetic of the complex ones.
+When both axes are mirrored its outer products and GEMM are then real, with
+half the arithmetic of the complex ones.
 
 A square link (both apertures square, on a grid with 4 | n_phi) is also
-symmetric under the swap x <-> y.  Then ee and oo each split into the
-swap-even and swap-odd combinations of their rows (i, j), (j, i) and of their
-orders (m, n), (n, m); in those four blocks the summand is even under all
-eight maps of khat the mirrors and the swap make, so their sums run over an
-eighth of the grid (phi in [0, pi/4]).  oe is eo with x and y exchanged, so
-it is not swept or decomposed: its betas and rows are eo's, its orders
-(n, m) for eo's (m, n).  The paper link's 529 x 703 problem becomes five
-blocks, 78 x 100, 66 x 90 (ee), 132 x 171 (eo) and 66 x 90, 55 x 81 (oo),
-against 144 x 190, 132 x 171 twice and 121 x 171 without the swap.
+symmetric under the swap x <-> y, which takes the summand of a direction to
+that of its swap image with rows (i, j) -> (j, i) and orders (m, n) -> (n, m).
+So ee and oo are each summed once, over an eighth of the grid (phi in
+[0, pi/4]) with half of each orbit's w alpha, and the block is that sum S
+plus S read through the swap.  oe is eo with x and y exchanged, so it is not
+swept or decomposed: its block is eo's read through the swap, its betas and
+rows are eo's, its orders (n, m) for eo's (m, n).  Only the SVD splits ee
+and oo, into the swap-even and swap-odd combinations of their rows and
+orders.  The paper link's 529 x 703 problem becomes five SVDs, 78 x 100,
+66 x 90 (ee), 132 x 171 (eo) and 66 x 90, 55 x 81 (oo), against 144 x 190,
+132 x 171 twice and 121 x 171 without the swap.
 
 The merged spectrum is sorted descending, and betas that tie to 1e-12 beta_1
 take their rows in class order (ee even, ee odd, eo, oe, oo even, oo odd), so
@@ -53,8 +55,8 @@ transmit power and the free-space impedance, which the loader checks.
 
 A ModesResult pairs the mode set with its modes' received fields
 R @ coefficients.T, (n_rcv, modes), and R itself is not rebuilt: Q R is
-block-diagonal, so each block times its combination of the kept rows'
-columns gives that block's rows of every field.  The field functions take the
+block-diagonal, so each block times its columns of the kept rows gives
+that block's rows of every field.  The field functions take the
 result and cannot be handed fields of another link.
 
 The basis is only ever sampled per axis, as Px and Py: a current is
@@ -150,49 +152,17 @@ def _of_parity(orders: np.ndarray, parity: int | None) -> np.ndarray:
     return np.ones(len(orders), dtype=bool) if parity is None else orders % 2 == parity
 
 
-def _swap_split(index: np.ndarray) -> tuple[tuple, tuple]:
-    """Swap-even and swap-odd combinations of the entries index[i, j] and index[j, i] of a square table (-1: none).
+def _swap_split(swap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal swap-even and swap-odd combinations, as rows over n entries that the involution `swap` pairs.
 
-    Each set is (first, second, sign, scale): combination k is
-    scale[k] (e_first[k] + sign e_second[k]), in row-major order of the upper
-    triangle.  The even ones are (e_a + e_b) / sqrt(2), and e_a alone on the
-    diagonal (first = second, scale 1/2), the odd ones (e_a - e_b) / sqrt(2).
+    For each entry a <= swap[a], in order, the even rows are
+    (e_a + e_swap[a]) / sqrt(2), or e_a alone where swap[a] = a, and the odd
+    rows (e_a - e_swap[a]) / sqrt(2) where swap[a] != a.  Together they are
+    an orthogonal change of the n entries.
     """
-    i, j = np.nonzero(index >= 0)
-    upper = i <= j
-    i, j = i[upper], j[upper]
-    pair = i < j
-    first, second = index[i, j], index[j, i]
-    even = (first, second, 1, np.where(pair, np.sqrt(0.5), 0.5))
-    return even, (first[pair], second[pair], -1, np.full(np.count_nonzero(pair), np.sqrt(0.5)))
-
-
-def _pair_sums(x: np.ndarray, pairs) -> np.ndarray:
-    """Rows x[first] + sign x[second] of the combinations `pairs`, before their scale; x itself for None."""
-    if pairs is None:
-        return x
-    first, second, sign, _ = pairs
-    return x[first] + x[second] if sign > 0 else x[first] - x[second]
-
-
-def _scale(pairs, n: int) -> np.ndarray:
-    """The scale of each combination in `pairs`, or n ones for None."""
-    return np.ones(n) if pairs is None else pairs[3]
-
-
-def _spread(y: np.ndarray, pairs, n: int) -> np.ndarray:
-    """The transpose of the combinations `pairs`, scale included, onto n rows; y itself for None.
-
-    A set's firsts are distinct, and so are its seconds.
-    """
-    if pairs is None:
-        return y
-    first, second, sign, scale = pairs
-    y = scale[:, None] * y
-    x = np.zeros((n,) + y.shape[1:], dtype=y.dtype)
-    x[first] += y
-    x[second] += sign * y
-    return x
+    a, eye = np.arange(len(swap)), np.eye(len(swap))
+    even, odd = (eye + eye[swap])[a <= swap], (eye - eye[swap])[a < swap]
+    return even / np.linalg.norm(even, axis=1, keepdims=True), odd / np.sqrt(2.0)
 
 
 def _check_budget(entries: int, entry_budget: int) -> None:
@@ -204,35 +174,26 @@ def _check_budget(entries: int, entry_budget: int) -> None:
 
 
 class _Class(NamedTuple):
-    """One symmetry class of the radiated basis and its block.
+    """One parity class of the radiated basis and its block.
 
-    Its rows are the combinations `row_pairs` (see `_swap_split`) of the
-    rows_x x rows_y receiver parity combinations (all of them for None), its
-    columns the combinations `col_pairs` of the basis entries `cols`.
-    `fold` names the directions its block is summed over: 0 one per orbit of
-    the lateral mirrors, 1 one per orbit of the mirrors and the swap; None
-    takes the previous class's block.  `parity` is its (x, y) parity, None
-    on an axis without a mirror.
+    Its rows are the rows_x x rows_y receiver parity combinations, row-major,
+    its columns the basis entries `cols`; `parity` is its (x, y) parity, None
+    on an axis without a mirror.  On a square link `swap` holds, for ee and
+    oo, the permutations (i, j) -> (j, i) of its rows and (m, n) -> (n, m) of
+    its columns; for oe, the positions of those images among eo's rows and
+    columns, so its block is eo's read through them; None otherwise.
     """
 
     rows_x: slice
     rows_y: slice
     parity: tuple[int | None, int | None]
-    row_pairs: tuple | None
     cols: np.ndarray
-    col_pairs: tuple | None
-    fold: int | None
+    swap: tuple[np.ndarray, np.ndarray] | None
     block: np.ndarray | None = None
 
 
 def _symmetry_classes(basis: np.ndarray, classes_x, classes_y, swap: bool) -> list[_Class]:
-    """The parity classes ee, eo, oe, oo (x parity first) that have columns, each split further under the swap.
-
-    With the swap, ee and oo each split into a swap-even and a swap-odd class
-    (in that order) summed over fold 1, and oe is eo's image: eo's row (i, j)
-    is its row (j, i) and eo's column (m, n) its column (n, m), so it takes
-    eo's block as it is.
-    """
+    """The parity classes ee, eo, oe, oo (x parity first) that have columns, with their `swap` on a square link."""
     m, n = basis.T
     index = np.full((int(basis.max()) + 1,) * 2, -1)
     index[m, n] = np.arange(len(basis))
@@ -241,24 +202,13 @@ def _symmetry_classes(basis: np.ndarray, classes_x, classes_y, swap: bool) -> li
         cols = np.flatnonzero(_of_parity(m, p) & _of_parity(n, q))
         if len(cols) == 0:
             continue
-        if not swap or p < q:
-            out.append(_Class(rows_x, rows_y, (p, q), None, cols, None, 0))
-        elif p > q:
-            # eo's sub-grid is n_y x n_x, so its row (i, j) is row j * n_y + i here
+        perms = None
+        if swap and p >= q:
+            # row (i, j) and column (m, n) are row (j, i) and column (n, m) of class (q, p), whose sub-grid is n_y x n_x
             n_x, n_y = rows_x.stop - rows_x.start, rows_y.stop - rows_y.start
-            perm = np.arange(n_x * n_y).reshape(n_x, n_y).T.ravel()
-            eo_cols = np.flatnonzero(_of_parity(m, q) & _of_parity(n, p))
-            rows = (perm, perm, 1, np.full(len(perm), 0.5))
-            out.append(_Class(rows_x, rows_y, (p, q), rows, index[n[eo_cols], m[eo_cols]], None, None))
-        else:
-            side = (int(basis.max()) - p) // 2 + 1
-            col_index = np.full((side, side), -1)
-            col_index[(m[cols] - p) // 2, (n[cols] - p) // 2] = np.arange(len(cols))
-            n_x = rows_x.stop - rows_x.start
-            row_index = np.arange(n_x * n_x).reshape(n_x, n_x)
-            for row_pairs, col_pairs in zip(_swap_split(row_index), _swap_split(col_index)):
-                if len(col_pairs[0]):
-                    out.append(_Class(rows_x, rows_y, (p, q), row_pairs, cols, col_pairs, 1))
+            images = np.flatnonzero(_of_parity(m, q) & _of_parity(n, p))
+            perms = np.arange(n_x * n_y).reshape(n_y, n_x).T.ravel(), np.searchsorted(images, index[n[cols], m[cols]])
+        out.append(_Class(rows_x, rows_y, (p, q), cols, perms))
     return out
 
 
@@ -294,15 +244,23 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     Returns qx, qy and the classes of `_symmetry_classes`, each with its
     block.  A block sums its (rows x directions) plane-wave factors, outer
     products of the receiver's factors from `channel._fold` with w alpha on
-    the y side, against the basis patterns (`_patterns`) over its fold's
-    directions, _BLOCK at a time; the budget bounds R, each block and one
-    block of factors.  Class (p, q) reads the factors and patterns of a
-    mirrored axis as real rows (`_real_rows`): odd rows and odd orders are
-    j times theirs, so the block is (-1)^(p+q) times the real rows' sum.
-    When both axes are mirrored, w alpha is split into its real and
-    imaginary rows, so the outer products, pair sums and GEMM are real; the
-    stacked rows, 2 x step x n_sub floats, take the bytes of the step x n_sub
-    complex entries the budget counts.
+    the y side, against the basis patterns (`_patterns`), _BLOCK directions
+    at a time, over one direction per orbit of the mirrors, weighted by the
+    orbit's w alpha; the budget bounds R, each block and one block of
+    factors.  Class (p, q) reads the factors and patterns of a mirrored axis
+    as real rows (`_real_rows`): odd rows and odd orders are j times theirs,
+    so the block is (-1)^(p+q) times the real rows' sum.  When both axes are
+    mirrored, w alpha is split into its real and imaginary rows, so the
+    outer products and GEMM are real; the stacked rows, 2 x step x n_sub
+    floats, take the bytes of the step x n_sub complex entries the budget
+    counts.
+
+    On a square link ee and oo are summed over one direction per orbit of
+    the mirrors and the swap (phi in [0, pi/4]) with half the orbit's
+    w alpha, S, and the block is S plus S read through the class's `swap`:
+    the swap takes a direction's summand to that of its image with rows and
+    columns swapped, and a direction the swap fixes is counted twice, at
+    half weight.  oe is eo's block read through its `swap`.
     """
     _check_budget(len(rcv.points) * len(basis), entry_budget)
     mirrored, (ax, ay), (bx, by), w_alpha, (_, orbit, eighth, orbit_all) = _fold(src, rcv, geometry, grid, table)
@@ -312,32 +270,33 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     fy = _patterns(src.weights_y, py, ay, mirrored[1])
     folds = [(bx, by, _orbit_sums(orbit, w_alpha), fx, fy)]
     if mirrored[2]:
-        folds.append((bx[:, eighth], by[:, eighth], _orbit_sums(orbit_all, w_alpha), fx[:, eighth], fy[:, eighth]))
+        # take() keeps the rows C-ordered, which f[:, eighth] does not
+        bx8, by8, fx8, fy8 = (f.take(eighth, axis=1) for f in (bx, by, fx, fy))
+        folds.append((bx8, by8, 0.5 * _orbit_sums(orbit_all, w_alpha), fx8, fy8))
     m, n = basis.T
     blocks = []
     for cls in _symmetry_classes(basis, classes_x, classes_y, mirrored[2]):
-        if cls.fold is None:
-            blocks.append(cls._replace(block=blocks[-1].block))
-            continue
-        cx, cy, w, fx, fy = folds[cls.fold]
         (p, q), mc, nc = cls.parity, m[cls.cols], n[cls.cols]
+        if cls.swap is not None and p != q:
+            blocks.append(cls._replace(block=blocks[-1].block[np.ix_(*cls.swap)]))
+            continue
+        cx, cy, w, fx, fy = folds[cls.swap is not None]
         cx, cy = _real_rows(cx[cls.rows_x], p), _real_rows(cy[cls.rows_y], q)
         w = np.stack([w.real, w.imag]) if np.isrealobj(cx) and np.isrealobj(cy) else w[None]
         cy = cy[:, None] * w  # (n_y, parts, n_dir)
         n_sub, parts, n_dir = len(cx) * len(cy), len(w), cx.shape[1]
         step = min(_BLOCK, n_dir)
         _check_budget(max(n_sub * len(mc), step * len(mc), step * n_sub), entry_budget)
-        row_scale, col_scale = _scale(cls.row_pairs, n_sub), _scale(cls.col_pairs, len(mc))
-        block = np.zeros((len(row_scale), parts, len(col_scale)), dtype=np.result_type(cy, fx))
+        block = np.zeros((n_sub * parts, len(mc)), dtype=np.result_type(cy, fx))
         for start in range(0, n_dir, step):
             sl = slice(start, start + step)
             waves = cx[:, None, None, sl] * cy[None, :, :, sl]
-            waves = _pair_sums(waves.reshape(n_sub, parts, waves.shape[3]), cls.row_pairs)
-            columns = _pair_sums(fx[mc, sl] * fy[nc, sl], cls.col_pairs)
-            block += (waves.reshape(-1, waves.shape[2]) @ columns.T).reshape(block.shape)
+            block += waves.reshape(len(block), waves.shape[3]) @ (fx[mc, sl] * fy[nc, sl]).T
+        block = block.reshape(n_sub, parts, len(mc))
         block = block[:, 0] + 1j * block[:, 1] if parts == 2 else block[:, 0]
-        scale = (-1) ** ((p or 0) + (q or 0)) * _kernel_scale(geometry.k)
-        blocks.append(cls._replace(block=scale * np.outer(row_scale, col_scale) * block))
+        if cls.swap is not None:
+            block = block + block[np.ix_(*cls.swap)]
+        blocks.append(cls._replace(block=(-1) ** ((p or 0) + (q or 0)) * _kernel_scale(geometry.k) * block))
     return qx, qy, blocks
 
 
@@ -345,16 +304,14 @@ def _unfold(qx: np.ndarray, qy: np.ndarray, blocks: list[_Class], rows: np.ndarr
     """R @ rows.T, (n_rcv, len(rows)), from the class blocks without forming R.
 
     (Qx (x) Qy) R is block-diagonal in the classes, so each block times its
-    combination of the rows' columns gives its combination of the product's
-    rows; `_spread` and (Qx (x) Qy)^T map them back to the grid.
+    columns of the rows gives its rows of the product, and (Qx (x) Qy)^T maps
+    them back to the grid.
     """
     nx, ny, width = len(qx), len(qy), len(rows)
     parity = np.zeros((nx, ny, width), dtype=complex)
     for cls in blocks:
-        columns = _scale(cls.col_pairs, len(cls.cols))[:, None] * _pair_sums(rows[:, cls.cols].T, cls.col_pairs)
-        piece = cls.block @ columns
         n_x, n_y = cls.rows_x.stop - cls.rows_x.start, cls.rows_y.stop - cls.rows_y.start
-        parity[cls.rows_x, cls.rows_y] += _spread(piece, cls.row_pairs, n_x * n_y).reshape(n_x, n_y, width)
+        parity[cls.rows_x, cls.rows_y] = (cls.block @ rows[:, cls.cols].T).reshape(n_x, n_y, width)
     half = (qx.T @ parity.reshape(nx, ny * width)).reshape(nx, ny, width)
     return (qy.T @ half).reshape(nx * ny, width)
 
@@ -437,7 +394,7 @@ def solve_modes(
     keep: int | None = None,
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> ModesResult:
-    """End-to-end pipeline: grids, translator, radiated basis, one SVD per class block, modes.
+    """End-to-end pipeline: grids, translator, radiated basis, one SVD per class block (two per swap class), modes.
 
     Beyond a block's rank, its V^H completes the block's columns with beta = 0.
     The first `keep` modes are kept (all when `keep` is None or <= 0), with
@@ -453,38 +410,52 @@ def solve_modes(
     rcv = tensor_grid(geometry.receiver, n_surface)
     basis = basis_order_table(t)
     qx, qy, blocks = _radiated_blocks(basis, src, rcv, geometry, dir_grid, table, entry_budget)
-    # Q is orthogonal and pairs nodes of equal weight, so Q W_rcv Q^T is diagonal,
-    # and so is its swap split, whose pairs have equal weights too
+    # Q is orthogonal and pairs nodes of equal weight, so Q W_rcv Q^T is diagonal
     wx, wy = qx**2 @ rcv.weights_x, qy**2 @ rcv.weights_y
-    betas, class_rows, classes = [], [], []
-    for label, cls in enumerate(blocks):
-        if cls.fold is not None:  # an image class takes the previous class's singular system
-            weights = np.outer(wx[cls.rows_x], wy[cls.rows_y]).ravel()
-            weights = weights if cls.row_pairs is None else weights[cls.row_pairs[0]]
-            width = cls.block.shape[1]
-            _, sigma, vh = np.linalg.svd(np.sqrt(weights)[:, None] * cls.block, full_matrices=len(weights) < width)
-            beta, rows = np.pad(sigma**2, (0, width - len(sigma))), vh.conj()
-        betas.append(beta)
-        class_rows.append((cls, rows))
-        classes.append(np.full(len(beta), label))
-    classes = np.concatenate(classes)
-    betas, order = _merge_spectra(np.concatenate(betas), classes)
+    spectra = []  # (class, betas, conj(V^H), C_c or None for the identity), in class order
+    for cls in blocks:
+        weights = np.outer(wx[cls.rows_x], wy[cls.rows_y]).ravel()
+        if cls.swap is None:
+            systems = [_singular_system(cls.block, weights)]
+        elif cls.parity[0] == cls.parity[1]:
+            splits = zip(*map(_swap_split, cls.swap))
+            systems = [_singular_system(cls.block, weights, c_r, c_c) for c_r, c_c in splits if len(c_c)]
+        else:  # oe takes eo's singular system, its columns read through the swap
+            systems = [(beta, rows[:, cls.swap[1]], None) for beta, rows, _ in systems]
+        spectra += [(cls, *system) for system in systems]
+    classes = np.concatenate([np.full(len(beta), label) for label, (_, beta, *_) in enumerate(spectra)])
+    betas, order = _merge_spectra(np.concatenate([beta for _, beta, *_ in spectra]), classes)
     kept = slice(keep) if keep is not None and keep > 0 else slice(None)
     merged = order[kept]
-    # only the kept rows are built: merged row r is row r - start of its class's
-    # rows, taken from the class's column combinations back to its basis entries
+    # only the kept rows are built: merged row r is row r - start of its spectrum's
+    # rows, taken through the spectrum's column combinations back to its class's columns
     coefficients = np.zeros((len(merged), len(basis)), dtype=complex)
     start, merged_class = 0, classes[merged]
-    for label, (cls, rows) in enumerate(class_rows):
+    for label, (cls, _, rows, c_c) in enumerate(spectra):
         mine = np.flatnonzero(merged_class == label)
-        picked = rows[merged[mine] - start].T
-        coefficients[np.ix_(mine, cls.cols)] = _spread(picked, cls.col_pairs, len(cls.cols)).T
+        picked = rows[merged[mine] - start]
+        coefficients[np.ix_(mine, cls.cols)] = picked if c_c is None else picked @ c_c
         start += len(rows)
     coefficients = _fix_gauge(coefficients)
     modes = ModeSet(betas[kept], coefficients, float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface)
     # src and rcv are what the cached grid properties would build again
     vars(modes).update(src_grid=src, rcv_grid=rcv)
     return ModesResult(modes, _unfold(qx, qy, blocks, coefficients))
+
+
+def _singular_system(block, weights, c_r=None, c_c=None) -> tuple:
+    """Betas of a class block B, or of its combination C_r B C_c^T, with conj(V^H) and C_c.
+
+    The SVD of W^(1/2) C_r B C_c^T = U diag(sigma) V^H, with W the receiver
+    weights C_r^2 w (C_r combines rows of equal weight, so C_r W C_r^T is
+    diagonal), gives sigma^2, padded with zeros to the width; the coefficient
+    rows over B's columns are conj(V^H) C_c.  No C stands for the identity.
+    """
+    if c_r is not None:
+        block, weights = c_r @ block @ c_c.T, c_r**2 @ weights
+    width = block.shape[1]
+    _, sigma, vh = np.linalg.svd(np.sqrt(weights)[:, None] * block, full_matrices=len(weights) < width)
+    return np.pad(sigma**2, (0, width - len(sigma))), vh.conj(), c_c
 
 
 def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,10 @@ steps out as one index per direction;
 `basis_eval` is the dense Legendre basis, built from numpy's `legvander`
 rather than the package's per-axis patterns; `radiated_basis` is the full R
 from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
-for a solved mode set, which keeps only its modes' fields.
+for a solved mode set, which keeps only its modes' fields;
+`quarter_sum_block` is one parity block summed over a quarter of the
+directions in complex arithmetic, the route the swap fold of a square link's
+ee and oo blocks replaced.
 `per_direction_table` is the translator evaluated at every direction's own
 cosine rather than once per ring, `two_pass_error_sweep` the per-window
 route of `expansion_error_sweep` on it, and `step_down_waterfill` the
@@ -24,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from emlink.capacity import PowerAllocation
-from emlink.channel import FREE_SPACE_IMPEDANCE, _parity_combinations
+from emlink.channel import FREE_SPACE_IMPEDANCE, _fold, _parity_combinations
 from emlink.geometry import _image_steps, cap_direction_grid, default_cap_densities, truncation_order
 from emlink.greens import sgf_exact, translator_series, translator_table
 from emlink.modes import DEFAULT_ENTRY_BUDGET, MODESET_FORMAT, _radiated_blocks, _unfold
@@ -113,6 +116,30 @@ def dense_betas(modes, theta_e, L, windowed=True):
 def radiated_basis(basis, src, rcv, geometry, grid, table, entry_budget=DEFAULT_ENTRY_BUDGET):
     """R = H W_src E, (n_rcv, n_basis): the solve's parity blocks unfolded as R @ I."""
     return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), np.eye(len(basis)))
+
+
+def quarter_sum_block(cls, basis, src, rcv, geometry, grid, table):
+    """The block of a parity class of `_radiated_blocks` on a link mirrored in x and y, with no swap.
+
+    It sums over one direction per orbit of the two mirrors, weighted by the
+    orbit's w alpha, in complex arithmetic, with the basis patterns
+    (Q W P)^T (Q X) on each axis from numpy's `legvander`.
+    """
+    mirrored, src_waves, (bx, by), w_alpha, (_, orbit, *_) = _fold(src, rcv, geometry, grid, table)
+    assert mirrored[:2] == (True, True)
+    w_orbit = np.bincount(orbit, w_alpha.real) + 1j * np.bincount(orbit, w_alpha.imag)
+    t, aperture = int(basis.max()), src.aperture
+    patterns = []
+    for waves, nodes, weights, center, side in zip(
+        src_waves, (src.nodes_x, src.nodes_y), (src.weights_x, src.weights_y), aperture.center,
+        (aperture.side_x, aperture.side_y),
+    ):
+        legendre = legvander(2.0 * (nodes - center) / side, t) * np.sqrt((2 * np.arange(t + 1) + 1.0) / side)
+        patterns.append((_parity_combinations(len(nodes), True)[0] @ (weights[:, None] * legendre)).T @ waves)
+    m, n = basis[cls.cols].T
+    waves = (bx[cls.rows_x][:, None] * by[cls.rows_y][None] * w_orbit).reshape(-1, len(w_orbit))
+    k = geometry.k
+    return -k * (k * FREE_SPACE_IMPEDANCE) / (16 * np.pi**2) * (waves @ (patterns[0][m] * patterns[1][n]).T)
 
 
 def solved_direction_grid(geometry, theta_e, L, windowed=True):

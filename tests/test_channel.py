@@ -222,7 +222,7 @@ class TestSeparableFactors:
         ids=["square", "square-phi-4-mod-8", "square-phi-2-mod-4", "square-x-offset"],
     )
     def test_square_link_matches_dense_exponentials(self, rx_center, n_phi, mirrors):
-        # the swap-split classes, summed over an eighth of the directions
+        # ee and oo summed over an eighth of the directions and read through the swap
         self._check_against_dense((0.0, 0.0, 0.0), rx_center, (3.0, 3.0), (2.0, 2.0), 12, n_phi, mirrors)
 
     @staticmethod

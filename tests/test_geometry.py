@@ -4,6 +4,7 @@ from reference_routes import LATERAL_IMAGES, image_maps
 
 from emlink.channel import _fold
 from emlink.geometry import (
+    Aperture,
     DirectionGrid,
     LinkGeometry,
     SurfaceGrid,
@@ -36,6 +37,16 @@ class TestAperture:
             rect_aperture((0, 0, 0), -1.0, 2.0)
         with pytest.raises(ValueError):
             rect_aperture((0, 0, 0), 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "center, sides, message",
+        [((0, 0, 0), (np.nan, 1.0), "sides"), ((0, 0, 0), (1.0, np.inf), "sides"),
+         ((0, np.nan, 0), (1.0, 1.0), "center")],
+        ids=["nan-side", "inf-side", "nan-center"],
+    )
+    def test_rejects_non_finite_input(self, center, sides, message):
+        with pytest.raises(ValueError, match=message):
+            rect_aperture(center, *sides)
 
 
 class TestTensorGrid:
@@ -182,6 +193,16 @@ class TestCapGrid:
         grid = cap_direction_grid((0, 0, -1), np.radians(20), 8, 8)
         assert np.min(grid.directions @ np.array([0, 0, -1.0])) >= np.cos(np.radians(20)) - 1e-12
 
+    @pytest.mark.parametrize("pole", [1.0, -1.0], ids=["plus-z", "minus-z"])
+    @pytest.mark.parametrize("tilt", [1e-7, 1e-9])
+    @pytest.mark.parametrize("plane", [0, 1], ids=["x-z", "y-z"])
+    def test_axis_just_off_a_pole(self, pole, tilt, plane):
+        # an axis a hair off +-z gets its own frame, not the pole's: every direction keeps its ring's cosine
+        axis = np.zeros(3)
+        axis[plane], axis[2] = np.sin(tilt), pole * np.cos(tilt)
+        grid = cap_direction_grid(axis, np.radians(60), 12, 24)
+        assert np.max(np.abs(grid.directions @ grid.axis - np.repeat(grid.cosines, 24))) <= 1e-15
+
     def test_rings(self):
         # ring-major: direction i * n_phi + j lies on ring i, with its cosine to the axis and its weight
         axis = np.array([1.0, -1.0, 0.5]) / 1.5
@@ -213,8 +234,9 @@ class TestCapGrid:
     @pytest.mark.parametrize(
         "axis, theta_e, n_theta, n_phi, message",
         [((0, 0, 1), 0.0, 8, 8, "theta_e"), ((0, 0, 1), np.pi / 3, 0, 8, "sizes"),
-         ((0, 0, 1), np.pi / 3, 8, 0, "sizes"), ((0, 0, 0), np.pi / 3, 8, 8, "axis")],
-        ids=["zero-angle", "no-rings", "no-azimuths", "zero-axis"],
+         ((0, 0, 1), np.pi / 3, 8, 0, "sizes"), ((0, 0, 0), np.pi / 3, 8, 8, "axis"),
+         ((0, np.nan, 1), np.pi / 3, 8, 8, "axis")],
+        ids=["zero-angle", "no-rings", "no-azimuths", "zero-axis", "nan-axis"],
     )
     def test_constructor_rejects_bad_rules(self, axis, theta_e, n_theta, n_phi, message):
         with pytest.raises(ValueError, match=message):
@@ -408,6 +430,17 @@ class TestLinkGeometry:
         )
         assert geo.distance == pytest.approx(25.5)
         assert np.allclose(geo.axis, [0, 0, 1])
+
+    @pytest.mark.parametrize(
+        "rx_center, k, message",
+        [((0, 0, 25.5), np.nan, "wavenumber"), ((0, np.nan, 25.5), K, "center")],
+        ids=["nan-k", "nan-center"],
+    )
+    def test_rejects_non_finite_input(self, rx_center, k, message):
+        # an Aperture built directly skips rect_aperture's checks; a NaN separation passes sep < bound
+        rx = Aperture(np.array(rx_center, dtype=float), 8.0, 8.0)
+        with pytest.raises(ValueError, match=message):
+            LinkGeometry(rect_aperture((0, 0, 0), 10.0, 10.0), rx, k)
 
     def test_separation_bound_enforced(self):
         with pytest.raises(ValueError, match="validity"):

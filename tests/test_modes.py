@@ -9,6 +9,7 @@ from reference_routes import (
     basis_eval,
     dense_betas,
     mode_set_to_dict,
+    quarter_sum_block,
     radiated_basis,
     solved_direction_grid,
     solved_radiated_basis,
@@ -21,10 +22,12 @@ from emlink.geometry import LinkGeometry, cap_direction_grid, default_cap_densit
 from emlink.greens import translator_table
 from emlink.modes import (
     _PIVOT_TIE_REL,
+    DEFAULT_ENTRY_BUDGET,
     ModeSet,
     ModesResult,
     _fix_gauge,
     _merge_spectra,
+    _radiated_blocks,
     _sample_currents,
     basis_order_table,
     combiner_field,
@@ -227,7 +230,7 @@ class TestSingularModes:
     )
     def test_fields_are_radiated_basis_times_rows(self, rx_center, n_surface, keep, mirrors):
         # the solve keeps R @ coefficients.T from its class blocks, not R;
-        # the swap-split classes, two and one parity classes, and odd
+        # the swap-folded classes, two and one parity classes, and odd
         # classes without rows
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture(rx_center, 3.2, 3.2), K)
         result = solve_modes(geo, np.radians(60), 34, 14, n_surface, keep=keep)
@@ -289,7 +292,23 @@ def _solved_flags(ms, theta_e, L, windowed=True):
 
 
 class TestSwapSymmetry:
-    """A square coaxial link is also symmetric under x <-> y: ee and oo split in two, oe is eo's image."""
+    """A square coaxial link is also symmetric under x <-> y: the SVDs of ee and oo split in two, oe is eo's image."""
+
+    @pytest.mark.parametrize("preset", ["ci", "paper"])
+    def test_eighth_sum_swapped_is_the_quarter_sum(self, preset, ci_run, paper_run):
+        # ee and oo are summed over an eighth of the directions with half of
+        # each orbit's w alpha; that sum plus itself with rows (i, j) -> (j, i)
+        # and columns (m, n) -> (n, m) is the block a quarter sum gives
+        result, _, cfg = {"ci": ci_run, "paper": paper_run}[preset]
+        ms = result.modes
+        grid, table = solved_direction_grid(ms.geometry, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
+        args = (ms.basis, ms.src_grid, ms.rcv_grid, ms.geometry, grid, table)
+        blocks = {cls.parity: cls for cls in _radiated_blocks(*args, DEFAULT_ENTRY_BUDGET)[2]}
+        for parity in ((0, 0), (1, 1)):
+            cls = blocks[parity]
+            assert cls.swap is not None
+            expected = quarter_sum_block(cls, *args)
+            assert np.max(np.abs(cls.block - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("preset", ["ci", "paper"])
     def test_oe_modes_are_eo_modes_swapped(self, preset, ci_run, paper_run):

@@ -39,6 +39,46 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
     assert len(paths) > 1 and outside == []
 
 
+def _defined_names(statement: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or class's, or an assignment's plain targets."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else [getattr(statement, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _read_names(statement: ast.stmt) -> set[str]:
+    """Every name a statement reads, as a name, an attribute or an imported alias."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_private_name_is_unused():
+    # every private top-level function, class or constant of the package is
+    # read by some other top-level statement of the package: tests and the
+    # benchmark do not count, so a helper that only they read is dead code
+    statements = [
+        (path.name, statement)
+        for path in sorted(Path(emlink.__file__).parent.glob("*.py"))
+        for statement in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+    ]
+    unused = []
+    for where, statement in statements:
+        for name in _defined_names(statement):
+            if name.startswith("_") and not name.startswith("__"):
+                readers = (other for other in statements if other[1] is not statement)
+                if not any(name in _read_names(other) for _, other in readers):
+                    unused.append(f"{where}: {name}")
+    assert len(statements) > 100 and unused == []
+
+
 FAILING_PROPERTY_AND_PASSING_TEST = '''
 from hypothesis import given, settings, strategies as st
 
