@@ -39,8 +39,9 @@ plus S read through the swap.  oe is eo with x and y exchanged, so it is not
 swept or decomposed: its block is eo's read through the swap, its betas and
 rows are eo's, its orders (n, m) for eo's (m, n).  Only the SVD splits ee
 and oo, into the swap-even and swap-odd combinations of their rows and
-orders.  The paper link's 529 x 703 problem becomes five SVDs, 78 x 100,
-66 x 90 (ee), 132 x 171 (eo) and 66 x 90, 55 x 81 (oo), against 144 x 190,
+orders, made by indexing the block, so no rows x rows matrix is formed.
+The paper link's 529 x 703 problem becomes five SVDs, 78 x 100, 66 x 90
+(ee), 132 x 171 (eo) and 66 x 90, 55 x 81 (oo), against 144 x 190,
 132 x 171 twice and 121 x 171 without the swap.
 
 The merged spectrum is sorted descending, and betas that tie to 1e-12 beta_1
@@ -152,17 +153,18 @@ def _of_parity(orders: np.ndarray, parity: int | None) -> np.ndarray:
     return np.ones(len(orders), dtype=bool) if parity is None else orders % 2 == parity
 
 
-def _swap_split(swap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal swap-even and swap-odd combinations, as rows over n entries that the involution `swap` pairs.
+def _swap_split(a: np.ndarray, swap: np.ndarray, sign: int) -> np.ndarray:
+    """The swap-even (sign 1) or swap-odd (sign -1) orthonormal combinations of the rows of `a` that the involution `swap` pairs.
 
-    For each entry a <= swap[a], in order, the even rows are
-    (e_a + e_swap[a]) / sqrt(2), or e_a alone where swap[a] = a, and the odd
-    rows (e_a - e_swap[a]) / sqrt(2) where swap[a] != a.  Together they are
-    an orthogonal change of the n entries.
+    For each row i <= swap[i] in order, the even rows are
+    (a_i + a_swap[i]) / sqrt(2), or a_i alone where swap[i] = i, and for
+    each i < swap[i] the odd rows are (a_i - a_swap[i]) / sqrt(2).  Together
+    they are an orthogonal change of a's rows, made by indexing a.
     """
-    a, eye = np.arange(len(swap)), np.eye(len(swap))
-    even, odd = (eye + eye[swap])[a <= swap], (eye - eye[swap])[a < swap]
-    return even / np.linalg.norm(even, axis=1, keepdims=True), odd / np.sqrt(2.0)
+    i = np.arange(len(swap))
+    kept = i <= swap if sign > 0 else i < swap
+    norm = np.where(swap[kept] == i[kept], 2.0, np.sqrt(2.0))
+    return (a[kept] + sign * a[swap[kept]]) / norm[:, None]
 
 
 def _check_budget(entries: int, entry_budget: int) -> None:
@@ -414,12 +416,18 @@ def solve_modes(
     wx, wy = qx**2 @ rcv.weights_x, qy**2 @ rcv.weights_y
     spectra = []  # (class, betas, conj(V^H), C_c or None for the identity), in class order
     for cls in blocks:
-        weights = np.outer(wx[cls.rows_x], wy[cls.rows_y]).ravel()
+        scaled = np.sqrt(np.outer(wx[cls.rows_x], wy[cls.rows_y]).ravel())[:, None] * cls.block
         if cls.swap is None:
-            systems = [_singular_system(cls.block, weights)]
+            systems = [_singular_system(scaled)]
         elif cls.parity[0] == cls.parity[1]:
-            splits = zip(*map(_swap_split, cls.swap))
-            systems = [_singular_system(cls.block, weights, c_r, c_c) for c_r, c_c in splits if len(c_c)]
+            # rows the swap pairs weigh the same, so the row combinations commute with W^(1/2)
+            row_swap, col_swap = cls.swap
+            splits = ((sign, _swap_split(np.eye(len(col_swap)), col_swap, sign)) for sign in (1, -1))
+            systems = [
+                _singular_system(_swap_split(_swap_split(scaled, row_swap, sign).T, col_swap, sign).T, c_c)
+                for sign, c_c in splits
+                if len(c_c)
+            ]
         else:  # oe takes eo's singular system, its columns read through the swap
             systems = [(beta, rows[:, cls.swap[1]], None) for beta, rows, _ in systems]
         spectra += [(cls, *system) for system in systems]
@@ -443,18 +451,15 @@ def solve_modes(
     return ModesResult(modes, _unfold(qx, qy, blocks, coefficients))
 
 
-def _singular_system(block, weights, c_r=None, c_c=None) -> tuple:
-    """Betas of a class block B, or of its combination C_r B C_c^T, with conj(V^H) and C_c.
+def _singular_system(scaled: np.ndarray, c_c: np.ndarray | None = None) -> tuple:
+    """Betas of a weighted class block W^(1/2) B, or of its combination C_r W^(1/2) B C_c^T, with conj(V^H) and C_c.
 
-    The SVD of W^(1/2) C_r B C_c^T = U diag(sigma) V^H, with W the receiver
-    weights C_r^2 w (C_r combines rows of equal weight, so C_r W C_r^T is
-    diagonal), gives sigma^2, padded with zeros to the width; the coefficient
-    rows over B's columns are conj(V^H) C_c.  No C stands for the identity.
+    Its SVD U diag(sigma) V^H gives sigma^2, padded with zeros to the width;
+    the coefficient rows over B's columns are conj(V^H) C_c, with no C_c for
+    the identity.
     """
-    if c_r is not None:
-        block, weights = c_r @ block @ c_c.T, c_r**2 @ weights
-    width = block.shape[1]
-    _, sigma, vh = np.linalg.svd(np.sqrt(weights)[:, None] * block, full_matrices=len(weights) < width)
+    width = scaled.shape[1]
+    _, sigma, vh = np.linalg.svd(scaled, full_matrices=len(scaled) < width)
     return np.pad(sigma**2, (0, width - len(sigma))), vh.conj(), c_c
 
 

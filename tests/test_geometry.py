@@ -9,6 +9,7 @@ from emlink.geometry import (
     LinkGeometry,
     SurfaceGrid,
     _image_steps,
+    _rotation_to,
     cap_direction_grid,
     default_cap_densities,
     rect_aperture,
@@ -202,6 +203,16 @@ class TestCapGrid:
         axis[plane], axis[2] = np.sin(tilt), pole * np.cos(tilt)
         grid = cap_direction_grid(axis, np.radians(60), 12, 24)
         assert np.max(np.abs(grid.directions @ grid.axis - np.repeat(grid.cosines, 24))) <= 1e-15
+
+    @pytest.mark.parametrize("angle", [1.6, 2.5, np.pi - 1e-7])
+    def test_frame_about_a_minus_z_side_axis(self, angle):
+        # an axis in the x-z plane on the -z side, at angle from +z, gets
+        # R_y(angle) R_z(pi): the rotation from +z about y, as on the +z side,
+        # then a half turn about the axis, so the cap's azimuths start at -x
+        # of the +z-side frame
+        c, s = np.cos(angle), np.sin(angle)
+        r_y = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+        assert np.max(np.abs(_rotation_to(np.array([s, 0.0, c])) - r_y @ np.diag([-1.0, -1.0, 1.0]))) <= 1e-15
 
     def test_rings(self):
         # ring-major: direction i * n_phi + j lies on ring i, with its cosine to the axis and its weight

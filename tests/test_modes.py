@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,21 @@ class TestEntryBudget:
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
         with pytest.raises(BudgetError):
             solve_modes(geo, np.radians(60), 34, t, n_surface)
+
+    def test_square_link_memory_stays_near_the_counted_entries(self):
+        # a square link with many receiver points and few orders: ee has a
+        # 50 x 50 sub-grid, so a dense 2500 x 2500 row combination for its
+        # swap split would take 50 MB by itself, while R is 10 000 x 6
+        # complex entries (1 MB) and the whole solve peaks near 6.5 MB
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
+        solve_modes(geo, np.radians(60), 8, 2, 64)
+        tracemalloc.start()
+        try:
+            solve_modes(geo, np.radians(60), 8, 2, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 def _swapped_columns(basis):

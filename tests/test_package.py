@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import emlink
 from emlink import capacity, channel, config, errors, geometry, greens, modes, specfun
 
@@ -47,36 +49,77 @@ def _defined_names(statement: ast.stmt) -> list[str]:
     return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
-def _read_names(statement: ast.stmt) -> set[str]:
-    """Every name a statement reads, as a name, an attribute or an imported alias."""
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """The names a module binds to the modules it imports: `import a as b`, or `from . import b`."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            aliases |= {alias.asname or alias.name for alias in node.names}
+    return aliases
+
+
+def _read_names(statement: ast.stmt, modules: set[str]) -> set[str]:
+    """The names a top-level statement reads: as plain names, or as attributes of the imported `modules`.
+
+    An import statement reads nothing, so a helper that is imported but never
+    called is not read.
+    """
+    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+        return set()
     names = set()
     for node in ast.walk(statement):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
     return names
+
+
+def _unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Each private top-level name of the modules `sources` (file name: text) that no other top-level statement reads."""
+    statements = []
+    for where, text in sources.items():
+        tree = ast.parse(text, filename=where)
+        statements += [(where, statement, _module_aliases(tree)) for statement in tree.body]
+    unused = []
+    for where, statement, _ in statements:
+        for name in _defined_names(statement):
+            if name.startswith("_") and not name.startswith("__"):
+                readers = ((other, modules) for _, other, modules in statements if other is not statement)
+                if not any(name in _read_names(other, modules) for other, modules in readers):
+                    unused.append(f"{where}: {name}")
+    return unused
 
 
 def test_no_private_name_is_unused():
     # every private top-level function, class or constant of the package is
     # read by some other top-level statement of the package: tests and the
     # benchmark do not count, so a helper that only they read is dead code
-    statements = [
-        (path.name, statement)
-        for path in sorted(Path(emlink.__file__).parent.glob("*.py"))
-        for statement in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
-    ]
-    unused = []
-    for where, statement in statements:
-        for name in _defined_names(statement):
-            if name.startswith("_") and not name.startswith("__"):
-                readers = (other for other in statements if other[1] is not statement)
-                if not any(name in _read_names(other) for _, other in readers):
-                    unused.append(f"{where}: {name}")
-    assert len(statements) > 100 and unused == []
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(emlink.__file__).parent.glob("*.py"))}
+    assert len(sources) > 5 and _unused_private_names(sources) == []
+
+
+DEAD = "def _dead(n):\n    return n\n"
+
+
+@pytest.mark.parametrize(
+    "sources, unused",
+    [
+        ({"a.py": "def _dead(n):\n    return _dead(n - 1) if n else 0\n"}, ["a.py: _dead"]),
+        ({"a.py": "_UNUSED = 1\n"}, ["a.py: _UNUSED"]),
+        ({"a.py": DEAD, "b.py": "from .a import _dead\n\n\ndef live():\n    return 1\n"}, ["a.py: _dead"]),
+        ({"a.py": DEAD, "b.py": "def live(obj):\n    return obj._dead\n"}, ["a.py: _dead"]),
+        ({"a.py": DEAD, "b.py": "from .a import _dead\n\n\ndef live():\n    return _dead(1)\n"}, []),
+        ({"a.py": DEAD, "b.py": "from . import a\n\n\ndef live():\n    return a._dead(1)\n"}, []),
+    ],
+    ids=["self-recursive", "constant", "imported-never-called", "attribute-of-an-object", "called", "module-attribute"],
+)
+def test_unused_name_guard(sources, unused):
+    # a private name counts as read only where a statement other than an
+    # import and its own definition loads it, or reads it off an imported module
+    assert _unused_private_names(sources) == unused
 
 
 FAILING_PROPERTY_AND_PASSING_TEST = '''
