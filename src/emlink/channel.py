@@ -19,12 +19,12 @@ fold of a link (`_fold`) that the mode solve in `modes` and
 `propagate_current` both read: the lateral mirrors and the x <-> y swap the
 link shares with its direction grid, their orbits, and each end's per-axis
 factors on one direction per orbit of the mirrors, combined by the even/odd
-combinations of mirrored nodes (`_parity_combinations`).  On a mirrored axis
-those combinations are cosines (even) and j times sines (odd) of the nodes'
-half-distances, so the folded factors come from one cosine and one sine
-table per mirrored axis and from exponentials only on an axis without a
-mirror; they are the package's only plane-wave factors besides the pointwise
-sums in `greens`.
+combinations of mirrored nodes (`_parity_combinations`).  Every surface grid
+is symmetric about its aperture's center, so on every axis, mirrored by the
+link or not, those combinations are cosines (even) and j times sines (odd)
+of the nodes' half-distances: the folded factors come from one cosine and
+one sine table per axis and no exponential.  They are the package's only
+plane-wave factors besides the pointwise sums in `greens`.
 
 `propagate_current` applies the factors matrix-free: each parity class of
 the current radiates only into the same class of the receiver and is summed
@@ -129,29 +129,29 @@ def _orbit_sums(orbit: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bincount(orbit, values.real) + 1j * np.bincount(orbit, values.imag)
 
 
-@functools.lru_cache(maxsize=16)  # a call needs at most four: two axes on each side
-def _parity_combinations(n: int, mirrored: bool) -> tuple[np.ndarray, tuple[tuple[slice, int | None], ...]]:
-    """Orthogonal Q (n, n) over one axis's nodes, and its row classes; kept per (n, mirrored), Q read-only.
+@functools.lru_cache(maxsize=8)  # a call needs at most four: two axes on each side
+def _parity_combinations(n: int) -> np.ndarray:
+    """Orthogonal Q (n, n) over one axis's n nodes, kept per n, read-only.
 
-    On a mirrored axis the first ceil(n/2) rows of Q are the even
-    combinations (b_i + b_{n-1-i}) / sqrt(2) of mirrored nodes and the middle
-    node, the rest the odd ones (b_i - b_{n-1-i}) / sqrt(2); each class pairs
-    with the Legendre orders of its parity.  Otherwise Q = I and one class
-    (parity None) takes every order.
+    Its first ceil(n/2) rows are the even combinations
+    (b_i + b_{n-1-i}) / sqrt(2) of mirrored nodes and the middle node, the
+    rest the odd ones (b_i - b_{n-1-i}) / sqrt(2).
     """
-    if not mirrored:
-        q, classes = np.eye(n), ((slice(0, n), None),)
-    else:
-        half, even = n // 2, n - n // 2
-        i = np.arange(half)
-        q = np.zeros((n, n))
-        q[i, i] = q[i, n - 1 - i] = q[even + i, i] = np.sqrt(0.5)
-        q[even + i, n - 1 - i] = -np.sqrt(0.5)
-        if n % 2:
-            q[half, half] = 1.0
-        classes = ((slice(0, even), 0), (slice(even, n), 1))
+    half, even = n // 2, n - n // 2
+    i = np.arange(half)
+    q = np.zeros((n, n))
+    q[i, i] = q[i, n - 1 - i] = q[even + i, i] = np.sqrt(0.5)
+    q[even + i, n - 1 - i] = -np.sqrt(0.5)
+    if n % 2:
+        q[half, half] = 1.0
     q.flags.writeable = False
-    return q, classes
+    return q
+
+
+def _row_classes(n: int, mirrored: bool) -> tuple[tuple[slice, int | None], ...]:
+    """The row classes of `_parity_combinations(n)`: even and odd rows on a mirrored axis, else one (parity None)."""
+    even = n - n // 2
+    return ((slice(0, even), 0), (slice(even, n), 1)) if mirrored else ((slice(0, n), None),)
 
 
 def _folded_waves(
@@ -162,21 +162,20 @@ def _folded_waves(
     X (n_x, n_dir) and Y (n_y, n_dir) are the per-axis factors of
     e^{-jk khat.(sign * (point - c))} on a tensor grid, c its aperture's
     center: the factor at point (nodes_x[i], nodes_y[j]) is X[i] * Y[j].
-    On a mirrored axis node n-1-i is node i mirrored about c, so with h_i the
+    Each axis's nodes are a Gauss rule symmetric about c, so node n-1-i is
+    node i mirrored about c, whether or not the link is: with h_i the
     half-distance between the two and theta_i = k sign h_i khat_a, even row i
     of Q X is sqrt(2) cos(theta_i), exactly real, and odd row i is
     j sqrt(2) sin(theta_i), exactly imaginary; the middle node of an odd n is
-    a row of ones.  So the rows take one cosine and one sine table over the
-    floor(n/2) pairs, and only an axis without a mirror takes exponentials.
-    Kept, read-only, on the grid by k, sign, the mirrors and the node offsets.
+    a row of ones.  So the rows take one cosine and one sine table per axis
+    over the floor(n/2) pairs, and no exponential.  Kept, read-only, on the
+    grid by k, sign, the mirrors (which pick `reps`) and the node offsets.
     """
     cx, cy, _ = surface.aperture.center
     offsets = surface.nodes_x - cx, surface.nodes_y - cy
     key = ("waves", k, sign, mirrored, *(offset.tobytes() for offset in offsets))
 
-    def axis_waves(offset: np.ndarray, kx: np.ndarray, mirror: bool) -> np.ndarray:
-        if not mirror:
-            return np.exp(-1j * k * np.outer(sign * offset, kx))
+    def axis_waves(offset: np.ndarray, kx: np.ndarray) -> np.ndarray:
         n, half = len(offset), len(offset) // 2
         theta = k * sign * np.outer(0.5 * (offset[::-1][:half] - offset[:half]), kx)
         waves = np.zeros((n, len(kx)), dtype=complex)
@@ -187,7 +186,7 @@ def _folded_waves(
 
     def make():
         directions = grid.directions[reps]
-        return tuple(axis_waves(offset, directions[:, a], m) for a, (offset, m) in enumerate(zip(offsets, mirrored)))
+        return tuple(axis_waves(offset, directions[:, a]) for a, offset in enumerate(offsets))
 
     return _kept(grid, key, make)
 
@@ -239,20 +238,20 @@ def propagate_current(
 
     Folded by the link's mirrors (`_fold`): J becomes Qx J Qy^T, with
     Q from `_parity_combinations` on each axis, and the factors Q X, Q Y.
-    Source class (p, q) radiates only into receiver class (p, q), and in a
-    class the summand is even under the mirrors, so each class is summed over
-    one direction per orbit with the orbit's sum of w alpha; Q'^T maps the
-    receiver classes back to the grid.  A link without mirrors is the one
-    class Q = I over every direction.
+    Source class (p, q) (`_row_classes`) radiates only into receiver class
+    (p, q), and in a class the summand is even under the mirrors, so each
+    class is summed over one direction per orbit with the orbit's sum of
+    w alpha; Q'^T maps the receiver classes back to the grid.  An axis without
+    a mirror is one class of all its rows, and a link without mirrors the
+    one class over every direction.
     """
     current = np.asarray(current)
     if current.shape != (len(src.points),):
         raise ValueError("current must be sampled on the source grid")
     found, (ax, ay), (bx, by), w_alpha, (_, orbit, *_) = _fold(src, rcv, geometry, grid, table)
     w_orbit = _orbit_sums(orbit, w_alpha)
-    (qx, src_x), (qy, src_y), (qx_r, rcv_x), (qy_r, rcv_y) = (
-        _parity_combinations(len(f), m) for f, m in zip((ax, ay, bx, by), found[:2] * 2)
-    )
+    qx, qy, qx_r, qy_r = (_parity_combinations(len(f)) for f in (ax, ay, bx, by))
+    src_x, src_y, rcv_x, rcv_y = (_row_classes(len(f), m) for f, m in zip((ax, ay, bx, by), found[:2] * 2))
     weighted = qx @ (src.weights * current).reshape(len(ax), len(ay)) @ qy.T
     field = np.zeros((len(bx), len(by)), dtype=complex)
     for ((sx, _), (rx, _)), ((sy, _), (ry, _)) in itertools.product(zip(src_x, rcv_x), zip(src_y, rcv_y)):

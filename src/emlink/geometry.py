@@ -74,8 +74,8 @@ def rect_aperture(center, side_x: float, side_y: float) -> Aperture:
     if not (0 < side_x < np.inf and 0 < side_y < np.inf):
         raise ValueError("aperture sides must be positive and finite")
     center = np.array(center, dtype=float)
-    if not np.all(np.isfinite(center)):
-        raise ValueError("aperture center must be finite")
+    if center.shape != (3,) or not np.all(np.isfinite(center)):
+        raise ValueError("aperture center must be three finite numbers")
     return Aperture(_read_only(center), float(side_x), float(side_y))
 
 

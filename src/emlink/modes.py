@@ -21,14 +21,14 @@ change to those combinations, is block-diagonal in up to four classes ee,
 eo, oe, oo, each with its own SVD.  Inside a block the summand is even under
 both mirrors of khat, so the direction sum runs over one direction per orbit
 (phi in [0, pi/2]) weighted by the orbit's w alpha, a quarter of the grid.
-A symmetry the link lacks leaves its axis in one class, unfolded; a general
-link is the one-class case.  On a mirrored axis the folded factors of an
-even class are real and those of an odd class imaginary, and so are the
-basis patterns of even and odd orders; so the sweep reads each class's
-factors as real rows (the real or the imaginary part), gives block (p, q)
-the sign (-1)^(p+q), and splits w alpha into its real and imaginary rows.
-When both axes are mirrored its outer products and GEMM are then real, with
-half the arithmetic of the complex ones.
+A symmetry the link lacks leaves its axis in one class, unfolded, of both
+parities; a general link is the one-class case.  Each Gauss rule is
+symmetric about its aperture's center, so on every axis the folded factors
+of even rows are real and those of odd rows imaginary, and so are the basis
+patterns of even and odd orders: the sweep reads them as real rows and
+splits w alpha into its real and imaginary rows, so its outer products and
+GEMM are real, and gives entry (row, order) the phase j^(row parity + order
+parity) per axis, the sign (-1)^(p+q) on class (p, q) of a mirrored link.
 
 A square link (both apertures square, on a grid with 4 | n_phi) is also
 symmetric under the swap x <-> y, which takes the summand of a direction to
@@ -78,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FREE_SPACE_IMPEDANCE, _fold, _kernel_scale, _orbit_sums, _parity_combinations
+from .channel import FREE_SPACE_IMPEDANCE, _fold, _kernel_scale, _orbit_sums, _parity_combinations, _row_classes
 from .errors import BudgetError
 from .geometry import (
     LinkGeometry,
@@ -180,10 +180,12 @@ class _Class(NamedTuple):
 
     Its rows are the rows_x x rows_y receiver parity combinations, row-major,
     its columns the basis entries `cols`; `parity` is its (x, y) parity, None
-    on an axis without a mirror.  On a square link `swap` holds, for ee and
-    oo, the permutations (i, j) -> (j, i) of its rows and (m, n) -> (n, m) of
-    its columns; for oe, the positions of those images among eo's rows and
-    columns, so its block is eo's read through them; None otherwise.
+    on an axis without a mirror, where the class holds the even and the odd
+    rows and the orders of both parities.  On a square link `swap` holds, for
+    ee and oo, the permutations (i, j) -> (j, i) of its rows and
+    (m, n) -> (n, m) of its columns; for oe, the positions of those images
+    among eo's rows and columns, so its block is eo's read through them;
+    None otherwise.
     """
 
     rows_x: slice
@@ -194,18 +196,21 @@ class _Class(NamedTuple):
     block: np.ndarray | None = None
 
 
-def _symmetry_classes(basis: np.ndarray, classes_x, classes_y, swap: bool) -> list[_Class]:
-    """The parity classes ee, eo, oe, oo (x parity first) that have columns, with their `swap` on a square link."""
+def _symmetry_classes(basis: np.ndarray, sizes: tuple[int, int], mirrored: tuple[bool, bool, bool]) -> list[_Class]:
+    """The parity classes ee, eo, oe, oo (x parity first) that have columns, with their `swap` on a square link.
+
+    The receiver's sizes[0] x sizes[1] rows split by `channel._row_classes` under `_fold`'s flags `mirrored`.
+    """
     m, n = basis.T
     index = np.full((int(basis.max()) + 1,) * 2, -1)
     index[m, n] = np.arange(len(basis))
     out = []
-    for (rows_x, p), (rows_y, q) in itertools.product(classes_x, classes_y):
+    for (rows_x, p), (rows_y, q) in itertools.product(*map(_row_classes, sizes, mirrored[:2])):
         cols = np.flatnonzero(_of_parity(m, p) & _of_parity(n, q))
         if len(cols) == 0:
             continue
         perms = None
-        if swap and p >= q:
+        if mirrored[2] and p >= q:
             # row (i, j) and column (m, n) are row (j, i) and column (n, m) of class (q, p), whose sub-grid is n_y x n_x
             n_x, n_y = rows_x.stop - rows_x.start, rows_y.stop - rows_y.start
             images = np.flatnonzero(_of_parity(m, q) & _of_parity(n, p))
@@ -214,27 +219,20 @@ def _symmetry_classes(basis: np.ndarray, classes_x, classes_y, swap: bool) -> li
     return out
 
 
-def _real_rows(f: np.ndarray, parity: int | None) -> np.ndarray:
-    """A class's rows of folded factors as real numbers: the real part of an even class, the imaginary of an odd one.
+def _real_rows(f: np.ndarray) -> np.ndarray:
+    """Folded factors as real rows: the even rows are real and the odd rows imaginary (`channel._folded_waves`)."""
+    even = len(f) - len(f) // 2
+    return np.concatenate([f[:even].real, f[even:].imag])
 
-    On a mirrored axis the even rows of the folded factors are real and the
-    odd rows imaginary (`channel._folded_waves`), so the part left out is
-    zero; on an axis without a mirror (parity None) the rows stay complex.
+
+def _patterns(weights: np.ndarray, legendre: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """One axis's basis patterns (w P)^T X = (Q w P)^T (Q X), Q X the source's folded factors, as real rows.
+
+    The Gauss rule is symmetric about the aperture's center, so order m sees
+    only the rows of its parity: its pattern is real for even m, imaginary for
+    odd m, and is returned as that part, as `_real_rows` reads the receiver's.
     """
-    return f if parity is None else f.imag if parity else f.real
-
-
-def _patterns(weights: np.ndarray, legendre: np.ndarray, factors: np.ndarray, mirrored: bool) -> np.ndarray:
-    """One axis's basis patterns (w P)^T X = (Q w P)^T (Q X), Q X the source's folded factors.
-
-    On a mirrored axis order m takes only the rows of its parity, so its
-    pattern is real for even m and imaginary for odd m; it is returned as
-    real rows, the real part of the even orders and the imaginary part of the
-    odd ones, as `_real_rows` takes the receiver's.
-    """
-    patterns = (_parity_combinations(len(factors), mirrored)[0] @ (weights[:, None] * legendre)).T
-    if not mirrored:
-        return patterns @ factors
+    patterns = (_parity_combinations(len(factors)) @ (weights[:, None] * legendre)).T
     real = patterns @ factors.real
     real[1::2] = patterns[1::2] @ factors.imag
     return real
@@ -249,13 +247,13 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     the y side, against the basis patterns (`_patterns`), _BLOCK directions
     at a time, over one direction per orbit of the mirrors, weighted by the
     orbit's w alpha; the budget bounds R, each block and one block of
-    factors.  Class (p, q) reads the factors and patterns of a mirrored axis
-    as real rows (`_real_rows`): odd rows and odd orders are j times theirs,
-    so the block is (-1)^(p+q) times the real rows' sum.  When both axes are
-    mirrored, w alpha is split into its real and imaginary rows, so the
-    outer products and GEMM are real; the stacked rows, 2 x step x n_sub
-    floats, take the bytes of the step x n_sub complex entries the budget
-    counts.
+    factors.  The sweep is real: it reads factors and patterns as real rows
+    (`_real_rows`), odd rows and odd orders being j times theirs, and splits
+    w alpha into its real and imaginary rows; the stacked rows, 2 x step x
+    n_sub floats, take the bytes of the step x n_sub complex entries the
+    budget counts.  Block entry (row, order) is j^(row parity + order parity)
+    on each axis times that real sum; on a mirrored axis row and order share
+    the class's parity p, so the phase is the one sign (-1)^p.
 
     On a square link ee and oo are summed over one direction per orbit of
     the mirrors and the swap (phi in [0, pi/4]) with half the orbit's
@@ -266,39 +264,42 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     """
     _check_budget(len(rcv.points) * len(basis), entry_budget)
     mirrored, (ax, ay), (bx, by), w_alpha, (_, orbit, eighth, orbit_all) = _fold(src, rcv, geometry, grid, table)
-    (qx, classes_x), (qy, classes_y) = (_parity_combinations(len(f), m) for f, m in zip((bx, by), mirrored))
+    qx, qy = _parity_combinations(len(bx)), _parity_combinations(len(by))
     px, py = _axis_legendre(int(basis.max()), src)
-    fx = _patterns(src.weights_x, px, ax, mirrored[0])
-    fy = _patterns(src.weights_y, py, ay, mirrored[1])
-    folds = [(bx, by, _orbit_sums(orbit, w_alpha), fx, fy)]
+    fx, fy = _patterns(src.weights_x, px, ax), _patterns(src.weights_y, py, ay)
+    folds = [(_real_rows(bx), _real_rows(by), _orbit_sums(orbit, w_alpha), fx, fy)]
     if mirrored[2]:
         # take() keeps the rows C-ordered, which f[:, eighth] does not
-        bx8, by8, fx8, fy8 = (f.take(eighth, axis=1) for f in (bx, by, fx, fy))
-        folds.append((bx8, by8, 0.5 * _orbit_sums(orbit_all, w_alpha), fx8, fy8))
+        rx8, ry8, fx8, fy8 = (f.take(eighth, axis=1) for f in (*folds[0][:2], fx, fy))
+        folds.append((rx8, ry8, 0.5 * _orbit_sums(orbit_all, w_alpha), fx8, fy8))
     m, n = basis.T
+    odd_x, odd_y = (np.arange(len(f)) // (len(f) - len(f) // 2) for f in (bx, by))  # each row's parity, 0 or 1
     blocks = []
-    for cls in _symmetry_classes(basis, classes_x, classes_y, mirrored[2]):
+    for cls in _symmetry_classes(basis, (len(bx), len(by)), mirrored):
         (p, q), mc, nc = cls.parity, m[cls.cols], n[cls.cols]
         if cls.swap is not None and p != q:
             blocks.append(cls._replace(block=blocks[-1].block[np.ix_(*cls.swap)]))
             continue
         cx, cy, w, fx, fy = folds[cls.swap is not None]
-        cx, cy = _real_rows(cx[cls.rows_x], p), _real_rows(cy[cls.rows_y], q)
-        w = np.stack([w.real, w.imag]) if np.isrealobj(cx) and np.isrealobj(cy) else w[None]
-        cy = cy[:, None] * w  # (n_y, parts, n_dir)
-        n_sub, parts, n_dir = len(cx) * len(cy), len(w), cx.shape[1]
+        cx, cy = cx[cls.rows_x], cy[cls.rows_y][:, None] * np.stack([w.real, w.imag])  # cy: (n_y, 2, n_dir)
+        n_sub, n_dir = len(cx) * len(cy), cx.shape[1]
         step = min(_BLOCK, n_dir)
         _check_budget(max(n_sub * len(mc), step * len(mc), step * n_sub), entry_budget)
-        block = np.zeros((n_sub * parts, len(mc)), dtype=np.result_type(cy, fx))
+        block = np.zeros((n_sub * 2, len(mc)))
         for start in range(0, n_dir, step):
             sl = slice(start, start + step)
             waves = cx[:, None, None, sl] * cy[None, :, :, sl]
             block += waves.reshape(len(block), waves.shape[3]) @ (fx[mc, sl] * fy[nc, sl]).T
-        block = block.reshape(n_sub, parts, len(mc))
-        block = block[:, 0] + 1j * block[:, 1] if parts == 2 else block[:, 0]
+        block = block.reshape(n_sub, 2, len(mc))
+        block = block[:, 0] + 1j * block[:, 1]
         if cls.swap is not None:
             block = block + block[np.ix_(*cls.swap)]
-        blocks.append(cls._replace(block=(-1) ** ((p or 0) + (q or 0)) * _kernel_scale(geometry.k) * block))
+        if None in cls.parity:  # j^(row parity + order parity) on each axis, per entry
+            turns = odd_x[cls.rows_x, None, None] + odd_y[cls.rows_y, None] + mc % 2 + nc % 2
+            phase = np.array([1, 1j, -1, -1j])[turns.reshape(block.shape) % 4]
+        else:  # a mirrored axis's rows and orders all have the class's parity
+            phase = (-1) ** (p + q)
+        blocks.append(cls._replace(block=phase * _kernel_scale(geometry.k) * block))
     return qx, qy, blocks
 
 

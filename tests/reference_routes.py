@@ -4,7 +4,8 @@
 `dense_kernel` the plane-wave sum with one exponential per (point,
 direction) pair; `dense_betas` are the betas it gives a mode set's link;
 `exponential_folded_waves` is Q times the per-axis exponentials of every
-node, the route `channel._folded_waves` replaced with cosine and sine tables;
+node, the route `channel._folded_waves` replaced with cosine and sine tables,
+with Q the even/odd node combinations `even_odd_combinations`;
 `LATERAL_IMAGES` are the mirror and swap maps of k whose images
 `geometry._image_steps` gives in closed form, and `image_maps` lays those
 steps out as one index per direction;
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from emlink.capacity import PowerAllocation
-from emlink.channel import FREE_SPACE_IMPEDANCE, _fold, _parity_combinations
+from emlink.channel import FREE_SPACE_IMPEDANCE, _fold
 from emlink.geometry import _image_steps, cap_direction_grid, default_cap_densities, truncation_order
 from emlink.greens import sgf_exact, translator_series, translator_table
 from emlink.modes import DEFAULT_ENTRY_BUDGET, MODESET_FORMAT, _radiated_blocks, _unfold
@@ -78,13 +79,20 @@ def dense_kernel(src, rcv, geometry, grid, table):
     return -k * (k * FREE_SPACE_IMPEDANCE) / (16 * np.pi**2) * H
 
 
-def exponential_folded_waves(surface, sign, grid, k, mirrored, reps):
-    """`channel._folded_waves` as Qx X and Qy Y: Q from `_parity_combinations` times one exponential per node."""
+def even_odd_combinations(n):
+    """Orthogonal (n, n): rows (e_i + e_{n-1-i}) / sqrt(2), e_{n//2} alone for odd n, then rows (e_i - e_{n-1-i}) / sqrt(2)."""
+    eye, half = np.eye(n), n // 2
+    mirrored = eye[::-1][:half]
+    return np.vstack([(eye[:half] + mirrored) / np.sqrt(2), eye[half:n - half], (eye[:half] - mirrored) / np.sqrt(2)])
+
+
+def exponential_folded_waves(surface, sign, grid, k, reps):
+    """`channel._folded_waves` as Qx X and Qy Y: `even_odd_combinations` times one exponential per node."""
     directions = grid.directions[reps]
     cx, cy, _ = surface.aperture.center
     return tuple(
-        _parity_combinations(len(offset), m)[0] @ np.exp(-1j * k * np.outer(sign * offset, directions[:, axis]))
-        for axis, (offset, m) in enumerate(zip((surface.nodes_x - cx, surface.nodes_y - cy), mirrored))
+        even_odd_combinations(len(offset)) @ np.exp(-1j * k * np.outer(sign * offset, directions[:, axis]))
+        for axis, offset in enumerate((surface.nodes_x - cx, surface.nodes_y - cy))
     )
 
 
@@ -135,7 +143,7 @@ def quarter_sum_block(cls, basis, src, rcv, geometry, grid, table):
         (aperture.side_x, aperture.side_y),
     ):
         legendre = legvander(2.0 * (nodes - center) / side, t) * np.sqrt((2 * np.arange(t + 1) + 1.0) / side)
-        patterns.append((_parity_combinations(len(nodes), True)[0] @ (weights[:, None] * legendre)).T @ waves)
+        patterns.append((even_odd_combinations(len(nodes)) @ (weights[:, None] * legendre)).T @ waves)
     m, n = basis[cls.cols].T
     waves = (bx[cls.rows_x][:, None] * by[cls.rows_y][None] * w_orbit).reshape(-1, len(w_orbit))
     k = geometry.k

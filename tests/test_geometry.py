@@ -49,6 +49,12 @@ class TestAperture:
         with pytest.raises(ValueError, match=message):
             rect_aperture(center, *sides)
 
+    @pytest.mark.parametrize("center", [(0, 0), (0, 0, 0, 0), [[0, 0, 0]], 0.0], ids=["two", "four", "nested", "scalar"])
+    def test_rejects_a_center_of_other_than_three_numbers(self, center):
+        # a two-number center would build, and the mode solve would then fail reading its z
+        with pytest.raises(ValueError, match="three finite numbers"):
+            rect_aperture(center, 1.0, 1.0)
+
 
 class TestTensorGrid:
     def test_two_point_rule_mapped(self):

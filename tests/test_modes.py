@@ -366,12 +366,16 @@ class TestSwapSymmetry:
 
     @pytest.mark.parametrize(
         "tx_sides, rx_center, flags",
-        [((10.0, 8.0), (0, 0, 25.5), (True, True, False)), ((10.0, 10.0), (0.7, 0, 25.5), (False, True, False))],
-        ids=["10x8-transmitter", "x-offset"],
+        [
+            ((10.0, 8.0), (0, 0, 25.5), (True, True, False)),
+            ((10.0, 10.0), (0.7, 0, 25.5), (False, True, False)),
+            ((10.0, 10.0), (0.7, -0.4, 25.5), (False, False, False)),
+        ],
+        ids=["10x8-transmitter", "x-offset", "no-mirror"],
     )
     def test_links_without_the_swap_match_dense_route(self, tx_sides, rx_center, flags):
-        # a rectangular transmitter, or a receiver off the x mirror plane, on
-        # the paper direction grid (n_phi = 108, closed under the swap)
+        # a rectangular transmitter, a receiver off the x mirror plane, or one
+        # off both, on the paper direction grid (n_phi = 108, closed under the swap)
         geo = LinkGeometry(rect_aperture((0, 0, 0), *tx_sides), rect_aperture(rx_center, 8.0, 8.0), K)
         theta_e = np.radians(60)
         ms = solve_modes(geo, theta_e, 93, 10, 64).modes

@@ -101,6 +101,46 @@ def test_no_private_name_is_unused():
     assert len(sources) > 5 and _unused_private_names(sources) == []
 
 
+def _exponential_readers(sources: dict[str, str]) -> set[str]:
+    """The top-level statements of the modules `sources` (file name: text) that read numpy's exp, as "file: name"."""
+    readers = set()
+    for where, text in sources.items():
+        tree = ast.parse(text, filename=where)
+        numpy = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name == "numpy"}
+        exps = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "numpy" for alias in node.names if alias.name == "exp"}
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                attribute = (isinstance(node, ast.Attribute) and node.attr == "exp"
+                             and isinstance(node.value, ast.Name) and node.value.id in numpy)
+                if attribute or isinstance(node, ast.Name) and node.id in exps:
+                    readers.add(f"{where}: {getattr(statement, 'name', statement.lineno)}")
+    return readers
+
+
+def test_exponentials_only_in_the_pointwise_sums():
+    # the plane-wave factors of the fold are cosine and sine tables on every
+    # axis; np.exp is left only to the pointwise Green's function and plane-wave sum
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(emlink.__file__).parent.glob("*.py"))}
+    assert _exponential_readers(sources) == {"greens.py: sgf_exact", "greens.py: _planewave_sum"}
+
+
+@pytest.mark.parametrize(
+    "text, readers",
+    [
+        ("import numpy as np\n\n\ndef f(x):\n    return np.exp(x)\n", {"a.py: f"}),
+        ("import numpy\n\n\ndef f(x):\n    return numpy.exp(x)\n", {"a.py: f"}),
+        ("from numpy import exp as e\n\n\ndef f(x):\n    return e(x)\n", {"a.py: f"}),
+        ("import numpy as np\n\nE = np.exp\n", {"a.py: 3"}),
+        ("import numpy as np\n\n\ndef f(x):\n    return np.cos(x) + x.exp\n", set()),
+    ],
+    ids=["alias", "module", "imported-name", "module-level", "other-calls"],
+)
+def test_exponential_guard(text, readers):
+    assert _exponential_readers({"a.py": text}) == readers
+
+
 DEAD = "def _dead(n):\n    return n\n"
 
 
