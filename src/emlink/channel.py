@@ -12,19 +12,18 @@ algebraically identical to entrywise evaluation; H itself is never formed.
 
 Both surface grids are tensor products on z-normal planes, so every
 plane-wave factor splits exactly into an x part and a y part:
-e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  The weighted translator is built
-here, for every caller, greens.sgf_planewave included, from the table's one
-value per ring of the direction grid; so is the one
-fold of a link (`_fold`) that the mode solve in `modes` and
-`propagate_current` both read: the lateral mirrors and the x <-> y swap the
-link shares with its direction grid, their orbits, and each end's per-axis
-factors on one direction per orbit of the mirrors, combined by the even/odd
-combinations of mirrored nodes (`_parity_combinations`).  Every surface grid
-is symmetric about its aperture's center, so on every axis, mirrored by the
-link or not, those combinations are cosines (even) and j times sines (odd)
-of the nodes' half-distances: the folded factors come from one cosine and
-one sine table per axis and no exponential.  They are the package's only
-plane-wave factors besides the pointwise sums in `greens`.
+e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  This module builds the one fold
+of a link (`_fold`) that the mode solve in `modes` and `propagate_current`
+both read, with w alpha from `greens._translator_weights`: the lateral
+mirrors and the x <-> y swap the link shares with its direction grid, their
+orbits, and each end's per-axis factors on one direction per orbit of the
+mirrors, combined by the even/odd combinations of mirrored nodes
+(`_parity_combinations`).  Every surface grid is symmetric about its
+aperture's center, so on every axis, mirrored by the link or not, those
+combinations are cosines (even) and j times sines (odd) of the nodes'
+half-distances: the folded factors come from one cosine and one sine table
+per axis and no exponential.  They are the package's only plane-wave
+factors besides the pointwise sums in `greens`.
 
 `propagate_current` applies the factors matrix-free: each parity class of
 the current radiates only into the same class of the receiver and is summed
@@ -51,6 +50,7 @@ import itertools
 import numpy as np
 
 from .geometry import DirectionGrid, LinkGeometry, SurfaceGrid, _image_steps
+from .greens import _translator_weights
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
@@ -70,16 +70,6 @@ def _check_apertures(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry)
     for grid, aperture, end in ((src, geometry.transmitter, "source"), (rcv, geometry.receiver, "receiver")):
         if grid.aperture != aperture:
             raise ValueError(f"the {end} grid is not on the link's {end} aperture")
-
-
-def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
-    """Quadrature weight times translator value, one per direction sample, from the table's one value per ring."""
-    table = np.asarray(table)
-    if table.shape != grid.cosines.shape:
-        raise ValueError(
-            f"translator table of shape {table.shape} does not match the direction grid's rings {grid.cosines.shape}"
-        )
-    return grid.weights * np.repeat(table, grid.n_phi)
 
 
 def _kept(grid: DirectionGrid, key: tuple, make) -> tuple:

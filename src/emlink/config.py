@@ -147,7 +147,9 @@ class ExperimentConfig:
         n_modes = min(self.modes_keep, basis_size) if self.modes_keep else basis_size
         # beyond the n1^2 receiver points the modes have beta = 0 by construction
         n_mapped = min(n_modes, n1 * n1)
-        for index in self.mode_map_indices:
+        for i, index in enumerate(self.mode_map_indices):
+            if index in self.mode_map_indices[:i]:
+                raise ConfigError(f"mode_map_indices entry {index} is repeated; each mode's maps are written once")
             if not 1 <= index <= n_mapped:
                 raise ConfigError(
                     f"mode_map_indices entry {index} is outside [1, {n_mapped}] "

@@ -147,13 +147,13 @@ def _rotation_to(axis: np.ndarray) -> np.ndarray:
 class DirectionGrid(_ByValue):
     """Quadrature for integrals over the cap {k_hat : angle(k_hat, axis) <= theta_e}, as n_theta rings.
 
-    Gauss-Legendre in u = cos(theta) over [cos(theta_e), 1] gives the ring
-    `cosines`, crossed with a uniform (trapezoid-on-periodic) phi rule of
-    n_phi azimuths per ring; each sample on the ring at node u weighs
-    `ring_weights` = w_u * (1 - cos(theta_e))/2 * (2*pi/n_phi) steradians.
+    The cached `gauss_legendre_rule(n_theta)`, mapped to u = cos(theta) over
+    [cos(theta_e), 1] by its `map_to` as `SurfaceGrid` maps its rule to a
+    side, gives the ring `cosines` and their weights w_u, crossed with a
+    uniform (trapezoid-on-periodic) phi rule of n_phi azimuths per ring; each
+    sample on a ring weighs `ring_weights` = w_u * (2*pi/n_phi) steradians.
     The grid is its axis (normalized on construction), theta_e, n_theta and
-    n_phi; every array is derived from them and the cached
-    `gauss_legendre_rule(n_theta)` when first read, and is read-only.
+    n_phi; every array is derived from them when first read, and is read-only.
     `directions` and `weights` are ring-major (direction i * n_phi + j is
     azimuth 2 pi j / n_phi on ring i), and the weights sum to the cap's
     2*pi*(1 - cos(theta_e)).  So what `channel` keeps in `_waves`, the
@@ -186,16 +186,16 @@ class DirectionGrid(_ByValue):
         return tuple(self.axis.tolist()), self.theta_e, self.n_theta, self.n_phi
 
     @cached_property
-    def cosines(self) -> np.ndarray:
-        """(n_theta,) cos(theta) of each ring about the axis."""
-        u0 = np.cos(self.theta_e)
-        return _read_only(0.5 * (1.0 - u0) * gauss_legendre_rule(self.n_theta).nodes + 0.5 * (1.0 + u0))
+    def _rings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ring cosines and weights w_u, read-only: the rule mapped to u = cos(theta) over [cos(theta_e), 1]."""
+        return tuple(map(_read_only, gauss_legendre_rule(self.n_theta).map_to(np.cos(self.theta_e), 1.0)))
+
+    cosines = cached_property(lambda self: self._rings[0])  # (n_theta,) cos(theta) of each ring
 
     @cached_property
     def ring_weights(self) -> np.ndarray:
         """(n_theta,) steradians per direction on each ring."""
-        wu = 0.5 * (1.0 - np.cos(self.theta_e)) * gauss_legendre_rule(self.n_theta).weights
-        return _read_only(wu * (2.0 * np.pi / self.n_phi))
+        return _read_only(self._rings[1] * (2.0 * np.pi / self.n_phi))
 
     @cached_property
     def directions(self) -> np.ndarray:

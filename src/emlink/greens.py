@@ -13,13 +13,14 @@ sidelobes.  It depends on khat only through khat . rhat_pq, and every
 direction grid is a cap of rings about its axis (`geometry.DirectionGrid`),
 so on a cap about rhat_pq the translator table holds one value per ring, at
 the ring's cosine: 62 values for the 6 696 directions of the paper link.
+The weighted translator w alpha (`_translator_weights`) is built here from
+the table, for every caller, `channel._fold` included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import _translator_weights
 from .geometry import DirectionGrid, LinkGeometry, cap_direction_grid, default_cap_densities, truncation_order
 from .specfun import legendre_sequence, spherical_hankel_paper
 
@@ -91,6 +92,16 @@ def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool
     return translator_series(L, k * rpq, grid.cosines, windowed)
 
 
+def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
+    """w alpha, quadrature weight times translator value per direction sample, (..., n_theta) -> (..., n_directions)."""
+    table = np.asarray(table)
+    if table.shape[-1:] != grid.cosines.shape:
+        raise ValueError(
+            f"translator table of shape {table.shape} does not match the direction grid's rings {grid.cosines.shape}"
+        )
+    return np.repeat(grid.ring_weights * table, grid.n_phi, axis=-1)
+
+
 def _planewave_sum(r, s, geometry: LinkGeometry, grid: DirectionGrid, w_alpha: np.ndarray):
     """(-jk / 16 pi^2) sum_khat e^{-jk khat.(r_qs + r_rp)} w alpha, over the first axis of w_alpha."""
     r_qs = geometry.transmitter.center - np.asarray(s, float)
@@ -139,7 +150,7 @@ def expansion_error_sweep(geometry: LinkGeometry, s, r, theta_list) -> list[tupl
         ring_alphas = np.split(re_im[:2] + 1j * re_im[2:], np.cumsum([sizes[i][0] for i in batch[:-1]]), axis=1)
         for i, alpha in zip(batch, ring_alphas):
             grid = grids.pop(0)  # freed once summed, with the directions it made
-            w_alpha = np.repeat(grid.ring_weights * alpha, grid.n_phi, axis=1)
-            unwindowed, windowed = np.abs(_planewave_sum(r, s, geometry, grid, w_alpha.T) - exact) / abs(exact)
+            w_alpha = _translator_weights(grid, alpha).T
+            unwindowed, windowed = np.abs(_planewave_sum(r, s, geometry, grid, w_alpha) - exact) / abs(exact)
             out.append((thetas[i], float(unwindowed), float(windowed)))
     return out

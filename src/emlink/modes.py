@@ -27,8 +27,8 @@ symmetric about its aperture's center, so on every axis the folded factors
 of even rows are real and those of odd rows imaginary, and so are the basis
 patterns of even and odd orders: the sweep reads them as real rows and
 splits w alpha into its real and imaginary rows, so its outer products and
-GEMM are real, and gives entry (row, order) the phase j^(row parity + order
-parity) per axis, the sign (-1)^(p+q) on class (p, q) of a mirrored link.
+GEMM are real, and gives every class's entry (row, order) the phase
+j^(row parity + order parity) per axis, a row phase times an order phase.
 
 A square link (both apertures square, on a grid with 4 | n_phi) is also
 symmetric under the swap x <-> y, which takes the summand of a direction to
@@ -121,6 +121,9 @@ _PIVOT_TIE_REL = 1e-8
 
 # betas this close (relative to beta_1) tie, and their modes go in class order
 _BETA_TIE_REL = 1e-12
+
+# j^0, j^1, j^2: the phase of a row or an order with 0, 1 or 2 odd parities
+_TURNS = np.array([1, 1j, -1])
 
 
 def basis_order_table(t: int) -> np.ndarray:
@@ -252,8 +255,8 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     w alpha into its real and imaginary rows; the stacked rows, 2 x step x
     n_sub floats, take the bytes of the step x n_sub complex entries the
     budget counts.  Block entry (row, order) is j^(row parity + order parity)
-    on each axis times that real sum; on a mirrored axis row and order share
-    the class's parity p, so the phase is the one sign (-1)^p.
+    on each axis times that real sum: the outer product of j^(row parities)
+    per row and j^(order parities) per order, in every class.
 
     On a square link ee and oo are summed over one direction per orbit of
     the mirrors and the swap (phi in [0, pi/4]) with half the orbit's
@@ -294,12 +297,9 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
         block = block[:, 0] + 1j * block[:, 1]
         if cls.swap is not None:
             block = block + block[np.ix_(*cls.swap)]
-        if None in cls.parity:  # j^(row parity + order parity) on each axis, per entry
-            turns = odd_x[cls.rows_x, None, None] + odd_y[cls.rows_y, None] + mc % 2 + nc % 2
-            phase = np.array([1, 1j, -1, -1j])[turns.reshape(block.shape) % 4]
-        else:  # a mirrored axis's rows and orders all have the class's parity
-            phase = (-1) ** (p + q)
-        blocks.append(cls._replace(block=phase * _kernel_scale(geometry.k) * block))
+        row_phase = _TURNS[odd_x[cls.rows_x, None] + odd_y[cls.rows_y]].ravel()
+        phase = np.outer(_kernel_scale(geometry.k) * row_phase, _TURNS[mc % 2 + nc % 2])
+        blocks.append(cls._replace(block=phase * block))
     return qx, qy, blocks
 
 
@@ -514,12 +514,6 @@ def combiner_field(result: ModesResult, n: int) -> np.ndarray:
     return received_field(result, n) / np.sqrt(beta)
 
 
-def _exact_gram_grid(modes: ModeSet) -> SurfaceGrid:
-    # products of two order-t polynomials need t+1 Gauss points per axis
-    n1 = int(modes.basis.max()) + 1
-    return tensor_grid(modes.geometry.transmitter, n1 * n1)
-
-
 def gram_currents(modes: ModeSet, count: int) -> np.ndarray:
     """Gram matrix of the first `count` mode currents over the transmitter.
 
@@ -528,7 +522,8 @@ def gram_currents(modes: ModeSet, count: int) -> np.ndarray:
     """
     if not 0 <= count <= len(modes):
         raise ValueError(f"count {count} is outside [0, {len(modes)}], the number of stored modes")
-    grid = _exact_gram_grid(modes)
+    # products of two order-t polynomials need t+1 Gauss points per axis
+    grid = SurfaceGrid(modes.geometry.transmitter, int(modes.basis.max()) + 1)
     phi = modes.scale * _sample_currents(modes.basis, modes.coefficients[:count], grid)
     return (phi.T * grid.weights) @ np.conj(phi)
 

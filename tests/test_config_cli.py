@@ -467,6 +467,18 @@ class TestCliCommands:
         assert code == 1
         assert list(out.iterdir()) == []
 
+    def test_repeated_mode_map_index_leaves_out_as_it_was(self, tmp_path, capsys):
+        # each mode's maps are one pair of files, so a repeated index is bad input, rejected before any solve
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "eigenvalues.csv").write_text("stale\n")
+        code = run_cli(["--preset", "ci", "--out", str(out), "--set", "mode_map_indices=1,3,1", "modes"])
+        assert code == 1
+        assert "mode_map_indices entry 1 is repeated" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
+        assert [p.name for p in out.iterdir()] == ["eigenvalues.csv"]
+        assert (out / "eigenvalues.csv").read_text() == "stale\n"
+
     def test_failed_modes_leaves_out_as_it_was(self, tmp_path, monkeypatch):
         # the run fails after modeset.json and eigenvalues.csv are written:
         # --out keeps its old file and nothing of the run is left beside it

@@ -13,6 +13,7 @@ from emlink.geometry import (
     truncation_order,
 )
 from emlink.greens import (
+    _translator_weights,
     _tukey_window,
     expansion_error_sweep,
     sgf_exact,
@@ -204,6 +205,25 @@ class TestPlanewaveReconstruction:
         table = translator_table(other, K, geo.r_pq, 10, windowed=False)
         with pytest.raises(ValueError):
             sgf_planewave((0, 0, 20.0), (0, 0, 0), geo, grid, table)
+
+
+class TestTranslatorWeights:
+    def test_stacked_tables_match_one_window_calls(self):
+        # a (2, n_theta) table, the error sweep's two windows, gives each window's w alpha as a row
+        geo = fig3_link()
+        grid = cap_direction_grid(geo.axis, np.radians(60), 9, 12)
+        tables = np.stack([translator_table(grid, K, geo.r_pq, 12, windowed) for windowed in (False, True)])
+        stacked = _translator_weights(grid, tables)
+        assert stacked.shape == (2, 9 * 12)
+        for row, table in zip(stacked, tables):
+            assert np.array_equal(row, _translator_weights(grid, table))
+            assert np.array_equal(row, grid.weights * np.repeat(table, grid.n_phi))
+
+    @pytest.mark.parametrize("shape", [(8,), (10,), (2, 10), (9, 2), ()])
+    def test_wrong_ring_count_rejected(self, shape):
+        grid = cap_direction_grid((0.0, 0.0, 1.0), np.radians(60), 9, 12)
+        with pytest.raises(ValueError, match="does not match the direction grid's rings"):
+            _translator_weights(grid, np.ones(shape, dtype=complex))
 
 
 @pytest.fixture(scope="module")

@@ -141,6 +141,60 @@ def test_exponential_guard(text, readers):
     assert _exponential_readers({"a.py": text}) == readers
 
 
+# each module imports from the package only the modules before it
+LAYERS = ("errors", "specfun", "geometry", "greens", "channel", "capacity", "modes", "config", "cli")
+
+
+def _upward_imports(sources: dict[str, str]) -> list[str]:
+    """Each import, at any depth, of a package module that does not come before the importing one in LAYERS.
+
+    Sources map a module's file name to its text; `from . import a` imports
+    emlink.a, and `from emlink import name` the whole package, which comes last.
+    """
+    upward = []
+    for where, text in sources.items():
+        rank = LAYERS.index(Path(where).stem)
+        for node in ast.walk(ast.parse(text, filename=where)):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = "emlink." * (node.level > 0) + (node.module or "")
+                targets = [module] if node.module else [module + alias.name for alias in node.names]
+            else:
+                continue
+            for target in targets:
+                package, _, path = target.partition(".")
+                name = path.split(".")[0] or package
+                if package == "emlink" and (name not in LAYERS or LAYERS.index(name) >= rank):
+                    upward.append(f"{where}:{node.lineno} {name}")
+    return upward
+
+
+def test_modules_import_only_lower_layers():
+    # errors, specfun, geometry, greens, channel, capacity, modes, config, cli:
+    # the translator and its weights (greens) sit below the channel that folds them
+    paths = sorted(Path(emlink.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} == {*LAYERS, "__init__"}
+    sources = {path.name: path.read_text(encoding="utf-8") for path in paths if path.stem != "__init__"}
+    assert _upward_imports(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, upward",
+    [
+        ({"greens.py": "from .channel import _f\n"}, ["greens.py:1 channel"]),
+        ({"channel.py": "from .greens import _f\n"}, []),
+        ({"geometry.py": "import numpy as np\nfrom . import errors, modes\n"}, ["geometry.py:2 modes"]),
+        ({"modes.py": "def f():\n    from .modes import g\n    return g\n"}, ["modes.py:2 modes"]),
+        ({"specfun.py": "import emlink.cli\n"}, ["specfun.py:1 cli"]),
+        ({"capacity.py": "from emlink import ModeSet\n"}, ["capacity.py:1 emlink"]),
+    ],
+    ids=["upward", "downward", "module-names", "itself-in-a-function", "absolute", "package"],
+)
+def test_layering_guard(sources, upward):
+    assert _upward_imports(sources) == upward
+
+
 DEAD = "def _dead(n):\n    return n\n"
 
 
