@@ -34,7 +34,6 @@ from . import greens, modes
 from .config import ExperimentConfig, load_config
 from .errors import BudgetError, ConfigError
 from .geometry import truncation_order
-from .specfun import legendre_sequence
 
 _FMT = "%.12e"
 
@@ -51,9 +50,8 @@ def _write_csv(path: Path, header: str, *columns) -> Path:
 def cmd_translator(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     theta = np.arange(0.0, 180.0 + 1e-9, 0.25)
     L = truncation_order(cfg.k, cfg.check_aperture)
-    legendre = legendre_sequence(L, np.cos(np.radians(theta)))
     # |alpha| over the angle to the link axis for both windows, each normalized to its own peak
-    mag = np.abs([row @ legendre for row in greens._window_rows(L, cfg.k * cfg.check_distance)])
+    mag = np.abs(greens._alphas(L, cfg.k * cfg.check_distance, np.cos(np.radians(theta))))
     header = "theta_deg,alpha_abs_norm_unwindowed,alpha_abs_norm_windowed"
     return [_write_csv(out_dir / "translator.csv", header, theta, *(mag / mag.max(axis=1, keepdims=True)))]
 

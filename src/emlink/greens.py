@@ -13,8 +13,8 @@ sidelobes.  It depends on khat only through khat . rhat_pq, and every
 direction grid is a cap of rings about its axis (`geometry.DirectionGrid`),
 so on a cap about rhat_pq the translator table holds one value per ring, at
 the ring's cosine: 62 values for the 6 696 directions of the paper link.
-The weighted translator w alpha (`_translator_weights`) is built here from
-the table, for every caller, `channel._fold` included.
+alpha has one route, `_alphas`, and the weighted translator w alpha one,
+`_translator_weights` on one table, for every caller, `channel._fold` included.
 """
 
 from __future__ import annotations
@@ -57,13 +57,19 @@ def _tukey_window(L: int) -> np.ndarray:
     return w
 
 
-def _window_rows(L: int, k_rpq: float) -> np.ndarray:
-    """Series coefficients (-j)^l (2l+1) h_l(k r_pq), unwindowed and Tukey-tapered, shape (2, L+1)."""
+def _alphas(L: int, k_rpq: float, cos_gamma) -> np.ndarray:
+    """alpha at each of n cosines cos gamma, unwindowed (row 0) and windowed (row 1), shape (2, n) complex.
+
+    Both windows' coefficients (-j)^l (2l+1) h_l(k r_pq) [w_l], as real and imaginary rows, meet the
+    Legendre table P_l(cos gamma) in one real product, so the table is never copied to complex.
+    """
     if L < 0:
         raise ValueError("L must be non-negative")
     ls = np.arange(L + 1)
     coef = (-1j) ** ls * (2 * ls + 1) * spherical_hankel_paper(L, k_rpq)
-    return np.stack([coef, coef * _tukey_window(L) if L >= 2 else coef])
+    rows = np.stack([coef, coef * _tukey_window(L) if L >= 2 else coef])
+    re_im = np.concatenate([rows.real, rows.imag]) @ legendre_sequence(L, cos_gamma)
+    return re_im[:2] + 1j * re_im[2:]
 
 
 def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.ndarray:
@@ -71,9 +77,9 @@ def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.nda
 
     h_l is the j - i*y Hankel convention; OverflowError propagates from the
     Neumann recurrence when L is pushed far beyond k*r_pq.  The Tukey taper
-    w_l applies when windowed and L >= 2.
+    w_l applies when windowed and L >= 2; this is that window's row of `_alphas`.
     """
-    return _window_rows(L, k_rpq)[int(windowed)] @ legendre_sequence(L, cos_gamma)
+    return _alphas(L, k_rpq, cos_gamma)[int(windowed)]
 
 
 def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool) -> np.ndarray:
@@ -93,13 +99,13 @@ def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool
 
 
 def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
-    """w alpha, quadrature weight times translator value per direction sample, (..., n_theta) -> (..., n_directions)."""
+    """w alpha, quadrature weight times translator value per direction sample, (n_theta,) -> (n_directions,)."""
     table = np.asarray(table)
-    if table.shape[-1:] != grid.cosines.shape:
+    if table.shape != grid.cosines.shape:
         raise ValueError(
             f"translator table of shape {table.shape} does not match the direction grid's rings {grid.cosines.shape}"
         )
-    return np.repeat(grid.ring_weights * table, grid.n_phi, axis=-1)
+    return np.repeat(grid.ring_weights * table, grid.n_phi)
 
 
 def _planewave_sum(r, s, geometry: LinkGeometry, grid: DirectionGrid, w_alpha: np.ndarray):
@@ -121,19 +127,16 @@ def expansion_error_sweep(geometry: LinkGeometry, s, r, theta_list) -> list[tupl
     Returns (theta_e, unwindowed error, windowed error) per angle.  G_a
     integrates the expansion over a cap of half-angle theta_e around the link
     axis, on that cap's default_cap_densities grid; both windows share the
-    grid and its phases.  The translator is evaluated per ring: one Legendre
-    table serves the rings of consecutive caps, up to _SWEEP_COSINES
-    cosines (a cap with more rings gets a table of its own), and one real
-    product with the real and imaginary window rows gives both windows.  G is
-    the exact scalar Green's function.  L is the truncation rule applied to
-    the largest aperture side.
+    grid and its phases.  The translator is evaluated per ring: one call of
+    `_alphas`, one Legendre table, serves the rings of consecutive caps, up
+    to _SWEEP_COSINES cosines (a cap with more rings gets a call of its own),
+    and each window's w alpha is one `_translator_weights` call.  G is the
+    exact scalar Green's function.  L is the truncation rule applied to the
+    largest aperture side.
     """
     D = max(max(aperture.side_x, aperture.side_y) for aperture in (geometry.transmitter, geometry.receiver))
     L = truncation_order(geometry.k, D)
     exact = sgf_exact(r, s, geometry.k)
-    rows = _window_rows(L, geometry.k * geometry.distance)
-    # real and imaginary rows through one real product, so no Legendre table is copied to complex
-    re_im_rows = np.concatenate([rows.real, rows.imag])
     thetas = [float(theta_e) for theta_e in theta_list]
     sizes = [default_cap_densities(L, theta_e) for theta_e in thetas]
     batches, rings = [[]], 0  # consecutive angles whose rings share a Legendre table
@@ -146,11 +149,11 @@ def expansion_error_sweep(geometry: LinkGeometry, s, r, theta_list) -> list[tupl
     out = []
     for batch in batches:
         grids = [cap_direction_grid(geometry.axis, thetas[i], *sizes[i]) for i in batch]
-        re_im = re_im_rows @ legendre_sequence(L, np.concatenate([grid.cosines for grid in grids]))
-        ring_alphas = np.split(re_im[:2] + 1j * re_im[2:], np.cumsum([sizes[i][0] for i in batch[:-1]]), axis=1)
+        alphas = _alphas(L, geometry.k * geometry.distance, np.concatenate([grid.cosines for grid in grids]))
+        ring_alphas = np.split(alphas, np.cumsum([sizes[i][0] for i in batch[:-1]]), axis=1)
         for i, alpha in zip(batch, ring_alphas):
             grid = grids.pop(0)  # freed once summed, with the directions it made
-            w_alpha = _translator_weights(grid, alpha).T
+            w_alpha = np.array([_translator_weights(grid, table) for table in alpha]).T
             unwindowed, windowed = np.abs(_planewave_sum(r, s, geometry, grid, w_alpha) - exact) / abs(exact)
             out.append((thetas[i], float(unwindowed), float(windowed)))
     return out

@@ -231,14 +231,12 @@ def _real_rows(f: np.ndarray) -> np.ndarray:
 def _patterns(weights: np.ndarray, legendre: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """One axis's basis patterns (w P)^T X = (Q w P)^T (Q X), Q X the source's folded factors, as real rows.
 
-    The Gauss rule is symmetric about the aperture's center, so order m sees
-    only the rows of its parity: its pattern is real for even m, imaginary for
-    odd m, and is returned as that part, as `_real_rows` reads the receiver's.
+    The Gauss rule is symmetric about the aperture's center, so order m's
+    column of Q w P vanishes off the rows of its parity, real for even m and
+    imaginary for odd m: times the factors' `_real_rows` it gives the real
+    part of an even pattern and the imaginary part of an odd one.
     """
-    patterns = (_parity_combinations(len(factors)) @ (weights[:, None] * legendre)).T
-    real = patterns @ factors.real
-    real[1::2] = patterns[1::2] @ factors.imag
-    return real
+    return (_parity_combinations(len(factors)) @ (weights[:, None] * legendre)).T @ _real_rows(factors)
 
 
 def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
@@ -508,10 +506,11 @@ def received_field(result: ModesResult, n: int) -> np.ndarray:
 
 def combiner_field(result: ModesResult, n: int) -> np.ndarray:
     """Unit-power receive basis chi_n = psi_n / sqrt(beta_n)."""
+    field = received_field(result, n)  # an index out of range raises IndexError here
     beta = result.modes.eigenvalues[n]
     if beta < _NULL_MODE_REL * result.modes.eigenvalues[0]:
         raise ValueError(f"mode {n} is numerically null; combiner undefined")
-    return received_field(result, n) / np.sqrt(beta)
+    return field / np.sqrt(beta)
 
 
 def gram_currents(modes: ModeSet, count: int) -> np.ndarray:

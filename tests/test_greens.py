@@ -3,10 +3,11 @@ import pytest
 from reference_routes import image_maps, per_direction_table, two_pass_error_sweep
 
 from emlink import greens
-from emlink.channel import _symmetries
+from emlink.channel import _symmetries, propagate_current
 from emlink.config import load_config
 from emlink.geometry import (
     LinkGeometry,
+    SurfaceGrid,
     cap_direction_grid,
     default_cap_densities,
     rect_aperture,
@@ -208,18 +209,31 @@ class TestPlanewaveReconstruction:
 
 
 class TestTranslatorWeights:
-    def test_stacked_tables_match_one_window_calls(self):
-        # a (2, n_theta) table, the error sweep's two windows, gives each window's w alpha as a row
+    @pytest.fixture
+    def stacked(self):
+        # the error sweep's two windows stacked: w alpha takes one table, so each window is its own call
         geo = fig3_link()
         grid = cap_direction_grid(geo.axis, np.radians(60), 9, 12)
         tables = np.stack([translator_table(grid, K, geo.r_pq, 12, windowed) for windowed in (False, True)])
-        stacked = _translator_weights(grid, tables)
-        assert stacked.shape == (2, 9 * 12)
-        for row, table in zip(stacked, tables):
-            assert np.array_equal(row, _translator_weights(grid, table))
-            assert np.array_equal(row, grid.weights * np.repeat(table, grid.n_phi))
+        return geo, grid, tables
 
-    @pytest.mark.parametrize("shape", [(8,), (10,), (2, 10), (9, 2), ()])
+    def test_one_table_gives_weight_times_alpha_per_direction(self, stacked):
+        _, grid, tables = stacked
+        for table in tables:
+            assert np.array_equal(_translator_weights(grid, table), grid.weights * np.repeat(table, grid.n_phi))
+
+    def test_sgf_planewave_rejects_stacked_tables(self, stacked):
+        geo, grid, tables = stacked
+        with pytest.raises(ValueError, match="does not match the direction grid's rings"):
+            sgf_planewave((0, 0, 20.0), (0, 0, 0), geo, grid, tables)
+
+    def test_propagate_current_rejects_stacked_tables(self, stacked):
+        geo, grid, tables = stacked
+        src, rcv = SurfaceGrid(geo.transmitter, 4), SurfaceGrid(geo.receiver, 4)
+        with pytest.raises(ValueError, match="does not match the direction grid's rings"):
+            propagate_current(np.ones(len(src.points), dtype=complex), src, rcv, geo, grid, tables)
+
+    @pytest.mark.parametrize("shape", [(8,), (10,), (2, 10), (9, 2), (), (2, 9)])
     def test_wrong_ring_count_rejected(self, shape):
         grid = cap_direction_grid((0.0, 0.0, 1.0), np.radians(60), 9, 12)
         with pytest.raises(ValueError, match="does not match the direction grid's rings"):

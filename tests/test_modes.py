@@ -502,6 +502,13 @@ class TestModeSet:
         with pytest.raises(IndexError):
             mode_current_field(result.modes, len(result.modes))
 
+    def test_combiner_index_range(self, ci_run):
+        # the range is checked before beta_n is read: -1 would read the last mode, which is null on ci
+        result, _, _ = ci_run
+        for n in (-1, len(result.modes)):
+            with pytest.raises(IndexError, match="mode index out of range"):
+                combiner_field(result, n)
+
     def test_uniform_current_bounded_by_top_mode(self, ci_run):
         # Rayleigh quotient of any trial current cannot beat beta_1
         result, _, cfg = ci_run

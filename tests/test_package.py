@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from size_report import size_report
 
 import emlink
 from emlink import capacity, channel, config, errors, geometry, greens, modes, specfun
@@ -243,3 +244,30 @@ def test_failing_property_leaves_the_session_running(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+SIZED_MODULE = '''"""Module doc.
+
+more."""
+
+__all__ = ["f", "g"]
+
+# a comment
+def f():
+    """One line."""
+    return 1  # a trailing comment keeps its line
+
+
+class C:
+    """Doc
+    two."""
+    x = 1
+'''
+
+
+def test_size_report_counts(tmp_path):
+    # non-blank lines; code lines, outside docstring spans and comment-only lines; the union of __all__
+    (tmp_path / "a.py").write_text(SIZED_MODULE)
+    (tmp_path / "b.py").write_text('__all__ = ["g", "h"]\n')
+    assert size_report(tmp_path) == (12, 6, 3)
+    assert size_report()[2] == len(set().union(*(module.__all__ for module in MODULES)))
