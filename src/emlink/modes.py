@@ -232,9 +232,9 @@ def _patterns(weights: np.ndarray, legendre: np.ndarray, factors: np.ndarray) ->
     """One axis's basis patterns (w P)^T X = (Q w P)^T (Q X), Q X the source's folded factors, as real rows.
 
     The Gauss rule is symmetric about the aperture's center, so order m's
-    column of Q w P vanishes off the rows of its parity, real for even m and
-    imaginary for odd m: times the factors' `_real_rows` it gives the real
-    part of an even pattern and the imaginary part of an odd one.
+    column of Q w P vanishes, to roundoff, off the rows of its parity, real
+    for even m and imaginary for odd m: times the factors' `_real_rows` it
+    gives the real part of an even pattern and the imaginary part of an odd one.
     """
     return (_parity_combinations(len(factors)) @ (weights[:, None] * legendre)).T @ _real_rows(factors)
 
