@@ -21,9 +21,9 @@ mirrors, combined by the even/odd combinations of mirrored nodes
 (`_parity_combinations`).  Every surface grid is symmetric about its
 aperture's center, so on every axis, mirrored by the link or not, those
 combinations are cosines (even) and j times sines (odd) of the nodes'
-half-distances: the folded factors come from one cosine and one sine table
-per axis and no exponential.  They are the package's only plane-wave
-factors besides the pointwise sums in `greens`.
+half-distances: the folded factors are real rows (`_row_phases`) from one
+cosine and one sine table per axis and no exponential, the package's only
+plane-wave factors besides the pointwise sums in `greens`.
 
 `propagate_current` applies the factors matrix-free: each parity class of
 the current radiates only into the same class of the receiver and is summed
@@ -32,8 +32,8 @@ of 6 696 directions on the paper link); the orbits follow from closed-form
 azimuth maps of the grid's rule (`geometry._image_steps`).  The direction
 grid keeps, read-only and while it lives, what a repeat call would make
 again (`_kept`): the orbits (0.13 MB on the paper link), and per k, side,
-mirrors and node offsets the folded per-axis factors, n1 x n_orbits complex
-per axis: 2.56 MB for both sides of the paper link (9.9 MB unfolded).  A
+mirrors and node offsets the folded per-axis factors, n1 x n_orbits float64
+per axis: 1.28 MB for both sides of the paper link (9.9 MB unfolded).  A
 repeat call, or a call after a mode solve on the same grids, makes no
 plane-wave factor (no exponential, cosine or sine), only w alpha and the
 orbit sums.  Each surface grid is the Gauss rule of its aperture, phased
@@ -138,6 +138,14 @@ def _parity_combinations(n: int) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=4)  # a call needs at most two: one per side
+def _row_phases(n_x: int, n_y: int) -> np.ndarray:
+    """j^(x row parity + y row parity), (n_x, n_y), read-only: an odd row's kept factors are 1/j times its factors."""
+    phases = np.outer(*(np.where(np.arange(n) < n - n // 2, 1.0 + 0j, 1j) for n in (n_x, n_y)))
+    phases.flags.writeable = False
+    return phases
+
+
 def _row_classes(n: int, mirrored: bool) -> tuple[tuple[slice, int | None], ...]:
     """The row classes of `_parity_combinations(n)`: even and odd rows on a mirrored axis, else one (parity None)."""
     even = n - n // 2
@@ -147,7 +155,7 @@ def _row_classes(n: int, mirrored: bool) -> tuple[tuple[slice, int | None], ...]
 def _folded_waves(
     surface: SurfaceGrid, sign: float, grid: DirectionGrid, k: float, mirrored: tuple[bool, bool], reps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Qx X and Qy Y, with Q from `_parity_combinations` of each axis, on the directions `reps`.
+    """Qx X and Qy Y as real rows, with Q from `_parity_combinations` of each axis, on the directions `reps`.
 
     X (n_x, n_dir) and Y (n_y, n_dir) are the per-axis factors of
     e^{-jk khat.(sign * (point - c))} on a tensor grid, c its aperture's
@@ -156,23 +164,20 @@ def _folded_waves(
     node i mirrored about c, whether or not the link is: with h_i the
     half-distance between the two and theta_i = k sign h_i khat_a, even row i
     of Q X is sqrt(2) cos(theta_i), exactly real, and odd row i is
-    j sqrt(2) sin(theta_i), exactly imaginary; the middle node of an odd n is
-    a row of ones.  So the rows take one cosine and one sine table per axis
-    over the floor(n/2) pairs, and no exponential.  Kept, read-only, on the
-    grid by k, sign, the mirrors (which pick `reps`) and the node offsets.
+    j sqrt(2) sin(theta_i), kept as sqrt(2) sin(theta_i) (`_row_phases`); the
+    middle node of an odd n is a row of ones.  So the float64 rows take one
+    cosine and one sine table per axis over the floor(n/2) pairs, and no
+    exponential.  Kept, read-only, on the grid by k, sign, mirrors and offsets.
     """
     cx, cy, _ = surface.aperture.center
     offsets = surface.nodes_x - cx, surface.nodes_y - cy
     key = ("waves", k, sign, mirrored, *(offset.tobytes() for offset in offsets))
 
     def axis_waves(offset: np.ndarray, kx: np.ndarray) -> np.ndarray:
-        n, half = len(offset), len(offset) // 2
+        half = len(offset) // 2
         theta = k * sign * np.outer(0.5 * (offset[::-1][:half] - offset[:half]), kx)
-        waves = np.zeros((n, len(kx)), dtype=complex)
-        waves.real[:half] = np.sqrt(2.0) * np.cos(theta)
-        waves.real[half:n - half] = 1.0
-        waves.imag[n - half:] = np.sqrt(2.0) * np.sin(theta)
-        return waves
+        middle = np.ones((len(offset) - 2 * half, len(kx)))
+        return np.concatenate([np.sqrt(2.0) * np.cos(theta), middle, np.sqrt(2.0) * np.sin(theta)])
 
     def make():
         directions = grid.directions[reps]
@@ -227,7 +232,9 @@ def propagate_current(
     field is (X' * w alpha * far) @ Y'^T.
 
     Folded by the link's mirrors (`_fold`): J becomes Qx J Qy^T, with
-    Q from `_parity_combinations` on each axis, and the factors Q X, Q Y.
+    Q from `_parity_combinations` on each axis, and the factors Q X, Q Y,
+    kept as real rows: J and the field take their row phases (`_row_phases`)
+    once, so each class aggregates and disaggregates by real products.
     Source class (p, q) (`_row_classes`) radiates only into receiver class
     (p, q), and in a class the summand is even under the mirrors, so each
     class is summed over one direction per orbit with the orbit's sum of
@@ -242,9 +249,11 @@ def propagate_current(
     w_orbit = _orbit_sums(orbit, w_alpha)
     qx, qy, qx_r, qy_r = (_parity_combinations(len(f)) for f in (ax, ay, bx, by))
     src_x, src_y, rcv_x, rcv_y = (_row_classes(len(f), m) for f, m in zip((ax, ay, bx, by), found[:2] * 2))
-    weighted = qx @ (src.weights * current).reshape(len(ax), len(ay)) @ qy.T
+    weighted = qx @ (src.weights * current).reshape(len(ax), len(ay)) @ qy.T * _row_phases(len(ax), len(ay))
     field = np.zeros((len(bx), len(by)), dtype=complex)
     for ((sx, _), (rx, _)), ((sy, _), (ry, _)) in itertools.product(zip(src_x, rcv_x), zip(src_y, rcv_y)):
-        far = (ay[sy] * (weighted[sx, sy].T @ ax[sx])).sum(axis=0)
-        field[rx, ry] = (bx[rx] * (w_orbit * far)) @ by[ry].T
-    return _kernel_scale(geometry.k) * (qx_r.T @ field @ qy_r).ravel()
+        re, im = (np.einsum("jd,jd->d", ay[sy], part[sx, sy].T @ ax[sx]) for part in (weighted.real, weighted.imag))
+        far = w_orbit * (re + 1j * im)
+        field.real[rx, ry] = bx[rx] @ (far.real * by[ry]).T
+        field.imag[rx, ry] = bx[rx] @ (far.imag * by[ry]).T
+    return _kernel_scale(geometry.k) * (qx_r.T @ (field * _row_phases(len(bx), len(by))) @ qy_r).ravel()

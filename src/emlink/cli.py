@@ -20,6 +20,7 @@ writes into a temporary directory beside --out and moves its files into
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -137,6 +138,7 @@ def cmd_capacity(cfg: ExperimentConfig, out_dir: Path, modes_file: Path) -> list
     return written
 
 
+@functools.cache  # one parser per process: building it costs more than parsing with it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emlink",

@@ -25,10 +25,10 @@ A symmetry the link lacks leaves its axis in one class, unfolded, of both
 parities; a general link is the one-class case.  Each Gauss rule is
 symmetric about its aperture's center, so on every axis the folded factors
 of even rows are real and those of odd rows imaginary, and so are the basis
-patterns of even and odd orders: the sweep reads them as real rows and
-splits w alpha into its real and imaginary rows, so its outer products and
-GEMM are real, and gives every class's entry (row, order) the phase
-j^(row parity + order parity) per axis, a row phase times an order phase.
+patterns of even and odd orders: the fold keeps the factors as real rows,
+and the sweep splits w alpha into its real and imaginary rows, so its outer
+products and GEMM are real, and gives every class's entry (row, order) the
+phase j^(row parity + order parity) per axis, a row phase times an order phase.
 
 A square link (both apertures square, on a grid with 4 | n_phi) is also
 symmetric under the swap x <-> y, which takes the summand of a direction to
@@ -78,7 +78,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FREE_SPACE_IMPEDANCE, _fold, _kernel_scale, _orbit_sums, _parity_combinations, _row_classes
+from .channel import (FREE_SPACE_IMPEDANCE, _fold, _kernel_scale, _orbit_sums, _parity_combinations, _row_classes,
+                      _row_phases)
 from .errors import BudgetError
 from .geometry import (
     LinkGeometry,
@@ -122,7 +123,7 @@ _PIVOT_TIE_REL = 1e-8
 # betas this close (relative to beta_1) tie, and their modes go in class order
 _BETA_TIE_REL = 1e-12
 
-# j^0, j^1, j^2: the phase of a row or an order with 0, 1 or 2 odd parities
+# j^0, j^1, j^2: the phase of an order (m, n) with 0, 1 or 2 odd parities
 _TURNS = np.array([1, 1j, -1])
 
 
@@ -222,21 +223,15 @@ def _symmetry_classes(basis: np.ndarray, sizes: tuple[int, int], mirrored: tuple
     return out
 
 
-def _real_rows(f: np.ndarray) -> np.ndarray:
-    """Folded factors as real rows: the even rows are real and the odd rows imaginary (`channel._folded_waves`)."""
-    even = len(f) - len(f) // 2
-    return np.concatenate([f[:even].real, f[even:].imag])
-
-
 def _patterns(weights: np.ndarray, legendre: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """One axis's basis patterns (w P)^T X = (Q w P)^T (Q X), Q X the source's folded factors, as real rows.
 
     The Gauss rule is symmetric about the aperture's center, so order m's
     column of Q w P vanishes, to roundoff, off the rows of its parity, real
-    for even m and imaginary for odd m: times the factors' `_real_rows` it
+    for even m and imaginary for odd m: times the factors' kept real rows it
     gives the real part of an even pattern and the imaginary part of an odd one.
     """
-    return (_parity_combinations(len(factors)) @ (weights[:, None] * legendre)).T @ _real_rows(factors)
+    return (_parity_combinations(len(factors)) @ (weights[:, None] * legendre)).T @ factors
 
 
 def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
@@ -248,13 +243,13 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     the y side, against the basis patterns (`_patterns`), _BLOCK directions
     at a time, over one direction per orbit of the mirrors, weighted by the
     orbit's w alpha; the budget bounds R, each block and one block of
-    factors.  The sweep is real: it reads factors and patterns as real rows
-    (`_real_rows`), odd rows and odd orders being j times theirs, and splits
+    factors.  The sweep is real: it reads the kept factors and the patterns
+    as real rows, odd rows and odd orders being j times theirs, and splits
     w alpha into its real and imaginary rows; the stacked rows, 2 x step x
     n_sub floats, take the bytes of the step x n_sub complex entries the
     budget counts.  Block entry (row, order) is j^(row parity + order parity)
-    on each axis times that real sum: the outer product of j^(row parities)
-    per row and j^(order parities) per order, in every class.
+    on each axis times that real sum, in every class: a row phase
+    (`channel._row_phases`) times an order phase.
 
     On a square link ee and oo are summed over one direction per orbit of
     the mirrors and the swap (phi in [0, pi/4]) with half the orbit's
@@ -268,13 +263,12 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     qx, qy = _parity_combinations(len(bx)), _parity_combinations(len(by))
     px, py = _axis_legendre(int(basis.max()), src)
     fx, fy = _patterns(src.weights_x, px, ax), _patterns(src.weights_y, py, ay)
-    folds = [(_real_rows(bx), _real_rows(by), _orbit_sums(orbit, w_alpha), fx, fy)]
+    folds = [(bx, by, _orbit_sums(orbit, w_alpha), fx, fy)]
     if mirrored[2]:
         # take() keeps the rows C-ordered, which f[:, eighth] does not
         rx8, ry8, fx8, fy8 = (f.take(eighth, axis=1) for f in (*folds[0][:2], fx, fy))
         folds.append((rx8, ry8, 0.5 * _orbit_sums(orbit_all, w_alpha), fx8, fy8))
     m, n = basis.T
-    odd_x, odd_y = (np.arange(len(f)) // (len(f) - len(f) // 2) for f in (bx, by))  # each row's parity, 0 or 1
     blocks = []
     for cls in _symmetry_classes(basis, (len(bx), len(by)), mirrored):
         (p, q), mc, nc = cls.parity, m[cls.cols], n[cls.cols]
@@ -291,13 +285,12 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
             sl = slice(start, start + step)
             waves = cx[:, None, None, sl] * cy[None, :, :, sl]
             block += waves.reshape(len(block), waves.shape[3]) @ (fx[mc, sl] * fy[nc, sl]).T
-        block = block.reshape(n_sub, 2, len(mc))
-        block = block[:, 0] + 1j * block[:, 1]
+        block = block[0::2] + 1j * block[1::2]  # row 2r + p: row r's sum with w alpha's real (p = 0) or imaginary part
         if cls.swap is not None:
             block = block + block[np.ix_(*cls.swap)]
-        row_phase = _TURNS[odd_x[cls.rows_x, None] + odd_y[cls.rows_y]].ravel()
-        phase = np.outer(_kernel_scale(geometry.k) * row_phase, _TURNS[mc % 2 + nc % 2])
-        blocks.append(cls._replace(block=phase * block))
+        block *= (_kernel_scale(geometry.k) * _row_phases(len(bx), len(by))[cls.rows_x, cls.rows_y]).reshape(-1, 1)
+        block *= _TURNS[mc % 2 + nc % 2]
+        blocks.append(cls._replace(block=block))
     return qx, qy, blocks
 
 

@@ -4,8 +4,9 @@
 `dense_kernel` the plane-wave sum with one exponential per (point,
 direction) pair; `dense_betas` are the betas it gives a mode set's link;
 `exponential_folded_waves` is Q times the per-axis exponentials of every
-node, the route `channel._folded_waves` replaced with cosine and sine tables,
-with Q the even/odd node combinations `even_odd_combinations`;
+node, complex, the route `channel._folded_waves` replaced with cosine and
+sine tables kept as real rows, with Q the even/odd node combinations
+`even_odd_combinations`;
 `LATERAL_IMAGES` are the mirror and swap maps of k whose images
 `geometry._image_steps` gives in closed form, and `image_maps` lays those
 steps out as one index per direction;
@@ -14,8 +15,8 @@ rather than the package's per-axis patterns; `radiated_basis` is the full R
 from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
 for a solved mode set, which keeps only its modes' fields;
 `quarter_sum_block` is one parity block summed over a quarter of the
-directions in complex arithmetic, the route the swap fold of a square link's
-ee and oo blocks replaced.
+directions in complex arithmetic on `exponential_folded_waves`, the route the
+swap fold of a square link's ee and oo blocks replaced.
 `per_direction_table` is the translator evaluated at every direction's own
 cosine rather than once per ring, `two_pass_error_sweep` the per-window
 route of `expansion_error_sweep` on it, and `step_down_waterfill` the
@@ -131,10 +132,13 @@ def quarter_sum_block(cls, basis, src, rcv, geometry, grid, table):
 
     It sums over one direction per orbit of the two mirrors, weighted by the
     orbit's w alpha, in complex arithmetic, with the basis patterns
-    (Q W P)^T (Q X) on each axis from numpy's `legvander`.
+    (Q W P)^T (Q X) on each axis from numpy's `legvander` and Q X, Q' X' from
+    `exponential_folded_waves`, so no kept factor of the fold is read.
     """
-    mirrored, src_waves, (bx, by), w_alpha, (_, orbit, *_) = _fold(src, rcv, geometry, grid, table)
+    mirrored, *_, w_alpha, (reps, orbit, *_) = _fold(src, rcv, geometry, grid, table)
     assert mirrored[:2] == (True, True)
+    src_waves = exponential_folded_waves(src, -1, grid, geometry.k, reps)
+    bx, by = exponential_folded_waves(rcv, 1, grid, geometry.k, reps)
     w_orbit = np.bincount(orbit, w_alpha.real) + 1j * np.bincount(orbit, w_alpha.imag)
     t, aperture = int(basis.max()), src.aperture
     patterns = []

@@ -662,14 +662,15 @@ class TestFoldedPropagator:
 
 
 class TestFoldedWaves:
-    """The folded factors from cosine and sine tables are Q times the exponentials, real or imaginary by class."""
+    """The folded factors from cosine and sine tables are Q times the exponentials, kept as real rows."""
 
     @pytest.mark.parametrize("n", [6, 7, 1], ids=["even-n", "odd-n", "one-node"])
     @pytest.mark.parametrize("name", ["ci", "x-offset", "offset"])
     def test_match_exponentials(self, name, n):
         # on every axis, mirrored by the link or not: a Gauss rule's nodes are symmetric about its aperture's center.
         # The tables are exact for nodes exactly symmetric about it; mapping the rule onto a side off the origin
-        # leaves each pair of nodes off by its roundoff, which turns Q exp by at most k times that asymmetry
+        # leaves each pair of nodes off by its roundoff, which turns Q exp by at most k times that asymmetry.
+        # The kept rows are float64: the even rows are Re(Q exp), the odd rows Im(Q exp), and the other part vanishes
         geo, grid, table, *_, mirrors, _ = _fold_parts(name)
         reps = _orbits(grid, mirrors)[0]
         even = n - n // 2
@@ -682,9 +683,22 @@ class TestFoldedWaves:
                 offset = nodes - center
                 asymmetry = np.max(np.abs(offset + offset[::-1]))
                 assert asymmetry <= np.spacing(abs(center) + side)  # roundoff only: zero on a centered side
-                assert got.dtype == complex and got.shape == want.shape == (n, len(reps))
-                assert np.max(np.abs(got - want)) <= (1e-15 + K * asymmetry) * np.max(np.abs(want))
-                assert np.all(got[:even].imag == 0) and np.all(got[even:].real == 0)
+                assert got.dtype == np.float64 and got.shape == want.shape == (n, len(reps))
+                bound = (1e-15 + K * asymmetry) * np.max(np.abs(want))
+                assert np.max(np.abs(got[:even] - want[:even].real)) <= bound
+                assert np.max(np.abs(got[even:] - want[even:].imag), initial=0.0) <= bound
+                assert np.max(np.abs(want[:even].imag)) <= bound
+                assert np.max(np.abs(want[even:].real), initial=0.0) <= bound
+
+    def test_paper_factors_take_one_float_per_node_and_orbit(self):
+        # n1 x n_orbits float64 per axis and side: 23 x 1 736 x 8 B, 1.28 MB for the four (2.56 MB as complex)
+        geo, grid, table, src, rcv, mirrors, _ = _fold_parts("paper")
+        propagate_current(_random_current(len(src.points), 54), src, rcv, geo, grid, table)
+        n_orbits = len(_orbits(grid, mirrors)[0])
+        kept = _kept_arrays(grid, "waves")
+        assert n_orbits == 1736 and len(kept) == 4
+        assert [value.nbytes for value in kept] == [len(src.nodes_x) * n_orbits * 8] * 4
+        assert sum(value.nbytes for value in kept) == 1_277_696
 
 
 class TestTranslatorShape:

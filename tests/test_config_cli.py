@@ -830,3 +830,17 @@ def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ConfigError, match="invalid config file"):
         load_config("ci", path)
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process, so no call may leave state in it for the next
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    args = parser.parse_args(["--set", "basis_order=3", "--set", "L=9", "capacity", "--modes-file", "m"])
+    assert args.overrides == ["basis_order=3", "L=9"] and args.modes_file == "m"
+    again = parser.parse_args(["translator"])
+    assert again.overrides == [] and not hasattr(again, "modes_file")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2 and "invalid choice: 'bogus'" in capsys.readouterr().err
