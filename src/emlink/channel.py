@@ -28,18 +28,16 @@ plane-wave factors besides the pointwise sums in `greens`.
 `propagate_current` applies the factors matrix-free: each parity class of
 the current radiates only into the same class of the receiver and is summed
 over one direction per orbit (a quarter of the cap on a coaxial link, 1 736
-of 6 696 directions on the paper link); the orbits follow from closed-form
-azimuth maps of the grid's rule (`geometry._image_steps`).  The direction
-grid keeps, read-only and while it lives, what a repeat call would make
-again (`_kept`): the orbits (0.13 MB on the paper link), and per k, side,
-mirrors and node offsets the folded per-axis factors, n1 x n_orbits float64
-per axis: 1.28 MB for both sides of the paper link (9.9 MB unfolded).  A
-repeat call, or a call after a mode solve on the same grids, makes no
-plane-wave factor (no exponential, cosine or sine), only w alpha and the
-orbit sums.  Each surface grid is the Gauss rule of its aperture, phased
-about the aperture's center, so its nodes are symmetric about that center;
-`_fold` checks that the grids lie on the link's apertures, and reads the
-mirrors from the link and the direction grid's rule.
+of 6 696 directions on the paper link); the maps keep each ring and move
+its azimuths in closed form (`geometry._image_steps`), so the orbits are
+found on one ring, and an orbit's w alpha is its ring's times its size.  The
+direction grid keeps, read-only and while it lives, what a repeat call would
+make again (`_kept`): the orbits (0.02 MB on the paper link), and per k,
+side, mirrors and node offsets the folded per-axis factors, n1 x n_orbits
+float64 per axis: 1.28 MB for both sides of the paper link (9.9 MB
+unfolded).  A repeat call, or a call after a mode solve on the same grids,
+makes no plane-wave factor (no exponential, cosine or sine), only the
+orbits' w alpha.  `_fold` checks that the grids lie on the link's apertures.
 """
 
 from __future__ import annotations
@@ -78,8 +76,7 @@ def _kept(grid: DirectionGrid, key: tuple, make) -> tuple:
     if kept is None:
         kept = grid._waves[key] = make()
         for value in kept:
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            value.flags.writeable = False
     return kept
 
 
@@ -93,30 +90,28 @@ def _symmetries(geometry: LinkGeometry, grid: DirectionGrid) -> tuple[bool, bool
 
 
 def _orbits(grid: DirectionGrid, found: tuple[bool, bool, bool]) -> tuple[np.ndarray, ...]:
-    """The orbits of the symmetries `found` on the grid, kept on the grid (see `_fold`).
+    """The orbits of the symmetries `found`, found on one ring of n_phi azimuths and kept on the grid (see `_fold`).
 
-    Returns the lowest direction of each orbit of the mirrors found and each
-    direction's orbit among them; then the positions among those of one
-    direction per orbit of all the symmetries found, and each direction's
-    orbit among these; each image is the azimuth map of its `_image_steps`.
+    Returns the lowest direction of each orbit of the mirrors found,
+    ring-major, and the sizes of a ring's orbits; then the positions among
+    those of the lowest direction of each orbit of all the symmetries found,
+    and the sizes of a ring's orbits of them, each image an `_image_steps` map.
     """
 
     def make():
-        label = np.arange(len(grid.weights)).reshape(grid.n_theta, grid.n_phi)
+        label = np.arange(grid.n_phi)
         images = [(step - np.arange(grid.n_phi)) % grid.n_phi for step, ok in zip(_image_steps(grid), found) if ok]
         for image in images[:2]:
-            label = np.minimum(label, label[:, image])
-        reps, orbit = np.unique(label, return_inverse=True)
+            label = np.minimum(label, label[image])
+        reps, sizes = np.unique(label, return_counts=True)
         if found[2]:
-            label = np.minimum(label, label[:, images[2]])
-        reps_all, orbit_all = np.unique(label, return_inverse=True)
-        return reps, orbit.ravel(), np.searchsorted(reps, reps_all), orbit_all.ravel()
+            label = np.minimum(label, label[images[2]])
+        reps_all, sizes_all = np.unique(label, return_counts=True)
+        rings = np.arange(grid.n_theta)[:, None]
+        eighth = len(reps) * rings + np.searchsorted(reps, reps_all)
+        return (grid.n_phi * rings + reps).ravel(), sizes, eighth.ravel(), sizes_all
 
     return _kept(grid, ("orbits", found), make)
-
-
-def _orbit_sums(orbit: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.bincount(orbit, values.real) + 1j * np.bincount(orbit, values.imag)
 
 
 @functools.lru_cache(maxsize=8)  # a call needs at most four: two axes on each side
@@ -186,9 +181,7 @@ def _folded_waves(
     return _kept(grid, key, make)
 
 
-def _fold(
-    src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray
-) -> tuple[tuple[bool, bool, bool], tuple, tuple, np.ndarray, tuple[np.ndarray, ...]]:
+def _fold(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray) -> tuple:
     """The lateral symmetries a link shares with its direction grid, and both ends' factors folded by them.
 
     Axis a (0 for x, 1 for y) is mirrored when the link axis lies in the
@@ -198,21 +191,22 @@ def _fold(
     so its nodes are symmetric about the aperture's center.  The swap
     k_x <-> k_y is a symmetry when both axes are mirrored, both apertures are
     square and the rule is closed under it (n_phi a multiple of 4).  w alpha
-    is one value per ring, so it is even under every such map, with no check.
-    The grid keeps the orbits and the factors, so a repeat makes only w alpha.
+    is one value per ring, so it is even under every such map, with no check,
+    and an orbit's w alpha is its ring's times its size; the grid keeps the
+    orbits and the factors, so a repeat makes only those products.
 
     Returns the three flags (x, y, swap); the source's and the receiver's
     `_folded_waves` on one direction per orbit of the mirrored axes (the
-    lowest index: phi in [0, pi/2] on a cap about z mirrored in both); w alpha
-    on every direction; and `_orbits`, whose sums of w alpha (`_orbit_sums`)
-    weight those directions, or, with the swap, their subset phi in [0, pi/4].
+    lowest: phi in [0, pi/2] on a cap about z mirrored in both), and those
+    orbits' w alpha; the positions among them of one direction per orbit of
+    all the symmetries (phi in [0, pi/4] with the swap), and half their w alpha.
     """
     _check_apertures(src, rcv, geometry)
     w_alpha = _translator_weights(grid, table)
     found = _symmetries(geometry, grid)
-    orbits = _orbits(grid, found)
-    waves = [_folded_waves(end, sign, grid, geometry.k, found[:2], orbits[0]) for end, sign in ((src, -1), (rcv, 1))]
-    return found, *waves, w_alpha, orbits
+    reps, sizes, eighth, sizes_all = _orbits(grid, found)
+    waves = [_folded_waves(end, sign, grid, geometry.k, found[:2], reps) for end, sign in ((src, -1), (rcv, 1))]
+    return found, *waves, np.outer(w_alpha, sizes).ravel(), eighth, 0.5 * np.outer(w_alpha, sizes_all).ravel()
 
 
 def propagate_current(
@@ -237,7 +231,7 @@ def propagate_current(
     once, so each class aggregates and disaggregates by real products.
     Source class (p, q) (`_row_classes`) radiates only into receiver class
     (p, q), and in a class the summand is even under the mirrors, so each
-    class is summed over one direction per orbit with the orbit's sum of
+    class is summed over one direction per orbit with the orbit's
     w alpha; Q'^T maps the receiver classes back to the grid.  An axis without
     a mirror is one class of all its rows, and a link without mirrors the
     one class over every direction.
@@ -245,8 +239,7 @@ def propagate_current(
     current = np.asarray(current)
     if current.shape != (len(src.points),):
         raise ValueError("current must be sampled on the source grid")
-    found, (ax, ay), (bx, by), w_alpha, (_, orbit, *_) = _fold(src, rcv, geometry, grid, table)
-    w_orbit = _orbit_sums(orbit, w_alpha)
+    found, (ax, ay), (bx, by), w_orbit, *_ = _fold(src, rcv, geometry, grid, table)
     qx, qy, qx_r, qy_r = (_parity_combinations(len(f)) for f in (ax, ay, bx, by))
     src_x, src_y, rcv_x, rcv_y = (_row_classes(len(f), m) for f, m in zip((ax, ay, bx, by), found[:2] * 2))
     weighted = qx @ (src.weights * current).reshape(len(ax), len(ay)) @ qy.T * _row_phases(len(ax), len(ay))

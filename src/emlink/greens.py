@@ -14,7 +14,8 @@ direction grid is a cap of rings about its axis (`geometry.DirectionGrid`),
 so on a cap about rhat_pq the translator table holds one value per ring, at
 the ring's cosine: 62 values for the 6 696 directions of the paper link.
 alpha has one route, `_alphas`, and the weighted translator w alpha one,
-`_translator_weights` on one table, for every caller, `channel._fold` included.
+`_translator_weights`, one value per ring for every caller, `channel._fold`
+included: the plane-wave sum weights each ring's sum of phases.
 """
 
 from __future__ import annotations
@@ -99,21 +100,21 @@ def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool
 
 
 def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
-    """w alpha, quadrature weight times translator value per direction sample, (n_theta,) -> (n_directions,)."""
+    """w alpha, (n_theta,): the weight of each direction on a ring times the ring's translator value."""
     table = np.asarray(table)
     if table.shape != grid.cosines.shape:
         raise ValueError(
             f"translator table of shape {table.shape} does not match the direction grid's rings {grid.cosines.shape}"
         )
-    return np.repeat(grid.ring_weights * table, grid.n_phi)
+    return grid.ring_weights * table
 
 
 def _planewave_sum(r, s, geometry: LinkGeometry, grid: DirectionGrid, w_alpha: np.ndarray):
-    """(-jk / 16 pi^2) sum_khat e^{-jk khat.(r_qs + r_rp)} w alpha, over the first axis of w_alpha."""
+    """(-jk / 16 pi^2) sum_khat e^{-jk khat.(r_qs + r_rp)} w alpha: each ring's sum of phases times w_alpha's row."""
     r_qs = geometry.transmitter.center - np.asarray(s, float)
     r_rp = np.asarray(r, float) - geometry.receiver.center
     phase = np.exp(-1j * geometry.k * (grid.directions @ (r_qs + r_rp)))
-    return -1j * geometry.k / (16.0 * np.pi**2) * (phase @ w_alpha)
+    return -1j * geometry.k / (16.0 * np.pi**2) * (phase.reshape(grid.n_theta, grid.n_phi).sum(axis=1) @ w_alpha)
 
 
 def sgf_planewave(r, s, geometry: LinkGeometry, grid: DirectionGrid, table: np.ndarray) -> complex:
@@ -130,18 +131,18 @@ def expansion_error_sweep(geometry: LinkGeometry, s, r, theta_list) -> list[tupl
     grid and its phases.  The translator is evaluated per ring: one call of
     `_alphas`, one Legendre table, serves the rings of consecutive caps, up
     to _SWEEP_COSINES cosines (a cap with more rings gets a call of its own),
-    and each window's w alpha is one `_translator_weights` call.  G is the
-    exact scalar Green's function.  L is the truncation rule applied to the
-    largest aperture side.
+    and both windows' w alpha is one broadcast, (n_theta, 2).  G is the exact
+    scalar Green's function.  L is the truncation rule applied to the largest
+    aperture side.  An empty theta_list gives [].
     """
     D = max(max(aperture.side_x, aperture.side_y) for aperture in (geometry.transmitter, geometry.receiver))
     L = truncation_order(geometry.k, D)
     exact = sgf_exact(r, s, geometry.k)
     thetas = [float(theta_e) for theta_e in theta_list]
     sizes = [default_cap_densities(L, theta_e) for theta_e in thetas]
-    batches, rings = [[]], 0  # consecutive angles whose rings share a Legendre table
+    batches, rings = [], 0  # consecutive angles whose rings share a Legendre table
     for i, (n_theta, _) in enumerate(sizes):
-        if batches[-1] and rings + n_theta > _SWEEP_COSINES:
+        if not batches or rings + n_theta > _SWEEP_COSINES:
             batches.append([])
             rings = 0
         batches[-1].append(i)
@@ -153,7 +154,7 @@ def expansion_error_sweep(geometry: LinkGeometry, s, r, theta_list) -> list[tupl
         ring_alphas = np.split(alphas, np.cumsum([sizes[i][0] for i in batch[:-1]]), axis=1)
         for i, alpha in zip(batch, ring_alphas):
             grid = grids.pop(0)  # freed once summed, with the directions it made
-            w_alpha = np.array([_translator_weights(grid, table) for table in alpha]).T
+            w_alpha = (grid.ring_weights * alpha).T
             unwindowed, windowed = np.abs(_planewave_sum(r, s, geometry, grid, w_alpha) - exact) / abs(exact)
             out.append((thetas[i], float(unwindowed), float(windowed)))
     return out

@@ -78,8 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (FREE_SPACE_IMPEDANCE, _fold, _kernel_scale, _orbit_sums, _parity_combinations, _row_classes,
-                      _row_phases)
+from .channel import FREE_SPACE_IMPEDANCE, _fold, _kernel_scale, _parity_combinations, _row_classes, _row_phases
 from .errors import BudgetError
 from .geometry import (
     LinkGeometry,
@@ -238,16 +237,15 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     """Blocks of (Qx (x) Qy) R, with Q from `_parity_combinations` per receiver axis, one per `_Class`.
 
     Returns qx, qy and the classes of `_symmetry_classes`, each with its
-    block.  A block sums its (rows x directions) plane-wave factors, outer
-    products of the receiver's factors from `channel._fold` with w alpha on
-    the y side, against the basis patterns (`_patterns`), _BLOCK directions
-    at a time, over one direction per orbit of the mirrors, weighted by the
-    orbit's w alpha; the budget bounds R, each block and one block of
-    factors.  The sweep is real: it reads the kept factors and the patterns
-    as real rows, odd rows and odd orders being j times theirs, and splits
-    w alpha into its real and imaginary rows; the stacked rows, 2 x step x
-    n_sub floats, take the bytes of the step x n_sub complex entries the
-    budget counts.  Block entry (row, order) is j^(row parity + order parity)
+    block.  A block sums its (rows x directions) plane-wave factors, the
+    receiver's factors from `channel._fold` times the orbits' w alpha on the
+    y side, one direction per orbit of the mirrors, against the basis
+    patterns (`_patterns`), _BLOCK directions at a time; the budget bounds R,
+    each block and one block of factors.  The sweep is real: it reads the
+    kept factors and the patterns as real rows, odd rows and odd orders being
+    j times theirs, and splits w alpha into its real and imaginary rows; the
+    stacked rows, 2 x step x n_sub floats, take the bytes of the step x n_sub
+    complex entries the budget counts.  Block entry (row, order) is j^(row parity + order parity)
     on each axis times that real sum, in every class: a row phase
     (`channel._row_phases`) times an order phase.
 
@@ -259,15 +257,13 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
     half weight.  oe is eo's block read through its `swap`.
     """
     _check_budget(len(rcv.points) * len(basis), entry_budget)
-    mirrored, (ax, ay), (bx, by), w_alpha, (_, orbit, eighth, orbit_all) = _fold(src, rcv, geometry, grid, table)
+    mirrored, (ax, ay), (bx, by), w_orbit, eighth, w_eighth = _fold(src, rcv, geometry, grid, table)
     qx, qy = _parity_combinations(len(bx)), _parity_combinations(len(by))
     px, py = _axis_legendre(int(basis.max()), src)
     fx, fy = _patterns(src.weights_x, px, ax), _patterns(src.weights_y, py, ay)
-    folds = [(bx, by, _orbit_sums(orbit, w_alpha), fx, fy)]
-    if mirrored[2]:
-        # take() keeps the rows C-ordered, which f[:, eighth] does not
-        rx8, ry8, fx8, fy8 = (f.take(eighth, axis=1) for f in (*folds[0][:2], fx, fy))
-        folds.append((rx8, ry8, 0.5 * _orbit_sums(orbit_all, w_alpha), fx8, fy8))
+    folds = [(w_orbit, bx, by, fx, fy)]
+    if mirrored[2]:  # take() keeps the rows C-ordered, which f[:, eighth] does not
+        folds.append((w_eighth, *(f.take(eighth, axis=1) for f in folds[0][1:])))
     m, n = basis.T
     blocks = []
     for cls in _symmetry_classes(basis, (len(bx), len(by)), mirrored):
@@ -275,7 +271,7 @@ def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
         if cls.swap is not None and p != q:
             blocks.append(cls._replace(block=blocks[-1].block[np.ix_(*cls.swap)]))
             continue
-        cx, cy, w, fx, fy = folds[cls.swap is not None]
+        w, cx, cy, fx, fy = folds[cls.swap is not None]
         cx, cy = cx[cls.rows_x], cy[cls.rows_y][:, None] * np.stack([w.real, w.imag])  # cy: (n_y, 2, n_dir)
         n_sub, n_dir = len(cx) * len(cy), cx.shape[1]
         step = min(_BLOCK, n_dir)
@@ -573,15 +569,24 @@ def _numbers(obj: dict, key: str) -> np.ndarray:
         raise ValueError(f"{key!r} holds a number past the float range") from exc
 
 
+def _known(obj: dict, *keys: str) -> dict:
+    """obj, checked to hold no key but `keys`, as docs/modeset.schema.json requires."""
+    if unknown := sorted(obj.keys() - set(keys)):
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return obj
+
+
 def mode_set_from_dict(doc: dict) -> ModeSet:
     """Rebuild a ModeSet from its JSON document; ValueError if it is malformed.  No grid is built."""
     if not isinstance(doc, dict):
         raise ValueError("a mode set must be a JSON object")
     if doc.get("format") != MODESET_FORMAT:
         raise ValueError(f"unsupported mode-set format {doc.get('format')!r}")
+    _known(doc, "format", "wavenumber", "transmitter", "receiver", "surface_points", "basis_order", "power_w",
+           "impedance_ohm", "normalization_scale", "clamped_count", "eigenvalues", "coefficients")
     apertures = []
     for key in ("transmitter", "receiver"):
-        side = _member(doc, key, "object")
+        side = _known(_member(doc, key, "object"), "center", "side_x", "side_y")
         center = _numbers(side, "center")
         if center.shape != (3,) or not np.all(np.isfinite(center)):
             raise ValueError(f"{key} center must hold three finite numbers")
@@ -592,7 +597,7 @@ def mode_set_from_dict(doc: dict) -> ModeSet:
     if n_pts < 1:
         raise ValueError("surface_points must be >= 1")
     t = _integer(doc, "basis_order")
-    block = _member(doc, "coefficients", "object")
+    block = _known(_member(doc, "coefficients", "object"), "modes", "basis", "re_im")
     shape = (_integer(block, "modes"), _integer(block, "basis"))
     # these checks come before the table, whose size grows as t^2
     if shape[1] != (t + 1) * (t + 2) // 2:

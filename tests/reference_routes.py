@@ -14,9 +14,12 @@ steps out as one index per direction;
 rather than the package's per-axis patterns; `radiated_basis` is the full R
 from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
 for a solved mode set, which keeps only its modes' fields;
-`quarter_sum_block` is one parity block summed over a quarter of the
-directions in complex arithmetic on `exponential_folded_waves`, the route the
-swap fold of a square link's ee and oo blocks replaced.
+`orbit_weights` finds the fold's orbits on the full grid, from one label
+per direction, and sums w alpha over each with `np.bincount`, the route the
+per-ring orbits of `channel._orbits` replaced; `quarter_sum_block` is one
+parity block summed over a quarter of the directions in complex arithmetic
+on `exponential_folded_waves` and `orbit_weights`, the route the swap fold
+of a square link's ee and oo blocks replaced.
 `per_direction_table` is the translator evaluated at every direction's own
 cosine rather than once per ring, `two_pass_error_sweep` the per-window
 route of `expansion_error_sweep` on it, and `step_down_waterfill` the
@@ -29,7 +32,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from emlink.capacity import PowerAllocation
-from emlink.channel import FREE_SPACE_IMPEDANCE, _fold
+from emlink.channel import FREE_SPACE_IMPEDANCE
 from emlink.geometry import _image_steps, cap_direction_grid, default_cap_densities, truncation_order
 from emlink.greens import sgf_exact, translator_series, translator_table
 from emlink.modes import DEFAULT_ENTRY_BUDGET, MODESET_FORMAT, _radiated_blocks, _unfold
@@ -127,19 +130,41 @@ def radiated_basis(basis, src, rcv, geometry, grid, table, entry_budget=DEFAULT_
     return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), np.eye(len(basis)))
 
 
+def orbit_weights(grid, table, found):
+    """The orbits of the symmetries `found` (x, y, swap) and their w alpha, from a label per direction.
+
+    Returns the lowest direction of each orbit of the mirrors found, the
+    sum of w alpha over each, the positions among those directions of the
+    lowest direction of each orbit of all the symmetries found, and half the
+    sum of w alpha over each of these orbits.  w alpha is spread over every
+    direction, the orbits follow from each direction's images (`image_maps`)
+    and the sums are `np.bincount`s.
+    """
+    w_alpha = grid.weights * np.repeat(table, grid.n_phi)
+    label = np.arange(len(w_alpha))
+    images = [image for image, ok in zip(image_maps(grid), found) if ok]
+    for image in images[:2]:
+        label = np.minimum(label, label[image])
+    reps, orbit = np.unique(label, return_inverse=True)
+    if found[2]:
+        label = np.minimum(label, label[images[2]])
+    reps_all, orbit_all = np.unique(label, return_inverse=True)
+    sums = [np.bincount(o, w_alpha.real) + 1j * np.bincount(o, w_alpha.imag) for o in (orbit, orbit_all)]
+    return reps, sums[0], np.searchsorted(reps, reps_all), 0.5 * sums[1]
+
+
 def quarter_sum_block(cls, basis, src, rcv, geometry, grid, table):
     """The block of a parity class of `_radiated_blocks` on a link mirrored in x and y, with no swap.
 
     It sums over one direction per orbit of the two mirrors, weighted by the
-    orbit's w alpha, in complex arithmetic, with the basis patterns
-    (Q W P)^T (Q X) on each axis from numpy's `legvander` and Q X, Q' X' from
-    `exponential_folded_waves`, so no kept factor of the fold is read.
+    orbit's w alpha (`orbit_weights`), in complex arithmetic, with the basis
+    patterns (Q W P)^T (Q X) on each axis from numpy's `legvander` and Q X,
+    Q' X' from `exponential_folded_waves`, so nothing of the fold is read.
     """
-    mirrored, *_, w_alpha, (reps, orbit, *_) = _fold(src, rcv, geometry, grid, table)
-    assert mirrored[:2] == (True, True)
+    assert None not in _image_steps(grid)[:2] and not np.any(geometry.r_pq[:2])
+    reps, w_orbit, *_ = orbit_weights(grid, table, (True, True, False))
     src_waves = exponential_folded_waves(src, -1, grid, geometry.k, reps)
     bx, by = exponential_folded_waves(rcv, 1, grid, geometry.k, reps)
-    w_orbit = np.bincount(orbit, w_alpha.real) + 1j * np.bincount(orbit, w_alpha.imag)
     t, aperture = int(basis.max()), src.aperture
     patterns = []
     for waves, nodes, weights, center, side in zip(

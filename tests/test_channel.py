@@ -9,6 +9,7 @@ from reference_routes import (
     dense_kernel,
     exponential_folded_waves,
     image_maps,
+    orbit_weights,
     radiated_basis,
     reference_field,
 )
@@ -18,7 +19,6 @@ from emlink.channel import (
     FREE_SPACE_IMPEDANCE,
     _fold,
     _folded_waves,
-    _orbit_sums,
     _orbits,
     propagate_current,
 )
@@ -240,15 +240,17 @@ class TestSeparableFactors:
         # the classes radiated_basis splits into, and the folded sweeps: one
         # direction per orbit of the lateral mirrors, and one per orbit of
         # the mirrors and the swap (phi in [0, pi/4]) among those
-        found, src_waves, rcv_waves, w_alpha, (reps, orbit, eighth, orbit_all) = _fold(src, rcv, geo, grid, table)
+        found, src_waves, rcv_waves, w_orbit, eighth, w_eighth = _fold(src, rcv, geo, grid, table)
         assert found == mirrors
+        reps = _orbits(grid, found)[0]
         lateral = sum(mirrors[:2])
         assert len(reps) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[lateral]
         assert {waves.shape for waves in src_waves + rcv_waves} == {(5, len(reps)), (4, len(reps))}
         assert len(eighth) == (n_theta * (n_phi // 8 + 1) if mirrors[2] else len(reps))
+        # each set of orbit weights holds the whole of w alpha
         every = grid.weights * np.repeat(table, n_phi)
-        for orbits in (orbit, orbit_all):
-            assert abs(np.sum(_orbit_sums(orbits, w_alpha)) - np.sum(every)) <= 1e-13 * np.sum(np.abs(every))
+        for weights in (w_orbit, 2 * w_eighth):
+            assert abs(np.sum(weights) - np.sum(every)) <= 1e-13 * np.sum(np.abs(every))
 
         basis = basis_order_table(3)
         radiated = dense @ (src.weights[:, None] * basis_eval(basis, src))
@@ -531,7 +533,7 @@ class TestFactorMemo:
         grid, table, src, rcv = _ci_parts(geo)
         propagate_current(_random_current(len(src.points), 45), src, rcv, geo, grid, table)
         kept = [weakref.ref(value) for value in _kept_arrays(grid)]
-        assert len(kept) == 8  # 4 factors and the orbits' 4 index arrays
+        assert len(kept) == 8  # 4 factors and the orbits' 4 arrays
         del grid
         gc.collect()
         assert all(ref() is None for ref in kept)
@@ -544,6 +546,7 @@ FOLD_LINKS = {
     "tx-10x8": ((0, 0, 0), (10.0, 8.0), (0, 0, 25.5), (8.0, 8.0), 93, 144, None, (True, True, False)),
     "x-offset": ((0, 0, 0), (10.0, 10.0), (0.7, 0, 25.5), (8.0, 8.0), 93, 144, None, (False, True, False)),
     "offset": ((0, 0, 0), (10.0, 10.0), (0.7, -0.4, 25.5), (8.0, 8.0), 93, 144, None, (False, False, False)),
+    "x-10": ((0, 0, 0), (10.0, 10.0), (10.0, 0, 25.5), (8.0, 8.0), 93, 144, None, (False, True, False)),
     "minus-z": ((0, 0, 0), (4.0, 4.0), (0, 0, -10.2), (3.2, 3.2), 34, 144, None, (True, True, True)),
     "y-offset": ((0, 0, 0), (10.0, 10.0), (0, 0.7, 25.5), (8.0, 8.0), 93, 144, None, (True, False, False)),
     "phi-2-mod-4": ((0, 0, 0), (4.0, 4.0), (0, 0, 10.2), (3.2, 3.2), 34, 144, 54, (True, True, False)),
@@ -659,6 +662,32 @@ class TestFoldedPropagator:
         monkeypatch.undo()
         assert calls == dict.fromkeys(calls, 0)
         assert np.array_equal(field, propagate_current(current, src, rcv, geo, _fold_parts(name)[1], table))
+
+
+class TestOrbitWeights:
+    """The fold's orbits, found on one ring, and their w alpha, one ring value times each orbit's size."""
+
+    @pytest.mark.parametrize("name", ["paper", "tx-10x8", "x-10", "offset"])
+    def test_match_full_grid_orbit_sums(self, name):
+        # against w alpha spread over every direction, a label per direction and bincount sums over each orbit
+        geo, grid, table, src, rcv, mirrors, _ = _fold_parts(name)
+        found, *_, w_orbit, eighth, w_eighth = _fold(src, rcv, geo, grid, table)
+        reps, want_orbit, want_eighth, want_w_eighth = orbit_weights(grid, table, found)
+        assert found == mirrors
+        assert np.array_equal(_orbits(grid, found)[0], reps)
+        assert np.array_equal(eighth, want_eighth)
+        for got, want in ((w_orbit, want_orbit), (w_eighth, want_w_eighth)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_orbit_memo_holds_no_array_per_direction(self):
+        # per ring: the orbits' sizes on one ring, and one index per orbit; 0.02 MB on the paper link
+        geo, grid, table, src, rcv, mirrors, _ = _fold_parts("paper")
+        propagate_current(_random_current(len(src.points), 55), src, rcv, geo, grid, table)
+        kept = _kept_arrays(grid, "orbits")
+        assert len(kept) == 4 and len(grid.weights) == 6696
+        assert max(value.size for value in kept) == 1736  # one index per orbit of the mirrors
+        assert sum(value.nbytes for value in kept) < 25_000
 
 
 class TestFoldedWaves:

@@ -739,6 +739,45 @@ class TestMalformedModeSet:
         assert list(out.iterdir()) == []
 
 
+def _extra_top_level_key(doc):
+    doc["comment"] = "made by hand"
+
+
+def _extra_coefficients_key(doc):
+    doc["coefficients"]["order"] = "row-major"
+
+
+def _extra_aperture_key(doc):
+    doc["receiver"]["normal"] = [0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "rewrite, key",
+    [(_extra_top_level_key, "comment"), (_extra_coefficients_key, "order"), (_extra_aperture_key, "normal")],
+    ids=["top-level", "coefficients", "aperture"],
+)
+def test_capacity_rejects_keys_the_schema_forbids(tmp_path, capsys, ci_mode_doc, rewrite, key):
+    # docs/modeset.schema.json sets additionalProperties false on the document, its coefficients and apertures
+    doc = json.loads(json.dumps(ci_mode_doc))
+    rewrite(doc)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "capacity_curve.csv").write_text("stale\n")
+    assert run_cli(["--preset", "ci", "--out", str(out), "capacity", "--modes-file", str(path)]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["capacity_curve.csv"]
+    assert (out / "capacity_curve.csv").read_text() == "stale\n"
+
+
+def test_mode_set_loads_without_clamped_count(ci_mode_doc):
+    # the one optional key of the schema
+    doc = json.loads(json.dumps(ci_mode_doc))
+    del doc["clamped_count"]
+    assert len(modes.mode_set_from_dict(doc)) == 120
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"format": '], ids=["not-utf8", "truncated-json"])
 def test_capacity_rejects_undecodable_file(tmp_path, content):
     path = tmp_path / "bad.json"

@@ -211,16 +211,20 @@ class TestPlanewaveReconstruction:
 class TestTranslatorWeights:
     @pytest.fixture
     def stacked(self):
-        # the error sweep's two windows stacked: w alpha takes one table, so each window is its own call
+        # the error sweep's two windows stacked: w alpha takes one table, the sweep weights its stack by broadcast
         geo = fig3_link()
         grid = cap_direction_grid(geo.axis, np.radians(60), 9, 12)
         tables = np.stack([translator_table(grid, K, geo.r_pq, 12, windowed) for windowed in (False, True)])
         return geo, grid, tables
 
-    def test_one_table_gives_weight_times_alpha_per_direction(self, stacked):
+    def test_one_table_gives_weight_times_alpha_per_ring(self, stacked):
+        # one value per ring, and each direction's weight times alpha is its ring's value
         _, grid, tables = stacked
         for table in tables:
-            assert np.array_equal(_translator_weights(grid, table), grid.weights * np.repeat(table, grid.n_phi))
+            w_alpha = _translator_weights(grid, table)
+            assert w_alpha.shape == (grid.n_theta,)
+            assert np.array_equal(w_alpha, grid.ring_weights * table)
+            assert np.array_equal(np.repeat(w_alpha, grid.n_phi), grid.weights * np.repeat(table, grid.n_phi))
 
     def test_sgf_planewave_rejects_stacked_tables(self, stacked):
         geo, grid, tables = stacked
@@ -308,6 +312,10 @@ class TestErrorSweep:
         for i in (0, 77, 199):  # an angle swept in a batch and alone
             alone = expansion_error_sweep(*args, angles[i:i + 1])[0]
             assert np.max(np.abs(np.subtract(rows[i][1:], alone[1:]))) <= 1e-13
+
+    def test_no_angle_gives_no_row(self):
+        geo = fig3_link()
+        assert expansion_error_sweep(geo, (-5, 1, 1), (-3.5, 5, 20), []) == []
 
     def test_matches_two_pass_route_off_axis(self):
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 3.0), rect_aperture((3.0, -2.0, 12.0), 3.0, 3.0), K)

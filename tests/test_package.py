@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from output_diff import SRC, compare, gaps
 from size_report import size_report
 
 import emlink
@@ -271,3 +272,25 @@ def test_size_report_counts(tmp_path):
     (tmp_path / "b.py").write_text('__all__ = ["g", "h"]\n')
     assert size_report(tmp_path) == (12, 6, 3)
     assert size_report()[2] == len(set().union(*(module.__all__ for module in MODULES)))
+
+
+def test_output_diff_of_a_tree_against_itself():
+    # one child process per tree, all four commands on ci: every one of the 15 files identical
+    report = compare(SRC, SRC, presets=("ci",))
+    assert len(report) == 15
+    assert set(report.values()) == {"identical"}
+
+
+def test_output_diff_units():
+    # beta as a fraction of beta_1, maps relative to their peak, other columns as absolute differences
+    eigenvalues = "mode_index,beta_raw,beta_rel_db\n1,{},0\n2,1.0,{}\n"
+    assert gaps("eigenvalues.csv", eigenvalues.format(4.0, -6.0), eigenvalues.format(4.0, -6.0)) == "identical"
+    assert gaps("eigenvalues.csv", eigenvalues.format(4.0, "-inf"), eigenvalues.format(4.002, "-inf")) == (
+        "beta_raw / beta_1 5.00e-04"
+    )
+    field = "x_lambda,y_lambda,magnitude_sys,phase_rad\n0,0,2.0,{}\n1,0,1.0,0\n"
+    assert gaps("mode_field_01.csv", field.format(0.0), field.format(1e-3)) == "map moved by 1.00e-03 of its peak"
+    assert gaps("sgf_error.csv", "a,b\n1,0.5\n", "a,b\n1,0.25\n") == "b 2.50e-01"
+    assert gaps("modeset.json", '{"eigenvalues": [2.0, 1.0], "w": 1}', '{"eigenvalues": [2.0, 1.5], "w": 1}') == (
+        "eigenvalues 2.50e-01"
+    )
