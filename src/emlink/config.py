@@ -16,7 +16,7 @@ import numpy as np
 from .capacity import _noise_power
 from .errors import ConfigError
 from .geometry import LinkGeometry, rect_aperture, truncation_order
-from .modes import DEFAULT_ENTRY_BUDGET, ModesResult, solve_modes
+from .modes import DEFAULT_ENTRY_BUDGET, ModesResult, _check_series, solve_modes
 from .specfun import spherical_neumann_y
 
 __all__ = ["ExperimentConfig", "PRESETS", "load_config"]
@@ -73,7 +73,7 @@ class ExperimentConfig:
     rx_side_y: float = 8.0
     distance: float = 25.5
     theta_e_deg: float = 60.0
-    l_override: int = 0            # 0 means: use the truncation rule
+    l_override: int = 0            # 0 means: the truncation rule on rho_max
     windowed: bool = True
     basis_order: int = 36
     surface_points: int = 512
@@ -105,10 +105,11 @@ class ExperimentConfig:
         return LinkGeometry(tx, rx, self.k)
 
     def truncation(self) -> int:
+        """l_override, or the truncation rule on rho_max, the sum of the apertures' half-diagonals."""
         if self.l_override > 0:
             return self.l_override
-        D = max(self.tx_side_x, self.tx_side_y, self.rx_side_x, self.rx_side_y)
-        return truncation_order(self.k, D)
+        rho_max = 0.5 * (math.hypot(self.tx_side_x, self.tx_side_y) + math.hypot(self.rx_side_x, self.rx_side_y))
+        return truncation_order(self.k, rho_max)
 
     def solve(self) -> ModesResult:
         """Run the eigenmode pipeline on the main link with this configuration."""
@@ -169,7 +170,7 @@ class ExperimentConfig:
         if self.entry_budget < 1:
             raise ConfigError("entry_budget must be positive")
         try:
-            self.link_geometry()
+            _check_series(self.link_geometry(), np.radians(self.theta_e_deg), self.truncation())
             self.check_geometry()
             spherical_neumann_y(self.truncation(), self.k * self.distance)  # the translator's Hankel orders
         except (ValueError, OverflowError) as exc:
@@ -190,13 +191,14 @@ _TYPE_PARSERS = {
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 PRESETS: dict[str, ExperimentConfig] = {
-    "paper": ExperimentConfig(l_override=93),
+    "paper": ExperimentConfig(),
     "ci": ExperimentConfig(
         tx_side_x=4.0,
         tx_side_y=4.0,
         rx_side_x=3.2,
         rx_side_y=3.2,
         distance=10.2,
+        l_override=34,  # the rule on rho_max gives 42
         basis_order=14,
         surface_points=144,
         snr_db=tuple(float(v) for v in range(0, 31, 5)),

@@ -373,6 +373,25 @@ class ModesResult:
             raise ValueError(f"mode fields of shape {self.fields.shape} do not match the mode set's {expected}")
 
 
+def _check_series(geometry: LinkGeometry, theta_e: float, L: int) -> None:
+    """ValueError unless the translator series of order L converges on the link and the cap holds its directions.
+
+    With rho_max the sum of the apertures' half-diagonals, the series needs
+    L >= ceil(k rho_max), and the cap must reach the link's geometric
+    half-angle atan(rho_max / d), under which each end sees the other.
+    """
+    rho_max = geometry.transmitter.half_diagonal + geometry.receiver.half_diagonal
+    order = math.ceil(geometry.k * rho_max)
+    if L < order:
+        raise ValueError(f"the truncation order L = {L} is below ceil(k rho_max) = {order}, where the series converges")
+    half_angle = math.atan(rho_max / geometry.distance)
+    if theta_e < half_angle:
+        raise ValueError(
+            f"the cap half-angle theta_e = {math.degrees(theta_e):.4g} deg is below the link's geometric "
+            f"half-angle atan(rho_max / d) = {math.degrees(half_angle):.4g} deg"
+        )
+
+
 def solve_modes(
     geometry: LinkGeometry,
     theta_e: float,
@@ -390,10 +409,11 @@ def solve_modes(
     The first `keep` modes are kept (all when `keep` is None or <= 0), with
     their received fields.  The budget bounds R's blocks and their V^H,
     n_rcv x n_basis and at most n_basis x n_basis, and is checked before
-    anything is built.
+    anything is built; so are L and theta_e (`_check_series`).
     """
     n1, n_basis = int(np.ceil(np.sqrt(max(n_surface, 1)))), (t + 1) * (t + 2) // 2
     _check_budget(max(n1 * n1, n_basis) * n_basis, entry_budget)
+    _check_series(geometry, theta_e, L)
     dir_grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(dir_grid, geometry.k, geometry.r_pq, L, windowed)
     src = tensor_grid(geometry.transmitter, n_surface)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,16 @@ class TestPresets:
         assert cfg.tx_side_x == 4.0 and cfg.rx_side_x == 3.2
         assert cfg.distance == 10.2
         assert cfg.basis_order == 14
+        # the rule on rho_max, the sum of the half-diagonals (5.09 wavelengths), would give 42
+        assert cfg.l_override == 34
+        assert cfg.truncation() == 34
+        assert replace(cfg, l_override=0).truncation() == 42
+
+    def test_paper_truncation_is_the_rule_on_rho_max(self):
+        # rho_max = 9 sqrt(2) = 12.73 wavelengths: ceil(k rho_max + 2.9 (k rho_max)^(1/3)) = 93
+        cfg = load_config("paper")
         assert cfg.l_override == 0
-        assert cfg.truncation() == 34  # rule applied to the 4-wavelength side
+        assert cfg.truncation() == 93
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -80,6 +89,30 @@ class TestValidation:
     def test_separation_guard(self):
         with pytest.raises(ConfigError, match="validity"):
             load_config("paper", overrides=["distance=5"])
+
+    @pytest.mark.parametrize("preset, order", [("paper", 80), ("ci", 32)])
+    def test_truncation_below_k_rho_max_rejected(self, preset, order):
+        # the series converges only for L >= k rho_max; each message names L and the bound
+        assert load_config(preset, overrides=[f"l_override={order}"]).truncation() == order
+        with pytest.raises(ConfigError, match=rf"L = {order - 1} is below ceil\(k rho_max\) = {order}"):
+            load_config(preset, overrides=[f"l_override={order - 1}"])
+
+    @pytest.mark.parametrize("preset", ["paper", "ci"])
+    def test_cap_below_the_link_half_angle_rejected(self, preset):
+        # atan(rho_max / d) is 26.53 deg on both presets
+        assert load_config(preset, overrides=["theta_e_deg=26.6"]).theta_e_deg == 26.6
+        with pytest.raises(ConfigError, match=r"theta_e = 26.5 deg is below .* atan\(rho_max / d\) = 26.53 deg"):
+            load_config(preset, overrides=["theta_e_deg=26.5"])
+
+    @pytest.mark.parametrize("override", ["theta_e_deg=10", "l_override=20"])
+    def test_unconverged_series_writes_nothing(self, tmp_path, override):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "eigenvalues.csv").write_text("stale\n")
+        assert run_cli(["--preset", "ci", "--out", str(out), "--set", override, "modes"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
+        assert [p.name for p in out.iterdir()] == ["eigenvalues.csv"]
+        assert (out / "eigenvalues.csv").read_text() == "stale\n"
 
     def test_wavelength_fixed(self):
         with pytest.raises(ConfigError, match="wavelength"):
@@ -372,14 +405,15 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "override, reason",
         [("modes_keep=3", "too short beyond the plateau"), ("basis_order=1", "too short beyond the plateau"),
-         ("theta_e_deg=0.001", "not enough usable tail points")],
+         ("distance=1e5 theta_e_deg=0.01", "not enough usable tail points")],
         ids=["three-modes", "basis-order-1", "narrow-cap"],
     )
     def test_capacity_on_unfittable_spectrum_leaves_out_as_it_was(self, tmp_path, capsys, override, reason):
-        # a valid mode set whose spectrum has too few tail points to fit is a bad input, not a runtime error
+        # a valid mode set whose spectrum has too few tail points to fit is a bad input, not a runtime error;
+        # a cap of 0.01 deg is valid on a link 1e5 wavelengths long, whose half-angle is 0.003 deg
         made, out = tmp_path / "d", tmp_path / "o"
-        assert run_cli(["--preset", "ci", "--out", str(made), "--set", override, "--set", "mode_map_indices=1",
-                        "modes"]) == 0
+        sets = [arg for pair in override.split() for arg in ("--set", pair)]
+        assert run_cli(["--preset", "ci", "--out", str(made), *sets, "--set", "mode_map_indices=1", "modes"]) == 0
         out.mkdir()
         (out / "capacity_curve.csv").write_text("stale\n")
         capsys.readouterr()

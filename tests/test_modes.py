@@ -262,6 +262,21 @@ class TestSingularModes:
         assert np.abs(fixed[0]) == pytest.approx(np.abs(row[0]), abs=1e-16)
 
 
+class TestSeriesGuards:
+    """solve_modes refuses a translator order or a cap under which the plane-wave series cannot converge."""
+
+    GEO = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
+
+    def test_order_below_k_rho_max(self):
+        # rho_max = 3.6 sqrt(2) = 5.09 wavelengths, k rho_max = 31.99
+        with pytest.raises(ValueError, match=r"L = 31 is below ceil\(k rho_max\) = 32"):
+            solve_modes(self.GEO, np.radians(60), 31, 2, 16)
+
+    def test_cap_below_the_link_half_angle(self):
+        with pytest.raises(ValueError, match=r"theta_e = 26 deg is below .* = 26.53 deg"):
+            solve_modes(self.GEO, np.radians(26), 34, 2, 16)
+
+
 class TestEntryBudget:
     """solve_modes checks the budget before it builds any grid or the order table."""
 
@@ -282,8 +297,9 @@ class TestEntryBudget:
         # a square link with many receiver points and few orders: ee has a
         # 50 x 50 sub-grid, so a dense 2500 x 2500 row combination for its
         # swap split would take 50 MB by itself, while R is 10 000 x 6
-        # complex entries (1 MB) and the whole solve peaks near 6.5 MB
-        geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
+        # complex entries (1 MB) and the whole solve peaks near 6.5 MB.  The ci link
+        # scaled by 1/4, so that L = 8 reaches k rho_max = 8.0
+        geo = LinkGeometry(rect_aperture((0, 0, 0), 1.0, 1.0), rect_aperture((0, 0, 2.55), 0.8, 0.8), K)
         solve_modes(geo, np.radians(60), 8, 2, 64)
         tracemalloc.start()
         try:
