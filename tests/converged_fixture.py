@@ -1,16 +1,19 @@
-"""The headline numbers of each preset's model on converged grids, and the fixture that pins them.
+"""The headline numbers of each preset's model on converged grids, and the fixtures that pin them.
 
-Regenerate both fixtures, from the package in src/, with
+Regenerate fixtures, from the package in src/, with
 
-    python tests/converged_fixture.py
+    python tests/converged_fixture.py [NAME ...]
 
-It solves each preset's windowed model (its L, theta_e and window unchanged)
-on a surface grid of NODES Gauss nodes per axis on both apertures, where the
-spectrum has converged, and writes tests/data/converged_<preset>.json:
-beta_1..beta_40 / beta_1, the tail decay rate c and the -3 dB count of the
-spectrum, and the water-filling capacity at SNR_DB, with the node count and
-the commit of the code that made it.  Regenerate only when the model changes
-(not its discretization), and say why in CHANGES.md.
+(every fixture when no NAME is given).  It solves each link's windowed model
+(its preset's L, theta_e and window unchanged) on a surface grid of
+NODES[name] Gauss nodes per axis on both apertures, where the spectrum has
+converged, and writes tests/data/converged_<name>.json: beta_1..beta_40 /
+beta_1, the tail decay rate c and the -3 dB count of the spectrum, and the
+water-filling capacity at SNR_DB, with the node count and the commit of the
+code that made it.  The links are the paper and ci presets and
+`paper-x10`, the paper apertures with the receiver centre moved to
+(10, 0, 25.5).  Regenerate only when the model changes (not its
+discretization), and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -25,18 +28,24 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
-NODES = {"paper": 60, "ci": 40}  # Gauss nodes per axis on each aperture
+NODES = {"paper": 60, "ci": 40, "paper-x10": 60}  # Gauss nodes per axis on each aperture
+RECEIVER_CENTERS = {"paper-x10": (10.0, 0.0, 25.5)}  # links off their preset's axis
 SNR_DB = (0.0, 10.0, 20.0, 30.0)
 COUNT = 40  # leading normalized eigenvalues kept
 
 
-def headline(preset: str) -> dict:
-    """The preset's headline numbers on NODES[preset]^2 surface points."""
-    from emlink import PRESETS, capacity_vs_snr, spectrum_fit
+def headline(name: str) -> dict:
+    """The headline numbers of link `name` on NODES[name]^2 surface points."""
+    from emlink import PRESETS, LinkGeometry, capacity_vs_snr, rect_aperture, solve_modes, spectrum_fit
     from emlink.cli import _plateau_count
 
-    cfg = replace(PRESETS[preset], surface_points=NODES[preset] ** 2)
-    modes = cfg.solve().modes
+    cfg = replace(PRESETS[name.split("-")[0]], surface_points=NODES[name] ** 2)
+    geometry = cfg.link_geometry()
+    if name in RECEIVER_CENTERS:
+        geometry = LinkGeometry(geometry.transmitter, rect_aperture(RECEIVER_CENTERS[name], cfg.rx_side_x,
+                                                                    cfg.rx_side_y), geometry.k)
+    modes = solve_modes(geometry, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.basis_order,
+                        cfg.surface_points, cfg.windowed, cfg.power_w, cfg.modes_keep or None).modes
     betas = modes.normalized
     n_plateau = _plateau_count(modes)  # as the capacity command counts it
     return {
@@ -55,16 +64,16 @@ def _commit() -> str:
     return git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain", "--", "src") else "")
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
     sys.path.insert(0, str(ROOT / "src"))
     DATA.mkdir(exist_ok=True)
     commit = _commit()
-    for preset in NODES:
-        doc = {"preset": preset, "nodes_per_axis": NODES[preset], "commit": commit, **headline(preset)}
-        path = DATA / f"converged_{preset}.json"
+    for name in names or NODES:
+        doc = {"preset": name, "nodes_per_axis": NODES[name], "commit": commit, **headline(name)}
+        path = DATA / f"converged_{name}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(path)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
