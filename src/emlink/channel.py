@@ -12,13 +12,14 @@ algebraically identical to entrywise evaluation; H itself is never formed.
 
 Both surface grids are tensor products on z-normal planes, so every
 plane-wave factor splits exactly into an x part and a y part:
-e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  This module builds the one fold
-of a link (`_fold`) that the mode solve in `modes` and `propagate_current`
-both read, with w alpha from `greens._translator_weights`: the lateral
-mirrors and the x <-> y swap the link shares with its direction grid, their
-orbits, and each end's per-axis factors on one direction per orbit of the
-mirrors, combined by the even/odd combinations of mirrored nodes
-(`_parity_combinations`).  Every surface grid is symmetric about its
+e^{-jk khat.(x_i, y_j, z)} = X[i] * Y[j].  This module finds the lateral
+mirrors and the x <-> y swap a link shares with its direction grid
+(`_symmetries`) and their orbits (`_orbits`), which the mode solve in
+`modes` reads too, and builds the fold of `propagate_current` (`_fold`),
+with w alpha from `greens._translator_weights`: each end's per-axis factors
+on one direction per orbit of the mirrors, combined by the even/odd
+combinations of mirrored nodes (`_parity_combinations`).  The solve reads no
+plane-wave factor: its patterns are closed forms of the basis.  Every surface grid is symmetric about its
 aperture's center, so on every axis, mirrored by the link or not, those
 combinations are cosines (even) and j times sines (odd) of the nodes'
 half-distances: the folded factors are real rows (`_row_phases`) from one
@@ -32,10 +33,10 @@ of 6 696 directions on the paper link); the maps keep each ring and move
 its azimuths in closed form (`geometry._image_steps`), so the orbits are
 found on one ring, and an orbit's w alpha is its ring's times its size.  The
 direction grid keeps, read-only and while it lives, what a repeat call would
-make again (`_kept`): the orbits (0.02 MB on the paper link), and per k,
-side, mirrors and node offsets the folded per-axis factors, n1 x n_orbits
-float64 per axis: 1.28 MB for both sides of the paper link (9.9 MB
-unfolded).  A repeat call, or a call after a mode solve on the same grids,
+make again (`_kept`): the orbits (0.02 MB on the paper link), which a
+mode solve on the grid leaves there too, and per k, side, mirrors and node
+offsets the folded per-axis factors, n1 x n_orbits float64 per axis:
+1.28 MB for both sides of the paper link (9.9 MB unfolded).  A repeat call
 makes no plane-wave factor (no exponential, cosine or sine), only the
 orbits' w alpha.  `_fold` checks that the grids lie on the link's apertures.
 """
@@ -81,7 +82,7 @@ def _kept(grid: DirectionGrid, key: tuple, make) -> tuple:
 
 
 def _symmetries(geometry: LinkGeometry, grid: DirectionGrid) -> tuple[bool, bool, bool]:
-    """The flags (x, y, swap) of `_fold`."""
+    """The flags (x, y, swap) of `_fold`, which the mode solve reads too."""
     link = [bool(geometry.r_pq[axis] == 0.0) for axis in (0, 1)]
     link.append(all(link) and all(end.side_x == end.side_y for end in (geometry.transmitter, geometry.receiver)))
     found = [ok and step is not None for step, ok in zip(_image_steps(grid), link)]
@@ -95,7 +96,8 @@ def _orbits(grid: DirectionGrid, found: tuple[bool, bool, bool]) -> tuple[np.nda
     Returns the lowest direction of each orbit of the mirrors found,
     ring-major, and the sizes of a ring's orbits; then the positions among
     those of the lowest direction of each orbit of all the symmetries found,
-    and the sizes of a ring's orbits of them, each image an `_image_steps` map.
+    and the sizes of a ring's orbits of them, each image an `_image_steps` map;
+    only the mode solve reads these two, for the swap.
     """
 
     def make():
@@ -198,15 +200,14 @@ def _fold(src: SurfaceGrid, rcv: SurfaceGrid, geometry: LinkGeometry, grid: Dire
     Returns the three flags (x, y, swap); the source's and the receiver's
     `_folded_waves` on one direction per orbit of the mirrored axes (the
     lowest: phi in [0, pi/2] on a cap about z mirrored in both), and those
-    orbits' w alpha; the positions among them of one direction per orbit of
-    all the symmetries (phi in [0, pi/4] with the swap), and half their w alpha.
+    orbits' w alpha.
     """
     _check_apertures(src, rcv, geometry)
     w_alpha = _translator_weights(grid, table)
     found = _symmetries(geometry, grid)
-    reps, sizes, eighth, sizes_all = _orbits(grid, found)
+    reps, sizes, *_ = _orbits(grid, found)
     waves = [_folded_waves(end, sign, grid, geometry.k, found[:2], reps) for end, sign in ((src, -1), (rcv, 1))]
-    return found, *waves, np.outer(w_alpha, sizes).ravel(), eighth, 0.5 * np.outer(w_alpha, sizes_all).ravel()
+    return found, *waves, np.outer(w_alpha, sizes).ravel()
 
 
 def propagate_current(
@@ -239,7 +240,7 @@ def propagate_current(
     current = np.asarray(current)
     if current.shape != (len(src.points),):
         raise ValueError("current must be sampled on the source grid")
-    found, (ax, ay), (bx, by), w_orbit, *_ = _fold(src, rcv, geometry, grid, table)
+    found, (ax, ay), (bx, by), w_orbit = _fold(src, rcv, geometry, grid, table)
     qx, qy, qx_r, qy_r = (_parity_combinations(len(f)) for f in (ax, ay, bx, by))
     src_x, src_y, rcv_x, rcv_y = (_row_classes(len(f), m) for f, m in zip((ax, ay, bx, by), found[:2] * 2))
     weighted = qx @ (src.weights * current).reshape(len(ax), len(ay)) @ qy.T * _row_phases(len(ax), len(ay))

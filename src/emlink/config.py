@@ -146,16 +146,11 @@ class ExperimentConfig:
             raise ConfigError("counts must be non-negative")
         basis_size = (self.basis_order + 1) * (self.basis_order + 2) // 2
         n_modes = min(self.modes_keep, basis_size) if self.modes_keep else basis_size
-        # beyond the n1^2 receiver points the modes have beta = 0 by construction
-        n_mapped = min(n_modes, n1 * n1)
         for i, index in enumerate(self.mode_map_indices):
             if index in self.mode_map_indices[:i]:
                 raise ConfigError(f"mode_map_indices entry {index} is repeated; each mode's maps are written once")
-            if not 1 <= index <= n_mapped:
-                raise ConfigError(
-                    f"mode_map_indices entry {index} is outside [1, {n_mapped}] "
-                    f"({n_modes} modes kept, {n1 * n1} receiver grid points)"
-                )
+            if not 1 <= index <= n_modes:
+                raise ConfigError(f"mode_map_indices entry {index} is outside [1, {n_modes}], the modes kept")
         if not self.snr_db:
             raise ConfigError("snr_db must list at least one value")
         for snr in self.snr_db:

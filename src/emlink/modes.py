@@ -1,66 +1,72 @@
-"""Maximal-power-transfer modes: the singular system of the radiated basis.
+"""Maximal-power-transfer modes: the singular system of the channel between two Legendre bases.
 
 The mode currents phi_n solve beta phi = M phi, with M(s, s') the receiver
-integral of H(r, s) conj(H(r, s')).  In an orthonormal 2-D Legendre basis E
-this is beta a = R^H W_rcv R a, where R = H W_src E holds the fields the
-basis currents radiate onto the receiver grid.  Neither H nor R^H W_rcv R is
-formed: R is a sum of separable per-axis patterns over 512 directions at a
-time (`_radiated_blocks`, the package's one dense plane-wave sweep, on the
-folded factors `channel._fold` keeps for the propagator too), and the
-SVD W_rcv^(1/2) R = U diag(sigma) V^H gives beta = sigma^2 >= 0 and the
-coefficient rows conj(V^H) (Miller, Appl. Opt. 39, 2000), of which only the
-kept ones are built.  The entry budget bounds R and the blocks' V^H, at
-most n_basis x n_basis, before anything is built.
+integral of H(r, s) conj(H(r, s')).  Both ends are expanded in orthonormal
+2-D Legendre bases, the transmitter's of total order t (`basis_order_table`)
+and the receiver's of order t_r, and the channel between them is
 
-Mirror symmetry splits that SVD (Knorr, IEEE TAP 21, 1973).  When the link
-and its direction grid are symmetric under x -> -x (a coaxial link on a cap
-grid with even n_phi; the check is made, not assumed), the even and odd
-combinations of mirrored receiver nodes only see basis orders m of the same
-parity, and likewise for y and n.  So Q W_rcv^(1/2) R, with Q the orthogonal
-change to those combinations, is block-diagonal in up to four classes ee,
-eo, oe, oo, each with its own SVD.  Inside a block the summand is even under
-both mirrors of khat, so the direction sum runs over one direction per orbit
-(phi in [0, pi/2]) weighted by the orbit's w alpha, a quarter of the grid.
-A symmetry the link lacks leaves its axis in one class, unfolded, of both
-parities; a general link is the one-class case.  Each Gauss rule is
-symmetric about its aperture's center, so on every axis the folded factors
-of even rows are real and those of odd rows imaginary, and so are the basis
-patterns of even and odd orders: the fold keeps the factors as real rows,
-and the sweep splits w alpha into its real and imaginary rows, so its outer
-products and GEMM are real, and gives every class's entry (row, order) the
-phase j^(row parity + order parity) per axis, a row phase times an order phase.
+    G = F_r^T diag(w alpha) F_s,
+
+summed over the directions of the cap, with F_s the far-field patterns of
+the transmitter's basis currents and F_r the receiver's basis projections of
+each plane wave; the received power of a current a is |G a|^2, so
+beta = sigma(G)^2 and the coefficient rows are conj(V^H) (Miller, Appl.
+Opt. 39, 2000), of which only the kept ones are built.  No surface grid
+enters: on a side l the pattern of the order-m function
+sqrt((2m+1)/l) P_m(2x/l) is sqrt((2m+1) l) j^m j_m(a), a = k khat_a l/2
+(DLMF 18.17.19: the integral of P_m(u) e^{jau} over [-1, 1] is
+2 j^m j_m(a)), and a pattern in x and y is the product of the two; the
+receiver's, for the field's phase e^{-jk khat.(r - p)}, carries (-j)^m.
+The receiver's order follows from the direction grid, not from a setting:
+a received plane wave's Legendre coefficients fall as j_m(a_r), with
+a_r = k (side/2) max|khat_a| over the grid (the larger over the receiver's
+two axes), so t_r = ceil(a_r) + 12 holds all but a part of the field that
+moves beta by less than 1e-12 beta_1 (34 on the paper link, 21 on ci).
+
+Mirror symmetry splits the SVD (Knorr, IEEE TAP 21, 1973).  j_m has the
+parity of m, so when the link and its direction grid are symmetric under
+x -> -x (`channel._symmetries`: the link axis lies in the plane x = 0 and
+the cap's rule is closed under k_x -> -k_x), a receiver order m' sees only
+transmitter orders m of its parity, and likewise for y: G is block-diagonal
+in up to four classes ee, eo, oe, oo of order parities, shared by both ends.
+Inside a class the summand is even under the mirrors of khat, so the sweep
+runs over one direction per orbit (`channel._orbits`) weighted by the
+orbit's w alpha, a quarter of the grid; an axis without a mirror is one
+class of both parities, and a general link the one-class case.  The
+patterns are real times their phase j^m (or (-j)^m), so the sweep takes two
+real products, with w alpha's real and imaginary parts, and each entry is
+then phased by (-j)^(m' + n') j^(m + n).
 
 A square link (both apertures square, on a grid with 4 | n_phi) is also
 symmetric under the swap x <-> y, which takes the summand of a direction to
-that of its swap image with rows (i, j) -> (j, i) and orders (m, n) -> (n, m).
-So ee and oo are each summed once, over an eighth of the grid (phi in
-[0, pi/4]) with half of each orbit's w alpha, and the block is that sum S
-plus S read through the swap.  oe is eo with x and y exchanged, so it is not
-swept or decomposed: its block is eo's read through the swap, its betas and
-rows are eo's, its orders (n, m) for eo's (m, n).  Only the SVD splits ee
-and oo, into the swap-even and swap-odd combinations of their rows and
-orders, made by indexing the block, so no rows x rows matrix is formed.
-The paper link's 529 x 703 problem becomes five SVDs, 78 x 100, 66 x 90
-(ee), 132 x 171 (eo) and 66 x 90, 55 x 81 (oo), against 144 x 190,
-132 x 171 twice and 121 x 171 without the swap.
+that of its swap image with the orders (m, n) -> (n, m) at both ends.  So ee
+and oo are each summed once, over an eighth of the grid (phi in [0, pi/4])
+with half of each orbit's w alpha, and the block is that sum S plus S read
+through the swap.  oe is eo with x and y exchanged, so it is not swept or
+decomposed: its block is eo's read through the swap, its betas and rows are
+eo's, its orders (n, m) for eo's (m, n).  Only the SVD splits ee and oo, into
+the swap-even and swap-odd combinations of their rows and columns, made by
+indexing the block.  The paper link's 630 x 703 channel becomes five SVDs,
+90 x 100, 81 x 90 (ee), 153 x 171 (eo) and 81 x 90, 72 x 81 (oo).
 
-The merged spectrum is sorted descending, and betas that tie to 1e-12 beta_1
-take their rows in class order (ee even, ee odd, eo, oe, oo even, oo odd), so
-an eo mode of a square link comes just before its oe image unless modes of
-other classes tie with them.
+The merged spectrum is sorted descending.  Two betas tie when they agree to
+1e-12 of their own size, and tied betas take their rows in class order (ee
+even, ee odd, eo, oe, oo even, oo odd), so an eo mode of a square link comes
+just before its oe image, and every row sits beside its own beta.
 
 A ModeSet keeps only independent values: its basis is the (m, n) order table
 of `basis_order_table`, its grids follow from the apertures and the requested
-`surface_points`, and its current scale sqrt(P_t / eta) follows from the
-transmit power and the free-space impedance, which the loader checks.
+`surface_points`, which set only the output grids (maps and Gram matrices),
+and its current scale sqrt(P_t / eta) follows from the transmit power and
+the free-space impedance, which the loader checks.
 
-A ModesResult pairs the mode set with its modes' received fields
-R @ coefficients.T, (n_rcv, modes), and R itself is not rebuilt: Q R is
-block-diagonal, so each block times its columns of the kept rows gives
-that block's rows of every field.  The field functions take the
-result and cannot be handed fields of another link.
+A ModesResult pairs the mode set with its modes' received fields as
+receiver coefficients, G a_n = sigma_n u_n, each class block times its
+columns of the kept rows; the field functions sample them on the mode set's
+receiver grid, and take the result, so they cannot be handed fields of
+another link.
 
-The basis is only ever sampled per axis, as Px and Py: a current is
+A basis is only ever sampled per axis, as Px and Py: a current or field is
 Px A Py^T, with A its coefficient row scattered onto the (m, n) order grid,
 so no function forms the (n_points x n_basis) basis matrix.
 """
@@ -78,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FREE_SPACE_IMPEDANCE, _fold, _kernel_scale, _parity_combinations, _row_classes, _row_phases
+from .channel import FREE_SPACE_IMPEDANCE, _kernel_scale, _orbits, _symmetries
 from .errors import BudgetError
 from .geometry import (
     LinkGeometry,
@@ -88,8 +94,8 @@ from .geometry import (
     rect_aperture,
     tensor_grid,
 )
-from .greens import translator_table
-from .specfun import legendre_sequence
+from .greens import _translator_weights, translator_table
+from .specfun import legendre_sequence, spherical_bessel_j
 
 __all__ = [
     "ModeSet",
@@ -109,9 +115,12 @@ MODESET_FORMAT = "emlink.modeset/1"
 
 DEFAULT_ENTRY_BUDGET = 10**7
 
-# directions per block of the dense sweep in `_radiated_blocks`: on the paper
-# link a block's real waves and columns, 1.1 and 0.7 MB, stay in a 2 MB L2 cache
+# directions per block of the sweep in `_channel_blocks`, at most: on the paper link a
+# block's pattern products, 1.4 and 0.8 MB, stay in a 2 MB L2 cache
 _BLOCK = 512
+
+# receiver orders past the largest pattern argument a_r (see the module docstring)
+_RECEIVER_MARGIN = 12
 
 # combiners are undefined for numerically null modes
 _NULL_MODE_REL = 1e-12
@@ -119,11 +128,11 @@ _NULL_MODE_REL = 1e-12
 # entries this close to a row's largest magnitude tie for the gauge pivot
 _PIVOT_TIE_REL = 1e-8
 
-# betas this close (relative to beta_1) tie, and their modes go in class order
+# betas this close, relative to the larger of the two, tie, and their modes go in class order
 _BETA_TIE_REL = 1e-12
 
-# j^0, j^1, j^2: the phase of an order (m, n) with 0, 1 or 2 odd parities
-_TURNS = np.array([1, 1j, -1])
+# j^0 .. j^3: the phase j^p of a pattern of order sum p is _TURNS[p % 4], and (-j)^p its conjugate
+_TURNS = np.array([1, 1j, -1, -1j])
 
 
 def basis_order_table(t: int) -> np.ndarray:
@@ -152,10 +161,6 @@ def _axis_legendre(t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
     return axis(grid.nodes_x, cx, aperture.side_x), axis(grid.nodes_y, cy, aperture.side_y)
 
 
-def _of_parity(orders: np.ndarray, parity: int | None) -> np.ndarray:
-    return np.ones(len(orders), dtype=bool) if parity is None else orders % 2 == parity
-
-
 def _swap_split(a: np.ndarray, swap: np.ndarray, sign: int) -> np.ndarray:
     """The swap-even (sign 1) or swap-odd (sign -1) orthonormal combinations of the rows of `a` that the involution `swap` pairs.
 
@@ -165,8 +170,8 @@ def _swap_split(a: np.ndarray, swap: np.ndarray, sign: int) -> np.ndarray:
     they are an orthogonal change of a's rows, made by indexing a.
     """
     i = np.arange(len(swap))
-    kept = i <= swap if sign > 0 else i < swap
-    norm = np.where(swap[kept] == i[kept], 2.0, np.sqrt(2.0))
+    kept = np.flatnonzero(i <= swap if sign > 0 else i < swap)
+    norm = np.where(swap[kept] == kept, 2.0, np.sqrt(2.0))
     return (a[kept] + sign * a[swap[kept]]) / norm[:, None]
 
 
@@ -178,136 +183,119 @@ def _check_budget(entries: int, entry_budget: int) -> None:
         )
 
 
+def _receiver_order(geometry: LinkGeometry, grid) -> int:
+    """t_r = ceil(a_r) + _RECEIVER_MARGIN, a_r = k (side / 2) max|khat_a| over the direction grid, the larger axis."""
+    reach = np.abs(grid.directions[:, :2]).max(axis=0) * (geometry.receiver.side_x, geometry.receiver.side_y)
+    return math.ceil(0.5 * geometry.k * reach.max()) + _RECEIVER_MARGIN
+
+
+def _axis_patterns(t: int, sides: np.ndarray, k: float, khat: np.ndarray) -> np.ndarray:
+    """sqrt((2m+1) l) j_m(k khat l / 2) for m = 0..t, shape (t + 1,) + shape(sides * khat): the real parts of the patterns.
+
+    The pattern of sqrt((2m+1)/l) P_m(2x/l) on a side l centred at 0, the
+    integral of it times e^{jk khat x}, is j^m times this (DLMF 18.17.19).
+    """
+    a = 0.5 * k * sides * khat
+    return spherical_bessel_j(t, a) * np.sqrt((2 * np.arange(t + 1) + 1.0).reshape((-1,) + (1,) * a.ndim) * sides)
+
+
 class _Class(NamedTuple):
-    """One parity class of the radiated basis and its block.
+    """One parity class of the channel G.
 
-    Its rows are the rows_x x rows_y receiver parity combinations, row-major,
-    its columns the basis entries `cols`; `parity` is its (x, y) parity, None
-    on an axis without a mirror, where the class holds the even and the odd
-    rows and the orders of both parities.  On a square link `swap` holds, for
-    ee and oo, the permutations (i, j) -> (j, i) of its rows and
-    (m, n) -> (n, m) of its columns; for oe, the positions of those images
-    among eo's rows and columns, so its block is eo's read through them;
-    None otherwise.
+    Its rows are the receiver basis entries `rows`, its columns the
+    transmitter's `cols`; `parity` is its (x, y) order parity, -1 on an
+    axis without a mirror, where the class holds the orders of both
+    parities.  On a square link `swap` holds, for ee and oo, the
+    permutations (m, n) -> (n, m) of its rows and of its columns; for oe,
+    the positions of those images among eo's rows and columns, so its block
+    is eo's read through them; None otherwise.
     """
 
-    rows_x: slice
-    rows_y: slice
-    parity: tuple[int | None, int | None]
+    rows: np.ndarray
     cols: np.ndarray
+    parity: tuple[int, int]
     swap: tuple[np.ndarray, np.ndarray] | None
-    block: np.ndarray | None = None
 
 
-def _symmetry_classes(basis: np.ndarray, sizes: tuple[int, int], mirrored: tuple[bool, bool, bool]) -> list[_Class]:
-    """The parity classes ee, eo, oe, oo (x parity first) that have columns, with their `swap` on a square link.
+def _symmetry_classes(basis: np.ndarray, rcv_basis: np.ndarray, found: tuple[bool, bool, bool]) -> list[_Class]:
+    """The parity classes ee, eo, oe, oo (x parity first) that have columns, under the flags `found` of `channel._symmetries`.
 
-    The receiver's sizes[0] x sizes[1] rows split by `channel._row_classes` under `_fold`'s flags `mirrored`.
+    Order (m, n) is row (m + n)(m + n + 1)/2 + m of an order table (`basis_order_table`).
     """
-    m, n = basis.T
-    index = np.full((int(basis.max()) + 1,) * 2, -1)
-    index[m, n] = np.arange(len(basis))
+
+    def members(table: np.ndarray, *parity: int) -> np.ndarray:
+        return np.flatnonzero(np.all((table % 2 == parity) | (np.array(parity) < 0), axis=1))
+
+    def images(table: np.ndarray, own: np.ndarray, *parity: int) -> np.ndarray:
+        (m, n), j = table[own].T, table[own].sum(axis=1)
+        return np.searchsorted(members(table, *parity), j * (j + 1) // 2 + n)
+
     out = []
-    for (rows_x, p), (rows_y, q) in itertools.product(*map(_row_classes, sizes, mirrored[:2])):
-        cols = np.flatnonzero(_of_parity(m, p) & _of_parity(n, q))
+    for p, q in itertools.product(*((0, 1) if mirrored else (-1,) for mirrored in found[:2])):
+        rows, cols = members(rcv_basis, p, q), members(basis, p, q)
         if len(cols) == 0:
             continue
-        perms = None
-        if mirrored[2] and p >= q:
-            # row (i, j) and column (m, n) are row (j, i) and column (n, m) of class (q, p), whose sub-grid is n_y x n_x
-            n_x, n_y = rows_x.stop - rows_x.start, rows_y.stop - rows_y.start
-            images = np.flatnonzero(_of_parity(m, q) & _of_parity(n, p))
-            perms = np.arange(n_x * n_y).reshape(n_y, n_x).T.ravel(), np.searchsorted(images, index[n[cols], m[cols]])
-        out.append(_Class(rows_x, rows_y, (p, q), cols, perms))
+        # row and column (m, n) are row and column (n, m) of class (q, p)
+        swap = tuple(images(table, own, q, p) for table, own in ((rcv_basis, rows), (basis, cols))) if found[2] and p >= q else None
+        out.append(_Class(rows, cols, (p, q), swap))
     return out
 
 
-def _patterns(weights: np.ndarray, legendre: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """One axis's basis patterns (w P)^T X = (Q w P)^T (Q X), Q X the source's folded factors, as real rows.
+def _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget) -> list[tuple[_Class, list[tuple]]]:
+    """The classes of `_symmetry_classes`, each with the blocks of G = F_r^T diag(w alpha) F_s that it decomposes into.
 
-    The Gauss rule is symmetric about the aperture's center, so order m's
-    column of Q w P vanishes, to roundoff, off the rows of its parity, real
-    for even m and imaginary for odd m: times the factors' kept real rows it
-    gives the real part of an even pattern and the imaginary part of an odd one.
+    A block sums, over one direction per orbit of the link's mirrors
+    (`channel._orbits`) with the orbit's w alpha, the products of the
+    receiver's and the transmitter's per-axis patterns (`_axis_patterns`),
+    _BLOCK directions at a time, as one real product whose receiver rows
+    carry w alpha's real and imaginary parts; the entry of receiver orders
+    (m', n') and transmitter orders (m, n) then takes the kernel scale and
+    the phase (-j)^(m' + n') j^(m + n).  A class's blocks are (B, C_r, C_c), B the
+    combination C_r G_class C_c^T, with C_r and C_c None for the identity
+    but on ee and oo of a square link.  On a
+    square link ee and oo are summed over one direction per orbit of the
+    mirrors and the swap (phi in [0, pi/4]) with half the orbit's w alpha,
+    S, and G_class is S plus S read through the swap; so its swap-even and
+    swap-odd combinations (`_swap_split`) of rows and columns, whose cross
+    terms vanish, are those of 2 S, and are its two blocks.  oe has no block
+    of its own: it is eo's read through its `swap`.  The budget bounds each
+    class's pattern products and its block.
     """
-    return (_parity_combinations(len(factors)) @ (weights[:, None] * legendre)).T @ factors
-
-
-def _radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget):
-    """Blocks of (Qx (x) Qy) R, with Q from `_parity_combinations` per receiver axis, one per `_Class`.
-
-    Returns qx, qy and the classes of `_symmetry_classes`, each with its
-    block.  A block sums its (rows x directions) plane-wave factors, the
-    receiver's factors from `channel._fold` times the orbits' w alpha on the
-    y side, one direction per orbit of the mirrors, against the basis
-    patterns (`_patterns`), _BLOCK directions at a time; the budget bounds R,
-    each block and one block of factors.  The sweep is real: it reads the
-    kept factors and the patterns as real rows, odd rows and odd orders being
-    j times theirs, and splits w alpha into its real and imaginary rows; the
-    stacked rows, 2 x step x n_sub floats, take the bytes of the step x n_sub
-    complex entries the budget counts.  Block entry (row, order) is j^(row parity + order parity)
-    on each axis times that real sum, in every class: a row phase
-    (`channel._row_phases`) times an order phase.
-
-    On a square link ee and oo are summed over one direction per orbit of
-    the mirrors and the swap (phi in [0, pi/4]) with half the orbit's
-    w alpha, S, and the block is S plus S read through the class's `swap`:
-    the swap takes a direction's summand to that of its image with rows and
-    columns swapped, and a direction the swap fixes is counted twice, at
-    half weight.  oe is eo's block read through its `swap`.
-    """
-    _check_budget(len(rcv.points) * len(basis), entry_budget)
-    mirrored, (ax, ay), (bx, by), w_orbit, eighth, w_eighth = _fold(src, rcv, geometry, grid, table)
-    qx, qy = _parity_combinations(len(bx)), _parity_combinations(len(by))
-    px, py = _axis_legendre(int(basis.max()), src)
-    fx, fy = _patterns(src.weights_x, px, ax), _patterns(src.weights_y, py, ay)
-    folds = [(w_orbit, bx, by, fx, fy)]
-    if mirrored[2]:  # take() keeps the rows C-ordered, which f[:, eighth] does not
-        folds.append((w_eighth, *(f.take(eighth, axis=1) for f in folds[0][1:])))
-    m, n = basis.T
-    blocks = []
-    for cls in _symmetry_classes(basis, (len(bx), len(by)), mirrored):
-        (p, q), mc, nc = cls.parity, m[cls.cols], n[cls.cols]
-        if cls.swap is not None and p != q:
-            blocks.append(cls._replace(block=blocks[-1].block[np.ix_(*cls.swap)]))
+    found = _symmetries(geometry, grid)
+    reps, sizes, eighth, sizes_all = _orbits(grid, found)
+    w_alpha = _translator_weights(grid, table)
+    sides = np.array([[end.side_x, end.side_y] for end in (geometry.transmitter, geometry.receiver)])
+    # (order, end, axis, direction): both ends' patterns on both axes from one array of Bessel arguments
+    f = _axis_patterns(max(basis.max(), rcv_basis.max()), sides[:, :, None], geometry.k, grid.directions[reps, :2].T)
+    w_alpha = _kernel_scale(geometry.k) * w_alpha
+    folds = [(np.outer(w_alpha, sizes).ravel(), f)]
+    if found[2]:  # 2 S: the orbits' whole w alpha
+        folds.append((np.outer(w_alpha, sizes_all).ravel(), f[..., eighth]))
+    out = []
+    for cls in _symmetry_classes(basis, rcv_basis, found):
+        if cls.swap is not None and cls.parity[0] != cls.parity[1]:
+            out.append((cls, []))
             continue
-        w, cx, cy, fx, fy = folds[cls.swap is not None]
-        cx, cy = cx[cls.rows_x], cy[cls.rows_y][:, None] * np.stack([w.real, w.imag])  # cy: (n_y, 2, n_dir)
-        n_sub, n_dir = len(cx) * len(cy), cx.shape[1]
-        step = min(_BLOCK, n_dir)
-        _check_budget(max(n_sub * len(mc), step * len(mc), step * n_sub), entry_budget)
-        block = np.zeros((n_sub * 2, len(mc)))
-        for start in range(0, n_dir, step):
-            sl = slice(start, start + step)
-            waves = cx[:, None, None, sl] * cy[None, :, :, sl]
-            block += waves.reshape(len(block), waves.shape[3]) @ (fx[mc, sl] * fy[nc, sl]).T
-        block = block[0::2] + 1j * block[1::2]  # row 2r + p: row r's sum with w alpha's real (p = 0) or imaginary part
-        if cls.swap is not None:
-            block = block + block[np.ix_(*cls.swap)]
-        block *= (_kernel_scale(geometry.k) * _row_phases(len(bx), len(by))[cls.rows_x, cls.rows_y]).reshape(-1, 1)
-        block *= _TURNS[mc % 2 + nc % 2]
-        blocks.append(cls._replace(block=block))
-    return qx, qy, blocks
+        (w, f), (m_r, n_r), (m, n) = folds[cls.swap is not None], rcv_basis[cls.rows].T, basis[cls.cols].T
+        _check_budget(max(len(m_r), len(m)) * max(_BLOCK, len(m)), entry_budget)
+        weighted, sums = (f[:, 1, 1] * w.real, f[:, 1, 1] * w.imag), 0.0
+        bounds = np.linspace(0, len(w), -(-len(w) // _BLOCK) + 1).astype(int)  # blocks of equal size
+        for sl in map(slice, bounds[:-1], bounds[1:]):  # row r + p rows: receiver row r with w alpha's part p
+            received = np.concatenate([f[m_r, 1, 0, sl] * part[n_r, sl] for part in weighted])
+            sums += received @ (f[m, 0, 0, sl] * f[n, 0, 1, sl]).T
+        phases = np.outer(_TURNS[(m_r + n_r) % 4].conj(), _TURNS[(m + n) % 4])
+        block = phases * (sums[: len(m_r)] + 1j * sums[len(m_r) :])
+        blocks = [(block, None, None)] if cls.swap is None else []
+        for sign in () if cls.swap is None else (1, -1):
+            c_r, c_c = (_swap_split(np.eye(len(swap)), swap, sign) for swap in cls.swap)
+            if len(c_c):
+                blocks.append((_swap_split(_swap_split(block, cls.swap[0], sign).T, cls.swap[1], sign).T, c_r, c_c))
+        out.append((cls, blocks))
+    return out
 
 
-def _unfold(qx: np.ndarray, qy: np.ndarray, blocks: list[_Class], rows: np.ndarray) -> np.ndarray:
-    """R @ rows.T, (n_rcv, len(rows)), from the class blocks without forming R.
-
-    (Qx (x) Qy) R is block-diagonal in the classes, so each block times its
-    columns of the rows gives its rows of the product, and (Qx (x) Qy)^T maps
-    them back to the grid.
-    """
-    nx, ny, width = len(qx), len(qy), len(rows)
-    parity = np.zeros((nx, ny, width), dtype=complex)
-    for cls in blocks:
-        n_x, n_y = cls.rows_x.stop - cls.rows_x.start, cls.rows_y.stop - cls.rows_y.start
-        parity[cls.rows_x, cls.rows_y] = (cls.block @ rows[:, cls.cols].T).reshape(n_x, n_y, width)
-    half = (qx.T @ parity.reshape(nx, ny * width)).reshape(nx, ny, width)
-    return (qy.T @ half).reshape(nx * ny, width)
-
-
-def _fix_gauge(rows: np.ndarray) -> np.ndarray:
-    """Rotate each row so its pivot entry is real positive.
+def _gauge(rows: np.ndarray) -> np.ndarray:
+    """The phase per row that makes its pivot entry real positive.
 
     The pivot is the lowest index whose magnitude ties with the row's largest,
     so symmetric ties (mirror orders on a square link) are not left to roundoff.
@@ -315,7 +303,7 @@ def _fix_gauge(rows: np.ndarray) -> np.ndarray:
     mag = np.abs(rows)
     pivot = np.argmax(mag >= (1.0 - _PIVOT_TIE_REL) * mag.max(axis=1, keepdims=True), axis=1)
     ref = rows[np.arange(len(rows)), pivot]
-    return rows * (np.conj(ref) / np.abs(ref))[:, None]
+    return np.conj(ref) / np.abs(ref)
 
 
 @dataclass(frozen=True)
@@ -362,15 +350,24 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class ModesResult:
-    """A mode set and the received fields of its modes, solved together."""
+    """A mode set and the received fields of its modes, solved together.
+
+    `received[n]` is mode n's field G a_n in the receiver's orthonormal
+    Legendre basis `rcv_basis`, unscaled: (modes, (t_r+1)(t_r+2)/2) complex.
+    """
 
     modes: ModeSet
-    fields: np.ndarray     # R @ coefficients.T, (n_rcv, modes) complex, unscaled
+    received: np.ndarray
 
     def __post_init__(self):
-        expected = (len(self.modes.rcv_grid.points), len(self.modes))
-        if self.fields.shape != expected:
-            raise ValueError(f"mode fields of shape {self.fields.shape} do not match the mode set's {expected}")
+        if self.received.shape != (len(self.modes), len(self.rcv_basis)):
+            raise ValueError(f"received fields of shape {self.received.shape} do not match the mode set's "
+                             f"{len(self.modes)} modes in a receiver basis of (t_r + 1)(t_r + 2)/2 functions")
+
+    @cached_property
+    def rcv_basis(self) -> np.ndarray:
+        """The receiver's (m, n) order table, `basis_order_table(t_r)`, t_r from the fields' width."""
+        return basis_order_table(math.isqrt(2 * self.received.shape[-1]) - 1)
 
 
 def _check_series(geometry: LinkGeometry, theta_e: float, L: int) -> None:
@@ -381,15 +378,12 @@ def _check_series(geometry: LinkGeometry, theta_e: float, L: int) -> None:
     half-angle atan(rho_max / d), under which each end sees the other.
     """
     rho_max = geometry.transmitter.half_diagonal + geometry.receiver.half_diagonal
-    order = math.ceil(geometry.k * rho_max)
+    order, half_angle = math.ceil(geometry.k * rho_max), math.atan(rho_max / geometry.distance)
     if L < order:
         raise ValueError(f"the truncation order L = {L} is below ceil(k rho_max) = {order}, where the series converges")
-    half_angle = math.atan(rho_max / geometry.distance)
     if theta_e < half_angle:
-        raise ValueError(
-            f"the cap half-angle theta_e = {math.degrees(theta_e):.4g} deg is below the link's geometric "
-            f"half-angle atan(rho_max / d) = {math.degrees(half_angle):.4g} deg"
-        )
+        raise ValueError(f"the cap half-angle theta_e = {math.degrees(theta_e):.4g} deg is below the link's geometric "
+                         f"half-angle atan(rho_max / d) = {math.degrees(half_angle):.4g} deg")
 
 
 def solve_modes(
@@ -403,90 +397,86 @@ def solve_modes(
     keep: int | None = None,
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> ModesResult:
-    """End-to-end pipeline: grids, translator, radiated basis, one SVD per class block (two per swap class), modes.
+    """End-to-end pipeline: direction grid, translator, channel blocks, one SVD per class block (two per swap class), modes.
 
     Beyond a block's rank, its V^H completes the block's columns with beta = 0.
     The first `keep` modes are kept (all when `keep` is None or <= 0), with
-    their received fields.  The budget bounds R's blocks and their V^H,
-    n_rcv x n_basis and at most n_basis x n_basis, and is checked before
-    anything is built; so are L and theta_e (`_check_series`).
+    their received fields.  n_surface sets only the mode set's output grids.
+    The budget bounds the class blocks and their V^H, at most
+    n_rcv_basis x n_basis and n_basis x n_basis, and the kept modes' fields on
+    the output grid, n_surface x n_basis; it is checked before anything is
+    built, with t_r bounded by |khat_a| <= 1, and so are L and theta_e
+    (`_check_series`).
     """
     n1, n_basis = int(np.ceil(np.sqrt(max(n_surface, 1)))), (t + 1) * (t + 2) // 2
-    _check_budget(max(n1 * n1, n_basis) * n_basis, entry_budget)
+    t_r = math.ceil(0.5 * geometry.k * max(geometry.receiver.side_x, geometry.receiver.side_y)) + _RECEIVER_MARGIN
+    _check_budget(max(n1 * n1, (t_r + 1) * (t_r + 2) // 2, n_basis) * n_basis, entry_budget)
     _check_series(geometry, theta_e, L)
     dir_grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(dir_grid, geometry.k, geometry.r_pq, L, windowed)
-    src = tensor_grid(geometry.transmitter, n_surface)
-    rcv = tensor_grid(geometry.receiver, n_surface)
-    basis = basis_order_table(t)
-    qx, qy, blocks = _radiated_blocks(basis, src, rcv, geometry, dir_grid, table, entry_budget)
-    # Q is orthogonal and pairs nodes of equal weight, so Q W_rcv Q^T is diagonal
-    wx, wy = qx**2 @ rcv.weights_x, qy**2 @ rcv.weights_y
-    spectra = []  # (class, betas, conj(V^H), C_c or None for the identity), in class order
-    for cls in blocks:
-        scaled = np.sqrt(np.outer(wx[cls.rows_x], wy[cls.rows_y]).ravel())[:, None] * cls.block
-        if cls.swap is None:
-            systems = [_singular_system(scaled)]
-        elif cls.parity[0] == cls.parity[1]:
-            # rows the swap pairs weigh the same, so the row combinations commute with W^(1/2)
-            row_swap, col_swap = cls.swap
-            splits = ((sign, _swap_split(np.eye(len(col_swap)), col_swap, sign)) for sign in (1, -1))
-            systems = [
-                _singular_system(_swap_split(_swap_split(scaled, row_swap, sign).T, col_swap, sign).T, c_c)
-                for sign, c_c in splits
-                if len(c_c)
-            ]
-        else:  # oe takes eo's singular system, its columns read through the swap
-            systems = [(beta, rows[:, cls.swap[1]], None) for beta, rows, _ in systems]
+    basis, rcv_basis = basis_order_table(t), basis_order_table(_receiver_order(geometry, dir_grid))
+    spectra = []  # (class, betas, conj(V^H), C_c, (U sigma)^T, C_r), in class order
+    for cls, blocks in _channel_blocks(basis, rcv_basis, geometry, dir_grid, table, entry_budget):
+        if blocks:
+            systems = [_singular_system(*block) for block in blocks]
+        else:  # oe takes eo's singular system, its columns and its field rows read through the swap
+            systems = [(beta, rows[:, cls.swap[1]], None, fields[:, cls.swap[0]], None) for beta, rows, _, fields, _ in systems]
         spectra += [(cls, *system) for system in systems]
     classes = np.concatenate([np.full(len(beta), label) for label, (_, beta, *_) in enumerate(spectra)])
     betas, order = _merge_spectra(np.concatenate([beta for _, beta, *_ in spectra]), classes)
     kept = slice(keep) if keep is not None and keep > 0 else slice(None)
     merged = order[kept]
-    # only the kept rows are built: merged row r is row r - start of its spectrum's
-    # rows, taken through the spectrum's column combinations back to its class's columns
+    # only the kept rows are built: merged row r is row r - start of its spectrum's rows, taken through the
+    # spectrum's combinations back to its class's columns, and its field likewise to its class's receiver rows
     coefficients = np.zeros((len(merged), len(basis)), dtype=complex)
+    received = np.zeros((len(merged), len(rcv_basis)), dtype=complex)
     start, merged_class = 0, classes[merged]
-    for label, (cls, _, rows, c_c) in enumerate(spectra):
+    for label, (cls, _, rows, c_c, fields, c_r) in enumerate(spectra):
         mine = np.flatnonzero(merged_class == label)
-        picked = rows[merged[mine] - start]
-        coefficients[np.ix_(mine, cls.cols)] = picked if c_c is None else picked @ c_c
+        picked = merged[mine] - start
+        coefficients[np.ix_(mine, cls.cols)] = rows[picked] if c_c is None else rows[picked] @ c_c
+        received[np.ix_(mine, cls.rows)] = fields[picked] if c_r is None else fields[picked] @ c_r
         start += len(rows)
-    coefficients = _fix_gauge(coefficients)
+    gauge = _gauge(coefficients)[:, None]
+    coefficients *= gauge
+    received *= gauge
     modes = ModeSet(betas[kept], coefficients, float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface)
-    # src and rcv are what the cached grid properties would build again
-    vars(modes).update(src_grid=src, rcv_grid=rcv)
-    return ModesResult(modes, _unfold(qx, qy, blocks, coefficients))
+    return ModesResult(modes, received)
 
 
-def _singular_system(scaled: np.ndarray, c_c: np.ndarray | None = None) -> tuple:
-    """Betas of a weighted class block W^(1/2) B, or of its combination C_r W^(1/2) B C_c^T, with conj(V^H) and C_c.
+def _singular_system(block: np.ndarray, c_r: np.ndarray | None, c_c: np.ndarray | None) -> tuple:
+    """Betas of a class block B = C_r G C_c^T, with conj(V^H), C_c, (U sigma)^T and C_r.
 
     Its SVD U diag(sigma) V^H gives sigma^2, padded with zeros to the width;
-    the coefficient rows over B's columns are conj(V^H) C_c, with no C_c for
-    the identity.
+    the coefficient rows over the class's columns are conj(V^H) C_c, and
+    their received fields over its receiver rows (U sigma)^T C_r, zero past
+    the rank; None stands for the identity.
     """
-    width = scaled.shape[1]
-    _, sigma, vh = np.linalg.svd(scaled, full_matrices=len(scaled) < width)
-    return np.pad(sigma**2, (0, width - len(sigma))), vh.conj(), c_c
+    width = block.shape[1]
+    # B^H = U' diag(sigma) V'^H, which LAPACK takes faster than B: V = U' and U = V'
+    v, sigma, uh = np.linalg.svd(block.conj().T, full_matrices=len(block) < width)
+    fields = np.pad(uh.conj() * sigma[:, None], ((0, width - len(sigma)), (0, 0)))
+    return np.pad(sigma**2, (0, width - len(sigma))), v.T, c_c, fields, c_r
 
 
 def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Betas sorted descending, and the row order that goes with them.
 
-    Inside a run of betas that agree to _BETA_TIE_REL * beta_1 the rows go in
-    class order, so of each pair of a square link (an eo mode and its oe
-    image, equal by construction) the eo mode comes first.  The betas stay
-    sorted.
+    Neighbours tie when they agree to _BETA_TIE_REL of the larger, and the
+    rows of a run of ties go in class order, so of each pair of a square link
+    (an eo mode and its oe image, equal by construction) the eo mode comes
+    first.  The betas stay sorted; a tie is relative, so a run never reaches
+    betas of another size, and each row sits beside its own beta to
+    _BETA_TIE_REL of it.
     """
     order = np.argsort(-betas, kind="stable")
     betas = betas[order]
-    run = np.concatenate(([0], np.cumsum(np.diff(betas) < -_BETA_TIE_REL * betas[0])))
+    run = np.concatenate(([0], np.cumsum(betas[1:] < (1.0 - _BETA_TIE_REL) * betas[:-1])))
     return betas, order[np.lexsort((classes[order], run))]
 
 
 def _sample_currents(basis: np.ndarray, rows: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    """The currents of coefficient rows (count, n_basis) at a grid's points, (n_points, count).
+    """The currents (or fields) of coefficient rows (count, n_basis) at a grid's points, (n_points, count).
 
     Each row is scattered onto its (m, n) order grid A, and the current on
     the tensor grid is Px A Py^T (see `_axis_legendre`).
@@ -506,11 +496,11 @@ def mode_current_field(modes: ModeSet, n: int) -> np.ndarray:
 
 
 def received_field(result: ModesResult, n: int) -> np.ndarray:
-    """Field psi_n of mode current n on the mode set's receiver grid."""
+    """Field psi_n of mode current n on the mode set's receiver grid, sampled from its receiver coefficients."""
     modes = result.modes
     if not 0 <= n < len(modes):
         raise IndexError("mode index out of range")
-    return modes.scale * result.fields[:, n]
+    return modes.scale * _sample_currents(result.rcv_basis, result.received[n : n + 1], modes.rcv_grid)[:, 0]
 
 
 def combiner_field(result: ModesResult, n: int) -> np.ndarray:
@@ -537,15 +527,15 @@ def gram_currents(modes: ModeSet, count: int) -> np.ndarray:
 
 
 def gram_fields(result: ModesResult, count: int) -> np.ndarray:
-    """Gram matrix of the first `count` received fields over the receiver.
+    """Gram matrix of the first `count` received fields over the receiver, on the mode set's receiver grid.
 
-    Diagonal tracks beta_n * (P_t/eta); off-diagonals measure biorthogonality
-    leakage of the discretization.
+    Diagonal tracks beta_n * (P_t/eta); off-diagonals measure the
+    biorthogonality leakage of that grid's quadrature.
     """
     modes = result.modes
     if not 0 <= count <= len(modes):
         raise ValueError(f"count {count} is outside [0, {len(modes)}], the number of stored modes")
-    psi = modes.scale * result.fields[:, :count]
+    psi = modes.scale * _sample_currents(result.rcv_basis, result.received[:count], modes.rcv_grid)
     return (psi.T * modes.rcv_grid.weights) @ np.conj(psi)
 
 

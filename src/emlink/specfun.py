@@ -1,9 +1,12 @@
 """Legendre polynomials, Gauss-Legendre quadrature, and spherical Bessel functions.
 
 Everything here is self-contained double-precision numerics; no external
-special-function library is used.  The spherical Hankel function follows the
-engineering e^{-jkR} phase convention, h_l(x) = j_l(x) - i*y_l(x), which is
-the convention the plane-wave translator requires.
+special-function library is used.  The spherical Bessel functions j_l take
+an array of real arguments of any sign, zero included, for the closed-form
+Legendre patterns of the mode solve; the translator's one call passes a
+scalar.  The spherical Hankel function follows the engineering e^{-jkR}
+phase convention, h_l(x) = j_l(x) - i*y_l(x), which is the convention the
+plane-wave translator requires.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ _OVERFLOW_LIMIT = 1e280
 
 # Rescaling threshold for the downward (Miller) recurrence.
 _RESCALE_LIMIT = 1e250
+
+# Below this |x|, j_l(x) is its leading term x^l / (2l+1)!! to double precision.
+_SMALL_ARGUMENT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -121,44 +127,51 @@ def _newton_rule(n: int) -> QuadratureRule:
     return QuadratureRule(x[order], w[order])
 
 
-def spherical_bessel_j(l_max: int, x: float) -> np.ndarray:
-    """First-kind spherical Bessel functions j_0(x) .. j_{l_max}(x), x > 0.
+def spherical_bessel_j(l_max: int, x) -> np.ndarray:
+    """First-kind spherical Bessel functions j_0(x) .. j_{l_max}(x) at each real x, shape (l_max + 1,) + shape(x).
 
-    Upward recurrence is used while it is stable (l <= x); otherwise the
-    sequence comes from Miller's downward recurrence with the start order
-    pushed well above l_max, normalized against the closed-form seed j_0
-    (or j_1 when sin x is nearly zero).
+    Miller's downward recurrence on the whole array, started well above
+    both l_max and the largest |x|, rescaled as it grows and normalized
+    against the closed-form seed j_0 = sin x / x (or j_1 where sin x is nearly
+    zero), which is also the order-0 value.  Below |x| = 1e-8 the leading
+    term x^l / (2l+1)!! is exact in double precision, which gives
+    j_l(0) = delta_l0; a negative x takes j_l(-x) = (-1)^l j_l(x).
     """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    s, c = np.sin(x), np.cos(x)
-    j0 = s / x
-    if l_max == 0:
-        return np.array([j0])
-    j1 = s / (x * x) - c / x
-    if l_max <= x:
-        out = np.empty(l_max + 1)
-        out[0], out[1] = j0, j1
-        for l in range(1, l_max):
-            out[l + 1] = (2 * l + 1) / x * out[l] - out[l - 1]
-        return out
-    # downward recurrence; extra orders buy the accuracy Miller's method needs
-    start = l_max + max(16, int(np.ceil(np.sqrt(40.0 * l_max))))
-    f = np.zeros(start + 2)
-    f[start + 1] = 0.0
-    f[start] = 1e-300
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x).ravel()
+    small = a < _SMALL_ARGUMENT
+    a[small] = 1.0  # the recurrence's argument; small ones take the leading term below
+    s, c, inverse = np.sin(a), np.cos(a), 1.0 / a
+    j0, j1 = s * inverse, (s * inverse - c) * inverse
+    top = max(l_max, int(np.ceil(a.max(initial=0.0))))
+    start = top + max(16, int(np.ceil(np.sqrt(40.0 * top))))
+    # rows 0 .. max(l_max, 1) of the sequence are kept; above them only the two the recurrence reads
+    f = np.empty((max(l_max, 1) + 1, a.size))
+    upper, current = np.zeros(a.size), np.full(a.size, 1e-300)  # orders l + 1 and l, from l = start
     for l in range(start, 0, -1):
-        f[l - 1] = (2 * l + 1) / x * f[l] - f[l + 1]
-        if abs(f[l - 1]) > _RESCALE_LIMIT:
-            f[: start + 2] /= _RESCALE_LIMIT
+        lower = current * inverse
+        lower *= 2 * l + 1
+        lower -= upper
+        upper, current = current, lower
+        if l <= len(f):
+            f[l - 1] = current
+        if l % 4 == 0:  # a step grows an entry by at most (2 l + 1) / 1e-8: four stay in range up to start ~ 1e6
+            big = np.abs(current) > _RESCALE_LIMIT
+            if big.any():
+                upper[big] /= _RESCALE_LIMIT
+                current[big] /= _RESCALE_LIMIT
+                f[l - 1 :, big] /= _RESCALE_LIMIT  # the kept rows made so far
     # j0 degenerates at the zeros of sin; j1 cannot vanish there too
-    if abs(j0) >= abs(j1):
-        scale = j0 / f[0]
-    else:
-        scale = j1 / f[1]
-    return f[: l_max + 1] * scale
+    out = f[: l_max + 1]
+    out *= np.where(np.abs(j0) >= np.abs(j1), j0 / f[0], j1 / f[1])
+    out[0] = j0  # the seed itself, which the recurrence gives only to its cancellation near a zero of sin
+    if small.any():
+        tiny = np.abs(x).ravel()[small]
+        out[:, small] = np.cumprod([np.ones_like(tiny)] + [tiny / (2 * l + 1) for l in range(1, l_max + 1)], axis=0)
+    out[1::2] *= np.where(x.ravel() < 0, -1.0, 1.0)
+    return out.reshape((l_max + 1,) + x.shape)
 
 
 def spherical_neumann_y(l_max: int, x: float) -> np.ndarray:

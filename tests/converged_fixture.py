@@ -1,19 +1,23 @@
-"""The headline numbers of each preset's model on converged grids, and the fixtures that pin them.
+"""The headline numbers of each link's model, and the fixtures that pin them.
 
 Regenerate fixtures, from the package in src/, with
 
     python tests/converged_fixture.py [NAME ...]
 
 (every fixture when no NAME is given).  It solves each link's windowed model
-(its preset's L, theta_e and window unchanged) on a surface grid of
-NODES[name] Gauss nodes per axis on both apertures, where the spectrum has
-converged, and writes tests/data/converged_<name>.json: beta_1..beta_40 /
-beta_1, the tail decay rate c and the -3 dB count of the spectrum, and the
-water-filling capacity at SNR_DB, with the node count and the commit of the
-code that made it.  The links are the paper and ci presets and
-`paper-x10`, the paper apertures with the receiver centre moved to
-(10, 0, 25.5).  Regenerate only when the model changes (not its
-discretization), and say why in CHANGES.md.
+(its preset's L, theta_e and window unchanged) and writes
+tests/data/converged_<name>.json: beta_1..beta_40 / beta_1, the tail decay
+rate c and the -3 dB count of the spectrum, and the water-filling capacity
+at SNR_DB, with NODES[name] and the commit of the code that made it.  The
+links are the paper and ci presets and `paper-x10`, the paper apertures
+with the receiver centre moved to (10, 0, 25.5).
+
+The solve takes no node count: its patterns are closed forms at both ends,
+and NODES only sets the output grids.  The committed fixtures came from the
+earlier surface-grid solve, on NODES[name] Gauss nodes per axis on both
+apertures, where its spectrum had converged, at the commit each records.
+Regenerate only when the model changes (not its discretization), and say
+why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
-NODES = {"paper": 60, "ci": 40, "paper-x10": 60}  # Gauss nodes per axis on each aperture
+NODES = {"paper": 60, "ci": 40, "paper-x10": 60}  # Gauss nodes per axis of the grid route that made each fixture
 RECEIVER_CENTERS = {"paper-x10": (10.0, 0.0, 25.5)}  # links off their preset's axis
 SNR_DB = (0.0, 10.0, 20.0, 30.0)
 COUNT = 40  # leading normalized eigenvalues kept
 
 
 def headline(name: str) -> dict:
-    """The headline numbers of link `name` on NODES[name]^2 surface points."""
+    """The headline numbers of link `name`, with NODES[name]^2 output points."""
     from emlink import PRESETS, LinkGeometry, capacity_vs_snr, rect_aperture, solve_modes, spectrum_fit
     from emlink.cli import _plateau_count
 

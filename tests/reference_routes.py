@@ -2,7 +2,7 @@
 
 `reference_field` is the direct-sum oracle of `propagate_current`, and
 `dense_kernel` the plane-wave sum with one exponential per (point,
-direction) pair; `dense_betas` are the betas it gives a mode set's link;
+direction) pair;
 `exponential_folded_waves` is Q times the per-axis exponentials of every
 node, complex, the route `channel._folded_waves` replaced with cosine and
 sine tables kept as real rows, with Q the even/odd node combinations
@@ -11,15 +11,17 @@ sine tables kept as real rows, with Q the even/odd node combinations
 `geometry._image_steps` gives in closed form, and `image_maps` lays those
 steps out as one index per direction;
 `basis_eval` is the dense Legendre basis, built from numpy's `legvander`
-rather than the package's per-axis patterns; `radiated_basis` is the full R
-from the solve's own parity blocks, and `solved_radiated_basis` rebuilds it
-for a solved mode set, which keeps only its modes' fields;
+rather than the package's per-axis patterns; `quadrature_patterns` are the
+far-field patterns of a Legendre basis by a Gauss rule on each axis of the
+aperture, and `quadrature_channel` the channel G between a transmitter and
+a receiver basis that they give over every direction of a grid, in complex
+arithmetic, with no closed form, fold or parity class; `solved_channel` is
+it on the direction grid, translator and receiver basis of a solve;
+`channel_matrix` is the whole G assembled from the solve's own class
+blocks (`modes._channel_blocks`);
 `orbit_weights` finds the fold's orbits on the full grid, from one label
 per direction, and sums w alpha over each with `np.bincount`, the route the
-per-ring orbits of `channel._orbits` replaced; `quarter_sum_block` is one
-parity block summed over a quarter of the directions in complex arithmetic
-on `exponential_folded_waves` and `orbit_weights`, the route the swap fold
-of a square link's ee and oo blocks replaced.
+per-ring orbits of `channel._orbits` replaced.
 `per_direction_table` is the translator evaluated at every direction's own
 cosine rather than once per ring, `two_pass_error_sweep` the per-window
 route of `expansion_error_sweep` on it, and `step_down_waterfill` the
@@ -33,9 +35,9 @@ from numpy.polynomial.legendre import legvander
 
 from emlink.capacity import PowerAllocation
 from emlink.channel import FREE_SPACE_IMPEDANCE
-from emlink.geometry import _image_steps, cap_direction_grid, default_cap_densities, truncation_order
+from emlink.geometry import SurfaceGrid, _image_steps, cap_direction_grid, default_cap_densities, truncation_order
 from emlink.greens import sgf_exact, translator_series, translator_table
-from emlink.modes import DEFAULT_ENTRY_BUDGET, MODESET_FORMAT, _radiated_blocks, _unfold
+from emlink.modes import DEFAULT_ENTRY_BUDGET, MODESET_FORMAT, _channel_blocks
 
 
 def reference_field(current, src, rcv, k):
@@ -112,22 +114,52 @@ def image_maps(grid):
             for step in _image_steps(grid)]
 
 
-def dense_betas(modes, theta_e, L, windowed=True):
-    """Squared singular values of W_rcv^(1/2) H W_src E, descending, with H the dense kernel of a mode set's link.
+def quadrature_patterns(aperture, basis, directions, k, sign, nodes=60):
+    """(n_basis, n_dir): the integral of each basis function times e^{-jk khat.(sign (s - c))} over the aperture, c its centre.
 
-    H is built on the direction grid and translator `solve_modes` builds,
-    and E is `basis_eval`, so no parity class or fold is used.
+    Each axis's pattern is an n-node Gauss sum of the `legvander` basis times
+    one exponential per node and direction, and the pattern of order (m, n)
+    is the x pattern of m times the y pattern of n.
     """
-    geo, src, rcv = modes.geometry, modes.src_grid, modes.rcv_grid
-    grid, table = solved_direction_grid(geo, theta_e, L, windowed)
-    R = dense_kernel(src, rcv, geo, grid, table) @ (src.weights[:, None] * basis_eval(modes.basis, src))
-    sigma = np.linalg.svd(np.sqrt(rcv.weights)[:, None] * R, compute_uv=False)
-    return np.pad(sigma**2, (0, len(modes.basis) - len(sigma)))
+    grid, t = SurfaceGrid(aperture, nodes), int(basis.max())
+    axes = []
+    for nodes_a, weights, center, side, khat in zip(
+        (grid.nodes_x, grid.nodes_y), (grid.weights_x, grid.weights_y), aperture.center,
+        (aperture.side_x, aperture.side_y), np.asarray(directions)[:, :2].T,
+    ):
+        legendre = legvander(2.0 * (nodes_a - center) / side, t) * np.sqrt((2 * np.arange(t + 1) + 1.0) / side)
+        axes.append((weights[:, None] * legendre).T @ np.exp(-1j * k * sign * np.outer(nodes_a - center, khat)))
+    m, n = basis.T
+    return axes[0][m] * axes[1][n]
 
 
-def radiated_basis(basis, src, rcv, geometry, grid, table, entry_budget=DEFAULT_ENTRY_BUDGET):
-    """R = H W_src E, (n_rcv, n_basis): the solve's parity blocks unfolded as R @ I."""
-    return _unfold(*_radiated_blocks(basis, src, rcv, geometry, grid, table, entry_budget), np.eye(len(basis)))
+def quadrature_channel(basis, rcv_basis, geometry, grid, table, nodes=60):
+    """G (n_rcv_basis, n_basis): the receiver basis's projections of the fields of the transmitter basis, summed over every direction."""
+    k = geometry.k
+    w_alpha = grid.weights * np.repeat(table, grid.n_phi)  # the table holds one value per ring
+    src = quadrature_patterns(geometry.transmitter, basis, grid.directions, k, -1, nodes)
+    rcv = quadrature_patterns(geometry.receiver, rcv_basis, grid.directions, k, 1, nodes)
+    return -k * (k * FREE_SPACE_IMPEDANCE) / (16 * np.pi**2) * ((rcv * w_alpha) @ src.T)
+
+
+def solved_channel(result, theta_e, L, windowed=True, basis=None, nodes=60):
+    """`quadrature_channel` of a solve's link, on the direction grid, translator and receiver basis the solve built."""
+    modes = result.modes
+    grid, table = solved_direction_grid(modes.geometry, theta_e, L, windowed)
+    basis = modes.basis if basis is None else basis
+    return quadrature_channel(basis, result.rcv_basis, modes.geometry, grid, table, nodes)
+
+
+def channel_matrix(basis, rcv_basis, geometry, grid, table, entry_budget=DEFAULT_ENTRY_BUDGET):
+    """G (n_rcv_basis, n_basis) from the solve's class blocks: each block taken back through its combinations, oe from eo."""
+    G = np.zeros((len(rcv_basis), len(basis)), dtype=complex)
+    for cls, blocks in _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget):
+        if blocks:
+            G[np.ix_(cls.rows, cls.cols)] = sum(b if c_r is None else c_r.T @ b @ c_c for b, c_r, c_c in blocks)
+        else:  # oe: eo's block, the previous class's, read through the swap
+            G[np.ix_(cls.rows, cls.cols)] = G[np.ix_(eo.rows, eo.cols)][np.ix_(*cls.swap)]
+        eo = cls
+    return G
 
 
 def orbit_weights(grid, table, found):
@@ -153,43 +185,10 @@ def orbit_weights(grid, table, found):
     return reps, sums[0], np.searchsorted(reps, reps_all), 0.5 * sums[1]
 
 
-def quarter_sum_block(cls, basis, src, rcv, geometry, grid, table):
-    """The block of a parity class of `_radiated_blocks` on a link mirrored in x and y, with no swap.
-
-    It sums over one direction per orbit of the two mirrors, weighted by the
-    orbit's w alpha (`orbit_weights`), in complex arithmetic, with the basis
-    patterns (Q W P)^T (Q X) on each axis from numpy's `legvander` and Q X,
-    Q' X' from `exponential_folded_waves`, so nothing of the fold is read.
-    """
-    assert None not in _image_steps(grid)[:2] and not np.any(geometry.r_pq[:2])
-    reps, w_orbit, *_ = orbit_weights(grid, table, (True, True, False))
-    src_waves = exponential_folded_waves(src, -1, grid, geometry.k, reps)
-    bx, by = exponential_folded_waves(rcv, 1, grid, geometry.k, reps)
-    t, aperture = int(basis.max()), src.aperture
-    patterns = []
-    for waves, nodes, weights, center, side in zip(
-        src_waves, (src.nodes_x, src.nodes_y), (src.weights_x, src.weights_y), aperture.center,
-        (aperture.side_x, aperture.side_y),
-    ):
-        legendre = legvander(2.0 * (nodes - center) / side, t) * np.sqrt((2 * np.arange(t + 1) + 1.0) / side)
-        patterns.append((even_odd_combinations(len(nodes)) @ (weights[:, None] * legendre)).T @ waves)
-    m, n = basis[cls.cols].T
-    waves = (bx[cls.rows_x][:, None] * by[cls.rows_y][None] * w_orbit).reshape(-1, len(w_orbit))
-    k = geometry.k
-    return -k * (k * FREE_SPACE_IMPEDANCE) / (16 * np.pi**2) * (waves @ (patterns[0][m] * patterns[1][n]).T)
-
-
 def solved_direction_grid(geometry, theta_e, L, windowed=True):
     """The direction grid and translator table `solve_modes` builds for a link."""
     grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     return grid, translator_table(grid, geometry.k, geometry.r_pq, L, windowed)
-
-
-def solved_radiated_basis(modes, theta_e, L, windowed=True):
-    """R = H W_src E of a mode set's link, on the direction grid and translator `solve_modes` builds."""
-    geo = modes.geometry
-    grid, table = solved_direction_grid(geo, theta_e, L, windowed)
-    return radiated_basis(modes.basis, modes.src_grid, modes.rcv_grid, geo, grid, table)
 
 
 def per_direction_table(grid, k, r_pq, L, windowed):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from reference_routes import (
     basis_eval,
+    channel_matrix,
     dense_kernel,
     exponential_folded_waves,
     image_maps,
     orbit_weights,
-    radiated_basis,
+    quadrature_channel,
     reference_field,
 )
 
@@ -33,8 +34,8 @@ from emlink.geometry import (
     tensor_grid,
     truncation_order,
 )
-from emlink.greens import sgf_exact, sgf_planewave, translator_table
-from emlink.modes import _BLOCK, _radiated_blocks, basis_order_table
+from emlink.greens import _translator_weights, sgf_exact, sgf_planewave, translator_table
+from emlink.modes import _BLOCK, _channel_blocks, _receiver_order, basis_order_table
 
 K = 2 * np.pi
 OMEGA_MU = K * FREE_SPACE_IMPEDANCE
@@ -144,10 +145,10 @@ class TestKernelMatrix:
         assert np.max(np.abs(km - swapped.conj())) > 1e-3 * np.max(np.abs(km))
 
     def test_budget_guard(self, paper_setup):
-        # the one dense sweep, the radiated basis, is budgeted
+        # the one dense sweep, the channel blocks, is budgeted
         geo, grid, table, src, rcv = paper_setup
         with pytest.raises(BudgetError):
-            _radiated_blocks(basis_order_table(2), src, rcv, geo, grid, table, entry_budget=1000)
+            _channel_blocks(basis_order_table(2), basis_order_table(14), geo, grid, table, entry_budget=1000)
 
 
 class TestPropagator:
@@ -193,7 +194,7 @@ class TestPropagator:
 
 
 class TestSeparableFactors:
-    """The per-axis sweeps, radiated basis and propagator, reproduce dense (points x directions) factors."""
+    """The per-axis sweeps, the channel between the bases and the propagator, reproduce dense factors."""
 
     @pytest.mark.parametrize(
         "tx_center, rx_center, n_theta, n_phi, mirrors",
@@ -237,12 +238,13 @@ class TestSeparableFactors:
         rcv = tensor_grid(geo.receiver, 16)
         dense = dense_kernel(src, rcv, geo, grid, table)
 
-        # the classes radiated_basis splits into, and the folded sweeps: one
+        # the classes the channel blocks split into, and the folded sweeps: one
         # direction per orbit of the lateral mirrors, and one per orbit of
         # the mirrors and the swap (phi in [0, pi/4]) among those
-        found, src_waves, rcv_waves, w_orbit, eighth, w_eighth = _fold(src, rcv, geo, grid, table)
+        found, src_waves, rcv_waves, w_orbit = _fold(src, rcv, geo, grid, table)
         assert found == mirrors
-        reps = _orbits(grid, found)[0]
+        reps, _, eighth, sizes_all = _orbits(grid, found)
+        w_eighth = 0.5 * np.outer(_translator_weights(grid, table), sizes_all).ravel()
         lateral = sum(mirrors[:2])
         assert len(reps) == n_theta * {0: n_phi, 1: n_phi // 2 + 1, 2: n_phi // 4 + 1}[lateral]
         assert {waves.shape for waves in src_waves + rcv_waves} == {(5, len(reps)), (4, len(reps))}
@@ -252,10 +254,11 @@ class TestSeparableFactors:
         for weights in (w_orbit, 2 * w_eighth):
             assert abs(np.sum(weights) - np.sum(every)) <= 1e-13 * np.sum(np.abs(every))
 
-        basis = basis_order_table(3)
-        radiated = dense @ (src.weights[:, None] * basis_eval(basis, src))
-        got = radiated_basis(basis, src, rcv, geo, grid, table)
-        assert np.max(np.abs(got - radiated)) < 1e-13 * np.max(np.abs(radiated))
+        # the channel between the bases from the class blocks, against quadrature on resolved grids
+        basis, rcv_basis = basis_order_table(3), basis_order_table(_receiver_order(geo, grid))
+        expected = quadrature_channel(basis, rcv_basis, geo, grid, table, nodes=40)
+        got = channel_matrix(basis, rcv_basis, geo, grid, table)
+        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
         rng = np.random.default_rng(11)
         current = rng.normal(size=len(src.points)) + 1j * rng.normal(size=len(src.points))
@@ -279,8 +282,6 @@ class TestApertures:
         table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
         with pytest.raises(ValueError, match="aperture"):
             propagate_current(np.ones(16), src, rcv, geo, grid, table)
-        with pytest.raises(ValueError, match="aperture"):
-            radiated_basis(basis_order_table(2), src, rcv, geo, grid, table)
 
 
 def _rule_and_oversampled(geo, L, theta_e, windowed=True):
@@ -645,22 +646,25 @@ class TestFoldedPropagator:
                 assert partner is None or np.array_equal(ring[partner], ring), name
 
     @pytest.mark.parametrize("name", ["ci", "x-offset"])
-    def test_mode_solve_leaves_nothing_to_make(self, name, monkeypatch):
-        # the solve and the propagator read one fold: after the radiated basis
-        # on a fresh grid, propagating on that grid makes no plane-wave factor and no sort
+    def test_mode_solve_leaves_the_orbits(self, name, monkeypatch):
+        # the solve and the propagator read one set of orbits: after the channel blocks on a
+        # fresh grid, which make no plane-wave factor (their one sin and one cos are the Bessel
+        # seeds of the closed-form patterns), propagating on that grid finds the orbits kept
+        # and makes only its own factors, and no sort
         geo, grid, table, src, rcv, mirrors, _ = _fold_parts(name)
         current = _random_current(len(src.points), 53)
         _derive(grid, src, rcv)
         calls = dict.fromkeys((*_FACTOR_CALLS, "argsort", "unique"), 0)
         for counted in calls:
             monkeypatch.setattr(np, counted, _counting(counted, calls))
-        _radiated_blocks(basis_order_table(4), src, rcv, geo, grid, table, entry_budget=10**7)
-        # per side, on the folded directions: a cos and a sin per axis, mirrored or not, and no exp
-        assert {f: calls[f] for f in _FACTOR_CALLS} == {"exp": 0, "cos": 4, "sin": 4}
+        _channel_blocks(basis_order_table(4), basis_order_table(21), geo, grid, table, entry_budget=10**7)
+        assert {f: calls[f] for f in _FACTOR_CALLS} == {"exp": 0, "cos": 1, "sin": 1}
+        assert [key[0] for key in grid._waves] == ["orbits"]
         calls.update(dict.fromkeys(calls, 0))
         field = propagate_current(current, src, rcv, geo, grid, table)
         monkeypatch.undo()
-        assert calls == dict.fromkeys(calls, 0)
+        # per side, on the folded directions: a cos and a sin per axis, mirrored or not, and no exp
+        assert calls == {"exp": 0, "cos": 4, "sin": 4, "argsort": 0, "unique": 0}
         assert np.array_equal(field, propagate_current(current, src, rcv, geo, _fold_parts(name)[1], table))
 
 
@@ -671,10 +675,13 @@ class TestOrbitWeights:
     def test_match_full_grid_orbit_sums(self, name):
         # against w alpha spread over every direction, a label per direction and bincount sums over each orbit
         geo, grid, table, src, rcv, mirrors, _ = _fold_parts(name)
-        found, *_, w_orbit, eighth, w_eighth = _fold(src, rcv, geo, grid, table)
+        found, *_, w_orbit = _fold(src, rcv, geo, grid, table)
         reps, want_orbit, want_eighth, want_w_eighth = orbit_weights(grid, table, found)
         assert found == mirrors
-        assert np.array_equal(_orbits(grid, found)[0], reps)
+        kept_reps, _, eighth, sizes_all = _orbits(grid, found)
+        # the mode solve's swap fold: half an orbit's w alpha, its ring's times its size
+        w_eighth = 0.5 * np.outer(_translator_weights(grid, table), sizes_all).ravel()
+        assert np.array_equal(kept_reps, reps)
         assert np.array_equal(eighth, want_eighth)
         for got, want in ((w_orbit, want_orbit), (w_eighth, want_w_eighth)):
             assert got.shape == want.shape

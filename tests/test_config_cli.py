@@ -160,26 +160,22 @@ class TestValidation:
             load_config("paper", overrides=["basis_order"])
 
     def test_mode_map_indices_bounded_by_kept_modes(self):
-        # the paper preset keeps 120 of its 703 modes; modes_keep=0 keeps all,
-        # and 29 x 29 receiver points leave all 703 above the grid bound
+        # the paper preset keeps 120 of its 703 modes; modes_keep=0 keeps all
         assert load_config("paper", overrides=["mode_map_indices=1,120"]).mode_map_indices == (1, 120)
         with pytest.raises(ConfigError, match="mode_map_indices"):
             load_config("paper", overrides=["mode_map_indices=121"])
-        fine = ["modes_keep=0", "surface_points=841"]
+        fine = ["modes_keep=0"]
         cfg = load_config("paper", overrides=fine + ["mode_map_indices=703"])
         assert cfg.mode_map_indices == (703,)
         with pytest.raises(ConfigError, match="mode_map_indices"):
             load_config("paper", overrides=fine + ["mode_map_indices=704"])
 
-    def test_mode_map_indices_bounded_by_receiver_points(self):
-        # R has one row per receiver point, so modes past n1^2 have beta = 0
-        cfg = load_config("paper", overrides=["modes_keep=0", "mode_map_indices=529"])
-        assert cfg.mode_map_indices == (529,)
-        with pytest.raises(ConfigError, match="mode_map_indices"):
-            load_config("paper", overrides=["modes_keep=0", "mode_map_indices=530"])
-        assert load_config("ci", overrides=["surface_points=4", "mode_map_indices=1,4"]).surface_points == 4
-        with pytest.raises(ConfigError, match="mode_map_indices"):
-            load_config("ci", overrides=["surface_points=4"])
+    def test_mode_map_indices_not_bounded_by_receiver_points(self):
+        # the receiver is a basis, so surface_points sets only the output grids: a mode past the
+        # n1^2 = 529 receiver points, or past 2 x 2 of them, is no null mode
+        cfg = load_config("paper", overrides=["modes_keep=0", "mode_map_indices=530,703"])
+        assert cfg.mode_map_indices == (530, 703)
+        assert load_config("ci", overrides=["surface_points=4"]).mode_map_indices == (1, 3, 5)
 
     def test_surface_grid_needs_two_nodes_per_axis(self):
         with pytest.raises(ConfigError, match="surface_points"):
@@ -560,13 +556,25 @@ class TestCliCommands:
         assert [p.name for p in out.iterdir()] == ["eigenvalues.csv"]
         assert (out / "eigenvalues.csv").read_text() == "stale\n"
 
-    @pytest.mark.parametrize("points", [1, 4], ids=["one-node", "maps-past-grid"])
+    @pytest.mark.parametrize("points", [1], ids=["one-node"])
     def test_degenerate_surface_grid_writes_nothing(self, tmp_path, points):
-        # one point per aperture keeps a single nonzero beta; with 2 x 2
-        # points the default map of mode 5 would show a null mode
+        # one point per aperture is no output grid: a map needs 2 nodes per axis
         code = run_cli(["--preset", "ci", "--out", str(tmp_path), "--set", f"surface_points={points}", "modes"])
         assert code == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_surface_points_set_only_the_output_grids(self, tmp_path):
+        # 2 x 2 output points: the mode set and eigenvalues are the preset's, byte for byte, and the
+        # default map of mode 5 holds a field, sampled at the 4 points
+        small, usual = tmp_path / "small", tmp_path / "usual"
+        assert run_cli(["--preset", "ci", "--out", str(small), "--set", "surface_points=4", "modes"]) == 0
+        assert run_cli(["--preset", "ci", "--out", str(usual), "modes"]) == 0
+        assert (small / "eigenvalues.csv").read_bytes() == (usual / "eigenvalues.csv").read_bytes()
+        doc, usual_doc = (json.loads((out / "modeset.json").read_text()) for out in (small, usual))
+        assert doc.pop("surface_points") == 4 and usual_doc.pop("surface_points") == 144
+        assert doc == usual_doc
+        field = _read_map(small / "mode_field_05.csv")
+        assert field.shape == (4,) and np.all(np.abs(field) > 0)
 
 
 def _nan_sixth(doc):

@@ -8,27 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_routes import (
     basis_eval,
-    dense_betas,
+    channel_matrix,
     mode_set_to_dict,
-    quarter_sum_block,
-    radiated_basis,
+    quadrature_channel,
+    quadrature_patterns,
+    solved_channel,
     solved_direction_grid,
-    solved_radiated_basis,
 )
 
-from emlink import modes
+from emlink import channel, modes
 from emlink.channel import FREE_SPACE_IMPEDANCE, _fold, propagate_current
 from emlink.errors import BudgetError
-from emlink.geometry import LinkGeometry, cap_direction_grid, default_cap_densities, rect_aperture, tensor_grid
+from emlink.geometry import (
+    LinkGeometry,
+    SurfaceGrid,
+    cap_direction_grid,
+    default_cap_densities,
+    rect_aperture,
+    tensor_grid,
+)
 from emlink.greens import translator_table
 from emlink.modes import (
     _PIVOT_TIE_REL,
-    DEFAULT_ENTRY_BUDGET,
     ModeSet,
     ModesResult,
-    _fix_gauge,
+    _axis_patterns,
+    _gauge,
     _merge_spectra,
-    _radiated_blocks,
+    _receiver_order,
     _sample_currents,
     basis_order_table,
     combiner_field,
@@ -142,42 +149,67 @@ def _pivots(rows):
     return np.argmax(mag >= (1 - _PIVOT_TIE_REL) * mag.max(axis=1, keepdims=True), axis=1)
 
 
+def _resolved(geo):
+    """Gauss grids of 24 nodes per axis on the small pipeline's apertures, where its patterns are resolved."""
+    return SurfaceGrid(geo.transmitter, 24), SurfaceGrid(geo.receiver, 24)
+
+
 class TestRadiatedBasis:
+    """The channel G between the two bases, from the solve's class blocks, against fields radiated on resolved grids."""
+
     def test_matches_kernel_route(self, small_pipeline):
-        # column m of R = H W_src E is the field of basis current m
-        geo, grid, table, src, rcv = small_pipeline
-        basis = basis_order_table(6)
-        E = basis_eval(basis, src)
-        expected = np.stack([propagate_current(e, src, rcv, geo, grid, table) for e in E.T], axis=1)
-        R = radiated_basis(basis, src, rcv, geo, grid, table)
-        assert R.shape == (len(rcv.points), len(basis))
-        assert np.max(np.abs(R - expected)) <= 1e-13 * np.max(np.abs(expected))
+        # column m of G is the receiver basis's projection of the field of basis current m,
+        # radiated matrix-free onto a resolved receiver grid and projected by its quadrature
+        geo, grid, table, *_ = small_pipeline
+        src, rcv = _resolved(geo)
+        basis, rcv_basis = basis_order_table(6), basis_order_table(_receiver_order(geo, grid))
+        fields = np.stack([propagate_current(e, src, rcv, geo, grid, table) for e in basis_eval(basis, src).T], axis=1)
+        expected = basis_eval(rcv_basis, rcv).T @ (rcv.weights[:, None] * fields)
+        G = channel_matrix(basis, rcv_basis, geo, grid, table)
+        assert G.shape == (len(rcv_basis), len(basis))
+        assert np.max(np.abs(G - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_zero_translator_gives_zero_basis(self, small_pipeline):
-        geo, grid, table, src, rcv = small_pipeline
-        R = radiated_basis(basis_order_table(2), src, rcv, geo, grid, np.zeros_like(table))
-        assert np.max(np.abs(R)) == 0.0
+        geo, grid, table, *_ = small_pipeline
+        G = channel_matrix(basis_order_table(2), basis_order_table(14), geo, grid, np.zeros_like(table))
+        assert np.max(np.abs(G)) == 0.0
 
     def test_scalar_case_is_uniform_current_power(self, small_pipeline):
-        # with one constant unit-norm basis function, R^H W_rcv R reduces to
-        # the received power of that current, radiated here matrix-free
-        geo, grid, table, src, rcv = small_pipeline
+        # with one constant unit-norm basis function, G^H G reduces to the received power of
+        # that current, radiated here matrix-free onto a resolved grid: the receiver basis
+        # holds all of it but a part far below the tolerance
+        geo, grid, table, *_ = small_pipeline
+        src, rcv = _resolved(geo)
         basis = basis_order_table(0)
-        R = radiated_basis(basis, src, rcv, geo, grid, table)
-        B = R.conj().T @ (rcv.weights[:, None] * R)
-        E = basis_eval(basis, src)
-        psi = propagate_current(E[:, 0], src, rcv, geo, grid, table)
+        G = channel_matrix(basis, basis_order_table(_receiver_order(geo, grid)), geo, grid, table)
+        psi = propagate_current(basis_eval(basis, src)[:, 0], src, rcv, geo, grid, table)
         oracle = np.sum(rcv.weights * np.abs(psi) ** 2)
-        assert B[0, 0].real == pytest.approx(oracle, rel=1e-12)
+        assert np.sum(np.abs(G[:, 0]) ** 2) == pytest.approx(oracle, rel=1e-12)
+
+
+class TestClosedFormPatterns:
+    """An axis's pattern of an orthonormal Legendre function is sqrt((2m+1) l) j^m j_m(a), a = k khat l / 2."""
+
+    def test_match_a_gauss_sum(self):
+        # the integral of sqrt((2m+1)/l) P_m(2x/l) e^{jk khat x} over the side, by a 60-node Gauss sum,
+        # at a = 0, at a < 0 and at |a| up to 40; the y factor is the order-0 pattern at k_y = 0
+        side, t = 10.0, 36
+        khat = np.concatenate([[0.0, -0.0, 1e-15, -1e-12], np.linspace(-1.0, 1.0, 201)]) * 40.0 / (np.pi * side)
+        assert np.max(np.abs(0.5 * K * side * khat)) == pytest.approx(40.0)
+        closed = 1j ** np.arange(t + 1)[:, None] * _axis_patterns(t, side, K, khat) * np.sqrt(side)
+        directions = np.stack([khat, np.zeros_like(khat)], axis=1)
+        orders = np.stack([np.arange(t + 1), np.zeros(t + 1, dtype=int)], axis=1)
+        gauss = quadrature_patterns(rect_aperture((0, 0, 0), side, side), orders, directions, K, -1, nodes=60)
+        assert np.max(np.abs(closed - gauss)) <= 1e-13 * np.max(np.abs(gauss))
 
 
 class TestSingularModes:
     def test_matches_galerkin_eigh(self, ci_run):
-        # an eigh of the Galerkin matrix B = R^H W_rcv R, formed here only
+        # an eigh of the Galerkin matrix B = G^H G, with G by quadrature on resolved grids, formed here only
         result, _, cfg = ci_run
         ms = result.modes
-        R = solved_radiated_basis(ms, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
-        B = R.conj().T @ (ms.rcv_grid.weights[:, None] * R)
+        G = solved_channel(result, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
+        B = G.conj().T @ G
         vals = np.linalg.eigvalsh(B)[::-1]
         top = ms.eigenvalues[0]
         assert np.max(np.abs(vals - ms.eigenvalues)) <= 1e-13 * top
@@ -205,18 +237,17 @@ class TestSingularModes:
         assert np.all(ref.real > 0)
 
     @pytest.mark.parametrize("n_surface", [1, 4], ids=["one-node", "two-nodes"])
-    def test_parity_blocks_without_odd_rows(self, n_surface):
-        # one receiver node per axis leaves the odd classes without rows, so
-        # their orders get beta = 0; the betas still match eigh of R^H W R
+    def test_surface_points_set_only_the_output_grids(self, n_surface):
+        # the receiver is a basis, not a grid: one or two nodes per axis leave every class its
+        # rows, and the modes are those of 144 points, bit for bit
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture((0, 0, 10.2), 3.2, 3.2), K)
-        result = solve_modes(geo, np.radians(60), 34, 3, n_surface)
-        ms, R = result.modes, solved_radiated_basis(result.modes, np.radians(60), 34)
-        assert R.shape == (n_surface, 10)
-        assert result.fields.shape == (n_surface, 10)
-        B = R.conj().T @ (ms.rcv_grid.weights[:, None] * R)
-        vals = np.linalg.eigvalsh(B)[::-1]
-        assert np.max(np.abs(vals - ms.eigenvalues)) <= 1e-13 * ms.eigenvalues[0]
-        assert np.count_nonzero(ms.eigenvalues) == n_surface
+        result, usual = (solve_modes(geo, np.radians(60), 34, 3, points) for points in (n_surface, 144))
+        ms = result.modes
+        assert len(ms.rcv_grid.points) == n_surface and result.received.shape == (10, len(result.rcv_basis))
+        assert np.array_equal(ms.eigenvalues, usual.modes.eigenvalues)
+        assert np.array_equal(ms.coefficients, usual.modes.coefficients)
+        assert np.array_equal(result.received, usual.received)
+        assert np.count_nonzero(ms.eigenvalues) == 10
         assert np.max(np.abs(ms.coefficients @ ms.coefficients.conj().T - np.eye(10))) < 1e-12
 
     @pytest.mark.parametrize(
@@ -230,18 +261,29 @@ class TestSingularModes:
         ids=["four-classes", "x-offset", "no-mirror", "one-node"],
     )
     def test_fields_are_radiated_basis_times_rows(self, rx_center, n_surface, keep, mirrors):
-        # the solve keeps R @ coefficients.T from its class blocks, not R;
-        # the swap-folded classes, two and one parity classes, and odd
-        # classes without rows
+        # the solve keeps its modes' received fields G a_n in the receiver basis, from its
+        # class systems, not G: the swap-folded classes, two and one parity classes, and
+        # one output node, against G by quadrature on resolved grids
         geo = LinkGeometry(rect_aperture((0, 0, 0), 4.0, 4.0), rect_aperture(rx_center, 3.2, 3.2), K)
         result = solve_modes(geo, np.radians(60), 34, 14, n_surface, keep=keep)
         ms = result.modes
         grid = cap_direction_grid(geo.axis, np.radians(60), *default_cap_densities(34, np.radians(60)))
         table = translator_table(grid, K, geo.r_pq, 34, windowed=True)
         assert _fold(ms.src_grid, ms.rcv_grid, geo, grid, table)[0] == mirrors
-        expected = radiated_basis(ms.basis, ms.src_grid, ms.rcv_grid, geo, grid, table) @ ms.coefficients.T
-        assert result.fields.shape == (n_surface, keep or 120)
-        assert np.max(np.abs(result.fields - expected)) <= 1e-13 * np.max(np.abs(expected))
+        expected = ms.coefficients @ quadrature_channel(ms.basis, result.rcv_basis, geo, grid, table).T
+        assert result.received.shape == (keep or 120, len(result.rcv_basis))
+        assert np.max(np.abs(result.received - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_each_row_carries_its_own_beta(self, ci_run):
+        # |G a_n|, with G by quadrature on resolved grids and so free of the solve's class
+        # bookkeeping, is sqrt(beta_n) for every row down to the roundoff tail: ties are
+        # relative, so no row sits beside another mode's beta
+        result, _, cfg = ci_run
+        ms = result.modes
+        G = solved_channel(result, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
+        norms = np.linalg.norm(G @ ms.coefficients.T, axis=0)
+        assert len(ms) == 120
+        assert np.max(np.abs(norms - np.sqrt(ms.eigenvalues))) <= 1e-12 * np.sqrt(ms.eigenvalues[0])
 
     @pytest.mark.parametrize("roundoff", [1e-15, -1e-15])
     def test_beta_tie_goes_in_class_order(self, roundoff):
@@ -254,10 +296,18 @@ class TestSingularModes:
         assert np.all(np.diff(merged) <= 0)
         assert merged == pytest.approx(np.sort(betas)[::-1], abs=0)
 
+    def test_ties_are_relative_to_the_pair(self):
+        # betas far below 1e-12 beta_1 tie only with their own size: the tail is no one run,
+        # so a row of a later class keeps its own beta instead of taking a larger one's place
+        betas = np.array([1.0, 8e-13, 6e-38 * (1 + 1e-14), 6e-38, 1e-40])
+        merged, order = _merge_spectra(betas, np.array([2, 1, 3, 0, 0]))
+        assert list(order) == [0, 1, 3, 2, 4]  # only the pair at 6e-38 ties, and goes in class order
+        assert np.array_equal(merged, betas)
+
     def test_gauge_tie_takes_lowest_index(self):
         # entries 0 and 2 tie up to roundoff; entry 2 is the larger by 1e-15
         row = np.array([[0.6j, 0.1, -0.6 * (1 + 1e-15), 0.3]])
-        fixed = _fix_gauge(row)
+        fixed = row * _gauge(row)[:, None]
         assert fixed[0, 0] == pytest.approx(0.6, abs=1e-16)
         assert np.abs(fixed[0]) == pytest.approx(np.abs(row[0]), abs=1e-16)
 
@@ -294,11 +344,10 @@ class TestEntryBudget:
             solve_modes(geo, np.radians(60), 34, t, n_surface)
 
     def test_square_link_memory_stays_near_the_counted_entries(self):
-        # a square link with many receiver points and few orders: ee has a
-        # 50 x 50 sub-grid, so a dense 2500 x 2500 row combination for its
-        # swap split would take 50 MB by itself, while R is 10 000 x 6
-        # complex entries (1 MB) and the whole solve peaks near 6.5 MB.  The ci link
-        # scaled by 1/4, so that L = 8 reaches k rho_max = 8.0
+        # a square link with many output points and few orders: the solve builds no surface
+        # grid, so 10 000 points per aperture add nothing to its peak, and its swap split
+        # indexes the class blocks.  The ci link scaled by 1/4, so that L = 8 reaches
+        # k rho_max = 8.0
         geo = LinkGeometry(rect_aperture((0, 0, 0), 1.0, 1.0), rect_aperture((0, 0, 2.55), 0.8, 0.8), K)
         solve_modes(geo, np.radians(60), 8, 2, 64)
         tracemalloc.start()
@@ -318,6 +367,12 @@ def _swapped_columns(basis):
     return index[n, m]
 
 
+def _quadrature_betas(result, theta_e, L, windowed=True):
+    """Squared singular values of `solved_channel`, descending, padded with zeros to the basis size."""
+    sigma = np.linalg.svd(solved_channel(result, theta_e, L, windowed), compute_uv=False)
+    return np.pad(sigma**2, (0, len(result.modes.basis) - len(sigma)))
+
+
 def _solved_flags(ms, theta_e, L, windowed=True):
     grid, table = solved_direction_grid(ms.geometry, theta_e, L, windowed)
     return _fold(ms.src_grid, ms.rcv_grid, ms.geometry, grid, table)[0]
@@ -327,20 +382,18 @@ class TestSwapSymmetry:
     """A square coaxial link is also symmetric under x <-> y: the SVDs of ee and oo split in two, oe is eo's image."""
 
     @pytest.mark.parametrize("preset", ["ci", "paper"])
-    def test_eighth_sum_swapped_is_the_quarter_sum(self, preset, ci_run, paper_run):
-        # ee and oo are summed over an eighth of the directions with half of
-        # each orbit's w alpha; that sum plus itself with rows (i, j) -> (j, i)
-        # and columns (m, n) -> (n, m) is the block a quarter sum gives
+    def test_eighth_sum_swapped_is_the_quarter_sum(self, preset, ci_run, paper_run, monkeypatch):
+        # ee and oo are summed over an eighth of the directions, and their swap-even and
+        # swap-odd blocks taken from that sum; taken back to the classes' rows and columns,
+        # they are the blocks a quarter sum without the swap gives
         result, _, cfg = {"ci": ci_run, "paper": paper_run}[preset]
         ms = result.modes
         grid, table = solved_direction_grid(ms.geometry, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
-        args = (ms.basis, ms.src_grid, ms.rcv_grid, ms.geometry, grid, table)
-        blocks = {cls.parity: cls for cls in _radiated_blocks(*args, DEFAULT_ENTRY_BUDGET)[2]}
-        for parity in ((0, 0), (1, 1)):
-            cls = blocks[parity]
-            assert cls.swap is not None
-            expected = quarter_sum_block(cls, *args)
-            assert np.max(np.abs(cls.block - expected)) <= 1e-13 * np.max(np.abs(expected))
+        args = (ms.basis, result.rcv_basis, ms.geometry, grid, table)
+        swapped = channel_matrix(*args)
+        monkeypatch.setattr(modes, "_symmetries", lambda *_: channel._symmetries(*_)[:2] + (False,))
+        expected = channel_matrix(*args)
+        assert np.max(np.abs(swapped - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("preset", ["ci", "paper"])
     def test_oe_modes_are_eo_modes_swapped(self, preset, ci_run, paper_run):
@@ -374,10 +427,11 @@ class TestSwapSymmetry:
             assert np.array_equal(row[swapped], row) or np.array_equal(row[swapped], -row)
 
     def test_ci_betas_match_dense_route(self, ci_run):
+        # against the squared singular values of G by quadrature on resolved grids, over every direction
         result, _, cfg = ci_run
         ms, theta_e = result.modes, np.radians(cfg.theta_e_deg)
         assert _solved_flags(ms, theta_e, cfg.truncation(), cfg.windowed) == (True, True, True)
-        betas = dense_betas(ms, theta_e, cfg.truncation(), cfg.windowed)
+        betas = _quadrature_betas(result, theta_e, cfg.truncation(), cfg.windowed)
         assert np.max(np.abs(betas[: len(ms)] - ms.eigenvalues)) <= 1e-13 * betas[0]
 
     @pytest.mark.parametrize(
@@ -394,9 +448,10 @@ class TestSwapSymmetry:
         # off both, on the paper direction grid (n_phi = 108, closed under the swap)
         geo = LinkGeometry(rect_aperture((0, 0, 0), *tx_sides), rect_aperture(rx_center, 8.0, 8.0), K)
         theta_e = np.radians(60)
-        ms = solve_modes(geo, theta_e, 93, 10, 64).modes
+        result = solve_modes(geo, theta_e, 93, 10, 64)
+        ms = result.modes
         assert _solved_flags(ms, theta_e, 93) == flags
-        betas = dense_betas(ms, theta_e, 93)
+        betas = _quadrature_betas(result, theta_e, 93)
         assert np.max(np.abs(betas[: len(ms)] - ms.eigenvalues)) <= 1e-13 * betas[0]
 
 
@@ -451,7 +506,7 @@ class TestModeSet:
         assert ms_watt.scale == pytest.approx(0.0515258, rel=1e-4)
 
     def test_solve_builds_each_grid_once(self, monkeypatch):
-        # the mode set's grids are the ones the sweep ran on, not rebuilt
+        # the solve builds no surface grid; the mode set builds each of its output grids once
         built = []
 
         def counted(aperture, n_total):
@@ -496,22 +551,21 @@ class TestModeSet:
             np.array([1.0, 0.0, 0.0]), np.eye(3, dtype=complex), 1.0, FREE_SPACE_IMPEDANCE,
             basis, geo, len(src.points),
         )
-        result = ModesResult(ms, radiated_basis(basis, src, rcv, geo, grid, table) @ ms.coefficients.T)
+        G = channel_matrix(basis, basis_order_table(_receiver_order(geo, grid)), geo, grid, table)
+        result = ModesResult(ms, ms.coefficients @ G.T)
         assert combiner_field(result, 0).shape == (len(rcv.points),)
         with pytest.raises(ValueError):
             combiner_field(result, 1)
 
     def test_kernel_shape_checked(self, ci_run, small_pipeline):
-        # fields on another link's receiver grid, or of another number of
-        # modes, do not fit the mode set: the shape must be (n_rcv, len(modes))
+        # received fields of another number of modes, a width that is no receiver basis's
+        # (t_r + 1)(t_r + 2)/2, or one field alone do not fit the mode set
         result, _, _ = ci_run
         ms = result.modes
-        geo, grid, table, src, rcv = small_pipeline
-        other_link = radiated_basis(ms.basis, src, rcv, geo, grid, table) @ ms.coefficients.T
-        other_count = result.fields[:, :-1]
-        for other in (other_link, other_count):
+        for other in (result.received[:-1], result.received[:, :-1], result.received[0]):
             with pytest.raises(ValueError, match="do not match"):
                 ModesResult(ms, other)
+        assert ModesResult(ms, result.received[:, :231]).rcv_basis.max() == 20
 
     def test_mode_index_range(self, ci_run):
         result, _, _ = ci_run
@@ -529,9 +583,9 @@ class TestModeSet:
         # Rayleigh quotient of any trial current cannot beat beta_1
         result, _, cfg = ci_run
         ms = result.modes
-        # column 0 of R is the field of the constant unit-norm basis current
-        R = solved_radiated_basis(ms, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
-        scalar = np.sum(ms.rcv_grid.weights * np.abs(R[:, 0]) ** 2)
+        # column 0 of G, by quadrature on resolved grids, is the field of the constant unit-norm basis current
+        G = solved_channel(result, np.radians(cfg.theta_e_deg), cfg.truncation(), cfg.windowed)
+        scalar = np.sum(np.abs(G[:, 0]) ** 2)
         assert scalar <= result.modes.eigenvalues[0] * (1 + 1e-12)
 
 

@@ -161,11 +161,26 @@ class TestSphericalBessel:
         assert np.max(np.abs(j[keep] - j_ref[keep]) / np.abs(j_ref[keep])) < 1e-9
 
     def test_domain_errors(self):
-        for fn in (spherical_bessel_j, spherical_neumann_y, spherical_hankel_paper):
+        # y_l and h_l are singular at 0 and defined here for x > 0 only; j_l is entire, and
+        # takes x = 0 and x < 0 (see test_array_of_any_sign)
+        for fn in (spherical_neumann_y, spherical_hankel_paper):
             with pytest.raises(ValueError):
                 fn(3, 0.0)
             with pytest.raises(ValueError):
                 fn(3, -1.0)
+        with pytest.raises(ValueError):
+            spherical_bessel_j(-1, 1.0)
+
+    def test_array_of_any_sign(self):
+        # one call on an array: j_l(0) = delta_l0, j_l(-x) = (-1)^l j_l(x), tiny arguments on their leading term,
+        # and arguments past the top order, as the closed-form patterns of a mode solve need them
+        x = np.concatenate([[0.0, -0.0, 1e-12, -1e-12, 1e-8, -3e-8], np.linspace(-40.0, 40.0, 401)]).reshape(-1, 1)
+        j = spherical_bessel_j(36, x)
+        assert j.shape == (37,) + x.shape
+        assert np.array_equal(j[:, :2, 0], np.repeat(np.eye(37, 1), 2, axis=1))
+        reference = spherical_jn(np.arange(37)[:, None, None], x)
+        assert np.max(np.abs(j - reference)) <= 1e-14
+        assert np.array_equal(spherical_bessel_j(36, -x), j * (-1.0) ** np.arange(37)[:, None, None])
 
     def test_neumann_overflow_raises(self):
         with pytest.raises(OverflowError):
