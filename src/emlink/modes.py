@@ -115,8 +115,8 @@ MODESET_FORMAT = "emlink.modeset/1"
 
 DEFAULT_ENTRY_BUDGET = 10**7
 
-# directions per block of the sweep in `_channel_blocks`, at most: on the paper link a
-# block's pattern products, 1.4 and 0.8 MB, stay in a 2 MB L2 cache
+# directions per block of the sweep in `_channel_blocks`, at most: the paper link's ee
+# blocks of 434 directions hold pattern products of 1.2 and 0.7 MB, in a 2 MB L2 cache
 _BLOCK = 512
 
 # receiver orders past the largest pattern argument a_r (see the module docstring)
@@ -142,7 +142,9 @@ def basis_order_table(t: int) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("max total order must be non-negative")
-    return np.array([(m, j - m) for j in range(t + 1) for m in range(j + 1)], dtype=int)
+    j = np.repeat(np.arange(t + 1), np.arange(1, t + 2))
+    m = np.arange(len(j)) - j * (j + 1) // 2
+    return np.stack([m, j - m], axis=1)
 
 
 def _axis_legendre(t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +229,7 @@ def _symmetry_classes(basis: np.ndarray, rcv_basis: np.ndarray, found: tuple[boo
         return np.flatnonzero(np.all((table % 2 == parity) | (np.array(parity) < 0), axis=1))
 
     def images(table: np.ndarray, own: np.ndarray, *parity: int) -> np.ndarray:
-        (m, n), j = table[own].T, table[own].sum(axis=1)
+        n, j = table[own, 1], table[own].sum(axis=1)
         return np.searchsorted(members(table, *parity), j * (j + 1) // 2 + n)
 
     out = []
@@ -236,7 +238,7 @@ def _symmetry_classes(basis: np.ndarray, rcv_basis: np.ndarray, found: tuple[boo
         if len(cols) == 0:
             continue
         # row and column (m, n) are row and column (n, m) of class (q, p)
-        swap = tuple(images(table, own, q, p) for table, own in ((rcv_basis, rows), (basis, cols))) if found[2] and p >= q else None
+        swap = (images(rcv_basis, rows, q, p), images(basis, cols, q, p)) if found[2] and p >= q else None
         out.append(_Class(rows, cols, (p, q), swap))
     return out
 
@@ -281,7 +283,8 @@ def _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget) -> li
         weighted, sums = (f[:, 1, 1] * w.real, f[:, 1, 1] * w.imag), 0.0
         bounds = np.linspace(0, len(w), -(-len(w) // _BLOCK) + 1).astype(int)  # blocks of equal size
         for sl in map(slice, bounds[:-1], bounds[1:]):  # row r + p rows: receiver row r with w alpha's part p
-            received = np.concatenate([f[m_r, 1, 0, sl] * part[n_r, sl] for part in weighted])
+            x = f[m_r, 1, 0, sl]
+            received = np.concatenate([x * part[n_r, sl] for part in weighted])
             sums += received @ (f[m, 0, 0, sl] * f[n, 0, 1, sl]).T
         phases = np.outer(_TURNS[(m_r + n_r) % 4].conj(), _TURNS[(m + n) % 4])
         block = phases * (sums[: len(m_r)] + 1j * sums[len(m_r) :])
@@ -438,8 +441,7 @@ def solve_modes(
         received[np.ix_(mine, cls.rows)] = fields[picked] if c_r is None else fields[picked] @ c_r
         start += len(rows)
     gauge = _gauge(coefficients)[:, None]
-    coefficients *= gauge
-    received *= gauge
+    coefficients, received = coefficients * gauge, received * gauge
     modes = ModeSet(betas[kept], coefficients, float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface)
     return ModesResult(modes, received)
 
@@ -455,8 +457,8 @@ def _singular_system(block: np.ndarray, c_r: np.ndarray | None, c_c: np.ndarray 
     width = block.shape[1]
     # B^H = U' diag(sigma) V'^H, which LAPACK takes faster than B: V = U' and U = V'
     v, sigma, uh = np.linalg.svd(block.conj().T, full_matrices=len(block) < width)
-    fields = np.pad(uh.conj() * sigma[:, None], ((0, width - len(sigma)), (0, 0)))
-    return np.pad(sigma**2, (0, width - len(sigma))), v.T, c_c, fields, c_r
+    fields = np.concatenate([uh.conj() * sigma[:, None], np.zeros((width - len(sigma), len(block)))])
+    return np.concatenate([sigma**2, np.zeros(width - len(sigma))]), v.T, c_c, fields, c_r
 
 
 def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

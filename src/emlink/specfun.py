@@ -160,16 +160,13 @@ def spherical_bessel_j(l_max: int, x) -> np.ndarray:
         if l % 4 == 0:  # a step grows an entry by at most (2 l + 1) / 1e-8: four stay in range up to start ~ 1e6
             big = np.abs(current) > _RESCALE_LIMIT
             if big.any():
-                upper[big] /= _RESCALE_LIMIT
-                current[big] /= _RESCALE_LIMIT
+                upper[big], current[big] = upper[big] / _RESCALE_LIMIT, current[big] / _RESCALE_LIMIT
                 f[l - 1 :, big] /= _RESCALE_LIMIT  # the kept rows made so far
     # j0 degenerates at the zeros of sin; j1 cannot vanish there too
-    out = f[: l_max + 1]
-    out *= np.where(np.abs(j0) >= np.abs(j1), j0 / f[0], j1 / f[1])
+    out = f[: l_max + 1] * np.where(np.abs(j0) >= np.abs(j1), j0 / f[0], j1 / f[1])
     out[0] = j0  # the seed itself, which the recurrence gives only to its cancellation near a zero of sin
-    if small.any():
-        tiny = np.abs(x).ravel()[small]
-        out[:, small] = np.cumprod([np.ones_like(tiny)] + [tiny / (2 * l + 1) for l in range(1, l_max + 1)], axis=0)
+    tiny = np.abs(x).ravel()[small]
+    out[:, small] = np.cumprod([np.ones_like(tiny)] + [tiny / (2 * l + 1) for l in range(1, l_max + 1)], axis=0)
     out[1::2] *= np.where(x.ravel() < 0, -1.0, 1.0)
     return out.reshape((l_max + 1,) + x.shape)
 
