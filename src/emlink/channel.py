@@ -143,10 +143,10 @@ def _row_phases(n_x: int, n_y: int) -> np.ndarray:
     return phases
 
 
-def _row_classes(n: int, mirrored: bool) -> tuple[tuple[slice, int | None], ...]:
-    """The row classes of `_parity_combinations(n)`: even and odd rows on a mirrored axis, else one (parity None)."""
+def _row_classes(n: int, mirrored: bool) -> tuple[slice, ...]:
+    """The row classes of `_parity_combinations(n)`: the even and the odd rows on a mirrored axis, else all rows."""
     even = n - n // 2
-    return ((slice(0, even), 0), (slice(even, n), 1)) if mirrored else ((slice(0, n), None),)
+    return (slice(0, even), slice(even, n)) if mirrored else (slice(0, n),)
 
 
 def _folded_waves(
@@ -245,7 +245,7 @@ def propagate_current(
     src_x, src_y, rcv_x, rcv_y = (_row_classes(len(f), m) for f, m in zip((ax, ay, bx, by), found[:2] * 2))
     weighted = qx @ (src.weights * current).reshape(len(ax), len(ay)) @ qy.T * _row_phases(len(ax), len(ay))
     field = np.zeros((len(bx), len(by)), dtype=complex)
-    for ((sx, _), (rx, _)), ((sy, _), (ry, _)) in itertools.product(zip(src_x, rcv_x), zip(src_y, rcv_y)):
+    for (sx, rx), (sy, ry) in itertools.product(zip(src_x, rcv_x), zip(src_y, rcv_y)):
         re, im = (np.einsum("jd,jd->d", ay[sy], part[sx, sy].T @ ax[sx]) for part in (weighted.real, weighted.imag))
         far = w_orbit * (re + 1j * im)
         field.real[rx, ry] = bx[rx] @ (far.real * by[ry]).T
