@@ -18,13 +18,14 @@ mirrors and the x <-> y swap a link shares with its direction grid
 `modes` reads too, and builds the fold of `propagate_current` (`_fold`),
 with w alpha from `greens._translator_weights`: each end's per-axis factors
 on one direction per orbit of the mirrors, combined by the even/odd
-combinations of mirrored nodes (`_parity_combinations`).  The solve reads no
-plane-wave factor: its patterns are closed forms of the basis.  Every surface grid is symmetric about its
-aperture's center, so on every axis, mirrored by the link or not, those
-combinations are cosines (even) and j times sines (odd) of the nodes'
-half-distances: the folded factors are real rows (`_row_phases`) from one
-cosine and one sine table per axis and no exponential, the package's only
-plane-wave factors besides the pointwise sums in `greens`.
+combinations of mirrored nodes (`_parity_combinations`).  Every surface
+grid is symmetric about its aperture's center, so on every axis, mirrored by
+the link or not, those combinations are cosines (even) and j times sines
+(odd) of the nodes' half-distances: the folded factors are real rows
+(`_row_phases`) from one cosine and one sine table per axis and no
+exponential, the package's only plane-wave factors besides the pointwise
+sums in `greens`.  The solve reads none: its patterns are closed forms of
+its Legendre bases.
 
 `propagate_current` applies the factors matrix-free: each parity class of
 the current radiates only into the same class of the receiver and is summed

@@ -247,29 +247,28 @@ def _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget) -> li
     """The classes of `_symmetry_classes`, each with the blocks of G = F_r^T diag(w alpha) F_s that it decomposes into.
 
     A block sums, over one direction per orbit of the link's mirrors
-    (`channel._orbits`) with the orbit's w alpha, the products of the
-    receiver's and the transmitter's per-axis patterns (`_axis_patterns`),
-    _BLOCK directions at a time, as one real product whose receiver rows
-    carry w alpha's real and imaginary parts; the entry of receiver orders
-    (m', n') and transmitter orders (m, n) then takes the kernel scale and
-    the phase (-j)^(m' + n') j^(m + n).  A class's blocks are (B, C_r, C_c), B the
-    combination C_r G_class C_c^T, with C_r and C_c None for the identity
-    but on ee and oo of a square link.  On a
-    square link ee and oo are summed over one direction per orbit of the
-    mirrors and the swap (phi in [0, pi/4]) with half the orbit's w alpha,
-    S, and G_class is S plus S read through the swap; so its swap-even and
-    swap-odd combinations (`_swap_split`) of rows and columns, whose cross
-    terms vanish, are those of 2 S, and are its two blocks.  oe has no block
-    of its own: it is eo's read through its `swap`.  The budget bounds each
-    class's pattern products and its block.
+    (`channel._orbits`) with the orbit's w alpha times the kernel scale, the
+    products of the receiver's and the transmitter's per-axis patterns
+    (`_axis_patterns`), _BLOCK directions at a time, as one real product
+    whose receiver rows carry w alpha's real and imaginary parts; the entry
+    of receiver orders (m', n') and transmitter orders (m, n) then takes the
+    phase (-j)^(m' + n') j^(m + n).  A class's blocks are (B, C_r, C_c), B
+    the combination C_r G_class C_c^T, with C_r and C_c None for the
+    identity but on ee and oo of a square link.  There ee and oo are summed
+    over one direction per orbit of the mirrors and the swap (phi in
+    [0, pi/4]) with half the orbit's w alpha, S, and G_class is S plus S read
+    through the swap; so its swap-even and swap-odd combinations
+    (`_swap_split`) of rows and columns, whose cross terms vanish, are those
+    of 2 S, and are its two blocks.  oe has no block of its own: it is eo's
+    read through its `swap`.  The budget bounds each class's pattern products
+    and its block.
     """
     found = _symmetries(geometry, grid)
     reps, sizes, eighth, sizes_all = _orbits(grid, found)
-    w_alpha = _translator_weights(grid, table)
+    w_alpha = _kernel_scale(geometry.k) * _translator_weights(grid, table)
     sides = np.array([[end.side_x, end.side_y] for end in (geometry.transmitter, geometry.receiver)])
     # (order, end, axis, direction): both ends' patterns on both axes from one array of Bessel arguments
     f = _axis_patterns(max(basis.max(), rcv_basis.max()), sides[:, :, None], geometry.k, grid.directions[reps, :2].T)
-    w_alpha = _kernel_scale(geometry.k) * w_alpha
     folds = [(np.outer(w_alpha, sizes).ravel(), f)]
     if found[2]:  # 2 S: the orbits' whole w alpha
         folds.append((np.outer(w_alpha, sizes_all).ravel(), f[..., eighth]))
