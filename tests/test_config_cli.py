@@ -401,12 +401,12 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "override, reason",
         [("modes_keep=3", "too short beyond the plateau"), ("basis_order=1", "too short beyond the plateau"),
-         ("distance=1e5 theta_e_deg=0.01", "not enough usable tail points")],
+         ("distance=2000 theta_e_deg=0.175", "not enough usable tail points")],
         ids=["three-modes", "basis-order-1", "narrow-cap"],
     )
     def test_capacity_on_unfittable_spectrum_leaves_out_as_it_was(self, tmp_path, capsys, override, reason):
         # a valid mode set whose spectrum has too few tail points to fit is a bad input, not a runtime error;
-        # a cap of 0.01 deg is valid on a link 1e5 wavelengths long, whose half-angle is 0.003 deg
+        # a cap of 0.175 deg is valid on a link 2000 wavelengths long, whose half-angle is 0.146 deg
         made, out = tmp_path / "d", tmp_path / "o"
         sets = [arg for pair in override.split() for arg in ("--set", pair)]
         assert run_cli(["--preset", "ci", "--out", str(made), *sets, "--set", "mode_map_indices=1", "modes"]) == 0
