@@ -231,7 +231,7 @@ class TestSeparableFactors:
         L = truncation_order(K, geo.transmitter.half_diagonal + geo.receiver.half_diagonal)
         grid = cap_direction_grid(geo.axis, np.radians(60), n_theta, n_phi)
         if n_theta > 12:
-            # more than two blocks of directions, the last one partial
+            # more than two blocks of directions, a count _BLOCK does not divide
             assert len(grid.weights) > 2 * _BLOCK and len(grid.weights) % _BLOCK
         table = translator_table(grid, K, geo.r_pq, L, windowed=True)
         src = tensor_grid(geo.transmitter, 25)
