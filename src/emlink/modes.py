@@ -268,10 +268,11 @@ def _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget) -> li
     w_alpha = _kernel_scale(geometry.k) * _translator_weights(grid, table)
     sides = np.array([[end.side_x, end.side_y] for end in (geometry.transmitter, geometry.receiver)])
     # (order, end, axis, direction): both ends' patterns on both axes from one array of Bessel arguments
-    f = _axis_patterns(max(basis.max(), rcv_basis.max()), sides[:, :, None], geometry.k, grid.directions[reps, :2].T)
-    folds = [(np.outer(w_alpha, sizes).ravel(), f)]
+    khat = grid.directions[reps, :2].T
+    patterns = _axis_patterns(max(basis.max(), rcv_basis.max()), sides[:, :, None], geometry.k, khat)
+    folds = [(np.outer(w_alpha, sizes).ravel(), patterns)]
     if found[2]:  # 2 S: the orbits' whole w alpha
-        folds.append((np.outer(w_alpha, sizes_all).ravel(), f[..., eighth]))
+        folds.append((np.outer(w_alpha, sizes_all).ravel(), patterns[..., eighth]))
     out = []
     for cls in _symmetry_classes(basis, rcv_basis, found):
         if cls.swap is not None and cls.parity[0] != cls.parity[1]:
@@ -281,7 +282,7 @@ def _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget) -> li
         _check_budget(max(len(m_r), len(m)) * max(_BLOCK, len(m)), entry_budget)
         weighted, sums = (f[:, 1, 1] * w.real, f[:, 1, 1] * w.imag), 0.0
         bounds = np.linspace(0, len(w), -(-len(w) // _BLOCK) + 1).astype(int)  # blocks of equal size
-        for sl in map(slice, bounds[:-1], bounds[1:]):  # row r + p rows: receiver row r with w alpha's part p
+        for sl in map(slice, bounds[:-1], bounds[1:]):  # row p * rows + r: receiver row r with w alpha's part p
             x = f[m_r, 1, 0, sl]
             received = np.concatenate([x * part[n_r, sl] for part in weighted])
             sums += received @ (f[m, 0, 0, sl] * f[n, 0, 1, sl]).T
@@ -422,7 +423,8 @@ def solve_modes(
         if blocks:
             systems = [_singular_system(*block) for block in blocks]
         else:  # oe takes eo's singular system, its columns and its field rows read through the swap
-            systems = [(beta, rows[:, cls.swap[1]], None, fields[:, cls.swap[0]], None) for beta, rows, _, fields, _ in systems]
+            row_swap, col_swap = cls.swap
+            systems = [(beta, v[:, col_swap], None, fields[:, row_swap], None) for beta, v, _, fields, _ in systems]
         spectra += [(cls, *system) for system in systems]
     classes = np.concatenate([np.full(len(beta), label) for label, (_, beta, *_) in enumerate(spectra)])
     betas, order = _merge_spectra(np.concatenate([beta for _, beta, *_ in spectra]), classes)
