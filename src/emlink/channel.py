@@ -117,21 +117,33 @@ def _orbits(grid: DirectionGrid, found: tuple[bool, bool, bool]) -> tuple[np.nda
     return _kept(grid, ("orbits", found), make)
 
 
+def _pair_split(a: np.ndarray, pairs: np.ndarray, sign: int) -> np.ndarray:
+    """The even (sign 1) or odd (sign -1) orthonormal combinations of the rows of `a` that the involution `pairs` pairs.
+
+    For each row i <= pairs[i] in order, the even rows are
+    (a_i + a_pairs[i]) / sqrt(2), or a_i alone where pairs[i] = i, and for
+    each i < pairs[i] the odd rows are (a_i - a_pairs[i]) / sqrt(2).  Together
+    they are an orthogonal change of a's rows, made by indexing a.  The
+    mirror of an axis's nodes pairs them here, the swap x <-> y the orders
+    in the mode solve.
+    """
+    i = np.arange(len(pairs))
+    kept = np.flatnonzero(i <= pairs if sign > 0 else i < pairs)
+    norm = np.where(pairs[kept] == kept, 2.0, np.sqrt(2.0))
+    return (a[kept] + sign * a[pairs[kept]]) / norm[:, None]
+
+
 @functools.lru_cache(maxsize=8)  # a call needs at most four: two axes on each side
 def _parity_combinations(n: int) -> np.ndarray:
     """Orthogonal Q (n, n) over one axis's n nodes, kept per n, read-only.
 
-    Its first ceil(n/2) rows are the even combinations
-    (b_i + b_{n-1-i}) / sqrt(2) of mirrored nodes and the middle node, the
-    rest the odd ones (b_i - b_{n-1-i}) / sqrt(2).
+    The even and then the odd combinations (`_pair_split`) of the nodes
+    under the mirror i -> n-1-i: first the ceil(n/2) rows
+    (b_i + b_{n-1-i}) / sqrt(2) and the middle node, then the rest,
+    (b_i - b_{n-1-i}) / sqrt(2).
     """
-    half, even = n // 2, n - n // 2
-    i = np.arange(half)
-    q = np.zeros((n, n))
-    q[i, i] = q[i, n - 1 - i] = q[even + i, i] = np.sqrt(0.5)
-    q[even + i, n - 1 - i] = -np.sqrt(0.5)
-    if n % 2:
-        q[half, half] = 1.0
+    mirror = np.arange(n)[::-1]
+    q = np.concatenate([_pair_split(np.eye(n), mirror, sign) for sign in (1, -1)])
     q.flags.writeable = False
     return q
 

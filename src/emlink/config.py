@@ -17,7 +17,7 @@ from .capacity import _noise_power
 from .errors import ConfigError
 from .geometry import LinkGeometry, rect_aperture, truncation_order
 from .modes import DEFAULT_ENTRY_BUDGET, ModesResult, _check_series, solve_modes
-from .specfun import spherical_neumann_y
+from .specfun import spherical_hankel_paper
 
 __all__ = ["ExperimentConfig", "PRESETS", "load_config"]
 
@@ -105,11 +105,10 @@ class ExperimentConfig:
         return LinkGeometry(tx, rx, self.k)
 
     def truncation(self) -> int:
-        """l_override, or the truncation rule on rho_max, the sum of the apertures' half-diagonals."""
+        """l_override, or the truncation rule on the main link's rho_max (`LinkGeometry.rho_max`)."""
         if self.l_override > 0:
             return self.l_override
-        rho_max = 0.5 * (math.hypot(self.tx_side_x, self.tx_side_y) + math.hypot(self.rx_side_x, self.rx_side_y))
-        return truncation_order(self.k, rho_max)
+        return truncation_order(self.k, self.link_geometry().rho_max)
 
     def solve(self) -> ModesResult:
         """Run the eigenmode pipeline on the main link with this configuration."""
@@ -167,7 +166,7 @@ class ExperimentConfig:
         try:
             _check_series(self.link_geometry(), np.radians(self.theta_e_deg), self.truncation())
             self.check_geometry()
-            spherical_neumann_y(self.truncation(), self.k * self.distance)  # the translator's Hankel orders
+            spherical_hankel_paper(self.truncation(), self.k * self.distance)  # the translator's Hankel orders
         except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         return self

@@ -260,8 +260,9 @@ def _image_steps(grid: DirectionGrid) -> tuple[int | None, int | None, int | Non
     the x-mirror takes phi to pi - phi (s = n_phi/2), the y-mirror to -phi
     (s = 0).  On a cap about +z the swap takes phi to pi/2 - phi
     (s = n_phi/4), about -z to -pi/2 - phi (s = -n_phi/4).  Any other map,
-    and a map whose s is not an integer, gets None: `channel._fold` asks for
-    the swap only on a link with both mirrors, whose axis is +z or -z.
+    and a map whose s is not an integer, gets None: `channel._symmetries`,
+    which the fold and the mode solve read, asks for the swap only on a link
+    with both mirrors, whose axis is +z or -z.
     """
     n, (ax, ay, az) = grid.n_phi, grid.axis
     swap = n // 4 * int(az) if ax == ay == 0.0 and n % 4 == 0 else None
@@ -280,8 +281,8 @@ def truncation_order(k: float, D: float) -> int:
 class LinkGeometry:
     """Transmitter/receiver pair with the plane-wave expansion validity check.
 
-    The center separation must be at least the sum of the two apertures'
-    half-diagonals, otherwise the translated expansion diverges.
+    The center separation must be at least `rho_max`, otherwise the
+    translated expansion diverges.
     """
 
     transmitter: Aperture
@@ -294,12 +295,16 @@ class LinkGeometry:
         if not np.all(np.isfinite(self.r_pq)):
             raise ValueError("aperture centers must be finite")
         sep = float(np.linalg.norm(self.r_pq))
-        bound = self.transmitter.half_diagonal + self.receiver.half_diagonal
-        if sep < bound:
+        if sep < self.rho_max:
             raise ValueError(
                 f"center separation {sep:.4g} violates the expansion validity "
-                f"bound {bound:.4g} (sum of aperture half-diagonals)"
+                f"bound {self.rho_max:.4g} (sum of aperture half-diagonals)"
             )
+
+    @property
+    def rho_max(self) -> float:
+        """The sum of the apertures' half-diagonals, the radius the translator series must converge over."""
+        return self.transmitter.half_diagonal + self.receiver.half_diagonal
 
     @property
     def r_pq(self) -> np.ndarray:

@@ -76,9 +76,10 @@ def _alphas(L: int, k_rpq: float, cos_gamma) -> np.ndarray:
 def translator_series(L: int, k_rpq: float, cos_gamma, windowed: bool) -> np.ndarray:
     """alpha = sum_l (-j)^l (2l+1) h_l(k r_pq) P_l(cos gamma) [w_l] at each cos gamma.
 
-    h_l is the j - i*y Hankel convention; OverflowError propagates from the
-    Neumann recurrence when L is pushed far beyond k*r_pq.  The Tukey taper
-    w_l applies when windowed and L >= 2; this is that window's row of `_alphas`.
+    h_l is the j - i*y Hankel convention; OverflowError propagates from its
+    upward recurrence (`spherical_hankel_paper`) when L is pushed far beyond
+    k*r_pq.  The Tukey taper w_l applies when windowed and L >= 2; this is
+    that window's row of `_alphas`.
     """
     return _alphas(L, k_rpq, cos_gamma)[int(windowed)]
 

@@ -84,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FREE_SPACE_IMPEDANCE, _kernel_scale, _orbits, _symmetries
+from .channel import FREE_SPACE_IMPEDANCE, _kernel_scale, _orbits, _pair_split, _symmetries
 from .errors import BudgetError
 from .geometry import (
     LinkGeometry,
@@ -161,20 +161,6 @@ def _axis_legendre(t: int, grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
 
     cx, cy, _ = aperture.center
     return axis(grid.nodes_x, cx, aperture.side_x), axis(grid.nodes_y, cy, aperture.side_y)
-
-
-def _swap_split(a: np.ndarray, swap: np.ndarray, sign: int) -> np.ndarray:
-    """The swap-even (sign 1) or swap-odd (sign -1) orthonormal combinations of the rows of `a` that the involution `swap` pairs.
-
-    For each row i <= swap[i] in order, the even rows are
-    (a_i + a_swap[i]) / sqrt(2), or a_i alone where swap[i] = i, and for
-    each i < swap[i] the odd rows are (a_i - a_swap[i]) / sqrt(2).  Together
-    they are an orthogonal change of a's rows, made by indexing a.
-    """
-    i = np.arange(len(swap))
-    kept = np.flatnonzero(i <= swap if sign > 0 else i < swap)
-    norm = np.where(swap[kept] == kept, 2.0, np.sqrt(2.0))
-    return (a[kept] + sign * a[swap[kept]]) / norm[:, None]
 
 
 def _check_budget(entries: int, entry_budget: int) -> None:
@@ -258,10 +244,10 @@ def _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget) -> li
     over one direction per orbit of the mirrors and the swap (phi in
     [0, pi/4]) with half the orbit's w alpha, S, and G_class is S plus S read
     through the swap; so its swap-even and swap-odd combinations
-    (`_swap_split`) of rows and columns, whose cross terms vanish, are those
-    of 2 S, and are its two blocks.  oe has no block of its own: it is eo's
-    read through its `swap`.  The budget bounds each class's pattern products
-    and its block.
+    (`channel._pair_split` under the swap) of rows and columns, whose cross
+    terms vanish, are those of 2 S, and are its two blocks.  oe has no block
+    of its own: it is eo's read through its `swap`.  The budget bounds each
+    class's pattern products and its block.
     """
     found = _symmetries(geometry, grid)
     reps, sizes, eighth, sizes_all = _orbits(grid, found)
@@ -290,9 +276,9 @@ def _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget) -> li
         block = phases * (sums[: len(m_r)] + 1j * sums[len(m_r) :])
         blocks = [(block, None, None)] if cls.swap is None else []
         for sign in () if cls.swap is None else (1, -1):
-            c_r, c_c = (_swap_split(np.eye(len(swap)), swap, sign) for swap in cls.swap)
+            c_r, c_c = (_pair_split(np.eye(len(swap)), swap, sign) for swap in cls.swap)
             if len(c_c):
-                blocks.append((_swap_split(_swap_split(block, cls.swap[0], sign).T, cls.swap[1], sign).T, c_r, c_c))
+                blocks.append((_pair_split(_pair_split(block, cls.swap[0], sign).T, cls.swap[1], sign).T, c_r, c_c))
         out.append((cls, blocks))
     return out
 
@@ -380,8 +366,7 @@ def _check_series(geometry: LinkGeometry, theta_e: float, L: int) -> None:
     L >= ceil(k rho_max), and the cap must reach the link's geometric
     half-angle atan(rho_max / d), under which each end sees the other.
     """
-    rho_max = geometry.transmitter.half_diagonal + geometry.receiver.half_diagonal
-    order, half_angle = math.ceil(geometry.k * rho_max), math.atan(rho_max / geometry.distance)
+    order, half_angle = math.ceil(geometry.k * geometry.rho_max), math.atan(geometry.rho_max / geometry.distance)
     if L < order:
         raise ValueError(f"the truncation order L = {L} is below ceil(k rho_max) = {order}, where the series converges")
     if theta_e < half_angle:

@@ -1,12 +1,13 @@
 """Legendre polynomials, Gauss-Legendre quadrature, and spherical Bessel functions.
 
 Everything here is self-contained double-precision numerics; no external
-special-function library is used.  The spherical Bessel functions j_l take
-an array of real arguments of any sign, zero included, for the closed-form
-Legendre patterns of the mode solve; the translator's one call passes a
-scalar.  The spherical Hankel function follows the engineering e^{-jkR}
-phase convention, h_l(x) = j_l(x) - i*y_l(x), which is the convention the
-plane-wave translator requires.
+special-function library is used.  Each Bessel kind has one recurrence.
+The spherical Bessel functions j_l take an array of real arguments of any
+sign, zero included, for the closed-form Legendre patterns of the mode
+solve, by Miller's downward recurrence.  The translator's spherical Hankel
+sequence takes one positive scalar and its own upward recurrence.  It
+follows the engineering e^{-jkR} phase convention, h_l(x) = j_l(x) - i*y_l(x),
+which is the convention the plane-wave translator requires.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ __all__ = [
     "spherical_hankel_paper",
 ]
 
-# Magnitudes beyond this are treated as an overflow of the Neumann sequence;
+# A second-kind part y_l beyond this is treated as an overflow of the Hankel sequence;
 # double precision tops out near 1.8e308 and downstream products need headroom.
 _OVERFLOW_LIMIT = 1e280
 
@@ -130,12 +131,14 @@ def _newton_rule(n: int) -> QuadratureRule:
 def spherical_bessel_j(l_max: int, x) -> np.ndarray:
     """First-kind spherical Bessel functions j_0(x) .. j_{l_max}(x) at each real x, shape (l_max + 1,) + shape(x).
 
-    Miller's downward recurrence on the whole array, started well above
-    both l_max and the largest |x|, rescaled as it grows and normalized
-    against the closed-form seed j_0 = sin x / x (or j_1 where sin x is nearly
-    zero), which is also the order-0 value.  Below |x| = 1e-8 the leading
-    term x^l / (2l+1)!! is exact in double precision, which gives
-    j_l(0) = delta_l0; a negative x takes j_l(-x) = (-1)^l j_l(x).
+    The closed-form patterns of the mode solve are its one use; their
+    arguments are bounded by k times half a side.  Miller's downward
+    recurrence on the whole array, started well above both l_max and the
+    largest |x|, so it runs O(l_max + max|x|) steps, rescaled as it grows
+    and normalized against the closed-form seed j_0 = sin x / x (or j_1
+    where sin x is nearly zero), which is also the order-0 value.  Below
+    |x| = 1e-8 the leading term x^l / (2l+1)!! is exact in double precision,
+    which gives j_l(0) = delta_l0; a negative x takes j_l(-x) = (-1)^l j_l(x).
     """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
@@ -171,35 +174,30 @@ def spherical_bessel_j(l_max: int, x) -> np.ndarray:
     return out.reshape((l_max + 1,) + x.shape)
 
 
-def spherical_neumann_y(l_max: int, x: float) -> np.ndarray:
-    """Second-kind (Neumann) spherical Bessel functions y_0 .. y_{l_max}, x > 0.
+def spherical_hankel_paper(l_max: int, x: float) -> np.ndarray:
+    """Spherical Hankel sequence h_0(x) .. h_{l_max}(x), h_l = j_l - i*y_l, at one x > 0.
 
-    Upward recurrence, which is stable for this kind.  Raises OverflowError
-    once magnitudes leave the representable range (l far above x).
+    This pairs with the e^{-jkR} propagation phase used throughout; note it
+    coincides with the usual *second*-kind spherical Hankel function.  One
+    upward recurrence h_{l+1} = (2l+1)/x h_l - h_{l-1}, O(l_max) scalar
+    steps, seeded from sin x and cos x: h_0 = (sin x + i cos x) / x.  Its
+    imaginary part is the upward recurrence on -y_l, which is stable for the
+    second kind; past l ~ x its real part loses j_l to roundoff of y_l, so
+    each h_l stays accurate relative to |h_l|.  Raises OverflowError once
+    y_l leaves the representable range (l far above x).
     """
+    x = float(x)
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if x <= 0:
         raise ValueError("argument must be positive")
     s, c = np.sin(x), np.cos(x)
-    out = np.empty(l_max + 1)
-    out[0] = -c / x
-    if l_max >= 1:
-        out[1] = -c / (x * x) - s / x
+    h = [complex(s / x, c / x), complex(s / (x * x) - c / x, c / (x * x) + s / x)]
     for l in range(1, l_max):
-        out[l + 1] = (2 * l + 1) / x * out[l] - out[l - 1]
-        if abs(out[l + 1]) > _OVERFLOW_LIMIT:
+        h.append((2 * l + 1) / x * h[l] - h[l - 1])
+        if abs(h[-1].imag) > _OVERFLOW_LIMIT:
             raise OverflowError(
-                f"y_{l + 1}({x:g}) exceeds the supported range; "
+                f"y_{l + 1}({x:g}), the second kind in h_{l + 1}, exceeds the supported range; "
                 "reduce the truncation order or increase the separation"
             )
-    return out
-
-
-def spherical_hankel_paper(l_max: int, x: float) -> np.ndarray:
-    """Spherical Hankel sequence h_l(x) = j_l(x) - i*y_l(x).
-
-    This pairs with the e^{-jkR} propagation phase used throughout; note it
-    coincides with the usual *second*-kind spherical Hankel function.
-    """
-    return spherical_bessel_j(l_max, x) - 1j * spherical_neumann_y(l_max, x)
+    return np.array(h[: l_max + 1])

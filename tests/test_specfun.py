@@ -8,8 +8,12 @@ from emlink.specfun import (
     legendre_sequence,
     spherical_bessel_j,
     spherical_hankel_paper,
-    spherical_neumann_y,
 )
+
+
+def _neumann_y(l_max, x):
+    """y_0 .. y_l_max as the package gives them: minus the imaginary part of h = j - i*y."""
+    return -spherical_hankel_paper(l_max, x).imag
 
 
 class TestLegendre:
@@ -117,20 +121,20 @@ class TestSphericalBessel:
         assert spherical_bessel_j(1, 1.0)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_y0_values(self):
-        assert spherical_neumann_y(0, np.pi / 2)[0] == pytest.approx(0.0, abs=1e-15)
-        assert spherical_neumann_y(0, np.pi)[0] == pytest.approx(1 / np.pi)
+        assert _neumann_y(0, np.pi / 2)[0] == pytest.approx(0.0, abs=1e-15)
+        assert _neumann_y(0, np.pi)[0] == pytest.approx(1 / np.pi)
 
     @pytest.mark.parametrize("x", [1.0, 10.0, 100.0])
     def test_cross_product_identity(self, x):
         # j_{l+1} y_l - j_l y_{l+1} = 1/x^2, certifying both kinds jointly
         j = spherical_bessel_j(121, x)
-        y = spherical_neumann_y(121, x)
+        y = _neumann_y(121, x)
         value = j[1:] * y[:-1] - j[:-1] * y[1:]
         assert np.max(np.abs(value * x * x - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("x", [1.0, 10.0, 100.0])
     def test_recurrence_consistency(self, x):
-        for seq in (spherical_bessel_j(120, x), spherical_neumann_y(120, x)):
+        for seq in (spherical_bessel_j(120, x), _neumann_y(120, x)):
             l = np.arange(1, 120)
             lhs = seq[l - 1] + seq[l + 1]
             rhs = (2 * l + 1) / x * seq[l]
@@ -144,7 +148,7 @@ class TestSphericalBessel:
         j_ref = spherical_jn(l, x)
         y_ref = spherical_yn(l, x)
         j = spherical_bessel_j(120, x)
-        y = spherical_neumann_y(120, x)
+        y = _neumann_y(120, x)
         keep = np.abs(j_ref) > 1e-250
         assert np.max(np.abs(j[keep] - j_ref[keep]) / np.abs(j_ref[keep])) < 1e-10
         assert np.max(np.abs(y - y_ref) / np.abs(y_ref)) < 1e-10
@@ -163,11 +167,9 @@ class TestSphericalBessel:
     def test_domain_errors(self):
         # y_l and h_l are singular at 0 and defined here for x > 0 only; j_l is entire, and
         # takes x = 0 and x < 0 (see test_array_of_any_sign)
-        for fn in (spherical_neumann_y, spherical_hankel_paper):
+        for x in (0.0, -1.0):
             with pytest.raises(ValueError):
-                fn(3, 0.0)
-            with pytest.raises(ValueError):
-                fn(3, -1.0)
+                spherical_hankel_paper(3, x)
         with pytest.raises(ValueError):
             spherical_bessel_j(-1, 1.0)
 
@@ -184,7 +186,7 @@ class TestSphericalBessel:
 
     def test_neumann_overflow_raises(self):
         with pytest.raises(OverflowError):
-            spherical_neumann_y(400, 1.0)
+            spherical_hankel_paper(400, 1.0)
 
 
 class TestHankel:
@@ -200,3 +202,15 @@ class TestHankel:
         l = np.arange(101)
         expected = spherical_jn(l, x) - 1j * spherical_yn(l, x)
         assert np.max(np.abs(h - expected) / np.abs(expected)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "l_max, x",
+        [(93, 2 * np.pi * 25.5), (75, 2 * np.pi * 20), (34, 2 * np.pi * 10.2), (120, 60.0), (34, 2 * np.pi * 1e4)],
+        ids=["paper", "sgf-error", "ci", "past-x", "far"],
+    )
+    def test_against_scipy_at_translator_arguments(self, l_max, x):
+        # the translator's orders and arguments k r_pq, an order past x, and a link 10^4 wavelengths long
+        l = np.arange(l_max + 1)
+        expected = spherical_jn(l, x) - 1j * spherical_yn(l, x)
+        h = spherical_hankel_paper(l_max, x)
+        assert np.max(np.abs(h - expected) / np.abs(expected)) <= 1e-14
