@@ -134,6 +134,8 @@ class ExperimentConfig:
                      "distance", "power_w", "check_aperture", "check_distance"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.check_src == self.check_field:
+            raise ConfigError(f"check_src and check_field must differ; both are {self.check_src}")
         if not 0.0 < self.theta_e_deg <= 180.0:
             raise ConfigError("theta_e_deg must lie in (0, 180]")
         if self.basis_order < 0:

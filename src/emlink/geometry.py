@@ -162,7 +162,9 @@ class DirectionGrid(_ByValue):
     (`greens.translator_table`), is one value per ring, and a lateral mirror
     or swap that fixes the axis keeps each ring in place and maps its
     azimuths in closed form (`_image_steps`).  Grids compare and hash by
-    their rule, the axis as a tuple of floats; the memo takes no part.
+    their rule, the axis as a tuple of floats; the memo takes no part.  A
+    zero or non-finite axis, an angle outside (0, pi] or a size below 1
+    raises ValueError when the grid is built.
     """
 
     axis: np.ndarray  # (3,) cap axis, stored normalized
@@ -215,7 +217,7 @@ class DirectionGrid(_ByValue):
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """(n_theta * n_phi,) steradians, ring-major."""
+        """(n_theta * n_phi,) steradians, ring-major, for callers outside the package: no fold path reads it."""
         return _read_only(np.repeat(self.ring_weights, self.n_phi))
 
 

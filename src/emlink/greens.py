@@ -101,7 +101,11 @@ def translator_table(grid: DirectionGrid, k: float, r_pq, L: int, windowed: bool
 
 
 def _translator_weights(grid: DirectionGrid, table: np.ndarray) -> np.ndarray:
-    """w alpha, (n_theta,): the weight of each direction on a ring times the ring's translator value."""
+    """w alpha, (n_theta,): the weight of each direction on a ring times the ring's translator value.
+
+    A table of any other shape, a stack of tables among them, raises
+    ValueError naming the grid's rings.
+    """
     table = np.asarray(table)
     if table.shape != grid.cosines.shape:
         raise ValueError(

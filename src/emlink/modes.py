@@ -342,7 +342,8 @@ class ModesResult:
     """A mode set and the received fields of its modes, solved together.
 
     `received[n]` is mode n's field G a_n in the receiver's orthonormal
-    Legendre basis `rcv_basis`, unscaled: (modes, (t_r+1)(t_r+2)/2) complex.
+    Legendre basis `rcv_basis`, unscaled: (modes, (t_r+1)(t_r+2)/2) complex,
+    its shape checked once, when the result is built.
     """
 
     modes: ModeSet

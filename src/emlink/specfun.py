@@ -80,7 +80,7 @@ def legendre_sequence(l_max: int, x) -> np.ndarray:
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P'_n(x) for the Newton root solve (x strictly inside (-1, 1))."""
+    """P_n(x) and P'_n(x), from `legendre_sequence`, for the Newton root solve (x strictly inside (-1, 1))."""
     p_prev, p = legendre_sequence(n, x)[n - 1 :]
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     return p, dp

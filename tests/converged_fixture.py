@@ -10,7 +10,9 @@ tests/data/converged_<name>.json: beta_1..beta_40 / beta_1, the tail decay
 rate c and the -3 dB count of the spectrum, and the water-filling capacity
 at SNR_DB, with NODES[name] and the commit of the code that made it.  The
 links are the paper and ci presets and `paper-x10`, the paper apertures
-with the receiver centre moved to (10, 0, 25.5).
+with the receiver centre moved to (10, 0, 25.5).  tests/test_converged_fixture.py
+requires the package to reproduce the betas to 1e-12 beta_1, and c and
+the capacities to 1e-9 relative.
 
 The solve takes no node count: its patterns are closed forms at both ends,
 and NODES only sets the output grids.  The committed fixtures came from the

@@ -2,8 +2,9 @@
 
     python tests/output_diff.py PARENT_SRC [CHANGE_SRC]
 
-Each tree (a directory holding the `emlink` package; CHANGE_SRC defaults to
-this repository's `src`) runs `translator`, `sgf-error`, `modes` and
+Each tree (a directory holding the `emlink` package, such as the `src` of
+a `git archive` of the parent commit; CHANGE_SRC defaults to this
+repository's `src`) runs `translator`, `sgf-error`, `modes` and
 `capacity` on the `paper` and `ci` presets, in one child process per tree.
 For each of the 15 files per preset it prints "identical" or the largest
 difference in the file's own units: eigenvalues as a fraction of beta_1,

@@ -891,6 +891,18 @@ def test_translator_order_past_the_recurrence_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_coinciding_probes_leave_out_as_it_was(tmp_path, capsys):
+    # g(r, s) has no value at r = s: the probes are rejected before anything is computed or written
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "sgf_error.csv").write_text("stale\n")
+    assert run_cli(["--preset", "ci", "--out", str(out), "--set", "check_src=-1.4,2.0,8.0", "sgf-error"]) == 1
+    assert "check_src and check_field must differ" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["o"]
+    assert [p.name for p in out.iterdir()] == ["sgf_error.csv"]
+    assert (out / "sgf_error.csv").read_text() == "stale\n"
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 def test_out_on_a_file_is_a_config_error(tmp_path, capsys, below):
     blocker = tmp_path / "taken"

@@ -1,7 +1,9 @@
 import ast
 import inspect
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import emlink
 from emlink import capacity, channel, config, errors, geometry, greens, modes, specfun
 
 MODULES = (capacity, channel, config, geometry, greens, modes, specfun)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_package_exports_exactly_the_module_names():
@@ -20,9 +23,13 @@ def test_package_exports_exactly_the_module_names():
     # re-exports exactly those
     declared = set().union(*(module.__all__ for module in MODULES))
     declared |= {name for name in vars(errors) if not name.startswith("_")}
-    exported = {name for name, obj in vars(emlink).items() if not name.startswith("_") and not inspect.ismodule(obj)}
-    assert exported == declared
+    assert _exported_names() == declared
     assert sum(len(module.__all__) for module in MODULES) == len(declared) - 2 == 40
+
+
+def _exported_names() -> set[str]:
+    """The names `emlink` exports: its modules' `__all__` and the two exception types."""
+    return {name for name, obj in vars(emlink).items() if not name.startswith("_") and not inspect.ismodule(obj)}
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():
@@ -294,3 +301,73 @@ def test_output_diff_units():
     assert gaps("modeset.json", '{"eigenvalues": [2.0, 1.0], "w": 1}', '{"eigenvalues": [2.0, 1.5], "w": 1}') == (
         "eigenvalues 2.50e-01"
     )
+
+
+def _code_spans(markdown: str) -> list[str]:
+    """The inline code spans of a markdown text, outside its fenced blocks."""
+    return re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", markdown, flags=re.M | re.S))
+
+
+def _library_rows(markdown: str) -> list[str]:
+    """The module rows of README's library table."""
+    section = markdown.split("\n## Library\n")[1].split("\n## ")[0]
+    return [line for line in section.splitlines() if line.startswith("| `emlink.")]
+
+
+def _contract_breaches(markdown: str, exported: set[str], hidden: set[str]) -> list[str]:
+    """What keeps a README from being the package's contract.
+
+    It must name every `exported` name in a code span, and no code span may
+    name a private (`_`-prefixed, not dunder) or `hidden` name; each library
+    row is at most 300 characters.
+    """
+    named = {token for span in _code_spans(markdown) for token in re.findall(r"(?<!\w)[^\W\d]\w*", span)}
+    breaches = [f"unnamed: {name}" for name in sorted(exported - named)]
+    breaches += [f"internal: {name}" for name in sorted(named) if name in hidden
+                 or name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    breaches += [f"row of {len(row)} characters: {row[:24]}" for row in _library_rows(markdown) if len(row) > 300]
+    return breaches
+
+
+def test_readme_states_the_contract():
+    # README gives what the package exports, in one short row per module; how
+    # a module works is in its docstrings, so README names no top-level name
+    # that the package does not export, and stays a short text
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paths = sorted(Path(emlink.__file__).parent.glob("*.py"))
+    top_level = {name for path in paths for statement in ast.parse(path.read_text(encoding="utf-8")).body
+                 for name in _defined_names(statement)}
+    exported = _exported_names()
+    assert _contract_breaches(readme, exported, top_level - exported) == []
+    assert len(_library_rows(readme)) == len(paths) - 1  # every module but __init__
+    assert len(readme.encode("utf-8")) <= 7796
+
+
+def test_contract_guard():
+    # a row may hold 300 characters, not 301; code spans in fenced blocks are not read
+    rows = "".join(f"| `emlink.{name}` | {'x' * width} |\n" for name, width in (("b", 283), ("c", 284)))
+    readme = (f"Run `f`.\n\n## Library\n\n| `emlink.a` | `g`, `_h`, `a.__all__`, `θ_e` |\n{rows}"
+              f"\n## Next\n| `emlink.d` | {'x' * 300} |\n")
+    assert _contract_breaches(readme, {"f", "g", "k"}, {"g"}) == [
+        "unnamed: k", "internal: _h", "internal: g", "row of 301 characters: | `emlink.c` | xxxxxxxxx",
+    ]
+    fenced = "```python\nx = `_h`\n```\n\n## Library\n"
+    assert _contract_breaches(fenced, set(), set()) == []
+
+
+def test_readme_example_runs():
+    # the one Python example of the contract runs as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["result"].modes.normalized[0] == 1.0
+
+
+def test_formats_lists_exactly_the_config_keys():
+    # the first column of the key table in docs/formats.md names each ExperimentConfig field once
+    text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    cells = [line.split("|")[1] for line in text.split("\n## Configuration\n")[1].split("\n## ")[0].splitlines()
+             if line.startswith("| `")]
+    keys = [key for cell in cells for key in re.findall(r"`(\w+)`", cell)]
+    assert sorted(keys) == sorted(f.name for f in fields(config.ExperimentConfig))
