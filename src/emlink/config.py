@@ -167,10 +167,16 @@ class ExperimentConfig:
             raise ConfigError("entry_budget must be positive")
         try:
             _check_series(self.link_geometry(), np.radians(self.theta_e_deg), self.truncation())
-            self.check_geometry()
+            check = self.check_geometry()
             spherical_hankel_paper(self.truncation(), self.k * self.distance)  # the translator's Hankel orders
         except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
+        # each probe within its check aperture's half-diagonal, the sphere the expansion's rho_max covers
+        for key, end in (("check_src", check.transmitter), ("check_field", check.receiver)):
+            distance = math.dist(getattr(self, key), end.center)
+            if distance > end.half_diagonal * (1.0 + 1e-12):
+                raise ConfigError(f"{key} lies {distance!r} from its check aperture's center, beyond the "
+                                  f"aperture's half-diagonal {end.half_diagonal!r}")
         return self
 
 

@@ -404,15 +404,16 @@ def solve_modes(
     dir_grid = cap_direction_grid(geometry.axis, theta_e, *default_cap_densities(L, theta_e))
     table = translator_table(dir_grid, geometry.k, geometry.r_pq, L, windowed)
     basis, rcv_basis = basis_order_table(t), basis_order_table(_receiver_order(geometry, dir_grid))
-    spectra = []  # (class, betas, conj(V^H), C_c, (U sigma)^T, C_r), in class order
+    spectra, systems = [], {}  # spectra: (class, betas, conj(V^H), (U sigma)^T, C_r, C_c), in class order
     for cls, blocks in _channel_blocks(basis, rcv_basis, geometry, dir_grid, table, entry_budget):
         if blocks:
-            systems = [_singular_system(*block) for block in blocks]
-        else:  # oe takes eo's singular system, its columns and its field rows read through the swap
-            row_swap, col_swap = cls.swap
-            systems = [(beta, v[:, col_swap], None, fields[:, row_swap], None) for beta, v, _, fields, _ in systems]
-        spectra += [(cls, *system) for system in systems]
-    classes = np.concatenate([np.full(len(beta), label) for label, (_, beta, *_) in enumerate(spectra)])
+            systems[cls.parity] = [(*_singular_system(block), c_r, c_c) for block, c_r, c_c in blocks]
+        else:  # oe takes eo's singular systems, of parity (0, 1), its columns and field rows read through the swap
+            (row_swap, col_swap), eo = cls.swap, systems[cls.parity[::-1]]
+            systems[cls.parity] = [(beta, v[:, col_swap], f[:, row_swap], None, None) for beta, v, f, *_ in eo]
+        spectra += [(cls, *system) for system in systems[cls.parity]]
+    sizes = [len(beta) for _, beta, *_ in spectra]
+    classes = np.repeat(np.arange(len(spectra)), sizes)
     betas, order = _merge_spectra(np.concatenate([beta for _, beta, *_ in spectra]), classes)
     kept = slice(keep) if keep is not None and keep > 0 else slice(None)
     merged = order[kept]
@@ -420,32 +421,30 @@ def solve_modes(
     # spectrum's combinations back to its class's columns, and its field likewise to its class's receiver rows
     coefficients = np.zeros((len(merged), len(basis)), dtype=complex)
     received = np.zeros((len(merged), len(rcv_basis)), dtype=complex)
-    start, merged_class = 0, classes[merged]
-    for label, (cls, _, rows, c_c, fields, c_r) in enumerate(spectra):
+    starts, merged_class = np.cumsum(sizes) - sizes, classes[merged]
+    for label, (cls, _, rows, fields, c_r, c_c) in enumerate(spectra):
         mine = np.flatnonzero(merged_class == label)
-        picked = merged[mine] - start
+        picked = merged[mine] - starts[label]
         coefficients[np.ix_(mine, cls.cols)] = rows[picked] if c_c is None else rows[picked] @ c_c
         received[np.ix_(mine, cls.rows)] = fields[picked] if c_r is None else fields[picked] @ c_r
-        start += len(rows)
     gauge = _gauge(coefficients)[:, None]
     coefficients, received = coefficients * gauge, received * gauge
     modes = ModeSet(betas[kept], coefficients, float(power_w), FREE_SPACE_IMPEDANCE, basis, geometry, n_surface)
     return ModesResult(modes, received)
 
 
-def _singular_system(block: np.ndarray, c_r: np.ndarray | None, c_c: np.ndarray | None) -> tuple:
-    """Betas of a class block B = C_r G C_c^T, with conj(V^H), C_c, (U sigma)^T and C_r.
+def _singular_system(block: np.ndarray) -> tuple:
+    """Betas of a class block B, with conj(V^H) and (U sigma)^T.
 
     Its SVD U diag(sigma) V^H gives sigma^2, padded with zeros to the width;
-    the coefficient rows over the class's columns are conj(V^H) C_c, and
-    their received fields over its receiver rows (U sigma)^T C_r, zero past
-    the rank; None stands for the identity.
+    the coefficient rows over the block's columns are conj(V^H), and their
+    received fields over its rows (U sigma)^T, zero past the rank.
     """
     width = block.shape[1]
     # B^H = U' diag(sigma) V'^H, which LAPACK takes faster than B: V = U' and U = V'
     v, sigma, uh = np.linalg.svd(block.conj().T, full_matrices=len(block) < width)
     fields = np.concatenate([uh.conj() * sigma[:, None], np.zeros((width - len(sigma), len(block)))])
-    return np.concatenate([sigma**2, np.zeros(width - len(sigma))]), v.T, c_c, fields, c_r
+    return np.concatenate([sigma**2, np.zeros(width - len(sigma))]), v.T, fields
 
 
 def _merge_spectra(betas: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

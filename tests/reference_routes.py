@@ -152,13 +152,13 @@ def solved_channel(result, theta_e, L, windowed=True, basis=None, nodes=60):
 
 def channel_matrix(basis, rcv_basis, geometry, grid, table, entry_budget=DEFAULT_ENTRY_BUDGET):
     """G (n_rcv_basis, n_basis) from the solve's class blocks: each block taken back through its combinations, oe from eo."""
-    G = np.zeros((len(rcv_basis), len(basis)), dtype=complex)
+    G, class_blocks = np.zeros((len(rcv_basis), len(basis)), dtype=complex), {}  # class parity -> its block of G
     for cls, blocks in _channel_blocks(basis, rcv_basis, geometry, grid, table, entry_budget):
         if blocks:
-            G[np.ix_(cls.rows, cls.cols)] = sum(b if c_r is None else c_r.T @ b @ c_c for b, c_r, c_c in blocks)
-        else:  # oe: eo's block, the previous class's, read through the swap
-            G[np.ix_(cls.rows, cls.cols)] = G[np.ix_(eo.rows, eo.cols)][np.ix_(*cls.swap)]
-        eo = cls
+            class_blocks[cls.parity] = sum(b if c_r is None else c_r.T @ b @ c_c for b, c_r, c_c in blocks)
+        else:  # oe: eo's block, looked up by its parity (0, 1), read through the swap
+            class_blocks[cls.parity] = class_blocks[cls.parity[::-1]][np.ix_(*cls.swap)]
+        G[np.ix_(cls.rows, cls.cols)] = class_blocks[cls.parity]
     return G
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -901,6 +902,31 @@ def test_coinciding_probes_leave_out_as_it_was(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["o"]
     assert [p.name for p in out.iterdir()] == ["sgf_error.csv"]
     assert (out / "sgf_error.csv").read_text() == "stale\n"
+
+
+@pytest.mark.parametrize(
+    "override, key, distance",
+    [("check_src=50,0,0", "check_src", 50.0), ("check_src=0,0,5", "check_src", 5.0),
+     ("check_src=1e6,0,0", "check_src", 1e6), ("check_field=2,2.000001,8", "check_field", math.hypot(2, 2.000001))],
+    ids=["far-lateral", "between-the-apertures", "far-off", "just-past-a-corner"],
+)
+def test_probe_off_its_aperture_leaves_out_as_it_was(tmp_path, capsys, override, key, distance):
+    # the expansion covers each check aperture's half-diagonal sphere: a probe past it is rejected before any sweep
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "sgf_error.csv").write_text("stale\n")
+    assert run_cli(["--preset", "ci", "--out", str(out), "--set", override, "sgf-error"]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} lies {distance!r}" in err and f"half-diagonal {math.hypot(2.0, 2.0)!r}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["o"]
+    assert [p.name for p in out.iterdir()] == ["sgf_error.csv"]
+    assert (out / "sgf_error.csv").read_text() == "stale\n"
+
+
+def test_probes_on_their_aperture_corners_pass():
+    # the bound is inclusive: a probe on a corner of its check square lies exactly on the half-diagonal
+    cfg = load_config("ci", overrides=["check_src=2,-2,0", "check_field=-2,2,8"])
+    assert (cfg.check_src, cfg.check_field) == ((2.0, -2.0, 0.0), (-2.0, 2.0, 8.0))
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from output_diff import SRC, compare, gaps
-from size_report import size_report
+from size_report import module_sizes, size_report
 
 import emlink
 from emlink import capacity, channel, config, errors, geometry, greens, modes, specfun
@@ -279,6 +279,9 @@ def test_size_report_counts(tmp_path):
     (tmp_path / "b.py").write_text('__all__ = ["g", "h"]\n')
     assert size_report(tmp_path) == (12, 6, 3)
     assert size_report()[2] == len(set().union(*(module.__all__ for module in MODULES)))
+    # each module's counts, which the totals sum
+    assert module_sizes(tmp_path) == {"a.py": (11, 5, {"f", "g"}), "b.py": (1, 1, {"g", "h"})}
+    assert sum(code for _, code, _ in module_sizes().values()) == size_report()[1]
 
 
 def test_output_diff_of_a_tree_against_itself():
